@@ -41,9 +41,8 @@ smallSpec(SimMode mode)
 }
 
 /**
- * The memo cache's target shape: battery-profile frame traces repeat
- * the same few operating points hundreds of times, so nearly every
- * evaluation after the first frame is a memo hit.
+ * Battery-profile frame traces: long traces that repeat the same few
+ * operating points hundreds of times.
  */
 CampaignSpec
 repeatedStateSpec()
@@ -63,8 +62,9 @@ printFigure()
 {
     bench::banner("Campaign engine - 2 traces x 2 platforms x 5 PDNs "
                   "(PMU mode)");
+    ParallelRunner runner;
     CampaignResult result =
-        CampaignEngine().run(smallSpec(SimMode::Pmu));
+        CampaignEngine(runner).run(smallSpec(SimMode::Pmu));
     BatteryModel battery(wattHours(50.0));
     AsciiTable t({"PDN", "supply (J)", "mean ETEE", "switches"});
     for (const CampaignPdnSummary &s :
@@ -75,21 +75,7 @@ printFigure()
                   std::to_string(s.modeSwitches)});
     }
     t.print(std::cout);
-
-    // The memo-cache acceptance check: identical numbers either way
-    // (the campaignMemo benchmarks then show the runtime gap).
-    CampaignSpec repeated = repeatedStateSpec();
-    ParallelRunner serial(1);
-    CampaignResult with =
-        CampaignEngine(serial).memoize(true).run(repeated);
-    CampaignResult without =
-        CampaignEngine(serial).memoize(false).run(repeated);
-    std::cout << "\nEteeMemo on repeated-state campaign ("
-              << repeated.cellCount() << " cells, "
-              << repeated.traces[0].resolve().phases().size()
-              << " phases/trace): results "
-              << (with == without ? "bit-identical" : "MISMATCH")
-              << " with memo on/off\n\n";
+    std::cout << "\n";
 }
 
 void
@@ -107,7 +93,8 @@ campaignSerial(benchmark::State &state)
 void
 campaignPooled(benchmark::State &state)
 {
-    CampaignEngine engine;
+    ParallelRunner pool;
+    CampaignEngine engine(pool);
     CampaignSpec spec = smallSpec(SimMode::Static);
     for (auto _ : state) {
         CampaignResult r = engine.run(spec);
@@ -118,7 +105,8 @@ campaignPooled(benchmark::State &state)
 void
 campaignMode(benchmark::State &state)
 {
-    CampaignEngine engine;
+    ParallelRunner pool;
+    CampaignEngine engine(pool);
     CampaignSpec spec =
         smallSpec(static_cast<SimMode>(state.range(0)));
     for (auto _ : state) {
@@ -127,31 +115,10 @@ campaignMode(benchmark::State &state)
     }
 }
 
-void
-campaignMemo(benchmark::State &state)
-{
-    ParallelRunner serial(1);
-    CampaignEngine engine(serial);
-    engine.memoize(state.range(0) != 0);
-    CampaignSpec spec = repeatedStateSpec();
-    CampaignRunStats last;
-    for (auto _ : state) {
-        CampaignResult r = engine.run(spec);
-        benchmark::DoNotOptimize(r.cells.data());
-    }
-    // One stats pass outside the timed loop: the hit rate is a
-    // deterministic property of (spec, memoize), not a timing.
-    DiscardSink sink;
-    engine.run(spec, sink, &last);
-    state.counters["memo_hit_rate"] = last.memoHitRate();
-    state.counters["threads"] = 1;
-}
-
 /**
  * The trajectory workhorse: streamed campaign execution measured in
- * cells/sec and ns/phase, with the memo hit rate alongside — the
- * three metrics scripts/bench.sh snapshots into BENCH_<n>.json and
- * tools/bench_diff gates on.
+ * cells/sec and ns/phase — the metrics scripts/bench.sh snapshots
+ * into BENCH_<n>.json and tools/bench_diff gates on.
  */
 void
 campaignThroughput(benchmark::State &state)
@@ -164,7 +131,6 @@ campaignThroughput(benchmark::State &state)
 
     uint64_t cells = 0;
     uint64_t phases = 0;
-    CampaignRunStats last;
     auto start = std::chrono::steady_clock::now();
     for (auto _ : state) {
         DiscardSink sink;
@@ -172,7 +138,6 @@ campaignThroughput(benchmark::State &state)
         engine.run(spec, sink, 0, cellCount, &stats);
         cells += stats.cells;
         phases += stats.phases;
-        last = stats;
     }
     double ns = std::chrono::duration<double, std::nano>(
                     std::chrono::steady_clock::now() - start)
@@ -181,17 +146,11 @@ campaignThroughput(benchmark::State &state)
         ns > 0.0 ? static_cast<double>(cells) / (ns * 1e-9) : 0.0;
     state.counters["ns_per_phase"] =
         phases ? ns / static_cast<double>(phases) : 0.0;
-    state.counters["memo_hit_rate"] = last.memoHitRate();
     state.counters["threads"] = nthreads;
 }
 
 BENCHMARK(campaignSerial)->Unit(benchmark::kMillisecond);
 BENCHMARK(campaignPooled)->Unit(benchmark::kMillisecond);
-BENCHMARK(campaignMemo)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"memo"})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(campaignMode)
     ->Arg(static_cast<int>(SimMode::Static))
     ->Arg(static_cast<int>(SimMode::Pmu))

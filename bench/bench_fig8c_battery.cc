@@ -27,7 +27,8 @@ batteryCampaign()
     spec.platforms = {ultraportablePreset()};
     spec.pdns.assign(allPdnKinds.begin(), allPdnKinds.end());
     spec.mode = SimMode::Static;
-    return CampaignEngine().run(spec);
+    ParallelRunner runner;
+    return CampaignEngine(runner).run(spec);
 }
 
 void

@@ -58,7 +58,8 @@ printFigure()
 {
     bench::banner("Fleet engine - 100k-session Oracle cohort, "
                   "4 x 1 s buckets");
-    FleetResult result = FleetEngine().run(benchSpec(100000));
+    ParallelRunner runner;
+    FleetResult result = FleetEngine(runner).run(benchSpec(100000));
     result.writeSummary(std::cout);
     std::cout << "\n";
 }

@@ -49,7 +49,7 @@ printFigure()
     ProbeSpec spec;
     SignalProbe probe(spec, watts(15.0));
     SimResult probed = sim.run(trace, platform.pdn(PdnKind::IVR),
-                               nullptr, &probe);
+                               &probe);
     SimResult unprobed = sim.run(trace, platform.pdn(PdnKind::IVR));
     std::cout << "SimResult probed vs unprobed: "
               << (probed == unprobed ? "bit-identical"
@@ -144,9 +144,8 @@ obsSimProbed(benchmark::State &state)
     for (auto _ : state) {
         ProbeSpec spec;
         SignalProbe probe(spec, watts(15.0));
-        SimResult r =
-            sim.run(soa, platform.pdn(PdnKind::IVR), nullptr,
-                    bound ? &probe : nullptr);
+        SimResult r = sim.run(soa, platform.pdn(PdnKind::IVR),
+                              bound ? &probe : nullptr);
         benchmark::DoNotOptimize(r);
         phases += trace.phases().size();
     }

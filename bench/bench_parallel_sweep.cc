@@ -2,7 +2,7 @@
  * @file
  * Measures the ParallelRunner speedup on the sweep hot path: a dense
  * ETEE-vs-TDP sweep over all five PDN architectures, serial vs the
- * shared thread pool, plus parallel ETEE-table characterization.
+ * shared thread pool.
  */
 
 #include "bench_util.hh"
@@ -63,38 +63,12 @@ sweepParallel(benchmark::State &state)
     sweepBench(state, static_cast<unsigned>(state.range(0)));
 }
 
-void
-eteeTableSerial(benchmark::State &state)
-{
-    const Platform &pf = bench::platform();
-    ParallelRunner serial(1);
-    for (auto _ : state) {
-        EteeTable table(pf.flexWatts(), pf.operatingPoints(),
-                        EteeTable::GridSpec(), serial);
-        benchmark::DoNotOptimize(table);
-    }
-}
-
-void
-eteeTableParallel(benchmark::State &state)
-{
-    const Platform &pf = bench::platform();
-    ParallelRunner pool(static_cast<unsigned>(state.range(0)));
-    for (auto _ : state) {
-        EteeTable table(pf.flexWatts(), pf.operatingPoints(),
-                        EteeTable::GridSpec(), pool);
-        benchmark::DoNotOptimize(table);
-    }
-}
-
 BENCHMARK(sweepSerial);
 BENCHMARK(sweepParallel)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
     ->ArgNames({"threads"});
-BENCHMARK(eteeTableSerial);
-BENCHMARK(eteeTableParallel)->Arg(2)->Arg(4)->Arg(8);
 
 void
 printSummary()

@@ -40,7 +40,8 @@ main(int argc, char **argv)
     spec.platforms = {ultraportablePreset()};
     spec.pdns.assign(allPdnKinds.begin(), allPdnKinds.end());
     spec.mode = SimMode::Static;
-    CampaignResult result = CampaignEngine().run(spec);
+    ParallelRunner runner;
+    CampaignResult result = CampaignEngine(runner).run(spec);
     const std::string &pfName = spec.platforms.front().name;
 
     std::cout << "Battery life with a " << battery_wh

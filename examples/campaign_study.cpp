@@ -35,7 +35,8 @@ main(int argc, char **argv)
               << spec.pdns.size() << " PDNs = " << spec.cellCount()
               << " cells (" << toString(spec.mode) << " mode)\n\n";
 
-    CampaignResult result = CampaignEngine().run(spec);
+    ParallelRunner runner;
+    CampaignResult result = CampaignEngine(runner).run(spec);
 
     BatteryModel battery(wattHours(50.0));
     AsciiTable summary({"PDN", "cells", "supply (J)", "mean ETEE",

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Benchmark-trajectory driver: run the campaign / parallel-sweep /
-# memo / observability benches in --json mode, merge their records into the next
-# BENCH_<n>.json snapshot at the repo root, and diff it against the
-# previous snapshot with tools/bench_diff (warn >5%, fail >20%
-# regression) — so the perf trajectory of the inner loop (cells/sec,
-# ns/phase, memo hit rate) is tracked per PR exactly like test
+# Benchmark-trajectory driver: run the campaign / fleet /
+# parallel-sweep / observability benches in --json mode, merge their
+# records into the next BENCH_<n>.json snapshot at the repo root, and
+# diff it against the previous snapshot with tools/bench_diff (warn
+# >5%, fail >20% regression) — so the perf trajectory of the inner
+# loop (cells/sec, ns/phase) is tracked per PR exactly like test
 # results.
 #
 # Usage: scripts/bench.sh [build-dir]   (default: build)
@@ -49,14 +49,14 @@ warn_pct="${PDNSPOT_BENCH_WARN_PCT:-5}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-# The trajectory benches: campaign throughput (cells/sec, ns/phase,
-# memo hit rate), the memo on/off timing pair, fleet stepping
+# The trajectory benches: campaign throughput (cells/sec, ns/phase),
+# fleet stepping
 # throughput (sessions/sec, ns/session-bucket at 10k-1M populations),
 # the sweep fan-out, and the observability overhead pairs
 # (metricAdd/SpanScope disabled vs enabled, simulator probed vs
 # unbound).
 "$build_dir"/bench/bench_campaign --json "$tmp/campaign.json" \
-    --benchmark_filter='campaignThroughput|campaignMemo' \
+    --benchmark_filter='campaignThroughput' \
     --benchmark_min_time="$min_time" >/dev/null
 "$build_dir"/bench/bench_fleet --json "$tmp/fleet.json" \
     --benchmark_filter='fleetThroughput' \

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full verification pass: configure, build with warnings-as-errors,
-# run every registered test in parallel, snapshot + diff the
+# run every registered test in parallel (once on a serial default
+# pool, once on a 4-thread one), snapshot + diff the
 # benchmark trajectory (scripts/bench.sh), then repeat the test
 # suite under AddressSanitizer + UBSan (the threaded campaign/sweep
 # paths are sanitizer-gated). This is the tier-1 gate (ROADMAP.md)
@@ -25,7 +26,13 @@ cmake -B "$build_dir" -S . "${generator[@]}" \
 
 cmake --build "$build_dir" -j "$(nproc)"
 
-ctest --test-dir "$build_dir" -j "$(nproc)" --output-on-failure
+# The suite must pass whatever the host's core count: once with the
+# default pool serial, once with a fixed 4-thread pool (a real pool
+# even on a 1-CPU runner).
+for threads in 1 4; do
+    PDNSPOT_THREADS=$threads ctest --test-dir "$build_dir" \
+        -j "$(nproc)" --output-on-failure
+done
 
 # Spec-file CLI smoke: pdnspot_campaign on the checked-in example
 # spec must reproduce the C++-built acceptance campaign byte for
@@ -44,17 +51,12 @@ echo "check.sh: pdnspot_campaign spec-file smoke green"
 
 # Trace-source smoke: the measured-workload spec exercises all four
 # TraceSpec kinds (library, generator, battery profile, file-backed
-# CSV). Lazy per-worker resolution must be byte-identical serial vs
-# 8 threads and with the memo off.
+# CSV). Results must be byte-identical serial vs 8 threads.
 PDNSPOT_THREADS=1 "$build_dir"/tools/pdnspot_campaign \
     examples/specs/measured_campaign.json -o "$smoke_dir/meas1.csv"
 PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
     examples/specs/measured_campaign.json -o "$smoke_dir/meas8.csv"
-PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/measured_campaign.json --no-memo \
-    -o "$smoke_dir/measnm.csv"
 cmp "$smoke_dir/meas1.csv" "$smoke_dir/meas8.csv"
-cmp "$smoke_dir/meas1.csv" "$smoke_dir/measnm.csv"
 
 # Sharding smoke: a 2-way sharded run concatenates to exactly the
 # unsharded CSV (shard 1 carries the header, shard 2 does not).
@@ -179,8 +181,8 @@ echo "check.sh: fleet smoke green" \
 
 # Benchmark trajectory: run the campaign/sweep benches in --json
 # mode, merge the next BENCH_<n>.json snapshot at the repo root, and
-# diff it against the previous one — a >20% regression on cells/sec,
-# ns/phase or the memo hit rate fails this script like a test
+# diff it against the previous one — a >20% regression on cells/sec
+# or ns/phase fails this script like a test
 # failure (thresholds: PDNSPOT_BENCH_WARN_PCT/PDNSPOT_BENCH_FAIL_PCT;
 # first run just records the baseline). No-op on hosts without
 # google-benchmark.

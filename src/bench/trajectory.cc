@@ -27,7 +27,6 @@ canonicalMetricUnit(const std::string &metric)
         {"sessions_per_sec", "sessions/s"},
         {"ns_per_phase", "ns/phase"},
         {"ns_per_session_bucket", "ns/session"},
-        {"memo_hit_rate", "ratio"},
     };
     auto it = units.find(metric);
     return it != units.end() ? &it->second : nullptr;

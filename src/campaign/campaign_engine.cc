@@ -1,7 +1,6 @@
 #include "campaign/campaign_engine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <map>
@@ -13,7 +12,6 @@
 #include "obs/metrics.hh"
 #include "obs/span_trace.hh"
 #include "pmu/pmu.hh"
-#include "sim/etee_memo.hh"
 #include "sim/interval_simulator.hh"
 
 namespace pdnspot
@@ -21,83 +19,6 @@ namespace pdnspot
 
 namespace
 {
-
-/**
- * One worker thread's current Platform plus its evaluation memo.
- * Campaign runs are stamped with a process-unique id so a slot left
- * over from an earlier campaign (worker threads outlive runs) is
- * never mistaken for this run's platform. At most one Platform is
- * retained per worker; it is replaced on the next rebuild and
- * reclaimed at thread exit. The memo shares the slot's lifetime: it
- * is only ever valid for the slot's (platform, run) pair.
- *
- * The seen* cursors track how much of the memo's counters has been
- * banked into the metrics registry (deltas flush at the end of every
- * chunk and before a same-run platform rebuild), so each counter
- * increment is attributed exactly once.
- */
-struct ThreadPlatformSlot
-{
-    uint64_t runId = 0;
-    size_t configIdx = 0;
-    std::unique_ptr<Platform> platform;
-    std::unique_ptr<EteeMemo> memo;
-    uint64_t seenProbes = 0;
-    uint64_t seenHits = 0;
-    uint64_t seenBuilds = 0;
-    uint64_t seenEvals = 0;
-};
-
-/** Bank the slot memo's counter growth since the last harvest. */
-void
-harvestMemoStats(ThreadPlatformSlot &slot)
-{
-    if (!slot.memo)
-        return;
-    const EteeMemo &memo = *slot.memo;
-    metricAdd(Metric::MemoProbes, memo.probes() - slot.seenProbes);
-    metricAdd(Metric::MemoHits, memo.hits() - slot.seenHits);
-    metricAdd(Metric::MemoStateBuilds,
-              memo.stateBuilds() - slot.seenBuilds);
-    metricAdd(Metric::MemoPdnEvaluations,
-              memo.pdnEvaluations() - slot.seenEvals);
-    slot.seenProbes = memo.probes();
-    slot.seenHits = memo.hits();
-    slot.seenBuilds = memo.stateBuilds();
-    slot.seenEvals = memo.pdnEvaluations();
-}
-
-ThreadPlatformSlot &
-threadSlot(uint64_t run_id, const CampaignSpec &spec,
-           size_t config_idx, bool memoize)
-{
-    thread_local ThreadPlatformSlot slot;
-    if (!slot.platform || slot.runId != run_id ||
-        slot.configIdx != config_idx) {
-        // A same-run platform change retires this memo before the
-        // chunk-end harvest; bank its remaining deltas first. Slots
-        // left over from *other* runs were fully harvested at their
-        // last chunk end and must not leak into this run's counters.
-        if (slot.runId == run_id)
-            harvestMemoStats(slot);
-        {
-            SpanScope span("campaign.platform_build", "campaign");
-            slot.platform = std::make_unique<Platform>(
-                spec.platforms[config_idx]);
-        }
-        metricAdd(Metric::CampaignPlatformBuilds);
-        slot.memo =
-            memoize ? std::make_unique<EteeMemo>(
-                          slot.platform->operatingPoints(),
-                          slot.platform->config().tdp)
-                    : nullptr;
-        slot.runId = run_id;
-        slot.configIdx = config_idx;
-        slot.seenProbes = slot.seenHits = 0;
-        slot.seenBuilds = slot.seenEvals = 0;
-    }
-    return slot;
-}
 
 /**
  * A trace materialized for simulation: the phase-by-phase form (the
@@ -114,59 +35,27 @@ struct ResolvedTrace
     {}
 };
 
-/**
- * One worker thread's lazily-resolved traces for the current run.
- * TraceSpec resolution (library rebuilds, generator runs, trace-file
- * reads) happens at most once per trace per worker; the cache is
- * invalidated by run id exactly like ThreadPlatformSlot. Resolution
- * is deterministic, so worker-private copies cannot perturb results.
- */
-struct ThreadTraceCache
-{
-    uint64_t runId = 0;
-    std::vector<std::unique_ptr<const ResolvedTrace>> traces;
-};
-
-const ResolvedTrace &
-resolvedTrace(uint64_t run_id, const CampaignSpec &spec,
-              size_t trace_idx)
-{
-    thread_local ThreadTraceCache cache;
-    if (cache.runId != run_id) {
-        cache.traces.clear();
-        cache.traces.resize(spec.traces.size());
-        cache.runId = run_id;
-    }
-    std::unique_ptr<const ResolvedTrace> &slot =
-        cache.traces[trace_idx];
-    if (!slot)
-        slot = std::make_unique<const ResolvedTrace>(
-            spec.traces[trace_idx].resolve());
-    return *slot;
-}
-
 SimResult
 simulateCell(const Platform &platform, const ResolvedTrace &rt,
              PdnKind kind, const CampaignSpec &spec, Time tick,
-             EteeMemo *memo, SignalProbe *probe)
+             SignalProbe *probe)
 {
     IntervalSimulator sim(platform.operatingPoints(),
                           platform.config().tdp, tick);
     if (kind == PdnKind::FlexWatts) {
         if (spec.mode == SimMode::Oracle)
-            return sim.runOracle(rt.soa, platform.flexWatts(), memo,
-                                 probe);
+            return sim.runOracle(rt.soa, platform.flexWatts(), probe);
         if (spec.mode == SimMode::Pmu) {
             PmuConfig cfg;
             cfg.tdp = platform.config().tdp;
             Pmu pmu(cfg, platform.predictor());
             return sim.run(rt.trace, platform.flexWatts(), pmu,
-                           memo, probe);
+                           probe);
         }
     }
     // Non-hybrid PDNs have no mode logic: every mode simulates them
     // statically — through the batched SoA path.
-    return sim.run(rt.soa, platform.pdn(kind), memo, probe);
+    return sim.run(rt.soa, platform.pdn(kind), probe);
 }
 
 /** Collects streamed cells back into an in-memory CampaignResult. */
@@ -195,24 +84,12 @@ campaignStatsSnapshot(const MetricsRegistry &registry)
     CampaignRunStats s;
     s.cells = registry.counterValue(Metric::CampaignCells);
     s.phases = registry.counterValue(Metric::CampaignPhases);
-    s.memoProbes = registry.counterValue(Metric::MemoProbes);
-    s.memoHits = registry.counterValue(Metric::MemoHits);
-    s.stateBuilds = registry.counterValue(Metric::MemoStateBuilds);
-    s.pdnEvaluations =
-        registry.counterValue(Metric::MemoPdnEvaluations);
     return s;
 }
 
 CampaignEngine::CampaignEngine(const ParallelRunner &runner)
     : _runner(runner)
 {}
-
-CampaignEngine &
-CampaignEngine::memoize(bool on)
-{
-    _memoize = on;
-    return *this;
-}
 
 CampaignResult
 CampaignEngine::run(const CampaignSpec &spec) const
@@ -246,9 +123,6 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
     size_t cellsPerPlatform = spec.traces.size() * nPdns;
     size_t n = endCell - firstCell;
 
-    static std::atomic<uint64_t> runCounter{0};
-    uint64_t runId = ++runCounter;
-
     // Execution statistics flow through the metrics registry. When
     // the caller wants stats and no registry is installed (the
     // common library-use case), install a run-private one; when one
@@ -269,13 +143,37 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
     if (stats)
         baseline = campaignStatsSnapshot(*registry);
 
-    // Platform-major flattening keeps each worker's platform axis
-    // non-decreasing under monotonic range claims, bounding Platform
-    // rebuilds. Each completed chunk lands in `pending` as a shard
-    // keyed by its begin index; the flush cursor drains the
-    // contiguous prefix into the sink, so delivery order depends
-    // only on (n, grain) — never on scheduling — and a shard's
-    // memory is reclaimed as soon as every earlier cell is done.
+    // The run's read-only inputs, built serially before any chunk:
+    // each platform and trace the cell range touches, exactly once.
+    // The range's platforms are contiguous; its traces are those of
+    // its first (at most) cellsPerPlatform cells.
+    std::vector<std::unique_ptr<const Platform>> platforms(
+        spec.platforms.size());
+    std::vector<std::unique_ptr<const ResolvedTrace>> traces(
+        spec.traces.size());
+    if (n > 0) {
+        for (size_t p = firstCell / cellsPerPlatform;
+             p <= (endCell - 1) / cellsPerPlatform; ++p) {
+            SpanScope span("campaign.platform_build", "campaign");
+            platforms[p] =
+                std::make_unique<const Platform>(spec.platforms[p]);
+            metricAdd(Metric::CampaignPlatformBuilds);
+        }
+        size_t traceEnd =
+            std::min(endCell, firstCell + cellsPerPlatform);
+        for (size_t cell = firstCell; cell < traceEnd; ++cell) {
+            size_t t = cell % cellsPerPlatform / nPdns;
+            if (!traces[t])
+                traces[t] = std::make_unique<const ResolvedTrace>(
+                    spec.traces[t].resolve());
+        }
+    }
+
+    // Each completed chunk lands in `pending` as a shard keyed by
+    // its begin index; the flush cursor drains the contiguous
+    // prefix into the sink, so delivery order depends only on
+    // (n, grain) — never on scheduling — and a shard's memory is
+    // reclaimed as soon as every earlier cell is done.
     //
     // Backpressure: a worker whose shard is not next in line waits
     // while `pending` is full instead of parking it, so one slow
@@ -317,7 +215,6 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                 MetricsRegistry::current() != nullptr;
             std::vector<CampaignCellResult> shard;
             shard.reserve(end - begin);
-            ThreadPlatformSlot *lastSlot = nullptr;
             uint64_t chunkPhases = 0;
             try {
                 for (size_t t = begin; t < end; ++t) {
@@ -331,11 +228,7 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                     size_t traceIdx = rest / nPdns;
                     const TraceSpec &traceSpec =
                         spec.traces[traceIdx];
-                    ThreadPlatformSlot &slot =
-                        threadSlot(runId, spec, p, _memoize);
-                    lastSlot = &slot;
-                    const ResolvedTrace &rt =
-                        resolvedTrace(runId, spec, traceIdx);
+                    const ResolvedTrace &rt = *traces[traceIdx];
                     CampaignCellResult c;
                     c.trace = traceSpec.name();
                     c.platform = spec.platforms[p].name;
@@ -358,9 +251,9 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                         }
                     }
                     c.sim = simulateCell(
-                        *slot.platform, rt, c.pdn, spec,
+                        *platforms[p], rt, c.pdn, spec,
                         traceSpec.tickOverride().value_or(spec.tick),
-                        slot.memo.get(), probe.get());
+                        probe.get());
                     if (probe) {
                         Waveform w = probe->take();
                         w.trace = c.trace;
@@ -385,8 +278,6 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                 metricAdd(Metric::CampaignCells, end - begin);
                 metricAdd(Metric::CampaignChunks);
                 metricAdd(Metric::CampaignPhases, chunkPhases);
-                if (lastSlot)
-                    harvestMemoStats(*lastSlot);
                 // The chunk boundary is the merge point: bank this
                 // thread's buffered deltas so a snapshot taken
                 // between chunks is at most one chunk stale.
@@ -437,12 +328,6 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
         CampaignRunStats total = campaignStatsSnapshot(*registry);
         stats->cells = total.cells - baseline.cells;
         stats->phases = total.phases - baseline.phases;
-        stats->memoProbes = total.memoProbes - baseline.memoProbes;
-        stats->memoHits = total.memoHits - baseline.memoHits;
-        stats->stateBuilds =
-            total.stateBuilds - baseline.stateBuilds;
-        stats->pdnEvaluations =
-            total.pdnEvaluations - baseline.pdnEvaluations;
     }
 }
 

@@ -4,24 +4,20 @@
  * cross-product across the ParallelRunner thread pool.
  *
  * Cells are flattened platform-major and claimed in chunked ranges
- * (ParallelRunner::forEachChunked). Each worker lazily constructs a
- * private Platform for the config it is currently simulating —
- * Platform construction (ETEE characterization) is the expensive
- * step, and the monotonic range claims mean each worker sees the
- * platform axis in non-decreasing order, so it rebuilds at most once
- * per platform config per campaign. Trace specs resolve lazily too:
- * each worker materializes a TraceSpec the first time one of its
- * cells needs it and caches the PhaseTrace — together with its
- * batch-evaluation PhaseSoA form (workload/phase_soa.hh) — for the
- * rest of the run. Non-PMU cells simulate through the batched
+ * (ParallelRunner::forEachChunked). Before the first chunk, the
+ * calling thread builds every Platform (operating-point model, five
+ * PDNs, ETEE characterization) and resolves every TraceSpec — into
+ * its PhaseTrace plus batch-evaluation PhaseSoA form
+ * (workload/phase_soa.hh) — that the run's cell range touches, each
+ * exactly once. Workers share these inputs read-only; the models
+ * hold no mutable state. Non-PMU cells simulate through the batched
  * IntervalSimulator overloads: unique states resolve once, then
  * energy accumulates over dense per-phase arrays.
  *
  * Determinism contract: every cell's SimResult depends only on its
  * (trace spec, platform config, pdn, mode, tick) inputs and lands at
  * its own index, so a CampaignResult is bit-identical to the serial
- * run at any thread count — TraceSpec::resolve() is deterministic,
- * so per-worker resolution cannot perturb results.
+ * run at any thread count.
  */
 
 #ifndef PDNSPOT_CAMPAIGN_CAMPAIGN_ENGINE_HH
@@ -38,10 +34,8 @@ namespace pdnspot
 /**
  * Aggregate execution statistics of one CampaignEngine run, summed
  * across worker threads: the denominator metrics of the benchmark
- * trajectory (cells and phases simulated) and the EteeMemo counters
- * that make memo effectiveness a tracked metric rather than
- * folklore. Purely observational — filling them never perturbs
- * results. Memo counters stay zero when memoization is off.
+ * trajectory (cells and phases simulated). Purely observational —
+ * filling them never perturbs results.
  *
  * Since the observability layer landed this is a thin view over the
  * well-known campaign metrics (obs/metrics.hh): the engine reports
@@ -53,23 +47,6 @@ struct CampaignRunStats
 {
     size_t cells = 0;     ///< cells simulated by this run
     uint64_t phases = 0;  ///< trace phases stepped, over all cells
-
-    uint64_t memoProbes = 0; ///< memo lookups (hits + misses)
-    uint64_t memoHits = 0;
-    uint64_t stateBuilds = 0;     ///< operating-point builds (misses)
-    uint64_t pdnEvaluations = 0;  ///< PDN evaluations (misses)
-
-    uint64_t memoMisses() const { return memoProbes - memoHits; }
-
-    /** Fraction of lookups served from the memo; 0 with no probes. */
-    double
-    memoHitRate() const
-    {
-        if (memoProbes == 0)
-            return 0.0;
-        return static_cast<double>(memoHits) /
-               static_cast<double>(memoProbes);
-    }
 };
 
 /**
@@ -81,16 +58,15 @@ struct CampaignRunStats
 CampaignRunStats campaignStatsSnapshot(
     const MetricsRegistry &registry);
 
-/** Runs campaigns; stateless apart from the pool binding + knobs. */
+/** Runs campaigns; stateless apart from the pool binding. */
 class CampaignEngine
 {
   public:
     /**
-     * @param runner thread pool to fan cells across; defaults to the
-     * process-wide pool. Pass a ParallelRunner(1) for a serial run.
+     * @param runner thread pool to fan cells across. Pass a
+     * ParallelRunner(1) for a serial run.
      */
-    explicit CampaignEngine(const ParallelRunner &runner =
-                                ParallelRunner::global());
+    explicit CampaignEngine(const ParallelRunner &runner);
 
     /** Binding a temporary runner would dangle; see SweepEngine. */
     explicit CampaignEngine(const ParallelRunner &&runner) = delete;
@@ -123,25 +99,15 @@ class CampaignEngine
      * processes running disjoint covering ranges produce outputs
      * whose concatenation is byte-identical to the full run (each
      * cell's result is independent of which range computes it).
-     * fatal() unless firstCell <= endCell <= cellCount().
+     * fatal() unless firstCell <= endCell <= cellCount(). Only
+     * the platforms and traces the range touches are built.
      */
     void run(const CampaignSpec &spec, CampaignSink &sink,
              size_t firstCell, size_t endCell,
              CampaignRunStats *stats = nullptr) const;
 
-    /**
-     * Enable/disable the per-worker (platform, phase, PDN)
-     * evaluation memo (EteeMemo, on by default). Purely a
-     * performance knob: results are bit-identical either way; off
-     * exists for benchmarking and debugging.
-     */
-    CampaignEngine &memoize(bool on);
-
-    bool memoize() const { return _memoize; }
-
   private:
     const ParallelRunner &_runner;
-    bool _memoize = true;
 };
 
 } // namespace pdnspot

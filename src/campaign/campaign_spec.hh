@@ -59,7 +59,7 @@ SimMode simModeFromString(const std::string &name);
  *
  * The trace axis is declarative: each entry is a TraceSpec
  * (workload/trace_source.hh) describing where the trace comes from,
- * and the engine materializes it lazily per worker. A PhaseTrace
+ * and the engine materializes it once per run. A PhaseTrace
  * converts implicitly to an inline TraceSpec, so eager callers keep
  * working unchanged.
  */

@@ -114,7 +114,7 @@ CampaignSpec loadCampaignSpecFile(const std::string &path,
  * Bind one declarative trace entry (array-form "traces" element) to
  * a TraceSpec. File-backed entries are loaded once here so a broken
  * trace file fails at the spec value's position with the nested
- * trace error; the engine still resolves lazily at run time.
+ * trace error; the engine resolves it again at run time.
  */
 TraceSpec traceSpecFromJson(const JsonValue &value,
                             const std::string &traceDir = "");

@@ -11,7 +11,6 @@
 #include "obs/span_trace.hh"
 #include "pmu/pmu.hh"
 #include "sim/battery_model.hh"
-#include "sim/etee_memo.hh"
 #include "sim/interval_simulator.hh"
 #include "workload/phase_soa.hh"
 
@@ -61,7 +60,9 @@ buildProfile(const FleetCohort &cohort, Time tick)
     CohortProfile profile;
 
     Platform platform(cohort.platform);
-    EteeMemo memo(platform.operatingPoints(), platform.config().tdp);
+    IntervalSimulator sim(platform.operatingPoints(),
+                          platform.config().tdp,
+                          cohort.trace.tickOverride().value_or(tick));
     PhaseTrace trace = cohort.trace.resolve();
     PhaseSoA soa(trace);
     size_t phases = soa.phaseCount();
@@ -78,14 +79,14 @@ buildProfile(const FleetCohort &cohort, Time tick)
         profile.durS[p] = inSeconds(soa.durations()[p]);
 
     if (!dynamicModes(cohort)) {
-        // Static profile: one memoized PDN evaluation per unique
-        // state, fanned out over the per-phase index (the SoA
-        // discipline — population size never multiplies this work).
+        // Static profile: one PDN evaluation per unique state,
+        // fanned out over the per-phase index (the SoA discipline —
+        // population size never multiplies this work).
+        const PdnModel &pdn = platform.pdn(cohort.pdn);
         std::vector<double> uniqueW(soa.uniqueCount());
         for (size_t u = 0; u < soa.uniqueCount(); ++u)
             uniqueW[u] = inWatts(
-                memo.evaluate(platform.pdn(cohort.pdn),
-                              soa.uniquePhases()[u])
+                pdn.evaluate(sim.stateFor(soa.uniquePhases()[u]))
                     .inputPower);
         for (size_t p = 0; p < phases; ++p)
             profile.powerW[p] = uniqueW[soa.uniqueIndex()[p]];
@@ -94,15 +95,14 @@ buildProfile(const FleetCohort &cohort, Time tick)
         // state; switches fall wherever consecutive phases (cyclic)
         // want different modes, instant and free (runOracle
         // semantics).
+        const FlexWattsPdn &fw = platform.flexWatts();
         std::vector<double> uniqueW(soa.uniqueCount());
         std::vector<HybridMode> uniqueMode(soa.uniqueCount());
         for (size_t u = 0; u < soa.uniqueCount(); ++u) {
-            const TracePhase &phase = soa.uniquePhases()[u];
-            uniqueMode[u] = memo.bestMode(platform.flexWatts(),
-                                          phase);
-            uniqueW[u] = inWatts(memo.evaluate(platform.flexWatts(),
-                                               phase, uniqueMode[u])
-                                     .inputPower);
+            PlatformState s = sim.stateFor(soa.uniquePhases()[u]);
+            uniqueMode[u] = fw.bestMode(s);
+            uniqueW[u] =
+                inWatts(fw.evaluate(s, uniqueMode[u]).inputPower);
         }
         for (size_t p = 0; p < phases; ++p) {
             size_t u = soa.uniqueIndex()[p];
@@ -120,14 +120,10 @@ buildProfile(const FleetCohort &cohort, Time tick)
         ProbeSpec ps;
         ps.signals = {ProbeSignal::SupplyPowerW, ProbeSignal::Mode};
         SignalProbe probe(ps, platform.config().tdp);
-        IntervalSimulator sim(platform.operatingPoints(),
-                              platform.config().tdp,
-                              cohort.trace.tickOverride().value_or(
-                                  tick));
         PmuConfig cfg;
         cfg.tdp = platform.config().tdp;
         Pmu pmu(cfg, platform.predictor());
-        sim.run(trace, platform.flexWatts(), pmu, &memo, &probe);
+        sim.run(trace, platform.flexWatts(), pmu, &probe);
         Waveform w = probe.take();
 
         size_t powerCol = 0, modeCol = 0;
@@ -334,10 +330,6 @@ advanceSession(const CohortProfile &cp, size_t s, SessionSoA &state,
 }
 
 } // namespace
-
-FleetEngine::FleetEngine()
-    : _runner(ParallelRunner::global())
-{}
 
 FleetEngine::FleetEngine(const ParallelRunner &runner)
     : _runner(runner)

@@ -8,8 +8,8 @@
  * runs once per *cohort*, not per session: each cohort's trace is
  * resolved into PhaseSoA form and profiled into dense per-phase
  * supply-power / mode-switch arrays through the existing simulator
- * stack (EteeMemo-memoized static/oracle evaluation, or one probed
- * PMU run whose waveform the cohort replays). Per-session mutable
+ * stack (one static/oracle evaluation per unique state, or one
+ * probed PMU run whose waveform the cohort replays). Per-session mutable
  * state is packed structure-of-arrays — phase cursor, intra-phase
  * residue, battery charge, accumulated energy, death time — a few
  * tens of bytes per session, no per-session Platform objects.
@@ -37,9 +37,6 @@ namespace pdnspot
 class FleetEngine
 {
   public:
-    /** Uses the process-wide shared pool. */
-    FleetEngine();
-
     /** Uses the given pool (1 thread = fully serial). */
     explicit FleetEngine(const ParallelRunner &runner);
 

@@ -1,9 +1,22 @@
 #include "flexwatts/etee_table.hh"
 
+#include <array>
+
 #include "common/logging.hh"
 
 namespace pdnspot
 {
+
+namespace
+{
+
+/** Characterization grid (the paper's Fig. 4 axes). */
+constexpr std::array<double, 7> gridTdpsW = {4.0,  8.0,  10.0, 18.0,
+                                             25.0, 36.0, 50.0};
+constexpr std::array<double, 7> gridArs = {0.30, 0.40, 0.50, 0.60,
+                                           0.70, 0.80, 0.90};
+
+} // namespace
 
 size_t
 EteeTable::modeIndex(HybridMode m)
@@ -13,37 +26,31 @@ EteeTable::modeIndex(HybridMode m)
 
 EteeTable::EteeTable(const FlexWattsPdn &pdn,
                      const OperatingPointModel &opm)
-    : EteeTable(pdn, opm, GridSpec())
-{}
-
-EteeTable::EteeTable(const FlexWattsPdn &pdn,
-                     const OperatingPointModel &opm, GridSpec grid,
-                     const ParallelRunner &runner)
 {
-    if (grid.tdpsW.empty() || grid.ars.empty())
-        fatal("EteeTable: empty characterization grid");
-
     // Active-state (C0) curves: one (TDP x AR) grid per mode and
-    // workload type. Cells are independent, so each grid is sampled
-    // in parallel with every cell stored at its own index.
+    // workload type, row-major in TDP.
     static constexpr std::array<WorkloadType, 3> activeTypes = {
         WorkloadType::SingleThread, WorkloadType::MultiThread,
         WorkloadType::Graphics,
     };
-    size_t na = grid.ars.size();
     for (HybridMode mode : allHybridModes) {
         for (WorkloadType type : activeTypes) {
-            std::vector<double> values = runner.map<double>(
-                grid.tdpsW.size() * na, [&](size_t cell) {
+            std::vector<double> values;
+            values.reserve(gridTdpsW.size() * gridArs.size());
+            for (double tdp : gridTdpsW) {
+                for (double ar : gridArs) {
                     OperatingPointModel::Query q;
-                    q.tdp = watts(grid.tdpsW[cell / na]);
+                    q.tdp = watts(tdp);
                     q.type = type;
-                    q.ar = grid.ars[cell % na];
-                    return pdn.evaluate(opm.build(q), mode).etee();
-                });
+                    q.ar = ar;
+                    values.push_back(
+                        pdn.evaluate(opm.build(q), mode).etee());
+                }
+            }
             _active.emplace(
                 std::make_pair(modeIndex(mode), type),
-                BilinearGrid(grid.tdpsW, grid.ars,
+                BilinearGrid({gridTdpsW.begin(), gridTdpsW.end()},
+                             {gridArs.begin(), gridArs.end()},
                              std::move(values)));
         }
         // The battery-life type reuses the multi-thread curves when

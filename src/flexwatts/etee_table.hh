@@ -17,7 +17,6 @@
 #include <map>
 
 #include "common/interp.hh"
-#include "common/parallel.hh"
 #include "common/units.hh"
 #include "flexwatts/flexwatts_pdn.hh"
 #include "flexwatts/hybrid_mode.hh"
@@ -26,33 +25,15 @@
 namespace pdnspot
 {
 
-/** Characterization grid (the paper's Fig. 4 axes). */
-struct EteeGridSpec
-{
-    std::vector<double> tdpsW = {4.0, 8.0, 10.0, 18.0, 25.0, 36.0,
-                                 50.0};
-    std::vector<double> ars = {0.30, 0.40, 0.50, 0.60, 0.70, 0.80,
-                               0.90};
-};
-
 /** Pre-characterized ETEE curves for both hybrid modes. */
 class EteeTable
 {
   public:
-    using GridSpec = EteeGridSpec;
-
-    /** Characterize a FlexWatts PDN over the default grid. */
-    EteeTable(const FlexWattsPdn &pdn, const OperatingPointModel &opm);
-
     /**
-     * Characterize a FlexWatts PDN over a custom grid. Grid cells
-     * are sampled in parallel across `runner`; each cell lands at
-     * its own grid index, so the table is independent of thread
-     * count.
+     * Characterize a FlexWatts PDN over the (TDP x AR) grid of the
+     * paper's Fig. 4 axes, serially on the calling thread.
      */
-    EteeTable(const FlexWattsPdn &pdn, const OperatingPointModel &opm,
-              GridSpec grid,
-              const ParallelRunner &runner = ParallelRunner::global());
+    EteeTable(const FlexWattsPdn &pdn, const OperatingPointModel &opm);
 
     /** ETEE of one mode in an active (C0) state. */
     double lookupActive(HybridMode mode, WorkloadType type, Power tdp,

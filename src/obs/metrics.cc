@@ -37,10 +37,6 @@ constexpr std::array<WellKnownDef,
         {"campaign.cell_us", MetricKind::Histogram},
         {"trace.resolves", MetricKind::Counter},
         {"trace.resolve_us", MetricKind::Histogram},
-        {"memo.probes", MetricKind::Counter},
-        {"memo.hits", MetricKind::Counter},
-        {"memo.state_builds", MetricKind::Counter},
-        {"memo.pdn_evaluations", MetricKind::Counter},
         {"sim.runs_static", MetricKind::Counter},
         {"sim.runs_pmu", MetricKind::Counter},
         {"sim.runs_oracle", MetricKind::Counter},

@@ -3,11 +3,10 @@
  * MetricsRegistry: a registry of named counters, gauges and
  * histograms — the campaign observability substrate.
  *
- * The campaign engine, interval simulator, EteeMemo, ParallelRunner
- * and TraceSpec resolution all report into one registry through
- * thread-local accumulation buffers that merge at chunk boundaries
- * (the same seen-cursor idiom CampaignRunStats introduced), so hot
- * paths never contend on shared counters. CampaignRunStats is now a
+ * The campaign engine, interval simulator, ParallelRunner and
+ * TraceSpec resolution all report into one registry through
+ * thread-local accumulation buffers that merge at chunk boundaries,
+ * so hot paths never contend on shared counters. CampaignRunStats is now a
  * thin snapshot view over the well-known campaign metrics
  * (campaignStatsSnapshot in campaign_engine.hh), and the run report
  * (obs/run_report.hh) serializes the full snapshot.
@@ -59,14 +58,10 @@ enum class Metric : size_t
     CampaignCells,          ///< counter: cells simulated
     CampaignChunks,         ///< counter: engine chunks completed
     CampaignPhases,         ///< counter: trace phases stepped
-    CampaignPlatformBuilds, ///< counter: worker Platform rebuilds
+    CampaignPlatformBuilds, ///< counter: Platforms built per run
     CampaignCellMicros,     ///< histogram: per-cell simulation time
     TraceResolves,          ///< counter: TraceSpec::resolve calls
     TraceResolveMicros,     ///< histogram: per-resolve time
-    MemoProbes,             ///< counter: EteeMemo lookups
-    MemoHits,               ///< counter: EteeMemo hits
-    MemoStateBuilds,        ///< counter: operating-point builds
-    MemoPdnEvaluations,     ///< counter: PDN evaluations
     SimRunsStatic,          ///< counter: static simulator runs
     SimRunsPmu,             ///< counter: PMU-controlled runs
     SimRunsOracle,          ///< counter: oracle runs

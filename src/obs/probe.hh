@@ -17,8 +17,8 @@
  * The probe is strictly observational: it never feeds anything back
  * into the simulation, so a probed run produces bit-identical
  * SimResults to an unprobed one. Simulator run methods take the
- * probe as an optional trailing pointer (like EteeMemo); the only
- * cost when unbound is one null check per phase.
+ * probe as an optional trailing pointer; the only cost when unbound
+ * is one null check per phase.
  *
  * Memory stays bounded on million-phase traces via decimation (keep
  * every Nth phase) and trigger windows ("±N phases around each mode

@@ -160,7 +160,6 @@ buildRunReport(const RunReportInputs &in)
     run.emplace_back("first_cell", num(in.firstCell));
     run.emplace_back("end_cell", num(in.endCell));
     run.emplace_back("rows", num(in.rows));
-    run.emplace_back("memo", JsonValue::makeBool(in.memoize));
     doc.emplace_back("run", JsonValue::makeObject(std::move(run)));
 
     std::vector<Member> spec;
@@ -280,11 +279,6 @@ viewRunReport(const JsonValue &report)
     view.firstCell = memberCount(run, "first_cell");
     view.endCell = memberCount(run, "end_cell");
     view.rows = memberCount(run, "rows");
-    if (run) {
-        if (const JsonValue *memo = run->find("memo");
-            memo && memo->kind() == JsonValue::Kind::Bool)
-            view.memo = memo->asBool();
-    }
 
     const JsonValue *spec = report.find("spec");
     view.specPath = memberString(spec, "path");

@@ -4,7 +4,7 @@
  *
  * A run report is the machine-readable record of one
  * pdnspot_campaign invocation: what was run (spec echo + content
- * hash, trace provenance, shard k/n, thread count, memo setting),
+ * hash, trace provenance, shard k/n, thread count),
  * with what build (tool version, git revision, host), what happened
  * (wall time, row count, the full metric snapshot from
  * obs/metrics.hh), and what came out (per-PDN summaries). This is
@@ -78,7 +78,6 @@ struct RunReportInputs
     size_t shardCount = 1;
     size_t firstCell = 0;
     size_t endCell = 0;
-    bool memoize = true;
 
     double wallSeconds = 0.0;
     size_t rows = 0;
@@ -121,7 +120,6 @@ struct RunReportView
     size_t firstCell = 0;
     size_t endCell = 0;
     size_t rows = 0;
-    bool memo = true;
 
     std::string specPath;
     std::string specHash; ///< "fnv1a64:<16 hex>" as stamped

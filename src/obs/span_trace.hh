@@ -3,8 +3,8 @@
  * SpanRecorder: per-thread begin/end span recording with Chrome
  * trace-event JSON export.
  *
- * Instrumented subsystems mark regions with SpanScope (chunk claims,
- * per-worker trace resolution, cell evaluation, memo state-builds);
+ * Instrumented subsystems mark regions with SpanScope (platform
+ * builds, trace resolution, chunk claims, cell evaluation);
  * each thread appends to its own preallocated bounded buffer, so the
  * hot path is two branch-guarded stores and never takes a lock. The
  * recorder serializes everything to the Chrome/Perfetto trace-event

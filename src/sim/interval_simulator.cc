@@ -1,7 +1,6 @@
 #include "sim/interval_simulator.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -46,32 +45,19 @@ IntervalSimulator::stateFor(const TracePhase &phase) const
     q.tdp = _tdp;
     q.cstate = phase.cstate;
     q.type = phase.type;
-    // Canonical AR keeps unmemoized runs bit-identical to memoized
-    // ones (EteeMemo builds from the canonical form) for -0.0/NaN
-    // inputs.
     q.ar = canonicalActivityRatio(phase.ar);
     return _opm.build(q);
 }
 
-void
-IntervalSimulator::checkMemo(const EteeMemo *memo) const
-{
-    if (memo && (&memo->opm() != &_opm || memo->tdp() != _tdp))
-        panic("IntervalSimulator: EteeMemo built for a different "
-              "(operating-point model, TDP) pair");
-}
-
 SimResult
 IntervalSimulator::run(const PhaseTrace &trace, const PdnModel &pdn,
-                       EteeMemo *memo, SignalProbe *probe) const
+                       SignalProbe *probe) const
 {
-    checkMemo(memo);
     metricAdd(Metric::SimRunsStatic);
     SimResult result;
     for (size_t p = 0; p < trace.phases().size(); ++p) {
         const TracePhase &phase = trace.phases()[p];
-        EteeResult e = memo ? memo->evaluate(pdn, phase)
-                            : pdn.evaluate(stateFor(phase));
+        EteeResult e = pdn.evaluate(stateFor(phase));
         if (probe)
             probePhase(probe, p, result.duration, phase.duration, e,
                        -1);
@@ -84,20 +70,16 @@ IntervalSimulator::run(const PhaseTrace &trace, const PdnModel &pdn,
 
 SimResult
 IntervalSimulator::run(const PhaseSoA &soa, const PdnModel &pdn,
-                       EteeMemo *memo, SignalProbe *probe) const
+                       SignalProbe *probe) const
 {
-    checkMemo(memo);
     metricAdd(Metric::SimRunsStatic);
 
     // One pass of operating-point + ETEE math over the unique
-    // states (first-appearance order — exactly the order the
-    // phase-by-phase loop would first evaluate them in, so a shared
-    // memo ends up with identical contents).
+    // states.
     const std::vector<TracePhase> &unique = soa.uniquePhases();
     std::vector<EteeResult> etee(unique.size());
     for (size_t u = 0; u < unique.size(); ++u)
-        etee[u] = memo ? memo->evaluate(pdn, unique[u])
-                       : pdn.evaluate(stateFor(unique[u]));
+        etee[u] = pdn.evaluate(stateFor(unique[u]));
 
     // Dense accumulation over the per-phase arrays: the same
     // additions in the same order as the phase-by-phase loop.
@@ -119,23 +101,15 @@ IntervalSimulator::run(const PhaseSoA &soa, const PdnModel &pdn,
 SimResult
 IntervalSimulator::runOracle(const PhaseTrace &trace,
                              const FlexWattsPdn &pdn,
-                             EteeMemo *memo, SignalProbe *probe) const
+                             SignalProbe *probe) const
 {
-    checkMemo(memo);
     metricAdd(Metric::SimRunsOracle);
     SimResult result;
     for (size_t p = 0; p < trace.phases().size(); ++p) {
         const TracePhase &phase = trace.phases()[p];
-        HybridMode mode;
-        EteeResult e;
-        if (memo) {
-            mode = memo->bestMode(pdn, phase);
-            e = memo->evaluate(pdn, phase, mode);
-        } else {
-            PlatformState s = stateFor(phase);
-            mode = pdn.bestMode(s);
-            e = pdn.evaluate(s, mode);
-        }
+        PlatformState s = stateFor(phase);
+        HybridMode mode = pdn.bestMode(s);
+        EteeResult e = pdn.evaluate(s, mode);
         if (probe)
             probePhase(probe, p, result.duration, phase.duration, e,
                        static_cast<int>(mode));
@@ -151,23 +125,17 @@ IntervalSimulator::runOracle(const PhaseTrace &trace,
 SimResult
 IntervalSimulator::runOracle(const PhaseSoA &soa,
                              const FlexWattsPdn &pdn,
-                             EteeMemo *memo, SignalProbe *probe) const
+                             SignalProbe *probe) const
 {
-    checkMemo(memo);
     metricAdd(Metric::SimRunsOracle);
 
     const std::vector<TracePhase> &unique = soa.uniquePhases();
     std::vector<HybridMode> modes(unique.size());
     std::vector<EteeResult> etee(unique.size());
     for (size_t u = 0; u < unique.size(); ++u) {
-        if (memo) {
-            modes[u] = memo->bestMode(pdn, unique[u]);
-            etee[u] = memo->evaluate(pdn, unique[u], modes[u]);
-        } else {
-            PlatformState s = stateFor(unique[u]);
-            modes[u] = pdn.bestMode(s);
-            etee[u] = pdn.evaluate(s, modes[u]);
-        }
+        PlatformState s = stateFor(unique[u]);
+        modes[u] = pdn.bestMode(s);
+        etee[u] = pdn.evaluate(s, modes[u]);
     }
 
     SimResult result;
@@ -189,10 +157,8 @@ IntervalSimulator::runOracle(const PhaseSoA &soa,
 
 SimResult
 IntervalSimulator::run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
-                       Pmu &pmu, EteeMemo *memo,
-                       SignalProbe *probe) const
+                       Pmu &pmu, SignalProbe *probe) const
 {
-    checkMemo(memo);
     metricAdd(Metric::SimRunsPmu);
     SimResult result;
 
@@ -216,23 +182,17 @@ IntervalSimulator::run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
 
     // Per-(phase, mode) evaluation cache: the platform state is
     // constant within a phase, so only 2 evaluations per phase are
-    // ever needed regardless of tick resolution. A supplied EteeMemo
-    // subsumes it (and additionally shares evaluations across
-    // repeated phases and traces).
+    // ever needed regardless of tick resolution.
     struct PhaseEval
     {
         PlatformState state;
         std::array<bool, 2> valid{};
         std::array<EteeResult, 2> etee;
     };
-    std::vector<PhaseEval> cache(
-        memo ? 0 : trace.phases().size());
+    std::vector<PhaseEval> cache(trace.phases().size());
 
     auto evaluate = [&](size_t phase_idx, HybridMode mode)
         -> const EteeResult & {
-        if (memo)
-            return memo->evaluate(pdn, trace.phases()[phase_idx],
-                                  mode);
         PhaseEval &pe = cache[phase_idx];
         size_t m = static_cast<size_t>(mode);
         if (!pe.valid[m]) {

@@ -19,7 +19,6 @@
 #include "pdn/pdn_model.hh"
 #include "pmu/pmu.hh"
 #include "power/operating_point.hh"
-#include "sim/etee_memo.hh"
 #include "sim/sim_stats.hh"
 #include "workload/phase_soa.hh"
 #include "workload/trace.hh"
@@ -32,14 +31,7 @@ class SignalProbe;
 /**
  * Steps traces through PDN models with configurable resolution.
  *
- * Every run method takes an optional EteeMemo: when supplied, state
- * construction and PDN evaluations are looked up there, sharing work
- * across traces and PDN kinds of the same platform (the campaign
- * engine passes one memo per worker). The memo must have been built
- * for this simulator's (operating-point model, TDP) pair; results
- * are bit-identical with and without it.
- *
- * Every run method also takes an optional SignalProbe (obs/probe.hh)
+ * Every run method takes an optional SignalProbe (obs/probe.hh)
  * fed one frame per trace phase — average supply/nominal power, the
  * loss breakdown, the active hybrid mode — plus mode-switch events
  * on the PMU path. The probe is strictly observational: results are
@@ -60,7 +52,6 @@ class IntervalSimulator
 
     /** Simulate a static PDN (no mode logic). */
     SimResult run(const PhaseTrace &trace, const PdnModel &pdn,
-                  EteeMemo *memo = nullptr,
                   SignalProbe *probe = nullptr) const;
 
     /**
@@ -70,13 +61,11 @@ class IntervalSimulator
      * accumulated over the dense per-phase arrays. Bit-identical to
      * run() over the trace the SoA was built from — the same
      * floating-point operations execute in the same order — while
-     * replacing the per-phase map lookups of the memoized path (and
-     * the per-duplicate state rebuilds of the unmemoized path) with
-     * array indexing. The campaign engine uses this for every
-     * non-PMU cell.
+     * replacing the per-duplicate state rebuilds of the per-phase
+     * path with array indexing. The campaign engine uses this for
+     * every non-PMU cell.
      */
     SimResult run(const PhaseSoA &soa, const PdnModel &pdn,
-                  EteeMemo *memo = nullptr,
                   SignalProbe *probe = nullptr) const;
 
     /**
@@ -86,8 +75,7 @@ class IntervalSimulator
      * counterpart of the oracle evaluation.
      */
     SimResult run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
-                  Pmu &pmu, EteeMemo *memo = nullptr,
-                  SignalProbe *probe = nullptr) const;
+                  Pmu &pmu, SignalProbe *probe = nullptr) const;
 
     /**
      * Simulate FlexWatts with an oracle that knows each phase's best
@@ -96,7 +84,6 @@ class IntervalSimulator
      */
     SimResult runOracle(const PhaseTrace &trace,
                         const FlexWattsPdn &pdn,
-                        EteeMemo *memo = nullptr,
                         SignalProbe *probe = nullptr) const;
 
     /**
@@ -106,12 +93,18 @@ class IntervalSimulator
      * trace (see the static batched overload).
      */
     SimResult runOracle(const PhaseSoA &soa, const FlexWattsPdn &pdn,
-                        EteeMemo *memo = nullptr,
                         SignalProbe *probe = nullptr) const;
 
-  private:
+    /**
+     * The platform state a phase runs in at this simulator's TDP,
+     * built from the phase's canonical AR (canonicalActivityRatio)
+     * so -0.0/+0.0 and NaN-payload variants of one phase evaluate
+     * identically. Every run method and the fleet's cohort profiles
+     * resolve phases through this one helper.
+     */
     PlatformState stateFor(const TracePhase &phase) const;
-    void checkMemo(const EteeMemo *memo) const;
+
+  private:
 
     const OperatingPointModel &_opm;
     Power _tdp;

@@ -40,11 +40,10 @@ struct TracePhase
  * Canonical form of an activity-ratio value for state construction
  * and keying: collapses -0.0 into +0.0 and every NaN payload into
  * the canonical quiet NaN, so inputs that behave identically share
- * one bit pattern. Deterministic memoization (EteeMemo, PhaseSoA)
- * keys on the canonical bits — without this, a -0.0 phase racing a
- * +0.0 phase could make memo contents depend on which worker
- * evaluated first and silently diverge between serial and threaded
- * runs.
+ * one bit pattern. PhaseSoA's unique-state dedup keys on the
+ * canonical bits and IntervalSimulator::stateFor builds from the
+ * canonical value, so a -0.0 phase and a +0.0 phase always share
+ * one state and one result, whatever order they arrive in.
  */
 inline double
 canonicalActivityRatio(double ar)

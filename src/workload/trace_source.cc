@@ -38,7 +38,7 @@ knownGeneratorKind(const std::string &kind)
 
 /**
  * Library references rebuild the whole standard corpus to extract
- * one trace; workers resolve several per run, so cache the built
+ * one trace; a campaign resolves several per run, so cache the built
  * library per (thread, seed) instead of paying O(corpus) per
  * reference. Thread-local keeps it lock-free; the handful of seeds
  * a process ever uses bounds the size.

@@ -12,7 +12,7 @@
  * transform is a pure function of its parameters (AR perturbation
  * draws from a seeded hash noise), so transformed traces resolve
  * deterministically: campaigns stay bit-identical at any thread
- * count and remain memo- and shard-compatible.
+ * count and shard-compatible.
  */
 
 #ifndef PDNSPOT_WORKLOAD_TRACE_TRANSFORM_HH

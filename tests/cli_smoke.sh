@@ -90,17 +90,6 @@ case "$case_name" in
     run 2 "$spec_dir/paper_campaign.json" --battery-wh 50J
     expect_err "--battery-wh must be a positive number"
     ;;
-  summary_memo_stats)
-    # --summary reports the memo counters harvested from the run;
-    # --no-memo switches the line rather than printing zeros.
-    run 0 "$spec_dir/paper_campaign.json" --summary -o "$tmp/c.csv"
-    expect_err "memo: "
-    expect_err " probes, "
-    expect_err "hit rate"
-    run 0 "$spec_dir/paper_campaign.json" --summary --no-memo \
-        -o "$tmp/c.csv"
-    expect_err "memo: disabled (--no-memo)"
-    ;;
   usage_unknown_option)
     run 2 "$spec_dir/paper_campaign.json" --frobnicate
     expect_err 'unknown option "--frobnicate"'

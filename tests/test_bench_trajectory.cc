@@ -28,8 +28,8 @@ sampleRecords()
          "cells/s", "abc1234", 1},
         {"campaignThroughput/threads:1", "ns_per_phase", 17.5,
          "ns/phase", "abc1234", 1},
-        {"campaignMemo/memo:1", "memo_hit_rate", 0.74, "ratio",
-         "abc1234", 1},
+        {"fleetThroughput/threads:1", "sessions_per_sec", 2.5e6,
+         "sessions/s", "abc1234", 1},
         {"sweepParallel/threads:8", "real_time", 0.85, "ms",
          "abc1234", 8},
     };
@@ -91,7 +91,6 @@ TEST(BenchTrajectoryTest, MetricUnitTable)
     EXPECT_EQ(benchMetricUnit("ns_per_phase"), "ns/phase");
     EXPECT_EQ(benchMetricUnit("ns_per_session_bucket"),
               "ns/session");
-    EXPECT_EQ(benchMetricUnit("memo_hit_rate"), "ratio");
     EXPECT_EQ(benchMetricUnit("anything_else"), "count");
 }
 

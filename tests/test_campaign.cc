@@ -16,7 +16,7 @@
 
 #include "campaign/campaign_engine.hh"
 #include "common/logging.hh"
-#include "sim/etee_memo.hh"
+#include "obs/metrics.hh"
 #include "sim/interval_simulator.hh"
 #include "workload/trace_generator.hh"
 #include "workload/trace_io.hh"
@@ -41,6 +41,14 @@ smallSpec(SimMode mode)
     spec.pdns = {PdnKind::IVR, PdnKind::LDO, PdnKind::FlexWatts};
     spec.mode = mode;
     return spec;
+}
+
+/** Runs a campaign on a pool sized like the process default. */
+CampaignResult
+runCampaign(const CampaignSpec &spec)
+{
+    ParallelRunner runner;
+    return CampaignEngine(runner).run(spec);
 }
 
 TEST(CampaignSpecTest, ValidateRejectsEmptyAxes)
@@ -101,8 +109,8 @@ TEST(CampaignSpecTest, SimModeNamesRoundTrip)
 /**
  * A spec exercising every TraceSpec provenance kind at once —
  * inline, library, generator, battery profile, and a trace file
- * written into the gtest temp dir — so lazy per-worker resolution
- * is covered end to end.
+ * written into the gtest temp dir — so per-run resolution is
+ * covered end to end.
  */
 CampaignSpec
 declarativeSpec(SimMode mode)
@@ -143,7 +151,7 @@ declarativeSpec(SimMode mode)
 TEST(CampaignEngineTest, CoversFullCrossProductInSpecOrder)
 {
     CampaignSpec spec = smallSpec(SimMode::Static);
-    CampaignResult result = CampaignEngine().run(spec);
+    CampaignResult result = runCampaign(spec);
     ASSERT_EQ(result.cells.size(), spec.cellCount());
 
     size_t t = 0;
@@ -187,7 +195,7 @@ TEST(CampaignEngineTest, DeterministicAcrossThreadCounts)
 TEST(CampaignEngineTest, PmuModePaysSwitchOverheads)
 {
     CampaignSpec spec = smallSpec(SimMode::Pmu);
-    CampaignResult result = CampaignEngine().run(spec);
+    CampaignResult result = runCampaign(spec);
 
     // The bursty trace flips between active and deep-idle phases, so
     // the PMU must switch modes at least once somewhere; only
@@ -207,9 +215,9 @@ TEST(CampaignEngineTest, PmuModePaysSwitchOverheads)
 TEST(CampaignEngineTest, OracleNeverWorseThanPmu)
 {
     CampaignSpec spec = smallSpec(SimMode::Pmu);
-    CampaignResult pmu = CampaignEngine().run(spec);
+    CampaignResult pmu = runCampaign(spec);
     spec.mode = SimMode::Oracle;
-    CampaignResult oracle = CampaignEngine().run(spec);
+    CampaignResult oracle = runCampaign(spec);
 
     for (size_t i = 0; i < pmu.cells.size(); ++i) {
         if (pmu.cells[i].pdn != PdnKind::FlexWatts)
@@ -226,7 +234,7 @@ TEST(CampaignEngineTest, OracleNeverWorseThanPmu)
 TEST(CampaignResultTest, CellLookupFindsEveryCellAndRejectsMisses)
 {
     CampaignSpec spec = smallSpec(SimMode::Static);
-    CampaignResult result = CampaignEngine().run(spec);
+    CampaignResult result = runCampaign(spec);
     for (const CampaignCellResult &c : result.cells) {
         EXPECT_EQ(result.cell(c.trace, c.platform, c.pdn), c);
     }
@@ -243,7 +251,7 @@ TEST(CampaignResultTest, CellLookupFindsEveryCellAndRejectsMisses)
 TEST(CampaignResultTest, CsvRoundTripIsExactAndAFixpoint)
 {
     CampaignSpec spec = smallSpec(SimMode::Pmu);
-    CampaignResult result = CampaignEngine().run(spec);
+    CampaignResult result = runCampaign(spec);
 
     std::stringstream first;
     result.writeCsv(first);
@@ -261,7 +269,7 @@ TEST(CampaignResultTest, ReadCsvRejectsMalformedInput)
     EXPECT_THROW(CampaignResult::readCsv(noHeader), ConfigError);
 
     CampaignSpec spec = smallSpec(SimMode::Static);
-    CampaignResult result = CampaignEngine().run(spec);
+    CampaignResult result = runCampaign(spec);
     std::stringstream csv;
     result.writeCsv(csv);
 
@@ -279,7 +287,7 @@ TEST(CampaignResultTest, ReadCsvRejectsMalformedInput)
 TEST(CampaignEngineTest, StreamingSinkReceivesCanonicalOrder)
 {
     CampaignSpec spec = smallSpec(SimMode::Static);
-    CampaignResult batch = CampaignEngine().run(spec);
+    CampaignResult batch = runCampaign(spec);
 
     /** Records cells and the thread-safety contract violations. */
     class RecordingSink : public CampaignSink
@@ -309,7 +317,7 @@ TEST(CampaignEngineTest, StreamedCsvMatchesBatchCsvAtAnyThreadCount)
          {SimMode::Static, SimMode::Pmu, SimMode::Oracle}) {
         CampaignSpec spec = smallSpec(mode);
         std::stringstream batch;
-        CampaignEngine().run(spec).writeCsv(batch);
+        runCampaign(spec).writeCsv(batch);
 
         for (unsigned threads : {1u, 4u}) {
             ParallelRunner runner(threads);
@@ -347,17 +355,6 @@ TEST(CampaignEngineTest, LazyResolutionIsDeterministicAcrossThreads)
     }
 }
 
-TEST(CampaignEngineTest, DeclarativeTracesMemoizeBitIdentically)
-{
-    CampaignSpec spec = declarativeSpec(SimMode::Oracle);
-    ParallelRunner runner(4);
-    CampaignResult with =
-        CampaignEngine(runner).memoize(true).run(spec);
-    CampaignResult without =
-        CampaignEngine(runner).memoize(false).run(spec);
-    EXPECT_EQ(with, without);
-}
-
 TEST(CampaignEngineTest, ShardConcatenationMatchesUnshardedRun)
 {
     CampaignSpec spec = declarativeSpec(SimMode::Pmu);
@@ -391,7 +388,8 @@ TEST(CampaignEngineTest, RejectsOutOfRangeCellRanges)
     CampaignSpec spec = smallSpec(SimMode::Static);
     std::stringstream os;
     CampaignCsvSink sink(os);
-    CampaignEngine engine;
+    ParallelRunner runner;
+    CampaignEngine engine(runner);
     EXPECT_THROW(engine.run(spec, sink, 2, 1), ConfigError);
     EXPECT_THROW(
         engine.run(spec, sink, 0, spec.cellCount() + 1),
@@ -401,11 +399,11 @@ TEST(CampaignEngineTest, RejectsOutOfRangeCellRanges)
 TEST(CampaignEngineTest, PerTraceTickOverrideChangesOnlyThatTrace)
 {
     CampaignSpec coarse = smallSpec(SimMode::Pmu);
-    CampaignResult base = CampaignEngine().run(coarse);
+    CampaignResult base = runCampaign(coarse);
 
     CampaignSpec mixed = smallSpec(SimMode::Pmu);
     mixed.traces[0].tick(microseconds(10.0));
-    CampaignResult overridden = CampaignEngine().run(mixed);
+    CampaignResult overridden = runCampaign(mixed);
 
     // Cells of the other traces are untouched by the override.
     for (size_t i = 0; i < base.cells.size(); ++i) {
@@ -418,7 +416,7 @@ TEST(CampaignEngineTest, PerTraceTickOverrideChangesOnlyThatTrace)
     // whole-campaign tick of the same value reproduces it exactly.
     CampaignSpec fine = smallSpec(SimMode::Pmu);
     fine.tick = microseconds(10.0);
-    CampaignResult fineAll = CampaignEngine().run(fine);
+    CampaignResult fineAll = runCampaign(fine);
     for (size_t i = 0; i < fineAll.cells.size(); ++i) {
         if (fineAll.cells[i].trace == mixed.traces[0].name()) {
             EXPECT_EQ(overridden.cells[i], fineAll.cells[i]);
@@ -463,86 +461,6 @@ TEST(CampaignEngineTest, SinkExceptionAbortsTheCampaign)
     EXPECT_LE(sink.delivered, 2u);
 }
 
-TEST(CampaignEngineTest, MemoizedRunsAreBitIdenticalToUnmemoized)
-{
-    for (SimMode mode :
-         {SimMode::Static, SimMode::Pmu, SimMode::Oracle}) {
-        CampaignSpec spec = smallSpec(mode);
-        for (unsigned threads : {1u, 4u}) {
-            ParallelRunner runner(threads);
-            CampaignResult with =
-                CampaignEngine(runner).memoize(true).run(spec);
-            CampaignResult without =
-                CampaignEngine(runner).memoize(false).run(spec);
-            EXPECT_EQ(with, without)
-                << toString(mode) << " mode, " << threads
-                << " threads";
-        }
-    }
-}
-
-TEST(EteeMemoTest, SharesEvaluationsAcrossRepeatedPhases)
-{
-    // 16 battery-profile frames cycle through the same few states;
-    // the memo must collapse them to one evaluation each.
-    Platform platform(ultraportablePreset());
-    PhaseTrace trace = traceFromBatteryProfile(
-        videoPlayback(), milliseconds(33.3), 16);
-    IntervalSimulator sim(platform.operatingPoints(),
-                          platform.config().tdp);
-
-    EteeMemo memo(platform.operatingPoints(),
-                  platform.config().tdp);
-    SimResult memoized =
-        sim.run(trace, platform.pdn(PdnKind::IVR), &memo);
-    SimResult plain = sim.run(trace, platform.pdn(PdnKind::IVR));
-
-    EXPECT_EQ(memoized, plain);
-    EXPECT_GT(memo.hits(), 0u);
-    EXPECT_LT(memo.pdnEvaluations(), trace.phases().size() / 4);
-
-    // A second PDN kind reuses the memoized platform states.
-    size_t builds = memo.stateBuilds();
-    SimResult ldoMemoized =
-        sim.run(trace, platform.pdn(PdnKind::LDO), &memo);
-    EXPECT_EQ(ldoMemoized,
-              sim.run(trace, platform.pdn(PdnKind::LDO)));
-    EXPECT_EQ(memo.stateBuilds(), builds);
-}
-
-TEST(EteeMemoTest, OracleAndPinnedModesMemoizeIndependently)
-{
-    Platform platform(fanlessTabletPreset());
-    TraceGenerator gen(5);
-    PhaseTrace trace =
-        gen.burstyCompute(4, milliseconds(5.0), milliseconds(15.0));
-    IntervalSimulator sim(platform.operatingPoints(),
-                          platform.config().tdp);
-
-    EteeMemo memo(platform.operatingPoints(),
-                  platform.config().tdp);
-    EXPECT_EQ(sim.runOracle(trace, platform.flexWatts(), &memo),
-              sim.runOracle(trace, platform.flexWatts()));
-
-    // FlexWatts default evaluation (static mode) must not collide
-    // with the pinned-mode entries the oracle run created.
-    EXPECT_EQ(sim.run(trace, platform.flexWatts(), &memo),
-              sim.run(trace, platform.flexWatts()));
-}
-
-TEST(EteeMemoTest, RejectsMismatchedSimulator)
-{
-    Platform platform(ultraportablePreset());
-    TraceGenerator gen(5);
-    PhaseTrace trace =
-        gen.burstyCompute(2, milliseconds(5.0), milliseconds(5.0));
-    EteeMemo memo(platform.operatingPoints(), watts(4.0));
-    IntervalSimulator sim(platform.operatingPoints(),
-                          platform.config().tdp);
-    EXPECT_THROW(sim.run(trace, platform.pdn(PdnKind::IVR), &memo),
-                 ModelError);
-}
-
 TEST(CampaignEngineTest, RunStatsAreConsistentAndThreadInvariant)
 {
     /** Counts what reaches the sink; the cells go to the floor. */
@@ -568,20 +486,7 @@ TEST(CampaignEngineTest, RunStatsAreConsistentAndThreadInvariant)
     }
     EXPECT_EQ(serial.cells, spec.cellCount());
     EXPECT_EQ(serial.phases, phaseTotal);
-    EXPECT_GT(serial.memoProbes, 0u);
-    EXPECT_GT(serial.memoHits, 0u);
-    EXPECT_EQ(serial.memoProbes,
-              serial.memoHits + serial.memoMisses());
-    EXPECT_GT(serial.stateBuilds, 0u);
-    EXPECT_GT(serial.pdnEvaluations, 0u);
-    EXPECT_GT(serial.memoHitRate(), 0.0);
-    EXPECT_LT(serial.memoHitRate(), 1.0);
 
-    // Threaded runs keep one memo per worker, so hit totals may
-    // differ from serial (each worker pays its own first
-    // encounters) — but the work counters and the structural
-    // invariants must hold at any thread count, and a worker can
-    // never build fewer states than the single serial memo did.
     for (unsigned threads : {2u, 8u}) {
         ParallelRunner runner(threads);
         CountingSink sink;
@@ -589,31 +494,55 @@ TEST(CampaignEngineTest, RunStatsAreConsistentAndThreadInvariant)
         CampaignEngine(runner).run(spec, sink, &stats);
         EXPECT_EQ(stats.cells, serial.cells) << threads;
         EXPECT_EQ(stats.phases, serial.phases) << threads;
-        EXPECT_EQ(stats.memoProbes,
-                  stats.memoHits + stats.memoMisses())
-            << threads;
-        EXPECT_GE(stats.stateBuilds, serial.stateBuilds) << threads;
-        EXPECT_GE(stats.pdnEvaluations, serial.pdnEvaluations)
-            << threads;
+    }
+}
+
+TEST(CampaignEngineTest, BuildsEachPlatformAndTraceOncePerRun)
+{
+    // Platforms and traces are built once per run on the calling
+    // thread and shared read-only by the workers, so the build
+    // counts equal the spec's axis sizes at any thread count.
+    CampaignSpec spec = declarativeSpec(SimMode::Pmu);
+    auto countBuilds = [&](unsigned threads, size_t first,
+                           size_t end) {
+        MetricsRegistry registry;
+        {
+            MetricsInstallation install(registry);
+            ParallelRunner runner(threads);
+            std::stringstream csv;
+            CampaignCsvSink sink(csv);
+            CampaignEngine(runner).run(spec, sink, first, end);
+        }
+        return std::make_pair(
+            registry.counterValue(Metric::CampaignPlatformBuilds),
+            registry.counterValue(Metric::TraceResolves));
+    };
+
+    for (unsigned threads : {1u, 8u}) {
+        auto [platforms, traces] =
+            countBuilds(threads, 0, spec.cellCount());
+        EXPECT_EQ(platforms, spec.platforms.size()) << threads;
+        EXPECT_EQ(traces, spec.traces.size()) << threads;
     }
 
-    // Memo off: the run happens, the memo counters stay zero.
-    ParallelRunner runner(1);
-    CountingSink sink;
-    CampaignRunStats unmemoized;
-    CampaignEngine(runner).memoize(false).run(spec, sink,
-                                              &unmemoized);
-    EXPECT_EQ(unmemoized.cells, spec.cellCount());
-    EXPECT_EQ(unmemoized.phases, phaseTotal);
-    EXPECT_EQ(unmemoized.memoProbes, 0u);
-    EXPECT_EQ(unmemoized.memoHits, 0u);
-    EXPECT_EQ(unmemoized.memoHitRate(), 0.0);
+    // A shard inside the second platform (cells 2-5 of its 10:
+    // traces 1 and 2 on both PDNs) builds just what it touches.
+    size_t perPlatform = spec.traces.size() * spec.pdns.size();
+    ASSERT_EQ(perPlatform, 10u);
+    auto [platforms, traces] =
+        countBuilds(8, perPlatform + 2, perPlatform + 6);
+    EXPECT_EQ(platforms, 1u);
+    EXPECT_EQ(traces, 2u);
+
+    // An empty range builds nothing.
+    EXPECT_EQ(countBuilds(8, 3, 3), std::make_pair(uint64_t{0},
+                                                   uint64_t{0}));
 }
 
 TEST(CampaignResultTest, SummaryAggregatesMatchManualTotals)
 {
     CampaignSpec spec = smallSpec(SimMode::Pmu);
-    CampaignResult result = CampaignEngine().run(spec);
+    CampaignResult result = runCampaign(spec);
     BatteryModel battery(wattHours(50.0));
     std::vector<CampaignPdnSummary> summaries =
         result.summarizeByPdn(battery);

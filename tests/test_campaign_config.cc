@@ -310,7 +310,8 @@ TEST(CampaignConfigTest, DeclarativeSpecRunsEndToEnd)
       "pdns": ["IVR", "FlexWatts"],
       "mode": "pmu"
     })");
-    CampaignResult result = CampaignEngine().run(spec);
+    ParallelRunner runner;
+    CampaignResult result = CampaignEngine(runner).run(spec);
     ASSERT_EQ(result.cells.size(), 4u);
     EXPECT_EQ(result.cells[0].trace, "bursty-compute");
     EXPECT_EQ(result.cells[2].trace, "video-playback-trace");
@@ -535,7 +536,8 @@ TEST(CampaignConfigTest, LoadedSpecRunsEndToEnd)
       "pdns": ["IVR", "FlexWatts"],
       "mode": "oracle"
     })");
-    CampaignResult result = CampaignEngine().run(spec);
+    ParallelRunner runner;
+    CampaignResult result = CampaignEngine(runner).run(spec);
     ASSERT_EQ(result.cells.size(), 2u);
     EXPECT_EQ(result.cells[0].platform, "tablet");
     EXPECT_GT(result.cells[0].sim.supplyEnergy, joules(0.0));

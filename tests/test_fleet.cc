@@ -253,8 +253,9 @@ TEST(FleetEngineTest, ProgressReportsEveryBucketInOrder)
     FleetSpec spec = testSpec();
     std::vector<uint64_t> done;
     uint64_t total = 0;
+    ParallelRunner runner;
     FleetResult result =
-        FleetEngine().run(spec, [&](uint64_t d, uint64_t t) {
+        FleetEngine(runner).run(spec, [&](uint64_t d, uint64_t t) {
             done.push_back(d);
             total = t;
         });

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "flexwatts/etee_table.hh"
 #include "flexwatts/flexwatts_pdn.hh"
 #include "flexwatts/mode_predictor.hh"
@@ -167,31 +166,6 @@ TEST_F(FlexWattsTest, EteeTableCStateRows)
         EXPECT_GT(ldo_mode, 0.2) << toString(cs);
         // Idle states always favor LDO-Mode (one-stage-like path).
         EXPECT_GT(ldo_mode, ivr_mode) << toString(cs);
-    }
-}
-
-TEST_F(FlexWattsTest, EteeTableBitIdenticalAcrossThreadCounts)
-{
-    ParallelRunner serial(1);
-    ParallelRunner pool(8);
-    EteeTable ref(fw, opm, EteeTable::GridSpec(), serial);
-    EteeTable par(fw, opm, EteeTable::GridSpec(), pool);
-
-    for (HybridMode mode : allHybridModes) {
-        for (double tdp : {4.0, 11.0, 27.0, 50.0}) {
-            for (double ar : {0.3, 0.47, 0.71, 0.9}) {
-                EXPECT_EQ(ref.lookupActive(mode,
-                                           WorkloadType::MultiThread,
-                                           watts(tdp), ar),
-                          par.lookupActive(mode,
-                                           WorkloadType::MultiThread,
-                                           watts(tdp), ar));
-            }
-        }
-        for (PackageCState cs : batteryLifeCStates) {
-            EXPECT_EQ(ref.lookupCState(mode, cs),
-                      par.lookupCState(mode, cs));
-        }
     }
 }
 

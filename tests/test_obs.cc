@@ -56,8 +56,8 @@ TEST(MetricsRegistryTest, WellKnownMetricsPreRegistered)
     // the metric id.
     std::vector<MetricSnapshot> snap = registry.snapshot();
     ASSERT_EQ(snap.size(), static_cast<size_t>(Metric::Count));
-    EXPECT_EQ(snap[static_cast<size_t>(Metric::MemoHits)].name,
-              "memo.hits");
+    EXPECT_EQ(snap[static_cast<size_t>(Metric::TraceResolves)].name,
+              "trace.resolves");
 }
 
 TEST(MetricsRegistryTest, CounterAccumulatesThroughHelpers)
@@ -208,21 +208,11 @@ TEST(MetricsRegistryTest, CampaignStatsSnapshotProjectsCounters)
     MetricsInstallation install(registry);
     metricAdd(Metric::CampaignCells, 12);
     metricAdd(Metric::CampaignPhases, 240);
-    metricAdd(Metric::MemoProbes, 100);
-    metricAdd(Metric::MemoHits, 75);
-    metricAdd(Metric::MemoStateBuilds, 25);
-    metricAdd(Metric::MemoPdnEvaluations, 50);
     MetricsRegistry::flushThread();
 
     CampaignRunStats stats = campaignStatsSnapshot(registry);
     EXPECT_EQ(stats.cells, 12u);
     EXPECT_EQ(stats.phases, 240u);
-    EXPECT_EQ(stats.memoProbes, 100u);
-    EXPECT_EQ(stats.memoHits, 75u);
-    EXPECT_EQ(stats.memoMisses(), 25u);
-    EXPECT_EQ(stats.stateBuilds, 25u);
-    EXPECT_EQ(stats.pdnEvaluations, 50u);
-    EXPECT_DOUBLE_EQ(stats.memoHitRate(), 0.75);
 }
 
 // A campaign run with a caller-installed registry banks its activity

@@ -3,6 +3,7 @@
  * Unit and property tests across the five PDN topologies.
  */
 
+#include <cstdint>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -278,14 +279,27 @@ TEST_F(PdnTopologies, LdoInputRailCarriesMoreCurrentThanIvrs)
               1.3 * inAmps(ivr_rails[0].iccMax));
 }
 
-/** Property sweep: invariants hold over a broad operating grid. */
+/**
+ * Property sweep: invariants hold over a broad operating grid.
+ *
+ * gtest lists each case with a hex dump of its raw parameter bytes, so
+ * the padding after the two enums is spelled out and zeroed; left
+ * implicit it picks up stack garbage and the listed test name changes
+ * from run to run.
+ */
 struct GridParam
 {
     PdnKind kind;
+    std::uint32_t pad0 = 0;
     double tdp;
     WorkloadType type;
+    std::uint32_t pad1 = 0;
     double ar;
 };
+static_assert(sizeof(GridParam) == sizeof(PdnKind) + sizeof(WorkloadType) +
+                                       2 * sizeof(std::uint32_t) +
+                                       2 * sizeof(double),
+              "GridParam must have no implicit padding");
 
 class PdnGrid : public ::testing::TestWithParam<GridParam>
 {
@@ -326,7 +340,7 @@ gridParams()
                  {WorkloadType::SingleThread, WorkloadType::MultiThread,
                   WorkloadType::Graphics})
                 for (double ar : {0.4, 0.56, 0.8})
-                    params.push_back({kind, tdp, type, ar});
+                    params.push_back({kind, 0, tdp, type, 0, ar});
     return params;
 }
 

@@ -3,7 +3,8 @@
  * PhaseSoA tests: trace -> structure-of-arrays resolution (dedup
  * counts, order preservation), signed-zero/NaN canonicalization of
  * the dedup key, bit-identical batched simulation against the
- * phase-by-phase path, and the EteeMemo zero-AR keying regression.
+ * phase-by-phase path, and signed-zero AR phases simulating
+ * identically.
  */
 
 #include <cmath>
@@ -12,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "pdnspot/platform.hh"
-#include "sim/etee_memo.hh"
 #include "sim/interval_simulator.hh"
 #include "workload/phase_soa.hh"
 #include "workload/trace_generator.hh"
@@ -115,29 +115,18 @@ TEST(PhaseSoATest, BatchedRunsMatchPerPhaseRunsBitIdentically)
         const PdnModel &pdn = platform.pdn(kind);
         EXPECT_EQ(sim.run(soa, pdn), sim.run(trace, pdn))
             << toString(kind);
-
-        EteeMemo memo(platform.operatingPoints(),
-                      platform.config().tdp);
-        EXPECT_EQ(sim.run(soa, pdn, &memo), sim.run(trace, pdn))
-            << toString(kind) << " (memoized)";
     }
 
     // Oracle path: pinned-mode evaluation plus mode residency.
     EXPECT_EQ(sim.runOracle(soa, platform.flexWatts()),
               sim.runOracle(trace, platform.flexWatts()));
-    EteeMemo memo(platform.operatingPoints(),
-                  platform.config().tdp);
-    EXPECT_EQ(sim.runOracle(soa, platform.flexWatts(), &memo),
-              sim.runOracle(trace, platform.flexWatts()));
 }
 
-TEST(EteeMemoTest, SignedZeroArSharesOneMemoEntry)
+TEST(PhaseSoATest, SignedZeroArPhasesSimulateIdentically)
 {
-    // Regression: StateKey once held the raw double, so a -0.0 and a
-    // +0.0 phase compared equal and the stored state kept whichever
-    // arrived first — contents (and the stats) depended on
-    // evaluation order. The bit-cast canonical key makes the pair
-    // one entry with one state build.
+    // A -0.0 AR phase builds its state from the canonical +0.0, so
+    // it simulates exactly like the +0.0 phase on every path, and a
+    // mixed pair gives one result whichever sign arrives first.
     Platform platform(ultraportablePreset());
     IntervalSimulator sim(platform.operatingPoints(),
                           platform.config().tdp);
@@ -145,23 +134,22 @@ TEST(EteeMemoTest, SignedZeroArSharesOneMemoEntry)
                     WorkloadType::MultiThread, 0.0};
     TracePhase negZero = zero;
     negZero.ar = -0.0;
+    PhaseTrace pos("zero-ar", {zero});
+    PhaseTrace neg("zero-ar", {negZero});
+    PhaseTrace posFirst("zero-ar", {zero, negZero});
+    PhaseTrace negFirst("zero-ar", {negZero, zero});
 
-    for (auto phases :
-         {std::vector<TracePhase>{zero, negZero},
-          std::vector<TracePhase>{negZero, zero}}) {
-        PhaseTrace trace("zero-ar", phases);
-        EteeMemo memo(platform.operatingPoints(),
-                      platform.config().tdp);
-        SimResult memoized =
-            sim.run(trace, platform.pdn(PdnKind::IVR), &memo);
-        EXPECT_EQ(memoized,
-                  sim.run(trace, platform.pdn(PdnKind::IVR)));
-        // One logical state: the second phase is a pure hit.
-        EXPECT_EQ(memo.stateBuilds(), 1u);
-        EXPECT_EQ(memo.pdnEvaluations(), 1u);
-        EXPECT_GT(memo.hits(), 0u);
-        EXPECT_EQ(memo.probes(), memo.hits() + memo.misses());
+    for (PdnKind kind : allPdnKinds) {
+        const PdnModel &pdn = platform.pdn(kind);
+        EXPECT_EQ(sim.run(neg, pdn), sim.run(pos, pdn))
+            << toString(kind);
+        EXPECT_EQ(sim.run(negFirst, pdn), sim.run(posFirst, pdn))
+            << toString(kind);
     }
+    EXPECT_EQ(sim.runOracle(neg, platform.flexWatts()),
+              sim.runOracle(pos, platform.flexWatts()));
+    EXPECT_EQ(sim.runOracle(negFirst, platform.flexWatts()),
+              sim.runOracle(posFirst, platform.flexWatts()));
 }
 
 } // anonymous namespace

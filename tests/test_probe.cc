@@ -214,11 +214,9 @@ TEST_F(ProbeSimTest, StaticSoaFramesMatchPerPhase)
     ProbeSpec spec;
     SignalProbe perPhase(spec, watts(15.0));
     SignalProbe batched(spec, watts(15.0));
-    SimResult a = sim.run(trace, platform.pdn(PdnKind::IVR), nullptr,
-                          &perPhase);
+    SimResult a = sim.run(trace, platform.pdn(PdnKind::IVR), &perPhase);
     SimResult b = sim.run(PhaseSoA(trace),
-                          platform.pdn(PdnKind::IVR), nullptr,
-                          &batched);
+                          platform.pdn(PdnKind::IVR), &batched);
     EXPECT_EQ(a, b);
     EXPECT_EQ(perPhase.take(), batched.take());
 }
@@ -233,11 +231,9 @@ TEST_F(ProbeSimTest, OracleSoaFramesMatchPerPhase)
     ProbeSpec spec;
     SignalProbe perPhase(spec, watts(15.0));
     SignalProbe batched(spec, watts(15.0));
-    SimResult a = sim.runOracle(trace, platform.flexWatts(), nullptr,
-                                &perPhase);
+    SimResult a = sim.runOracle(trace, platform.flexWatts(), &perPhase);
     SimResult b = sim.runOracle(PhaseSoA(trace),
-                                platform.flexWatts(), nullptr,
-                                &batched);
+                                platform.flexWatts(), &batched);
     EXPECT_EQ(a, b);
     EXPECT_EQ(perPhase.take(), batched.take());
 }
@@ -252,8 +248,7 @@ TEST_F(ProbeSimTest, ProbeNeverPerturbsResults)
     ProbeSpec spec;
     SignalProbe staticProbe(spec, watts(15.0));
     EXPECT_EQ(sim.run(trace, platform.pdn(PdnKind::MBVR)),
-              sim.run(trace, platform.pdn(PdnKind::MBVR), nullptr,
-                      &staticProbe));
+              sim.run(trace, platform.pdn(PdnKind::MBVR), &staticProbe));
 
     PmuConfig cfg;
     cfg.tdp = watts(15.0);
@@ -263,7 +258,7 @@ TEST_F(ProbeSimTest, ProbeNeverPerturbsResults)
     Pmu observed(cfg, platform.predictor());
     SignalProbe pmuProbe(spec, watts(15.0));
     SimResult probed = sim.run(trace, platform.flexWatts(), observed,
-                               nullptr, &pmuProbe);
+                               &pmuProbe);
     EXPECT_EQ(unprobed, probed);
 }
 
@@ -279,8 +274,7 @@ TEST_F(ProbeSimTest, PmuRunRecordsEveryModeSwitch)
     Pmu pmu(cfg, platform.predictor());
     ProbeSpec spec;
     SignalProbe probe(spec, watts(15.0));
-    SimResult r = sim.run(trace, platform.flexWatts(), pmu, nullptr,
-                          &probe);
+    SimResult r = sim.run(trace, platform.flexWatts(), pmu, &probe);
 
     Waveform w = probe.take();
     uint64_t switches = 0;
@@ -310,7 +304,7 @@ TEST(WaveformIoTest, CsvWriteReadFixpoint)
     Pmu pmu(cfg, platform.predictor());
     ProbeSpec spec;
     SignalProbe probe(spec, watts(15.0));
-    sim.run(trace, platform.flexWatts(), pmu, nullptr, &probe);
+    sim.run(trace, platform.flexWatts(), pmu, &probe);
 
     Waveform w = probe.take();
     std::string first = writeWaveformCsv(w);

@@ -61,7 +61,9 @@ class StoreTest : public ::testing::Test
 /**
  * A minimal but schema-complete pdnspot-report-1 document — the
  * same member shape buildRunReport emits, small enough to vary per
- * test. `shard`/`count` set run.shard_index/shard_count.
+ * test. `shard`/`count` set run.shard_index/shard_count. The
+ * run.memo flag is no longer written, but archived reports still
+ * carry it, so it stays here to keep such documents parsing.
  */
 std::string
 reportText(size_t shard, size_t count,

@@ -4,7 +4,7 @@
  * counts, durations, untouched fields), deterministic double
  * resolution, chain composition, validation, equality — and the
  * campaign-level contract that transformed traces stay bit-identical
- * at any thread count and with the evaluation memo off.
+ * at any thread count.
  */
 
 #include <limits>
@@ -318,14 +318,6 @@ TEST(TraceTransformTest, CampaignsBitIdenticalAcrossThreadCounts)
         EXPECT_EQ(csv.str(), baselineCsv.str())
             << threads << " threads";
     }
-
-    // The per-worker evaluation memo must not observe transforms:
-    // memo off reproduces the same bytes.
-    ParallelRunner runner(8);
-    CampaignEngine noMemo(runner);
-    noMemo.memoize(false);
-    CampaignResult unmemoized = noMemo.run(spec);
-    EXPECT_EQ(unmemoized, baseline);
 }
 
 } // namespace

@@ -13,13 +13,11 @@
  * Usage: pdnspot_campaign <spec.json> [options]
  *   -o <path>        write the campaign CSV to <path> ("-" = stdout,
  *                    the default)
- *   --summary        print the per-PDN summary table, p50/p95/p99
+ *   --summary        print the per-PDN summary table and p50/p95/p99
  *                    lines for every histogram metric
- *                    (histogramQuantile, obs/metrics.hh), and the
- *                    memo probe/hit/miss counters to stderr
+ *                    (histogramQuantile, obs/metrics.hh) to stderr
  *   --battery-wh <x> battery capacity for the summary (default 50)
  *   --threads <n>    thread count (overrides PDNSPOT_THREADS)
- *   --no-memo        disable the per-worker evaluation memo
  *   --trace-dir <d>  resolve relative "file" trace paths against <d>
  *                    (default: the spec file's directory)
  *   --shard k/n      run only shard k of n (1-based): a contiguous
@@ -95,8 +93,8 @@ using namespace pdnspot;
 constexpr const char *usageText =
     "usage: pdnspot_campaign <spec.json> [-o out.csv] [--summary]\n"
     "                        [--battery-wh <x>] [--threads <n>]\n"
-    "                        [--no-memo] [--trace-dir <dir>]\n"
-    "                        [--shard k/n] [--report out.json]\n"
+    "                        [--trace-dir <dir>] [--shard k/n]\n"
+    "                        [--report out.json]\n"
     "                        [--trace-events out.trace.json]\n"
     "                        [--probe-out dir]\n"
     "                        [--progress] [--quiet]\n"
@@ -116,7 +114,6 @@ struct Options
     bool summary = false;
     double batteryWh = 50.0;
     std::optional<unsigned> threads;
-    bool memo = true;
     std::string traceDir;
     size_t shardIndex = 1; ///< 1-based
     size_t shardCount = 1;
@@ -172,8 +169,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--threads") {
             opts.threads =
                 cli::parseThreads(tool, value(i, "--threads"));
-        } else if (arg == "--no-memo") {
-            opts.memo = false;
         } else if (arg == "--trace-dir") {
             opts.traceDir = value(i, "--trace-dir");
             if (opts.traceDir.empty())
@@ -476,7 +471,6 @@ runCli(const Options &opts)
     const ParallelRunner &runner =
         ownRunner ? *ownRunner : ParallelRunner::global();
     CampaignEngine engine(runner);
-    engine.memoize(opts.memo);
 
     std::ofstream file;
     if (opts.outPath != "-") {
@@ -511,9 +505,8 @@ runCli(const Options &opts)
                  opts.shardIndex == 1,
                  opts.progress ? &progress : nullptr,
                  opts.probeOutDir);
-    CampaignRunStats stats;
     auto runStart = std::chrono::steady_clock::now();
-    engine.run(spec, sink, firstCell, endCell, &stats);
+    engine.run(spec, sink, firstCell, endCell);
     std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - runStart;
     metricsInstall.reset(); // quiesced: snapshots are final now
@@ -568,7 +561,6 @@ runCli(const Options &opts)
         rin.shardCount = opts.shardCount;
         rin.firstCell = firstCell;
         rin.endCell = endCell;
-        rin.memoize = opts.memo;
         rin.wallSeconds = wall.count();
         rin.rows = sink.rows();
         rin.summaries = sink.builder().summaries(
@@ -597,17 +589,6 @@ runCli(const Options &opts)
                 histogramQuantile(m, 0.99), m.max,
                 static_cast<unsigned long long>(m.count));
         }
-        if (opts.memo)
-            std::cerr << strprintf(
-                "memo: %llu probes, %llu hits, %llu misses "
-                "(%.1f%% hit rate) over %llu phases\n",
-                static_cast<unsigned long long>(stats.memoProbes),
-                static_cast<unsigned long long>(stats.memoHits),
-                static_cast<unsigned long long>(stats.memoMisses()),
-                stats.memoHitRate() * 100.0,
-                static_cast<unsigned long long>(stats.phases));
-        else
-            std::cerr << "memo: disabled (--no-memo)\n";
     }
     return 0;
 }

@@ -37,7 +37,6 @@
  *                     temp dir, removed when the launch succeeds)
  *   --keep-work       keep the temp work dir even on success
  *   --threads <n>     per-shard --threads passed through
- *   --no-memo         pass --no-memo through to every shard
  *   --trace-dir <d>   pass --trace-dir through to every shard
  *   --archive <dir>   ingest every shard's run report + CSV into
  *                     the result archive at <dir>
@@ -99,10 +98,9 @@ constexpr const char *usageText =
     "                      [--retries <r>] [--backoff-ms <ms>]\n"
     "                      [--seed <n>] [--campaign-bin <path>]\n"
     "                      [--work-dir <dir>] [--keep-work]\n"
-    "                      [--threads <n>] [--no-memo]\n"
-    "                      [--trace-dir <dir>] [--archive <dir>]\n"
-    "                      [--report-dir <dir>] [--progress]\n"
-    "                      [--quiet]\n"
+    "                      [--threads <n>] [--trace-dir <dir>]\n"
+    "                      [--archive <dir>] [--report-dir <dir>]\n"
+    "                      [--progress] [--quiet]\n"
     "                      [--log-level info|warn|silent]\n"
     "                      [--dry-run]\n"
     "       pdnspot_launch --version\n";
@@ -130,7 +128,6 @@ struct Options
     std::string workDir;
     bool keepWork = false;
     std::optional<unsigned> threads;
-    bool memo = true;
     std::string traceDir;
     std::string archiveDir;
     std::string reportDir;
@@ -220,8 +217,6 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--threads") {
             opts.threads =
                 cli::parseThreads(tool, value(i, "--threads"));
-        } else if (arg == "--no-memo") {
-            opts.memo = false;
         } else if (arg == "--trace-dir") {
             opts.traceDir = value(i, "--trace-dir");
             if (opts.traceDir.empty())
@@ -451,8 +446,6 @@ spawnShard(const LaunchPlan &plan, const Options &opts,
         args.push_back("--threads");
         args.push_back(strprintf("%u", *opts.threads));
     }
-    if (!opts.memo)
-        args.push_back("--no-memo");
     if (!opts.traceDir.empty()) {
         args.push_back("--trace-dir");
         args.push_back(opts.traceDir);
