@@ -26,7 +26,7 @@ denseTdps()
     return tdps;
 }
 
-/** Shared sweep loop: trajectory counters for any pool width. */
+/** Shared sweep loop for any pool width. */
 void
 sweepBench(benchmark::State &state, unsigned nthreads)
 {
@@ -48,7 +48,6 @@ sweepBench(benchmark::State &state, unsigned nthreads)
                     .count();
     state.counters["points_per_sec"] =
         ns > 0.0 ? static_cast<double>(points) / (ns * 1e-9) : 0.0;
-    state.counters["threads"] = nthreads;
 }
 
 void

@@ -5,29 +5,16 @@
  * Every bench regenerates one of the paper's tables or figures
  * (printed before the google-benchmark timing runs) so the repository
  * can reproduce the evaluation section end to end.
- *
- * Every bench binary also speaks `--json <path>`: the timing runs
- * are additionally captured through a TrajectoryReporter and written
- * as a bench-trajectory document (src/bench/trajectory.hh) — one
- * record per benchmark real time and per user counter, stamped with
- * the git revision ($PDNSPOT_GIT_REV, set by scripts/bench.sh) and
- * the thread count. scripts/bench.sh merges these documents into the
- * BENCH_<n>.json snapshots that tools/bench_diff compares run over
- * run.
  */
 
 #ifndef PDNSPOT_BENCH_BENCH_UTIL_HH
 #define PDNSPOT_BENCH_BENCH_UTIL_HH
 
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include <benchmark/benchmark.h>
 
-#include "bench/trajectory.hh"
 #include "common/logging.hh"
 #include "pdnspot/experiments.hh"
 #include "pdnspot/platform.hh"
@@ -50,126 +37,15 @@ banner(const std::string &what)
     std::cout << "\n=== PDNspot reproduction: " << what << " ===\n\n";
 }
 
-/**
- * Console reporter that additionally captures every iteration run
- * as trajectory records: "real_time" in the benchmark's time unit,
- * plus one record per user counter (units via benchMetricUnit). A
- * counter named "threads" overrides the record's thread stamp
- * instead of becoming a metric — the benches use it to report their
- * internal ParallelRunner width, which google-benchmark (always
- * single-threaded here) cannot see.
- */
-class TrajectoryReporter : public benchmark::ConsoleReporter
-{
-  public:
-    TrajectoryReporter()
-    {
-        const char *rev = std::getenv("PDNSPOT_GIT_REV");
-        _gitRev = rev && *rev ? rev : "unknown";
-    }
-
-    void
-    ReportRuns(const std::vector<Run> &runs) override
-    {
-        ConsoleReporter::ReportRuns(runs);
-        for (const Run &run : runs) {
-            if (run.run_type != Run::RT_Iteration ||
-                run.error_occurred)
-                continue;
-            unsigned threads = static_cast<unsigned>(run.threads);
-            auto t = run.counters.find("threads");
-            if (t != run.counters.end())
-                threads = static_cast<unsigned>(t->second.value);
-
-            auto add = [&](const std::string &metric, double value,
-                           std::string unit) {
-                BenchRecord r;
-                r.benchmark = run.benchmark_name();
-                r.metric = metric;
-                r.value = value;
-                r.unit = std::move(unit);
-                r.gitRev = _gitRev;
-                r.threads = threads;
-                _records.push_back(std::move(r));
-            };
-            add("real_time", run.GetAdjustedRealTime(),
-                benchmark::GetTimeUnitString(run.time_unit));
-            for (const auto &[name, counter] : run.counters) {
-                if (name == "threads")
-                    continue;
-                add(name, counter.value, benchMetricUnit(name));
-            }
-        }
-    }
-
-    const std::vector<BenchRecord> &records() const
-    {
-        return _records;
-    }
-
-  private:
-    std::string _gitRev;
-    std::vector<BenchRecord> _records;
-};
-
-/**
- * Common main: strip `--json <path>` (google-benchmark rejects
- * unknown flags), print the figure, run the timing benchmarks, and
- * write the trajectory document when requested.
- */
+/** Common main: print the figure, then run the timing benchmarks. */
 inline int
 benchMain(int argc, char **argv, void (*print_figure)())
 {
-    std::string jsonPath;
-    std::vector<char *> args;
-    args.reserve(static_cast<size_t>(argc) + 1);
-    for (int i = 0; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--json") {
-            if (i + 1 >= argc) {
-                std::cerr << argv[0] << ": --json needs a path\n";
-                return 2;
-            }
-            jsonPath = argv[++i];
-        } else if (arg.rfind("--json=", 0) == 0) {
-            jsonPath = arg.substr(7);
-        } else {
-            args.push_back(argv[i]);
-        }
-    }
-    if (!jsonPath.empty() && jsonPath != "-" &&
-        jsonPath.front() == '-') {
-        std::cerr << argv[0] << ": --json needs a path, got \""
-                  << jsonPath << "\"\n";
-        return 2;
-    }
-    int filteredArgc = static_cast<int>(args.size());
-    args.push_back(nullptr);
-
     print_figure();
-    ::benchmark::Initialize(&filteredArgc, args.data());
-    if (::benchmark::ReportUnrecognizedArguments(filteredArgc,
-                                                 args.data()))
+    ::benchmark::Initialize(&argc, argv);
+    if (::benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-
-    if (jsonPath.empty()) {
-        ::benchmark::RunSpecifiedBenchmarks();
-    } else {
-        TrajectoryReporter reporter;
-        ::benchmark::RunSpecifiedBenchmarks(&reporter);
-        std::string text = writeBenchJson(reporter.records());
-        if (jsonPath == "-") {
-            std::cout << text;
-        } else {
-            std::ofstream os(jsonPath, std::ios::binary);
-            os << text;
-            if (!os.flush()) {
-                std::cerr << argv[0] << ": cannot write \""
-                          << jsonPath << "\"\n";
-                return 1;
-            }
-        }
-    }
+    ::benchmark::RunSpecifiedBenchmarks();
     ::benchmark::Shutdown();
     return 0;
 }

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Full verification pass: configure, build with warnings-as-errors,
 # run every registered test in parallel (once on a serial default
-# pool, once on a 4-thread one), snapshot + diff the
-# benchmark trajectory (scripts/bench.sh), then repeat the test
+# pool, once on a 4-thread one), then repeat the test
 # suite under AddressSanitizer + UBSan (the threaded campaign/sweep
 # paths are sanitizer-gated). This is the tier-1 gate (ROADMAP.md)
 # and is ready to drop into CI as-is.
@@ -93,7 +92,7 @@ echo "check.sh: trace-transform sensitivity smoke green"
 # Observability smoke: the exporters must not perturb the campaign
 # — CSVs stay byte-identical with --report/--trace-events/--progress
 # at 1 and 8 threads — and the paper campaign's report + span trace
-# land in the build dir for CI to upload next to BENCH_*.json.
+# land in the build dir for CI to upload.
 PDNSPOT_THREADS=1 "$build_dir"/tools/pdnspot_campaign \
     examples/specs/paper_campaign.json -o "$smoke_dir/obs1.csv" \
     --report "$smoke_dir/obs1_report.json" \
@@ -179,18 +178,8 @@ grep -q "fleet: 1000000 sessions" "$smoke_dir/million.txt"
 echo "check.sh: fleet smoke green" \
     "(summary + aggregates in $build_dir)"
 
-# Benchmark trajectory: run the campaign/sweep benches in --json
-# mode, merge the next BENCH_<n>.json snapshot at the repo root, and
-# diff it against the previous one — a >20% regression on cells/sec
-# or ns/phase fails this script like a test
-# failure (thresholds: PDNSPOT_BENCH_WARN_PCT/PDNSPOT_BENCH_FAIL_PCT;
-# first run just records the baseline). No-op on hosts without
-# google-benchmark.
-scripts/bench.sh "$build_dir"
-echo "check.sh: bench trajectory green"
-
-# Second pass: the whole test suite under ASan+UBSan. Bench binaries
-# add nothing here (they are not registered tests), so skip them to
+# Second pass: the whole test suite under ASan+UBSan. The bench
+# binaries' figure-only tests already ran above, so skip them here to
 # halve the sanitized build.
 asan_dir="${build_dir}-asan"
 

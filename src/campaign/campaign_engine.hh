@@ -33,8 +33,8 @@ namespace pdnspot
 
 /**
  * Aggregate execution statistics of one CampaignEngine run, summed
- * across worker threads: the denominator metrics of the benchmark
- * trajectory (cells and phases simulated). Purely observational —
+ * across worker threads: the denominators of throughput figures
+ * (cells and phases simulated). Purely observational —
  * filling them never perturbs results.
  *
  * Since the observability layer landed this is a thin view over the

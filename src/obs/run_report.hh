@@ -12,9 +12,8 @@
  * keying runs by provenance makes cross-study queries a lookup, not
  * a directory crawl.
  *
- * The schema is versioned like pdnspot-bench-1 (src/bench/
- * trajectory.hh): consumers check the "schema" member and reject
- * documents they do not understand. Histogram metrics serialize
+ * The schema is versioned: consumers check the "schema" member and
+ * reject documents they do not understand. Histogram metrics serialize
  * count/sum/min/max, the log2 bucket counts, and p50/p95/p99
  * percentile estimates (histogramQuantile — bucket-interpolated, so
  * order-of-magnitude resolution, same numbers --summary prints).

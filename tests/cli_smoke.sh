@@ -9,9 +9,9 @@
 # fleet_* cases expect the pdnspot_fleet binary as the tool under
 # test, launch_* pdnspot_launch and query_* pdnspot_query;
 # everything else expects pdnspot_campaign. The optional fourth
-# argument is a second binary the case needs: bench_diff for the
-# version case, pdnspot_campaign for the launch_*/query_* cases
-# that compare against (or generate) a direct campaign run.
+# argument is a second binary the case needs: pdnspot_campaign for
+# the launch_*/query_* cases that compare against (or generate) a
+# direct campaign run.
 #
 # Usage: cli_smoke.sh <tool-binary> <case> <spec-dir> \
 #            [extra-binary]
@@ -21,7 +21,7 @@ set -u
 tool="$1"
 case_name="$2"
 spec_dir="$3"
-bench_diff="${4:-}"
+extra_bin="${4:-}"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -133,21 +133,15 @@ EOF
     expect_err 'concat(generator "bursty-compute" (seed 7))'
     ;;
   version)
-    # Both CLIs stamp the same version + git revision, and the
+    # The CLI stamps its version + git revision, and the
     # PDNSPOT_GIT_REV environment variable overrides the baked-in
-    # revision (the CI convention for bench JSON).
+    # revision (the same stamp run reports carry).
     run 0 --version
     expect_out "pdnspot_campaign "
     expect_out "(git "
     PDNSPOT_GIT_REV=cafef00d "$tool" --version \
         >"$tmp/out" 2>"$tmp/err" || fail "--version failed"
     expect_out "(git cafef00d)"
-    if [ -n "$bench_diff" ]; then
-        "$bench_diff" --version >"$tmp/out" 2>"$tmp/err" \
-            || fail "bench_diff --version failed"
-        expect_out "bench_diff "
-        expect_out "(git "
-    fi
     ;;
   report_unwritable)
     # Exporter paths are opened before the campaign runs, so a bad
@@ -299,7 +293,7 @@ EOF
     # Shard 1's first attempt is killed by the injection hook; the
     # launcher must retry it and still concatenate a CSV
     # byte-identical to a direct unsharded campaign run.
-    campaign="$bench_diff"
+    campaign="$extra_bin"
     "$campaign" "$spec_dir/measured_campaign.json" \
         -o "$tmp/direct.csv" --quiet \
         || fail "direct campaign run failed"
@@ -315,7 +309,7 @@ EOF
   launch_exhausted_retries)
     # More injected failures than retries: the launcher must exit
     # non-zero naming the shard that gave up and its log.
-    campaign="$bench_diff"
+    campaign="$extra_bin"
     PDNSPOT_LAUNCH_INJECT=fail:2:9 \
         run 1 "$spec_dir/measured_campaign.json" -n 2 --jobs 2 \
         --retries 1 --backoff-ms 0 -o "$tmp/never.csv" \
@@ -344,7 +338,7 @@ EOF
     # The archive round trip: a reported campaign run ingests, is
     # findable by its spec content hash, and its payload reads back
     # byte-identical; rebuild-index regenerates the same answers.
-    campaign="$bench_diff"
+    campaign="$extra_bin"
     "$campaign" "$spec_dir/measured_campaign.json" \
         -o "$tmp/run.csv" --report "$tmp/run.report.json" --quiet \
         || fail "reported campaign run failed"
