@@ -74,9 +74,11 @@ printFigure()
     bench::banner("Sec. 4.3 - model accuracy over 200 traces");
     {
         auto set = harness.makeTraceSet(200);
+        ParallelRunner pool;
         AsciiTable t({"PDN", "avg accuracy", "min", "max"});
         for (PdnKind kind : classicPdnKinds) {
-            ValidationStats s = harness.validate(pf.pdn(kind), set);
+            ValidationStats s =
+                harness.validate(pf.pdn(kind), set, pool);
             t.addRow({toString(kind),
                       AsciiTable::percent(s.avgAccuracy, 2),
                       AsciiTable::percent(s.minAccuracy, 2),
@@ -93,9 +95,10 @@ validate200Traces(benchmark::State &state)
     const Platform &pf = bench::platform();
     ValidationHarness harness(pf);
     auto set = harness.makeTraceSet(200);
+    ParallelRunner pool;
     for (auto _ : state) {
         ValidationStats s =
-            harness.validate(pf.pdn(PdnKind::IVR), set);
+            harness.validate(pf.pdn(PdnKind::IVR), set, pool);
         benchmark::DoNotOptimize(s);
     }
 }

@@ -22,10 +22,11 @@ printFigure()
     bench::banner(
         "Fig. 7 - SPEC CPU2006 performance at 4W TDP (IVR = 100%)");
 
+    ParallelRunner pool;
     std::array<std::vector<double>, allPdnKinds.size()> rel;
     for (size_t k = 0; k < allPdnKinds.size(); ++k) {
         rel[k] = suiteRelativePerf(pf, allPdnKinds[k], watts(4.0),
-                                   specCpu2006());
+                                   specCpu2006(), pool);
     }
 
     AsciiTable t({"Benchmark", "Scal.", "IVR", "MBVR", "LDO", "I+MBVR",
@@ -57,9 +58,10 @@ void
 fig7FullSweep(benchmark::State &state)
 {
     const Platform &pf = bench::platform();
+    ParallelRunner pool;
     for (auto _ : state) {
-        double mean = suiteMeanRelativePerf(pf, PdnKind::FlexWatts,
-                                            watts(4.0), specCpu2006());
+        double mean = suiteMeanRelativePerf(
+            pf, PdnKind::FlexWatts, watts(4.0), specCpu2006(), pool);
         benchmark::DoNotOptimize(mean);
     }
 }

@@ -21,13 +21,14 @@ printFigure()
     bench::banner(
         "Fig. 8(b) - 3DMark06 average performance (IVR = 100%)");
 
+    ParallelRunner pool;
     AsciiTable t({"TDP", "IVR", "MBVR", "LDO", "I+MBVR", "FlexWatts"});
     for (double tdp : evaluationTdpsW) {
         std::vector<std::string> row = {strprintf("%.0fW", tdp)};
         for (PdnKind kind : allPdnKinds) {
             row.push_back(AsciiTable::percent(
                 suiteMeanRelativePerf(pf, kind, watts(tdp),
-                                      gfx3dmark06()),
+                                      gfx3dmark06(), pool),
                 1));
         }
         t.addRow(row);
@@ -40,11 +41,12 @@ void
 fig8bRow(benchmark::State &state)
 {
     const Platform &pf = bench::platform();
+    ParallelRunner pool;
     for (auto _ : state) {
         double v = suiteMeanRelativePerf(
             pf, PdnKind::FlexWatts,
             watts(static_cast<double>(state.range(0))),
-            gfx3dmark06());
+            gfx3dmark06(), pool);
         benchmark::DoNotOptimize(v);
     }
 }

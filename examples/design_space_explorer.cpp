@@ -65,19 +65,20 @@ main(int argc, char **argv)
               << (graphics ? "3DMark06" : "SPEC CPU2006") << "):\n\n";
     AsciiTable summary({"TDP", "best perf PDN", "gain", "FlexWatts",
                         "FlexWatts BOM", "FlexWatts area"});
+    ParallelRunner pool;
     for (double tdp : evaluationTdpsW) {
         PdnKind best = PdnKind::IVR;
         double best_perf = 1.0;
         for (PdnKind kind : allPdnKinds) {
-            double perf = suiteMeanRelativePerf(platform, kind,
-                                                watts(tdp), suite);
+            double perf = suiteMeanRelativePerf(
+                platform, kind, watts(tdp), suite, pool);
             if (perf > best_perf) {
                 best_perf = perf;
                 best = kind;
             }
         }
         double flex = suiteMeanRelativePerf(
-            platform, PdnKind::FlexWatts, watts(tdp), suite);
+            platform, PdnKind::FlexWatts, watts(tdp), suite, pool);
         summary.addRow(
             {AsciiTable::num(tdp, 0) + "W", toString(best),
              AsciiTable::percent(best_perf - 1.0, 1),

@@ -42,7 +42,8 @@ main(int argc, char **argv)
     std::filesystem::create_directories(dir);
 
     Platform platform;
-    SweepEngine engine(platform);
+    ParallelRunner pool;
+    SweepEngine engine(platform, pool);
 
     std::vector<PdnKind> all(allPdnKinds.begin(), allPdnKinds.end());
     std::vector<PdnKind> classic(classicPdnKinds.begin(),

@@ -89,6 +89,16 @@ cmp "$smoke_dir/sens1.csv" "$smoke_dir/sens8.csv"
 grep -q "ar-perturb(0.1, seed 7)" "$smoke_dir/dryrun.txt"
 echo "check.sh: trace-transform sensitivity smoke green"
 
+# Oracle-mode smoke: the specs above all run in pmu mode; the
+# generated-trace spec runs the oracle kernel, which must be
+# byte-identical serial vs 8 threads too.
+PDNSPOT_THREADS=1 "$build_dir"/tools/pdnspot_campaign \
+    examples/specs/generated_campaign.json -o "$smoke_dir/gen1.csv"
+PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
+    examples/specs/generated_campaign.json -o "$smoke_dir/gen8.csv"
+cmp "$smoke_dir/gen1.csv" "$smoke_dir/gen8.csv"
+echo "check.sh: oracle-mode generated-trace smoke green"
+
 # Observability smoke: the exporters must not perturb the campaign
 # — CSVs stay byte-identical with --report/--trace-events/--progress
 # at 1 and 8 threads — and the paper campaign's report + span trace

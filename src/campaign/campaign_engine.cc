@@ -20,44 +20,6 @@ namespace pdnspot
 namespace
 {
 
-/**
- * A trace materialized for simulation: the phase-by-phase form (the
- * PMU path steps it) plus its batch-evaluation SoA form (every other
- * path). Both derive deterministically from the TraceSpec.
- */
-struct ResolvedTrace
-{
-    PhaseTrace trace;
-    PhaseSoA soa;
-
-    explicit ResolvedTrace(PhaseTrace t)
-        : trace(std::move(t)), soa(trace)
-    {}
-};
-
-SimResult
-simulateCell(const Platform &platform, const ResolvedTrace &rt,
-             PdnKind kind, const CampaignSpec &spec, Time tick,
-             SignalProbe *probe)
-{
-    IntervalSimulator sim(platform.operatingPoints(),
-                          platform.config().tdp, tick);
-    if (kind == PdnKind::FlexWatts) {
-        if (spec.mode == SimMode::Oracle)
-            return sim.runOracle(rt.soa, platform.flexWatts(), probe);
-        if (spec.mode == SimMode::Pmu) {
-            PmuConfig cfg;
-            cfg.tdp = platform.config().tdp;
-            Pmu pmu(cfg, platform.predictor());
-            return sim.run(rt.trace, platform.flexWatts(), pmu,
-                           probe);
-        }
-    }
-    // Non-hybrid PDNs have no mode logic: every mode simulates them
-    // statically — through the batched SoA path.
-    return sim.run(rt.soa, platform.pdn(kind), probe);
-}
-
 /** Collects streamed cells back into an in-memory CampaignResult. */
 class CollectSink : public CampaignSink
 {
@@ -77,6 +39,28 @@ class CollectSink : public CampaignSink
 };
 
 } // namespace
+
+SimResult
+simulateCell(const Platform &platform, const PhaseSoA &soa,
+             PdnKind kind, SimMode mode, Time tick,
+             SignalProbe *probe)
+{
+    IntervalSimulator sim(platform.operatingPoints(),
+                          platform.config().tdp, tick);
+    if (kind == PdnKind::FlexWatts) {
+        if (mode == SimMode::Oracle)
+            return sim.runOracle(soa, platform.flexWatts(), probe);
+        if (mode == SimMode::Pmu) {
+            PmuConfig cfg;
+            cfg.tdp = platform.config().tdp;
+            Pmu pmu(cfg, platform.predictor());
+            return sim.run(soa, platform.flexWatts(), pmu, probe);
+        }
+    }
+    // Non-hybrid PDNs have no mode logic: every mode simulates them
+    // statically.
+    return sim.run(soa, platform.pdn(kind), probe);
+}
 
 CampaignRunStats
 campaignStatsSnapshot(const MetricsRegistry &registry)
@@ -149,7 +133,7 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
     // its first (at most) cellsPerPlatform cells.
     std::vector<std::unique_ptr<const Platform>> platforms(
         spec.platforms.size());
-    std::vector<std::unique_ptr<const ResolvedTrace>> traces(
+    std::vector<std::unique_ptr<const PhaseSoA>> traces(
         spec.traces.size());
     if (n > 0) {
         for (size_t p = firstCell / cellsPerPlatform;
@@ -164,7 +148,7 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
         for (size_t cell = firstCell; cell < traceEnd; ++cell) {
             size_t t = cell % cellsPerPlatform / nPdns;
             if (!traces[t])
-                traces[t] = std::make_unique<const ResolvedTrace>(
+                traces[t] = std::make_unique<const PhaseSoA>(
                     spec.traces[t].resolve());
         }
     }
@@ -228,7 +212,7 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                     size_t traceIdx = rest / nPdns;
                     const TraceSpec &traceSpec =
                         spec.traces[traceIdx];
-                    const ResolvedTrace &rt = *traces[traceIdx];
+                    const PhaseSoA &soa = *traces[traceIdx];
                     CampaignCellResult c;
                     c.trace = traceSpec.name();
                     c.platform = spec.platforms[p].name;
@@ -251,7 +235,7 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                         }
                     }
                     c.sim = simulateCell(
-                        *platforms[p], rt, c.pdn, spec,
+                        *platforms[p], soa, c.pdn, c.mode,
                         traceSpec.tickOverride().value_or(spec.tick),
                         probe.get());
                     if (probe) {
@@ -265,7 +249,7 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                             std::make_shared<const Waveform>(
                                 std::move(w));
                     }
-                    chunkPhases += rt.soa.phaseCount();
+                    chunkPhases += soa.phaseCount();
                     shard.push_back(std::move(c));
                     if (timeCells) {
                         std::chrono::duration<double, std::micro>

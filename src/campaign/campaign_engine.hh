@@ -6,13 +6,12 @@
  * Cells are flattened platform-major and claimed in chunked ranges
  * (ParallelRunner::forEachChunked). Before the first chunk, the
  * calling thread builds every Platform (operating-point model, five
- * PDNs, ETEE characterization) and resolves every TraceSpec — into
- * its PhaseTrace plus batch-evaluation PhaseSoA form
- * (workload/phase_soa.hh) — that the run's cell range touches, each
- * exactly once. Workers share these inputs read-only; the models
- * hold no mutable state. Non-PMU cells simulate through the batched
- * IntervalSimulator overloads: unique states resolve once, then
- * energy accumulates over dense per-phase arrays.
+ * PDNs, ETEE characterization) and resolves every TraceSpec into
+ * one PhaseSoA (workload/phase_soa.hh) that the run's cell range
+ * touches, each exactly once. Workers share these inputs read-only;
+ * the models hold no mutable state. Each cell runs through
+ * simulateCell(), which picks the one IntervalSimulator kernel for
+ * its (PDN, mode) pair.
  *
  * Determinism contract: every cell's SimResult depends only on its
  * (trace spec, platform config, pdn, mode, tick) inputs and lands at
@@ -27,9 +26,25 @@
 #include "campaign/campaign_spec.hh"
 #include "common/parallel.hh"
 #include "obs/metrics.hh"
+#include "sim/sim_stats.hh"
+#include "workload/phase_soa.hh"
 
 namespace pdnspot
 {
+
+class SignalProbe;
+
+/**
+ * Simulate one (platform, trace, pdn, mode) cell — the one place
+ * that decides which IntervalSimulator kernel a (PDN, mode) pair
+ * runs: FlexWatts runs the oracle kernel in oracle mode and the PMU
+ * kernel (a fresh Pmu at the platform's TDP) in pmu mode; every
+ * other pair runs the static kernel, since only FlexWatts has
+ * modes. The fleet's cohort profiles call it too.
+ */
+SimResult simulateCell(const Platform &platform, const PhaseSoA &soa,
+                       PdnKind kind, SimMode mode, Time tick,
+                       SignalProbe *probe = nullptr);
 
 /**
  * Aggregate execution statistics of one CampaignEngine run, summed

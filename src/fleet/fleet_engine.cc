@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 
+#include "campaign/campaign_engine.hh"
 #include "common/logging.hh"
 #include "common/noise.hh"
 #include "obs/probe.hh"
 #include "obs/span_trace.hh"
-#include "pmu/pmu.hh"
 #include "sim/battery_model.hh"
-#include "sim/interval_simulator.hh"
 #include "workload/phase_soa.hh"
 
 namespace pdnspot
@@ -35,6 +33,10 @@ struct CohortProfile
     std::vector<uint32_t> switchesIn; ///< switches on entering phase
     std::vector<double> prefixS;      ///< duration prefix sums, n+1
 
+    /** The mode the cell kernel ran: Static for every PDN but
+     * FlexWatts, whatever the cohort asked for. */
+    SimMode mode = SimMode::Static;
+
     double cycleS = 0.0;
     double cycleEnergyJ = 0.0;
     uint64_t cycleSwitches = 0;
@@ -44,15 +46,6 @@ struct CohortProfile
     double jitterS = 0.0;
 };
 
-/** True when the cohort's mode logic actually runs (campaign rule:
- * only FlexWatts has modes; other PDNs simulate statically). */
-bool
-dynamicModes(const FleetCohort &cohort)
-{
-    return cohort.pdn == PdnKind::FlexWatts &&
-           cohort.mode != SimMode::Static;
-}
-
 CohortProfile
 buildProfile(const FleetCohort &cohort, Time tick)
 {
@@ -60,11 +53,7 @@ buildProfile(const FleetCohort &cohort, Time tick)
     CohortProfile profile;
 
     Platform platform(cohort.platform);
-    IntervalSimulator sim(platform.operatingPoints(),
-                          platform.config().tdp,
-                          cohort.trace.tickOverride().value_or(tick));
-    PhaseTrace trace = cohort.trace.resolve();
-    PhaseSoA soa(trace);
+    PhaseSoA soa(cohort.trace.resolve());
     size_t phases = soa.phaseCount();
     if (phases == 0)
         fatal(strprintf("FleetEngine: cohort \"%s\" trace \"%s\" "
@@ -72,86 +61,58 @@ buildProfile(const FleetCohort &cohort, Time tick)
                         cohort.name.c_str(),
                         cohort.trace.name().c_str()));
 
+    // Run the cohort trace once through the campaign's cell kernel
+    // with a probe capturing per-phase supply power and mode (plus
+    // mode-switch events); every session replays this waveform
+    // cyclically from its own offset.
+    ProbeSpec ps;
+    ps.signals = {ProbeSignal::SupplyPowerW, ProbeSignal::Mode};
+    SignalProbe probe(ps, platform.config().tdp);
+    simulateCell(platform, soa, cohort.pdn, cohort.mode,
+                 cohort.trace.tickOverride().value_or(tick), &probe);
+    Waveform w = probe.take();
+
+    size_t powerCol = 0, modeCol = 0;
+    for (size_t s = 0; s < w.signals.size(); ++s) {
+        if (w.signals[s] == ProbeSignal::SupplyPowerW)
+            powerCol = s;
+        if (w.signals[s] == ProbeSignal::Mode)
+            modeCol = s;
+    }
+    if (w.rows.size() != phases)
+        panic(strprintf("FleetEngine: cohort profile captured %zu "
+                        "rows for %zu phases",
+                        w.rows.size(), phases));
+
     profile.powerW.resize(phases);
     profile.durS.resize(phases);
     profile.switchesIn.assign(phases, 0);
-    for (size_t p = 0; p < phases; ++p)
+    for (size_t p = 0; p < phases; ++p) {
+        profile.powerW[p] = w.rows[p].values[powerCol];
         profile.durS[p] = inSeconds(soa.durations()[p]);
-
-    if (!dynamicModes(cohort)) {
-        // Static profile: one PDN evaluation per unique state,
-        // fanned out over the per-phase index (the SoA discipline —
-        // population size never multiplies this work).
-        const PdnModel &pdn = platform.pdn(cohort.pdn);
-        std::vector<double> uniqueW(soa.uniqueCount());
-        for (size_t u = 0; u < soa.uniqueCount(); ++u)
-            uniqueW[u] = inWatts(
-                pdn.evaluate(sim.stateFor(soa.uniquePhases()[u]))
-                    .inputPower);
-        for (size_t p = 0; p < phases; ++p)
-            profile.powerW[p] = uniqueW[soa.uniqueIndex()[p]];
-    } else if (cohort.mode == SimMode::Oracle) {
-        // Oracle profile: best mode + pinned evaluation per unique
-        // state; switches fall wherever consecutive phases (cyclic)
-        // want different modes, instant and free (runOracle
-        // semantics).
-        const FlexWattsPdn &fw = platform.flexWatts();
-        std::vector<double> uniqueW(soa.uniqueCount());
-        std::vector<HybridMode> uniqueMode(soa.uniqueCount());
-        for (size_t u = 0; u < soa.uniqueCount(); ++u) {
-            PlatformState s = sim.stateFor(soa.uniquePhases()[u]);
-            uniqueMode[u] = fw.bestMode(s);
-            uniqueW[u] =
-                inWatts(fw.evaluate(s, uniqueMode[u]).inputPower);
-        }
-        for (size_t p = 0; p < phases; ++p) {
-            size_t u = soa.uniqueIndex()[p];
-            profile.powerW[p] = uniqueW[u];
-            size_t prev =
-                soa.uniqueIndex()[p == 0 ? phases - 1 : p - 1];
-            if (phases > 1 && uniqueMode[u] != uniqueMode[prev])
-                profile.switchesIn[p] = 1;
-        }
-    } else {
-        // PMU profile: run the cohort trace once under realistic
-        // PMU control with a signal probe capturing per-phase supply
-        // power, mode, and mode-switch events; every session replays
-        // this waveform cyclically from its own offset.
-        ProbeSpec ps;
-        ps.signals = {ProbeSignal::SupplyPowerW, ProbeSignal::Mode};
-        SignalProbe probe(ps, platform.config().tdp);
-        PmuConfig cfg;
-        cfg.tdp = platform.config().tdp;
-        Pmu pmu(cfg, platform.predictor());
-        sim.run(trace, platform.flexWatts(), pmu, &probe);
-        Waveform w = probe.take();
-
-        size_t powerCol = 0, modeCol = 0;
-        for (size_t s = 0; s < w.signals.size(); ++s) {
-            if (w.signals[s] == ProbeSignal::SupplyPowerW)
-                powerCol = s;
-            if (w.signals[s] == ProbeSignal::Mode)
-                modeCol = s;
-        }
-        if (w.rows.size() != phases)
-            panic(strprintf("FleetEngine: PMU profile captured %zu "
-                            "rows for %zu phases",
-                            w.rows.size(), phases));
-        for (size_t p = 0; p < phases; ++p)
-            profile.powerW[p] = w.rows[p].values[powerCol];
+    }
+    // Switches: the PMU kernel reports each one as it happens; the
+    // oracle switches instantly wherever consecutive phases run in
+    // different modes (static rows all carry mode -1).
+    if (cohort.mode == SimMode::Pmu) {
         for (const WaveformEvent &event : w.events) {
             if (event.kind == "mode_switch" && event.phase < phases)
                 ++profile.switchesIn[event.phase];
         }
-        // Cyclic wrap: replaying the waveform back-to-back incurs
-        // one more switch when it ends in the other mode than it
-        // began in.
-        double first = w.rows.front().values[modeCol];
-        double last = w.rows.back().values[modeCol];
-        if (phases > 1 && first >= 0.0 && last >= 0.0 &&
-            first != last)
-            ++profile.switchesIn[0];
+    } else {
+        for (size_t p = 1; p < phases; ++p) {
+            if (w.rows[p].values[modeCol] !=
+                w.rows[p - 1].values[modeCol])
+                profile.switchesIn[p] = 1;
+        }
     }
+    // Cyclic wrap: replaying the waveform back-to-back incurs one
+    // more switch when it ends in the other mode than it began in.
+    double first = w.rows.front().values[modeCol];
+    double last = w.rows.back().values[modeCol];
+    if (phases > 1 && first != last)
+        ++profile.switchesIn[0];
+    profile.mode = first < 0.0 ? SimMode::Static : cohort.mode;
 
     profile.prefixS.resize(phases + 1);
     profile.prefixS[0] = 0.0;
@@ -520,8 +481,7 @@ FleetEngine::run(const FleetSpec &spec,
         info.count = cohort.count;
         info.platform = cohort.platform.name;
         info.pdn = pdnKindToString(cohort.pdn);
-        info.mode = toString(dynamicModes(cohort) ? cohort.mode
-                                                  : SimMode::Static);
+        info.mode = toString(profiles[c].mode);
         info.trace = cohort.trace.name();
         info.phases = profiles[c].powerW.size();
         info.cycleS = profiles[c].cycleS;

@@ -7,9 +7,9 @@
  * shared virtual clock in fixed time buckets. The expensive physics
  * runs once per *cohort*, not per session: each cohort's trace is
  * resolved into PhaseSoA form and profiled into dense per-phase
- * supply-power / mode-switch arrays through the existing simulator
- * stack (one static/oracle evaluation per unique state, or one
- * probed PMU run whose waveform the cohort replays). Per-session mutable
+ * supply-power / mode-switch arrays by one probed run of the
+ * campaign's cell kernel (simulateCell, campaign/campaign_engine.hh)
+ * whose waveform the cohort replays. Per-session mutable
  * state is packed structure-of-arrays — phase cursor, intra-phase
  * residue, battery charge, accumulated energy, death time — a few
  * tens of bytes per session, no per-session Platform objects.

@@ -45,8 +45,7 @@ Power batteryAveragePower(const Platform &platform, PdnKind kind,
 double suiteMeanRelativePerf(const Platform &platform, PdnKind kind,
                              Power tdp,
                              const std::vector<Workload> &suite,
-                             const ParallelRunner &runner =
-                                 ParallelRunner::global());
+                             const ParallelRunner &runner);
 
 /**
  * Per-benchmark relative performance for Fig. 7's bars, in suite
@@ -55,8 +54,7 @@ double suiteMeanRelativePerf(const Platform &platform, PdnKind kind,
 std::vector<double> suiteRelativePerf(const Platform &platform,
                                       PdnKind kind, Power tdp,
                                       const std::vector<Workload> &suite,
-                                      const ParallelRunner &runner =
-                                          ParallelRunner::global());
+                                      const ParallelRunner &runner);
 
 /** Normalized (to IVR) BOM cost of one PDN at one TDP (Fig. 8d). */
 double normalizedBom(const Platform &platform, PdnKind kind, Power tdp);

@@ -64,13 +64,11 @@ class SweepEngine
 {
   public:
     /**
-     * @param runner thread pool to fan evaluations across; defaults
-     * to the process-wide pool. Pass a ParallelRunner(1) to force
-     * serial evaluation.
+     * @param runner thread pool to fan evaluations across. Pass a
+     * ParallelRunner(1) for serial evaluation.
      */
-    explicit SweepEngine(const Platform &platform,
-                         const ParallelRunner &runner =
-                             ParallelRunner::global());
+    SweepEngine(const Platform &platform,
+                const ParallelRunner &runner);
 
     /**
      * The engine keeps a reference to the runner for its lifetime;

@@ -84,8 +84,7 @@ class ValidationHarness
      */
     ValidationStats validate(const PdnModel &pdn,
                              const std::vector<ValidationTrace> &set,
-                             const ParallelRunner &runner =
-                                 ParallelRunner::global()) const;
+                             const ParallelRunner &runner) const;
 
   private:
     const Platform &_platform;

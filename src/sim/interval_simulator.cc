@@ -50,25 +50,6 @@ IntervalSimulator::stateFor(const TracePhase &phase) const
 }
 
 SimResult
-IntervalSimulator::run(const PhaseTrace &trace, const PdnModel &pdn,
-                       SignalProbe *probe) const
-{
-    metricAdd(Metric::SimRunsStatic);
-    SimResult result;
-    for (size_t p = 0; p < trace.phases().size(); ++p) {
-        const TracePhase &phase = trace.phases()[p];
-        EteeResult e = pdn.evaluate(stateFor(phase));
-        if (probe)
-            probePhase(probe, p, result.duration, phase.duration, e,
-                       -1);
-        result.duration += phase.duration;
-        result.supplyEnergy += e.inputPower * phase.duration;
-        result.nominalEnergy += e.nominalPower * phase.duration;
-    }
-    return result;
-}
-
-SimResult
 IntervalSimulator::run(const PhaseSoA &soa, const PdnModel &pdn,
                        SignalProbe *probe) const
 {
@@ -81,8 +62,7 @@ IntervalSimulator::run(const PhaseSoA &soa, const PdnModel &pdn,
     for (size_t u = 0; u < unique.size(); ++u)
         etee[u] = pdn.evaluate(stateFor(unique[u]));
 
-    // Dense accumulation over the per-phase arrays: the same
-    // additions in the same order as the phase-by-phase loop.
+    // Dense accumulation over the per-phase arrays, in trace order.
     SimResult result;
     const std::vector<Time> &durations = soa.durations();
     const std::vector<uint32_t> &index = soa.uniqueIndex();
@@ -94,30 +74,6 @@ IntervalSimulator::run(const PhaseSoA &soa, const PdnModel &pdn,
         result.duration += durations[p];
         result.supplyEnergy += e.inputPower * durations[p];
         result.nominalEnergy += e.nominalPower * durations[p];
-    }
-    return result;
-}
-
-SimResult
-IntervalSimulator::runOracle(const PhaseTrace &trace,
-                             const FlexWattsPdn &pdn,
-                             SignalProbe *probe) const
-{
-    metricAdd(Metric::SimRunsOracle);
-    SimResult result;
-    for (size_t p = 0; p < trace.phases().size(); ++p) {
-        const TracePhase &phase = trace.phases()[p];
-        PlatformState s = stateFor(phase);
-        HybridMode mode = pdn.bestMode(s);
-        EteeResult e = pdn.evaluate(s, mode);
-        if (probe)
-            probePhase(probe, p, result.duration, phase.duration, e,
-                       static_cast<int>(mode));
-        result.duration += phase.duration;
-        result.supplyEnergy += e.inputPower * phase.duration;
-        result.nominalEnergy += e.nominalPower * phase.duration;
-        result.modeResidency[static_cast<size_t>(mode)] +=
-            phase.duration;
     }
     return result;
 }
@@ -156,7 +112,7 @@ IntervalSimulator::runOracle(const PhaseSoA &soa,
 }
 
 SimResult
-IntervalSimulator::run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
+IntervalSimulator::run(const PhaseSoA &soa, const FlexWattsPdn &pdn,
                        Pmu &pmu, SignalProbe *probe) const
 {
     metricAdd(Metric::SimRunsPmu);
@@ -180,36 +136,42 @@ IntervalSimulator::run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
             });
     }
 
-    // Per-(phase, mode) evaluation cache: the platform state is
-    // constant within a phase, so only 2 evaluations per phase are
-    // ever needed regardless of tick resolution.
-    struct PhaseEval
+    // Per-(unique state, mode) evaluation cache: every phase of a
+    // unique state runs in the same platform state, so at most 2
+    // evaluations per unique state are ever needed regardless of
+    // tick resolution or how often the trace revisits the state.
+    struct StateEval
     {
         PlatformState state;
         std::array<bool, 2> valid{};
         std::array<EteeResult, 2> etee;
     };
-    std::vector<PhaseEval> cache(trace.phases().size());
+    const std::vector<TracePhase> &unique = soa.uniquePhases();
+    const std::vector<Time> &durations = soa.durations();
+    const std::vector<uint32_t> &index = soa.uniqueIndex();
+    std::vector<StateEval> cache(unique.size());
 
-    auto evaluate = [&](size_t phase_idx, HybridMode mode)
+    auto evaluate = [&](uint32_t u, HybridMode mode)
         -> const EteeResult & {
-        PhaseEval &pe = cache[phase_idx];
+        StateEval &se = cache[u];
         size_t m = static_cast<size_t>(mode);
-        if (!pe.valid[m]) {
-            if (!pe.valid[0] && !pe.valid[1])
-                pe.state = stateFor(trace.phases()[phase_idx]);
-            pe.etee[m] = pdn.evaluate(pe.state, mode);
-            pe.valid[m] = true;
+        if (!se.valid[m]) {
+            if (!se.valid[0] && !se.valid[1])
+                se.state = stateFor(unique[u]);
+            se.etee[m] = pdn.evaluate(se.state, mode);
+            se.valid[m] = true;
         }
-        return pe.etee[m];
+        return se.etee[m];
     };
 
     Time now;
     uint64_t switches_before = 0;
-    for (pi = 0; pi < trace.phases().size(); ++pi) {
-        const TracePhase &phase = trace.phases()[pi];
+    for (pi = 0; pi < durations.size(); ++pi) {
+        uint32_t u = index[pi];
+        const TracePhase &phase = unique[u];
+        Time duration = durations[pi];
         Time phase_start = now;
-        Time phase_end = now + phase.duration;
+        Time phase_end = now + duration;
         if (probe) {
             phaseSupplyStart = result.supplyEnergy;
             phaseNominalStart = result.nominalEnergy;
@@ -241,7 +203,7 @@ IntervalSimulator::run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
                 result.supplyEnergy += flow_power * overlap;
                 Time rest = step - overlap;
                 if (rest > seconds(0.0)) {
-                    const EteeResult &e = evaluate(pi, mode);
+                    const EteeResult &e = evaluate(u, mode);
                     result.supplyEnergy += e.inputPower * rest;
                     result.nominalEnergy += e.nominalPower * rest;
                     if (probe) {
@@ -250,7 +212,7 @@ IntervalSimulator::run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
                     }
                 }
             } else {
-                const EteeResult &e = evaluate(pi, mode);
+                const EteeResult &e = evaluate(u, mode);
                 result.supplyEnergy += e.inputPower * step;
                 result.nominalEnergy += e.nominalPower * step;
                 if (probe) {
@@ -266,13 +228,13 @@ IntervalSimulator::run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
             ProbeFrame f;
             f.phase = pi;
             f.start = phase_start;
-            f.duration = phase.duration;
+            f.duration = duration;
             f.supplyPowerW = inWatts(
                 (result.supplyEnergy - phaseSupplyStart) /
-                phase.duration);
+                duration);
             f.nominalPowerW = inWatts(
                 (result.nominalEnergy - phaseNominalStart) /
-                phase.duration);
+                duration);
             f.loss = hasEval ? &lastEval.loss : nullptr;
             f.mode = static_cast<int>(pmu.configuredMode());
             probe->samplePhase(f);

@@ -31,13 +31,20 @@ class SignalProbe;
 /**
  * Steps traces through PDN models with configurable resolution.
  *
+ * One kernel per simulation mode — static, oracle, PMU — and every
+ * one takes a PhaseSoA (workload/phase_soa.hh); a PhaseTrace
+ * converts implicitly. PDN evaluations happen once per unique state
+ * (and mode), never once per phase, and energy accumulates over the
+ * SoA's dense per-phase arrays. campaign/campaign_engine.hh's
+ * simulateCell() is the one place that picks the kernel a (PDN,
+ * mode) pair runs.
+ *
  * Every run method takes an optional SignalProbe (obs/probe.hh)
  * fed one frame per trace phase — average supply/nominal power, the
  * loss breakdown, the active hybrid mode — plus mode-switch events
  * on the PMU path. The probe is strictly observational: results are
- * bit-identical probed and unprobed, the per-phase and SoA paths
- * deliver identical frames, and an unbound probe costs one null
- * check per phase.
+ * bit-identical probed and unprobed, and an unbound probe costs one
+ * null check per phase.
  */
 class IntervalSimulator
 {
@@ -51,20 +58,6 @@ class IntervalSimulator
                       Time tick = microseconds(50.0));
 
     /** Simulate a static PDN (no mode logic). */
-    SimResult run(const PhaseTrace &trace, const PdnModel &pdn,
-                  SignalProbe *probe = nullptr) const;
-
-    /**
-     * Batched counterpart of the static run: each of the SoA's
-     * unique states is resolved exactly once (one tight pass of
-     * operating-point + ETEE math), then supply/nominal energy is
-     * accumulated over the dense per-phase arrays. Bit-identical to
-     * run() over the trace the SoA was built from — the same
-     * floating-point operations execute in the same order — while
-     * replacing the per-duplicate state rebuilds of the per-phase
-     * path with array indexing. The campaign engine uses this for
-     * every non-PMU cell.
-     */
     SimResult run(const PhaseSoA &soa, const PdnModel &pdn,
                   SignalProbe *probe = nullptr) const;
 
@@ -72,25 +65,18 @@ class IntervalSimulator
      * Simulate FlexWatts under PMU control: the predictor sees the
      * workload only through the sensors, pays the 94 us C6 flow per
      * switch, and may lag or mispredict -- this is the realistic
-     * counterpart of the oracle evaluation.
+     * counterpart of the oracle evaluation. The PMU observes each
+     * phase through its unique-state representative, which differs
+     * from the raw phase only in a ±0.0 or NaN AR: the activity
+     * sensor rejects a zero AR, and trace import refuses NaN.
      */
-    SimResult run(const PhaseTrace &trace, const FlexWattsPdn &pdn,
+    SimResult run(const PhaseSoA &soa, const FlexWattsPdn &pdn,
                   Pmu &pmu, SignalProbe *probe = nullptr) const;
 
     /**
      * Simulate FlexWatts with an oracle that knows each phase's best
      * mode instantly and switches for free. Upper bound used by the
      * predictor-ablation bench.
-     */
-    SimResult runOracle(const PhaseTrace &trace,
-                        const FlexWattsPdn &pdn,
-                        SignalProbe *probe = nullptr) const;
-
-    /**
-     * Batched oracle run: best mode and pinned-mode evaluation are
-     * resolved once per unique state, then accumulated over the
-     * per-phase arrays. Bit-identical to runOracle() over the source
-     * trace (see the static batched overload).
      */
     SimResult runOracle(const PhaseSoA &soa, const FlexWattsPdn &pdn,
                         SignalProbe *probe = nullptr) const;
@@ -99,8 +85,8 @@ class IntervalSimulator
      * The platform state a phase runs in at this simulator's TDP,
      * built from the phase's canonical AR (canonicalActivityRatio)
      * so -0.0/+0.0 and NaN-payload variants of one phase evaluate
-     * identically. Every run method and the fleet's cohort profiles
-     * resolve phases through this one helper.
+     * identically. Every run method resolves phases through this
+     * one helper.
      */
     PlatformState stateFor(const TracePhase &phase) const;
 

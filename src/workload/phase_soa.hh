@@ -10,11 +10,10 @@
  * (a) the deduplicated list of distinct state inputs ("unique
  * phases", keyed on (cstate, type, canonical AR) and kept in
  * first-appearance order) and (b) dense per-phase arrays of
- * durations and unique-state indices. Batch consumers (the
- * IntervalSimulator SoA overloads) resolve each unique state once
- * and then accumulate over the per-phase arrays — the same
- * floating-point operations in the same order as the phase-by-phase
- * path, so results stay bit-identical.
+ * durations and unique-state indices. It is the one input form of
+ * every IntervalSimulator kernel (static, oracle, PMU): each resolves
+ * a unique state once and then accumulates over the per-phase
+ * arrays, in trace order.
  *
  * AR values are canonicalized (canonicalActivityRatio) both in the
  * key and in the stored representative phase, so -0.0/NaN inputs
@@ -40,8 +39,12 @@ class PhaseSoA
   public:
     PhaseSoA() = default;
 
-    /** Resolve a trace; phase order is preserved. */
-    explicit PhaseSoA(const PhaseTrace &trace);
+    /**
+     * Resolve a trace; phase order is preserved. Implicit, so the
+     * simulator kernels take a PhaseTrace wherever they take a
+     * PhaseSoA.
+     */
+    PhaseSoA(const PhaseTrace &trace);
 
     /** Phases in the source trace (== durations().size()). */
     size_t phaseCount() const { return _durations.size(); }

@@ -1,7 +1,6 @@
 #include "workload/trace_source.hh"
 
 #include <chrono>
-#include <map>
 
 #include "common/csv.hh"
 #include "common/logging.hh"
@@ -34,23 +33,6 @@ knownGeneratorKind(const std::string &kind)
             return true;
     }
     return false;
-}
-
-/**
- * Library references rebuild the whole standard corpus to extract
- * one trace; a campaign resolves several per run, so cache the built
- * library per (thread, seed) instead of paying O(corpus) per
- * reference. Thread-local keeps it lock-free; the handful of seeds
- * a process ever uses bounds the size.
- */
-const TraceLibrary &
-cachedStandardLibrary(uint64_t seed)
-{
-    thread_local std::map<uint64_t, TraceLibrary> cache;
-    auto it = cache.find(seed);
-    if (it == cache.end())
-        it = cache.emplace(seed, standardCampaignTraces(seed)).first;
-    return it->second;
 }
 
 /** The name a generator spec's trace will carry (before rename). */
@@ -155,7 +137,7 @@ TraceSpec::resolve() const
         t = _inline;
         break;
       case Kind::Library:
-        t = cachedStandardLibrary(_seed).get(_ref);
+        t = standardCampaignTraces(_seed).get(_ref);
         break;
       case Kind::Generator: {
         TraceGenerator gen(_params.seed);

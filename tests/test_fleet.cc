@@ -16,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign/campaign_engine.hh"
 #include "common/logging.hh"
 #include "fleet/fleet_engine.hh"
 #include "obs/metrics.hh"
 #include "sim/battery_model.hh"
+#include "workload/phase_soa.hh"
 #include "workload/trace_source.hh"
 
 namespace pdnspot
@@ -263,6 +265,75 @@ TEST(FleetEngineTest, ProgressReportsEveryBucketInOrder)
     EXPECT_EQ(total, spec.bucketCount());
     for (size_t i = 0; i < done.size(); ++i)
         EXPECT_EQ(done[i], i + 1);
+}
+
+TEST(FleetEngineTest, ProfileAgreesWithCampaignCell)
+{
+    // One unjittered session over a bucket of exactly one trace
+    // cycle draws the cohort's whole-cycle totals, which must match
+    // the campaign's cell kernel on the same (platform, trace, pdn,
+    // mode): supply energy, and the kernel's switches plus the wrap
+    // switch of the cyclic replay. The random-mix PMU run ends in
+    // another mode than its first phase (one wrap switch); the
+    // day-in-the-life PMU run switches inside its first phase, which
+    // only the kernel's switch events show.
+    TraceGeneratorSpec mix;
+    mix.kind = "random-mix";
+    mix.seed = 8;
+    mix.phases = 12;
+    TraceGeneratorSpec day;
+    day.kind = "day-in-the-life";
+    day.seed = 1;
+
+    FleetCohort ivr;
+    ivr.name = "ivr";
+    ivr.count = 1;
+    ivr.platform = ultraportablePreset();
+    ivr.pdn = PdnKind::IVR;
+    ivr.mode = SimMode::Static;
+    ivr.trace = TraceSpec::generator(mix);
+
+    FleetCohort pmuMix = ivr;
+    pmuMix.name = "pmu-mix";
+    pmuMix.pdn = PdnKind::FlexWatts;
+    pmuMix.mode = SimMode::Pmu;
+
+    FleetCohort pmuDay = pmuMix;
+    pmuDay.name = "pmu-day";
+    pmuDay.trace = TraceSpec::generator(day);
+
+    struct Case
+    {
+        FleetCohort cohort;
+        uint64_t wrap;
+    };
+    for (const Case &c : {Case{ivr, 0}, Case{pmuMix, 1},
+                          Case{pmuDay, 0}}) {
+        SCOPED_TRACE(c.cohort.name);
+        FleetSpec spec;
+        spec.cohorts = {c.cohort};
+        PhaseSoA soa(c.cohort.trace.resolve());
+        double cycleS = 0.0;
+        for (Time d : soa.durations())
+            cycleS += inSeconds(d);
+        spec.bucket = seconds(cycleS);
+        spec.horizon = spec.bucket;
+
+        FleetResult fleet = runAt(spec, 1);
+        ASSERT_EQ(fleet.buckets.size(), 1u);
+        const FleetBucketRow &row = fleet.buckets[0];
+        EXPECT_EQ(row.alive, 1u);
+
+        Platform platform(c.cohort.platform);
+        SimResult cell = simulateCell(platform, soa, c.cohort.pdn,
+                                      c.cohort.mode, spec.tick);
+        double cellJ = inJoules(cell.supplyEnergy);
+        EXPECT_NEAR(row.energyJ, cellJ, 1e-12 * cellJ);
+        EXPECT_EQ(row.modeSwitches, cell.modeSwitches + c.wrap);
+        if (c.cohort.mode == SimMode::Pmu) {
+            EXPECT_GT(cell.modeSwitches, 0u);
+        }
+    }
 }
 
 TEST(FleetBatteryTest, DrainTimeMatchesBatteryModelLife)

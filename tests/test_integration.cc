@@ -23,6 +23,7 @@ class HeadlineResults : public ::testing::Test
     HeadlineResults() : platform() {}
 
     Platform platform;
+    ParallelRunner serial{1};
 };
 
 TEST_F(HeadlineResults, SpecAt4WGainsRoughly22Percent)
@@ -30,7 +31,7 @@ TEST_F(HeadlineResults, SpecAt4WGainsRoughly22Percent)
     // Paper: FlexWatts improves average SPEC CPU2006 performance at
     // 4 W TDP by ~22% over the IVR PDN.
     double flex = suiteMeanRelativePerf(platform, PdnKind::FlexWatts,
-                                        watts(4.0), specCpu2006());
+                                        watts(4.0), specCpu2006(), serial);
     EXPECT_GT(flex, 1.17);
     EXPECT_LT(flex, 1.32);
 }
@@ -39,7 +40,7 @@ TEST_F(HeadlineResults, GraphicsAt4WGainsRoughly25Percent)
 {
     // Paper: ~25% average 3DMark06 gain at 4 W TDP.
     double flex = suiteMeanRelativePerf(platform, PdnKind::FlexWatts,
-                                        watts(4.0), gfx3dmark06());
+                                        watts(4.0), gfx3dmark06(), serial);
     EXPECT_GT(flex, 1.19);
     EXPECT_LT(flex, 1.35);
 }
@@ -54,12 +55,12 @@ TEST_F(HeadlineResults, FlexWattsWithin1PercentOfBestStaticOnSpec)
             best = std::max(best,
                             suiteMeanRelativePerf(platform, kind,
                                                   watts(tdp),
-                                                  specCpu2006()));
+                                                  specCpu2006(), serial));
         }
         best = std::max(best, 1.0); // IVR itself
         double flex = suiteMeanRelativePerf(platform,
                                             PdnKind::FlexWatts,
-                                            watts(tdp), specCpu2006());
+                                            watts(tdp), specCpu2006(), serial);
         EXPECT_GT(flex, best - 0.015) << tdp;
     }
 }
@@ -69,7 +70,7 @@ TEST_F(HeadlineResults, FlexWattsNeverLosesToIvrOnSpec)
     for (double tdp : evaluationTdpsW) {
         double flex = suiteMeanRelativePerf(platform,
                                             PdnKind::FlexWatts,
-                                            watts(tdp), specCpu2006());
+                                            watts(tdp), specCpu2006(), serial);
         EXPECT_GE(flex, 0.995) << tdp;
     }
 }
@@ -78,7 +79,7 @@ TEST_F(HeadlineResults, MbvrLosesAtHighTdpOnSpec)
 {
     // Fig. 8a: MBVR falls below the IVR baseline at 36-50 W.
     double mbvr = suiteMeanRelativePerf(platform, PdnKind::MBVR,
-                                        watts(50.0), specCpu2006());
+                                        watts(50.0), specCpu2006(), serial);
     EXPECT_LT(mbvr, 1.0);
 }
 
@@ -87,14 +88,14 @@ TEST_F(HeadlineResults, GraphicsCrossoverAbove18W)
     // Fig. 8b: MBVR/LDO lead at low TDP; by 25-50 W the IVR-style
     // PDNs (IVR, I+MBVR, FlexWatts in IVR-Mode) win.
     double mbvr_4 = suiteMeanRelativePerf(platform, PdnKind::MBVR,
-                                          watts(4.0), gfx3dmark06());
+                                          watts(4.0), gfx3dmark06(), serial);
     EXPECT_GT(mbvr_4, 1.1);
     double mbvr_50 = suiteMeanRelativePerf(platform, PdnKind::MBVR,
-                                           watts(50.0), gfx3dmark06());
+                                           watts(50.0), gfx3dmark06(), serial);
     EXPECT_LT(mbvr_50, 0.95);
     double flex_50 = suiteMeanRelativePerf(platform,
                                            PdnKind::FlexWatts,
-                                           watts(50.0), gfx3dmark06());
+                                           watts(50.0), gfx3dmark06(), serial);
     EXPECT_GT(flex_50, mbvr_50 + 0.02);
 }
 
@@ -103,9 +104,9 @@ TEST_F(HeadlineResults, IplusMbvrModestGainOverIvr)
     // Paper: I+MBVR provides up to ~6% over IVR but trails FlexWatts
     // by a wide margin at low TDP.
     double imbvr = suiteMeanRelativePerf(platform, PdnKind::IplusMBVR,
-                                         watts(4.0), specCpu2006());
+                                         watts(4.0), specCpu2006(), serial);
     double flex = suiteMeanRelativePerf(platform, PdnKind::FlexWatts,
-                                        watts(4.0), specCpu2006());
+                                        watts(4.0), specCpu2006(), serial);
     EXPECT_GT(imbvr, 1.02);
     EXPECT_LT(imbvr, 1.15);
     EXPECT_GT(flex, imbvr + 0.08);
@@ -157,7 +158,7 @@ TEST_F(HeadlineResults, Fig7OrderingTracksScalability)
     // Fig. 7: per-benchmark gains grow with performance-scalability;
     // the most scalable benchmark gains the most.
     auto rel = suiteRelativePerf(platform, PdnKind::FlexWatts,
-                                 watts(4.0), specCpu2006());
+                                 watts(4.0), specCpu2006(), serial);
     ASSERT_EQ(rel.size(), 29u);
     EXPECT_GT(rel.back(), rel.front());
     // Sorted input implies (weakly) sorted gains in our model.

@@ -3,8 +3,8 @@
  * PhaseSoA tests: trace -> structure-of-arrays resolution (dedup
  * counts, order preservation), signed-zero/NaN canonicalization of
  * the dedup key, bit-identical batched simulation against the
- * phase-by-phase path, and signed-zero AR phases simulating
- * identically.
+ * phase-by-phase reference loops (sim_reference.hh), and signed-zero
+ * AR phases simulating identically.
  */
 
 #include <cmath>
@@ -14,6 +14,7 @@
 
 #include "pdnspot/platform.hh"
 #include "sim/interval_simulator.hh"
+#include "sim_reference.hh"
 #include "workload/phase_soa.hh"
 #include "workload/trace_generator.hh"
 
@@ -113,20 +114,22 @@ TEST(PhaseSoATest, BatchedRunsMatchPerPhaseRunsBitIdentically)
 
     for (PdnKind kind : allPdnKinds) {
         const PdnModel &pdn = platform.pdn(kind);
-        EXPECT_EQ(sim.run(soa, pdn), sim.run(trace, pdn))
+        EXPECT_EQ(sim.run(soa, pdn),
+                  reference::staticRun(sim, trace, pdn))
             << toString(kind);
     }
 
     // Oracle path: pinned-mode evaluation plus mode residency.
     EXPECT_EQ(sim.runOracle(soa, platform.flexWatts()),
-              sim.runOracle(trace, platform.flexWatts()));
+              reference::oracleRun(sim, trace, platform.flexWatts()));
 }
 
 TEST(PhaseSoATest, SignedZeroArPhasesSimulateIdentically)
 {
     // A -0.0 AR phase builds its state from the canonical +0.0, so
     // it simulates exactly like the +0.0 phase on every path, and a
-    // mixed pair gives one result whichever sign arrives first.
+    // mixed pair gives one result whichever sign arrives first. Each
+    // check crosses the kernel with the phase-by-phase reference.
     Platform platform(ultraportablePreset());
     IntervalSimulator sim(platform.operatingPoints(),
                           platform.config().tdp);
@@ -141,15 +144,24 @@ TEST(PhaseSoATest, SignedZeroArPhasesSimulateIdentically)
 
     for (PdnKind kind : allPdnKinds) {
         const PdnModel &pdn = platform.pdn(kind);
-        EXPECT_EQ(sim.run(neg, pdn), sim.run(pos, pdn))
+        EXPECT_EQ(sim.run(neg, pdn), reference::staticRun(sim, pos, pdn))
             << toString(kind);
-        EXPECT_EQ(sim.run(negFirst, pdn), sim.run(posFirst, pdn))
+        EXPECT_EQ(reference::staticRun(sim, neg, pdn), sim.run(pos, pdn))
+            << toString(kind);
+        EXPECT_EQ(sim.run(negFirst, pdn),
+                  reference::staticRun(sim, posFirst, pdn))
+            << toString(kind);
+        EXPECT_EQ(reference::staticRun(sim, negFirst, pdn),
+                  sim.run(posFirst, pdn))
             << toString(kind);
     }
-    EXPECT_EQ(sim.runOracle(neg, platform.flexWatts()),
-              sim.runOracle(pos, platform.flexWatts()));
-    EXPECT_EQ(sim.runOracle(negFirst, platform.flexWatts()),
-              sim.runOracle(posFirst, platform.flexWatts()));
+    const FlexWattsPdn &fw = platform.flexWatts();
+    EXPECT_EQ(sim.runOracle(neg, fw), reference::oracleRun(sim, pos, fw));
+    EXPECT_EQ(reference::oracleRun(sim, neg, fw), sim.runOracle(pos, fw));
+    EXPECT_EQ(sim.runOracle(negFirst, fw),
+              reference::oracleRun(sim, posFirst, fw));
+    EXPECT_EQ(reference::oracleRun(sim, negFirst, fw),
+              sim.runOracle(posFirst, fw));
 }
 
 } // anonymous namespace

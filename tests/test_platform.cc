@@ -21,6 +21,7 @@ class PlatformTest : public ::testing::Test
     PlatformTest() : platform() {}
 
     Platform platform;
+    ParallelRunner serial{1};
 };
 
 TEST_F(PlatformTest, ExposesAllPdnKinds)
@@ -76,7 +77,7 @@ TEST_F(PlatformTest, CustomSupplyVoltagePropagates)
 TEST_F(PlatformTest, SuiteHelpersConsistent)
 {
     auto rel = suiteRelativePerf(platform, PdnKind::LDO, watts(8.0),
-                                 specCpu2006());
+                                 specCpu2006(), serial);
     ASSERT_EQ(rel.size(), specCpu2006().size());
     double mean = 0.0;
     for (double r : rel)
@@ -84,7 +85,7 @@ TEST_F(PlatformTest, SuiteHelpersConsistent)
     mean /= static_cast<double>(rel.size());
     EXPECT_NEAR(mean,
                 suiteMeanRelativePerf(platform, PdnKind::LDO,
-                                      watts(8.0), specCpu2006()),
+                                      watts(8.0), specCpu2006(), serial),
                 1e-12);
 }
 

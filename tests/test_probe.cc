@@ -16,6 +16,7 @@
 #include "obs/waveform_io.hh"
 #include "pdnspot/platform.hh"
 #include "sim/interval_simulator.hh"
+#include "sim_reference.hh"
 #include "workload/trace_generator.hh"
 #include "workload/trace_source.hh"
 
@@ -214,9 +215,9 @@ TEST_F(ProbeSimTest, StaticSoaFramesMatchPerPhase)
     ProbeSpec spec;
     SignalProbe perPhase(spec, watts(15.0));
     SignalProbe batched(spec, watts(15.0));
-    SimResult a = sim.run(trace, platform.pdn(PdnKind::IVR), &perPhase);
-    SimResult b = sim.run(PhaseSoA(trace),
-                          platform.pdn(PdnKind::IVR), &batched);
+    SimResult a = reference::staticRun(
+        sim, trace, platform.pdn(PdnKind::IVR), &perPhase);
+    SimResult b = sim.run(trace, platform.pdn(PdnKind::IVR), &batched);
     EXPECT_EQ(a, b);
     EXPECT_EQ(perPhase.take(), batched.take());
 }
@@ -231,9 +232,9 @@ TEST_F(ProbeSimTest, OracleSoaFramesMatchPerPhase)
     ProbeSpec spec;
     SignalProbe perPhase(spec, watts(15.0));
     SignalProbe batched(spec, watts(15.0));
-    SimResult a = sim.runOracle(trace, platform.flexWatts(), &perPhase);
-    SimResult b = sim.runOracle(PhaseSoA(trace),
-                                platform.flexWatts(), &batched);
+    SimResult a = reference::oracleRun(sim, trace, platform.flexWatts(),
+                                       &perPhase);
+    SimResult b = sim.runOracle(trace, platform.flexWatts(), &batched);
     EXPECT_EQ(a, b);
     EXPECT_EQ(perPhase.take(), batched.take());
 }

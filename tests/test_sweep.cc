@@ -19,9 +19,10 @@ namespace
 class SweepTest : public ::testing::Test
 {
   protected:
-    SweepTest() : platform(), engine(platform) {}
+    SweepTest() : platform(), engine(platform, serial) {}
 
     Platform platform;
+    ParallelRunner serial{1};
     SweepEngine engine;
 };
 

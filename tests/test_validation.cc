@@ -20,6 +20,7 @@ class ValidationTest : public ::testing::Test
 
     Platform platform;
     ValidationHarness harness;
+    ParallelRunner serial{1};
 };
 
 TEST_F(ValidationTest, TraceSetHasRequestedSizeAndMix)
@@ -53,7 +54,8 @@ TEST_F(ValidationTest, AccuracyMatchesPaperBand)
     // Sec. 4.3: average accuracy >= 99%, minima around 98.6-98.9%.
     auto set = harness.makeTraceSet(200);
     for (PdnKind kind : classicPdnKinds) {
-        ValidationStats s = harness.validate(platform.pdn(kind), set);
+        ValidationStats s = harness.validate(platform.pdn(kind), set,
+                                             serial);
         EXPECT_GT(s.avgAccuracy, 0.99) << toString(kind);
         EXPECT_GT(s.minAccuracy, 0.985) << toString(kind);
         EXPECT_LE(s.maxAccuracy, 1.0 + 1e-12) << toString(kind);
@@ -94,16 +96,15 @@ TEST_F(ValidationTest, LargerNoiseLowersAccuracy)
     auto set = noisy.makeTraceSet(100);
     ValidationStats precise =
         harness.validate(platform.pdn(PdnKind::IVR),
-                         harness.makeTraceSet(100));
+                         harness.makeTraceSet(100), serial);
     ValidationStats loose =
-        noisy.validate(platform.pdn(PdnKind::IVR), set);
+        noisy.validate(platform.pdn(PdnKind::IVR), set, serial);
     EXPECT_LT(loose.avgAccuracy, precise.avgAccuracy);
 }
 
 TEST_F(ValidationTest, StatsBitIdenticalAcrossThreadCounts)
 {
     auto set = harness.makeTraceSet(200);
-    ParallelRunner serial(1);
     ValidationStats ref =
         harness.validate(platform.pdn(PdnKind::FlexWatts), set,
                          serial);
@@ -123,7 +124,7 @@ TEST_F(ValidationTest, RejectsBadArguments)
     EXPECT_THROW(ValidationHarness(platform, 1, 0.5), ConfigError);
     EXPECT_THROW(harness.makeTraceSet(0), ConfigError);
     EXPECT_THROW(
-        harness.validate(platform.pdn(PdnKind::IVR), {}),
+        harness.validate(platform.pdn(PdnKind::IVR), {}, serial),
         ConfigError);
 }
 
