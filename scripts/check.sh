@@ -117,6 +117,26 @@ grep -q '"schema": "pdnspot-report-1"' "$build_dir/paper_report.json"
 begins=$(grep -c '"ph": "B"' "$build_dir/paper_trace.json")
 ends=$(grep -c '"ph": "E"' "$build_dir/paper_trace.json")
 test "$begins" -gt 0 && test "$begins" -eq "$ends"
+# The registry's counters are written concurrently by the 8-thread
+# run's workers; the thread-invariant ones must equal the serial
+# run's exactly.
+python3 - "$smoke_dir/obs1_report.json" \
+    "$build_dir/paper_report.json" <<'PY'
+import json, sys
+
+def invariant(path):
+    with open(path) as f:
+        metrics = json.load(f)["metrics"]
+    keep = ("campaign.cells", "campaign.phases",
+            "campaign.platform_builds", "trace.resolves")
+    return {m["name"]: m["count"] for m in metrics
+            if m["name"] in keep or m["name"].startswith("sim.runs_")}
+
+serial, threaded = invariant(sys.argv[1]), invariant(sys.argv[2])
+if len(serial) != 7 or serial != threaded:
+    sys.exit("report counters differ at 1 vs 8 threads: %s vs %s"
+             % (serial, threaded))
+PY
 echo "check.sh: observability smoke green" \
     "($begins spans, report + trace in $build_dir)"
 

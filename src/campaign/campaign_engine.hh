@@ -3,8 +3,7 @@
  * CampaignEngine: executes a CampaignSpec's trace × platform × PDN
  * cross-product across the ParallelRunner thread pool.
  *
- * Cells are flattened platform-major and claimed in chunked ranges
- * (ParallelRunner::forEachChunked). Before the first chunk, the
+ * Cells are flattened platform-major. Before the first cell, the
  * calling thread builds every Platform (operating-point model, five
  * PDNs, ETEE characterization) and resolves every TraceSpec into
  * one PhaseSoA (workload/phase_soa.hh) that the run's cell range
@@ -12,6 +11,12 @@
  * the models hold no mutable state. Each cell runs through
  * simulateCell(), which picks the one IntervalSimulator kernel for
  * its (PDN, mode) pair.
+ *
+ * The range runs in waves of at most 256 cells per pool thread.
+ * Each wave is one ParallelRunner::forEachChunked job whose cells
+ * land at their own index; after the runner joins, the calling
+ * thread hands the wave to the sink in order. The runner's join is
+ * the engine's only synchronisation.
  *
  * Determinism contract: every cell's SimResult depends only on its
  * (trace spec, platform config, pdn, mode, tick) inputs and lands at
@@ -25,7 +30,6 @@
 #include "campaign/campaign_result.hh"
 #include "campaign/campaign_spec.hh"
 #include "common/parallel.hh"
-#include "obs/metrics.hh"
 #include "sim/sim_stats.hh"
 #include "workload/phase_soa.hh"
 
@@ -45,33 +49,6 @@ class SignalProbe;
 SimResult simulateCell(const Platform &platform, const PhaseSoA &soa,
                        PdnKind kind, SimMode mode, Time tick,
                        SignalProbe *probe = nullptr);
-
-/**
- * Aggregate execution statistics of one CampaignEngine run, summed
- * across worker threads: the denominators of throughput figures
- * (cells and phases simulated). Purely observational —
- * filling them never perturbs results.
- *
- * Since the observability layer landed this is a thin view over the
- * well-known campaign metrics (obs/metrics.hh): the engine reports
- * into the installed MetricsRegistry (installing a run-private one
- * when the caller wants stats and none is active) and fills this
- * struct from counter deltas — see campaignStatsSnapshot().
- */
-struct CampaignRunStats
-{
-    size_t cells = 0;     ///< cells simulated by this run
-    uint64_t phases = 0;  ///< trace phases stepped, over all cells
-};
-
-/**
- * Project a registry's well-known campaign counters into a
- * CampaignRunStats. Totals since the registry's construction; the
- * engine attributes a single run by subtracting a baseline snapshot
- * taken at run start.
- */
-CampaignRunStats campaignStatsSnapshot(
-    const MetricsRegistry &registry);
 
 /** Runs campaigns; stateless apart from the pool binding. */
 class CampaignEngine
@@ -95,18 +72,15 @@ class CampaignEngine
 
     /**
      * Streaming variant: cells are delivered to the sink in the same
-     * canonical order, each as soon as every earlier cell has
-     * completed. Workers emit finished chunks into per-thread shards
-     * and a single flush cursor drains the contiguous prefix;
-     * workers that run far ahead of the cursor wait for it, so the
-     * reorder buffer is bounded by a small multiple of the thread
-     * count — never the campaign size.
-     *
-     * When `stats` is non-null it is overwritten with this run's
-     * aggregate execution statistics.
+     * canonical order, on the calling thread, one wave at a time —
+     * each wave as soon as all of its cells have completed. Results
+     * are held for one wave only, so memory is bounded by a multiple
+     * of the thread count, never the campaign size. An exception
+     * from a cell is rethrown once its wave has finished, before
+     * that wave is delivered; an exception from the sink propagates
+     * directly and ends the run.
      */
-    void run(const CampaignSpec &spec, CampaignSink &sink,
-             CampaignRunStats *stats = nullptr) const;
+    void run(const CampaignSpec &spec, CampaignSink &sink) const;
 
     /**
      * Stream one contiguous range [firstCell, endCell) of the
@@ -118,8 +92,7 @@ class CampaignEngine
      * the platforms and traces the range touches are built.
      */
     void run(const CampaignSpec &spec, CampaignSink &sink,
-             size_t firstCell, size_t endCell,
-             CampaignRunStats *stats = nullptr) const;
+             size_t firstCell, size_t endCell) const;
 
   private:
     const ParallelRunner &_runner;

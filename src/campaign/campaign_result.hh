@@ -78,10 +78,10 @@ struct CampaignPdnSummary
  * Streaming consumer of campaign cells.
  *
  * CampaignEngine::run(spec, sink) delivers every cell exactly once,
- * in the canonical platform-major spec order, as soon as all earlier
- * cells have completed. Calls are serialized (never concurrent) but
- * may arrive from different worker threads; an exception thrown by
- * consume() aborts the campaign and is rethrown to the caller.
+ * in the canonical platform-major spec order, one wave of cells at a
+ * time. Every call comes from the thread that called run(), so a
+ * sink needs no locking; an exception thrown by consume() aborts the
+ * campaign and propagates to the caller.
  */
 class CampaignSink
 {

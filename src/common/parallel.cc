@@ -118,10 +118,9 @@ ParallelRunner::workerLoop()
             seen = job->gen;
         }
         size_t ran = drain(*job, _mutex);
-        // Merge this worker's metric buffer before reporting the
-        // indices finished: once the caller sees finished == n,
-        // every worker's contribution is in the registry.
-        MetricsRegistry::flushThread();
+        // Reporting the indices finished (under _mutex) is the join:
+        // once the caller sees finished == n, every effect of this
+        // worker's calls — results, metrics — happened before it.
         {
             std::lock_guard<std::mutex> lock(_mutex);
             job->finished += ran;
@@ -146,7 +145,6 @@ ParallelRunner::forEach(size_t n,
     metricSet(Metric::RunnerThreads, static_cast<double>(_threads));
     if (_workers.empty() || n == 1) {
         serial();
-        MetricsRegistry::flushThread();
         return;
     }
 
@@ -166,14 +164,12 @@ ParallelRunner::forEach(size_t n,
     }
     if (!job) {
         serial();
-        MetricsRegistry::flushThread();
         return;
     }
 
     // The calling thread participates too.
     _wake.notify_all();
     size_t ran = drain(*job, _mutex);
-    MetricsRegistry::flushThread();
     {
         std::unique_lock<std::mutex> lock(_mutex);
         job->finished += ran;

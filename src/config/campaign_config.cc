@@ -1,7 +1,5 @@
 #include "config/campaign_config.hh"
 
-#include <initializer_list>
-
 #include "common/logging.hh"
 #include "power/operating_point.hh"
 #include "workload/battery_profiles.hh"
@@ -9,13 +7,6 @@
 namespace pdnspot
 {
 
-namespace
-{
-
-/**
- * Reject members outside the schema, pointing at the stray value and
- * listing what the object accepts.
- */
 void
 rejectUnknownKeys(const JsonValue &obj, const char *what,
                   std::initializer_list<const char *> valid)
@@ -62,6 +53,9 @@ pdnKindFromJson(const JsonValue &v)
     v.fail(strprintf("unknown PDN kind \"%s\" (expected one of %s)",
                      name.c_str(), joinStrings(names).c_str()));
 }
+
+namespace
+{
 
 std::vector<PdnKind>
 pdnsFromJson(const JsonValue &v)

@@ -81,6 +81,7 @@
 #ifndef PDNSPOT_CONFIG_CAMPAIGN_CONFIG_HH
 #define PDNSPOT_CONFIG_CAMPAIGN_CONFIG_HH
 
+#include <initializer_list>
 #include <string>
 
 #include "campaign/campaign_spec.hh"
@@ -125,6 +126,24 @@ TraceSpec traceSpecFromJson(const JsonValue &value,
  * field overrides. Exposed for reuse by future tool surfaces.
  */
 PlatformConfig platformConfigFromJson(const JsonValue &value);
+
+/*
+ * Binding helpers shared by the campaign, fleet and launch spec
+ * binders; each fails at the offending value's position.
+ */
+
+/**
+ * Reject members of `obj` outside `valid`, pointing at the stray
+ * value and listing the valid keys: "unknown <what> key ...".
+ */
+void rejectUnknownKeys(const JsonValue &obj, const char *what,
+                       std::initializer_list<const char *> valid);
+
+/** A "mode" value: "static", "pmu" or "oracle". */
+SimMode simModeFromJson(const JsonValue &v);
+
+/** A PDN kind name in pdnKindToString spelling. */
+PdnKind pdnKindFromJson(const JsonValue &v);
 
 } // namespace pdnspot
 

@@ -1,7 +1,5 @@
 #include "config/fleet_config.hh"
 
-#include <initializer_list>
-
 #include "common/logging.hh"
 #include "config/campaign_config.hh"
 
@@ -10,57 +8,6 @@ namespace pdnspot
 
 namespace
 {
-
-/**
- * Reject members outside the schema, pointing at the stray value and
- * listing what the object accepts.
- */
-void
-rejectUnknownKeys(const JsonValue &obj, const char *what,
-                  std::initializer_list<const char *> valid)
-{
-    for (const JsonValue::Member &m : obj.members()) {
-        bool known = false;
-        for (const char *key : valid)
-            known = known || m.first == key;
-        if (!known) {
-            std::vector<std::string> names(valid.begin(),
-                                           valid.end());
-            m.second.fail(strprintf(
-                "unknown %s key \"%s\" (valid keys: %s)", what,
-                m.first.c_str(), joinStrings(names).c_str()));
-        }
-    }
-}
-
-SimMode
-simModeFromJson(const JsonValue &v)
-{
-    const std::string &name = v.asString();
-    for (SimMode mode :
-         {SimMode::Static, SimMode::Pmu, SimMode::Oracle}) {
-        if (toString(mode) == name)
-            return mode;
-    }
-    v.fail(strprintf("unknown simulation mode \"%s\" (expected "
-                     "static, pmu or oracle)",
-                     name.c_str()));
-}
-
-PdnKind
-pdnKindFromJson(const JsonValue &v)
-{
-    const std::string &name = v.asString();
-    for (PdnKind kind : allPdnKinds) {
-        if (pdnKindToString(kind) == name)
-            return kind;
-    }
-    std::vector<std::string> names;
-    for (PdnKind kind : allPdnKinds)
-        names.push_back(pdnKindToString(kind));
-    v.fail(strprintf("unknown PDN kind \"%s\" (expected one of %s)",
-                     name.c_str(), joinStrings(names).c_str()));
-}
 
 /** A positive finite number bound as a duration of `unit` scale. */
 double

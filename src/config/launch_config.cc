@@ -1,35 +1,10 @@
 #include "config/launch_config.hh"
 
 #include "common/logging.hh"
+#include "config/campaign_config.hh"
 
 namespace pdnspot
 {
-
-namespace
-{
-
-/** Mirrors campaign_config.cc's unknown-key policy. */
-void
-rejectUnknownLaunchKeys(const JsonValue &obj)
-{
-    static const char *valid[] = {"shards",  "jobs",
-                                  "timeout_s", "retries",
-                                  "backoff_ms", "seed"};
-    for (const JsonValue::Member &m : obj.members()) {
-        bool known = false;
-        for (const char *key : valid)
-            known = known || m.first == key;
-        if (!known) {
-            std::vector<std::string> names(std::begin(valid),
-                                           std::end(valid));
-            m.second.fail(strprintf(
-                "unknown \"launch\" key \"%s\" (valid keys: %s)",
-                m.first.c_str(), joinStrings(names).c_str()));
-        }
-    }
-}
-
-} // namespace
 
 void
 LaunchSpec::validate() const
@@ -55,7 +30,9 @@ launchSpecFromJson(const JsonValue &root)
     const JsonValue *launch = root.find("launch");
     if (!launch)
         return spec;
-    rejectUnknownLaunchKeys(*launch);
+    rejectUnknownKeys(*launch, "\"launch\"",
+                      {"shards", "jobs", "timeout_s", "retries",
+                       "backoff_ms", "seed"});
 
     if (const JsonValue *shards = launch->find("shards"))
         spec.shards = static_cast<size_t>(

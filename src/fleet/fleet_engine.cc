@@ -495,7 +495,6 @@ FleetEngine::run(const FleetSpec &spec,
             r->add(metrics.deaths, result.deaths);
             r->add(metrics.switches, result.totalSwitches);
             r->add(metrics.stormBuckets, result.stormBuckets);
-            MetricsRegistry::flushThread();
         }
     }
 

@@ -1,5 +1,6 @@
 #include "obs/metrics.hh"
 
+#include <array>
 #include <atomic>
 #include <cmath>
 
@@ -11,15 +12,8 @@ namespace pdnspot
 namespace
 {
 
-/**
- * Process-wide installation state. The epoch increments on every
- * install/uninstall, so a thread buffer bound to an earlier epoch
- * detects staleness with one comparison — no dangling pointer is
- * ever dereferenced, because the buffer rebinding discards stale
- * contents before touching the (new) registry.
- */
+/** The installed registry; null while metrics collection is off. */
 std::atomic<MetricsRegistry *> g_installed{nullptr};
-std::atomic<uint64_t> g_epoch{0};
 
 struct WellKnownDef
 {
@@ -73,24 +67,6 @@ metricKind(Metric metric)
     return wellKnown[static_cast<size_t>(metric)].kind;
 }
 
-/**
- * One thread's accumulation buffer: counter and histogram deltas
- * since the last flush, plus a copy of the id -> (kind, slot) map so
- * the hot add/observe path never takes the registry mutex. Bound to
- * one (registry, epoch) pair; a stale binding resets on next use.
- */
-struct MetricsRegistry::ThreadBuffer
-{
-    MetricsRegistry *registry = nullptr;
-    uint64_t epoch = 0;
-    bool dirty = false;
-
-    /** (kind, slot) per metric id, copied from the registry. */
-    std::vector<std::pair<MetricKind, size_t>> defs;
-    std::vector<uint64_t> counters;
-    std::vector<HistogramCell> histograms;
-};
-
 size_t
 histogramBucketIndex(double value)
 {
@@ -122,42 +98,6 @@ histogramObserve(MetricSnapshot &snapshot, double value)
     ++snapshot.buckets[bucket];
 }
 
-void
-MetricsRegistry::HistogramCell::observe(double value)
-{
-    if (count == 0) {
-        min = max = value;
-    } else {
-        if (value < min)
-            min = value;
-        if (value > max)
-            max = value;
-    }
-    ++count;
-    sum += value;
-    ++buckets[histogramBucketIndex(value)];
-}
-
-void
-MetricsRegistry::HistogramCell::merge(const HistogramCell &other)
-{
-    if (other.count == 0)
-        return;
-    if (count == 0) {
-        min = other.min;
-        max = other.max;
-    } else {
-        if (other.min < min)
-            min = other.min;
-        if (other.max > max)
-            max = other.max;
-    }
-    count += other.count;
-    sum += other.sum;
-    for (size_t b = 0; b < histogramBuckets; ++b)
-        buckets[b] += other.buckets[b];
-}
-
 MetricsRegistry::MetricsRegistry()
 {
     for (const WellKnownDef &def : wellKnown)
@@ -166,10 +106,8 @@ MetricsRegistry::MetricsRegistry()
 
 MetricsRegistry::~MetricsRegistry()
 {
-    // Thread buffers never dereference a registry whose epoch they
-    // were not bound under, so a registry may die while buffers
-    // still name it — but dying while *installed* would leave
-    // current() dangling for concurrent threads.
+    // Dying while installed would leave current() dangling for
+    // concurrent threads.
     if (g_installed.load(std::memory_order_relaxed) == this)
         panic("MetricsRegistry destroyed while installed");
 }
@@ -218,67 +156,27 @@ MetricsRegistry::metricCount() const
     return _defs.size();
 }
 
-MetricsRegistry::ThreadBuffer &
-MetricsRegistry::threadBuffer()
-{
-    thread_local ThreadBuffer buffer;
-    return buffer;
-}
-
-void
-MetricsRegistry::bind(ThreadBuffer &buffer, uint64_t epoch)
-{
-    // Stale contents belong to a detached installation (or an older
-    // def map) and were either flushed already or are best-effort
-    // losses; never merge them across epochs.
-    buffer.registry = this;
-    buffer.epoch = epoch;
-    buffer.dirty = false;
-
-    std::lock_guard<std::mutex> lock(_mutex);
-    buffer.defs.clear();
-    buffer.defs.reserve(_defs.size());
-    for (const MetricDef &def : _defs)
-        buffer.defs.emplace_back(def.kind, def.slot);
-    buffer.counters.assign(_counters.size(), 0);
-    buffer.histograms.assign(_histograms.size(), HistogramCell{});
-}
-
 void
 MetricsRegistry::add(size_t id, uint64_t n)
 {
-    ThreadBuffer &buffer = threadBuffer();
-    uint64_t epoch = g_epoch.load(std::memory_order_acquire);
-    if (buffer.registry != this || buffer.epoch != epoch ||
-        id >= buffer.defs.size())
-        bind(buffer, epoch);
-    if (id >= buffer.defs.size() ||
-        buffer.defs[id].first != MetricKind::Counter)
+    std::lock_guard<std::mutex> lock(_mutex);
+    if (id >= _defs.size() || _defs[id].kind != MetricKind::Counter)
         panic("MetricsRegistry::add: not a counter id");
-    buffer.counters[buffer.defs[id].second] += n;
-    buffer.dirty = true;
+    _counters[_defs[id].slot] += n;
 }
 
 void
 MetricsRegistry::observe(size_t id, double value)
 {
-    ThreadBuffer &buffer = threadBuffer();
-    uint64_t epoch = g_epoch.load(std::memory_order_acquire);
-    if (buffer.registry != this || buffer.epoch != epoch ||
-        id >= buffer.defs.size())
-        bind(buffer, epoch);
-    if (id >= buffer.defs.size() ||
-        buffer.defs[id].first != MetricKind::Histogram)
+    std::lock_guard<std::mutex> lock(_mutex);
+    if (id >= _defs.size() || _defs[id].kind != MetricKind::Histogram)
         panic("MetricsRegistry::observe: not a histogram id");
-    buffer.histograms[buffer.defs[id].second].observe(value);
-    buffer.dirty = true;
+    histogramObserve(_histograms[_defs[id].slot], value);
 }
 
 void
 MetricsRegistry::set(size_t id, double value)
 {
-    // Gauges are set rarely (run shape, not per-cell activity):
-    // write through so the value is visible without a flush.
     std::lock_guard<std::mutex> lock(_mutex);
     if (id >= _defs.size() || _defs[id].kind != MetricKind::Gauge)
         panic("MetricsRegistry::set: not a gauge id");
@@ -291,33 +189,6 @@ MetricsRegistry::current()
     return g_installed.load(std::memory_order_relaxed);
 }
 
-void
-MetricsRegistry::flushThread()
-{
-    MetricsRegistry *registry = current();
-    if (!registry)
-        return;
-    ThreadBuffer &buffer = threadBuffer();
-    if (!buffer.dirty || buffer.registry != registry ||
-        buffer.epoch != g_epoch.load(std::memory_order_acquire))
-        return;
-    registry->mergeBuffer(buffer);
-}
-
-void
-MetricsRegistry::mergeBuffer(ThreadBuffer &buffer)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    for (size_t s = 0; s < buffer.counters.size(); ++s)
-        _counters[s] += buffer.counters[s];
-    for (size_t s = 0; s < buffer.histograms.size(); ++s)
-        _histograms[s].merge(buffer.histograms[s]);
-    buffer.counters.assign(buffer.counters.size(), 0);
-    buffer.histograms.assign(buffer.histograms.size(),
-                             HistogramCell{});
-    buffer.dirty = false;
-}
-
 std::vector<MetricSnapshot>
 MetricsRegistry::snapshot() const
 {
@@ -326,30 +197,14 @@ MetricsRegistry::snapshot() const
     out.reserve(_defs.size());
     for (const MetricDef &def : _defs) {
         MetricSnapshot s;
+        if (def.kind == MetricKind::Histogram)
+            s = _histograms[def.slot];
         s.name = def.name;
         s.kind = def.kind;
-        switch (def.kind) {
-          case MetricKind::Counter:
+        if (def.kind == MetricKind::Counter)
             s.count = _counters[def.slot];
-            break;
-          case MetricKind::Gauge:
+        else if (def.kind == MetricKind::Gauge)
             s.value = _gauges[def.slot];
-            break;
-          case MetricKind::Histogram: {
-            const HistogramCell &h = _histograms[def.slot];
-            s.count = h.count;
-            s.value = h.sum;
-            s.min = h.min;
-            s.max = h.max;
-            size_t last = histogramBuckets;
-            while (last > 0 && h.buckets[last - 1] == 0)
-                --last;
-            s.buckets.assign(h.buckets.begin(),
-                             h.buckets.begin() +
-                                 static_cast<ptrdiff_t>(last));
-            break;
-          }
-        }
         out.push_back(std::move(s));
     }
     return out;
@@ -405,13 +260,11 @@ MetricsInstallation::MetricsInstallation(MetricsRegistry &registry)
     : _previous(g_installed.load(std::memory_order_relaxed))
 {
     g_installed.store(&registry, std::memory_order_relaxed);
-    _epoch = g_epoch.fetch_add(1, std::memory_order_acq_rel) + 1;
 }
 
 MetricsInstallation::~MetricsInstallation()
 {
     g_installed.store(_previous, std::memory_order_relaxed);
-    g_epoch.fetch_add(1, std::memory_order_acq_rel);
 }
 
 } // namespace pdnspot

@@ -3,12 +3,13 @@
  * MetricsRegistry: a registry of named counters, gauges and
  * histograms — the campaign observability substrate.
  *
- * The campaign engine, interval simulator, ParallelRunner and
- * TraceSpec resolution all report into one registry through
- * thread-local accumulation buffers that merge at chunk boundaries,
- * so hot paths never contend on shared counters. CampaignRunStats is now a
- * thin snapshot view over the well-known campaign metrics
- * (campaignStatsSnapshot in campaign_engine.hh), and the run report
+ * The campaign engine, interval simulator, ParallelRunner, fleet
+ * engine and TraceSpec resolution all report into one registry,
+ * which guards its counters and histograms with a single mutex.
+ * Every instrumentation site is coarse — once per cell, chunk, job,
+ * bucket or trace resolve, never per simulator tick — so the lock is
+ * rarely contended, and a value is visible to snapshot() as soon as
+ * the call that wrote it returns. The run report
  * (obs/run_report.hh) serializes the full snapshot.
  *
  * Zero-overhead-when-disabled contract: instrumentation sites call
@@ -20,13 +21,12 @@
  * Installation is process-wide (MetricsInstallation): one campaign
  * at a time is the supported shape. Installing a second registry
  * retargets new increments at it; the previous registry keeps the
- * totals merged so far.
+ * totals written so far.
  */
 
 #ifndef PDNSPOT_OBS_METRICS_HH
 #define PDNSPOT_OBS_METRICS_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -118,26 +118,22 @@ double histogramQuantile(const MetricSnapshot &snapshot, double q);
 size_t histogramBucketIndex(double value);
 
 /**
- * Accumulate one sample into a standalone histogram snapshot:
- * count/sum/min/max plus the log2 bucket counts, matching what a
- * registry-held histogram would produce for the same samples. Lets
- * subsystems (the fleet aggregator's battery-life distributions)
- * build distribution snapshots outside a registry and still print
- * them via histogramQuantile. Sets the snapshot's kind to Histogram
- * and grows its buckets vector as needed (trailing zero buckets stay
- * trimmed, matching MetricsRegistry::snapshot()).
+ * Accumulate one sample into a histogram snapshot: count/sum/min/max
+ * plus the log2 bucket counts. This is how registry-held histograms
+ * accumulate too, so subsystems (the fleet aggregator's battery-life
+ * distributions) can build distribution snapshots outside a registry
+ * and still print them via histogramQuantile. Sets the snapshot's
+ * kind to Histogram and grows its buckets vector as needed, so
+ * trailing zero buckets stay trimmed.
  */
 void histogramObserve(MetricSnapshot &snapshot, double value);
 
 /**
  * A registry instance. The well-known Metric enum is pre-registered;
  * further metrics can be registered by name at any time (ids are
- * dense and stable for the registry's lifetime). Thread-side
- * mutation goes through per-thread buffers; snapshot() sees
- * everything merged by the most recent flush of each thread
- * (flushThread — the engine flushes at chunk boundaries and the
- * ParallelRunner after every drain, so a joined run is fully
- * merged).
+ * dense and stable for the registry's lifetime). Every operation
+ * takes the registry's mutex, so any thread may call any of them;
+ * snapshot() sees every write that has returned.
  */
 class MetricsRegistry
 {
@@ -160,11 +156,13 @@ class MetricsRegistry
 
     size_t metricCount() const;
 
-    /** Thread-side ops, accumulated in this thread's buffer. */
+    /** Add to a counter; panics unless id is a counter. */
     void add(size_t id, uint64_t n = 1);
+
+    /** Record a histogram sample; panics unless id is a histogram. */
     void observe(size_t id, double value);
 
-    /** Gauges write through immediately (no buffering). */
+    /** Overwrite a gauge; panics unless id is a gauge. */
     void set(size_t id, double value);
 
     /**
@@ -174,22 +172,13 @@ class MetricsRegistry
     static MetricsRegistry *current();
 
     /**
-     * Merge the calling thread's buffer into the installed registry
-     * and reset it. A no-op when no registry is installed or the
-     * buffer is empty. Instrumented subsystems call this at their
-     * natural merge points (chunk boundaries, job drains).
-     */
-    static void flushThread();
-
-    /**
-     * Everything merged so far, in registration order (well-known
-     * metrics first). Call after the producing threads have joined
-     * or flushed; concurrent flushes are safe but make the snapshot
-     * a point-in-time cut.
+     * Everything written so far, in registration order (well-known
+     * metrics first). Safe while other threads write; the result is
+     * then a point-in-time cut.
      */
     std::vector<MetricSnapshot> snapshot() const;
 
-    /** One counter's merged value; fatal() unless id is a counter. */
+    /** One counter's value; panics unless id is a counter. */
     uint64_t counterValue(size_t id) const;
     uint64_t counterValue(Metric m) const
     {
@@ -197,9 +186,6 @@ class MetricsRegistry
     }
 
   private:
-    friend class MetricsInstallation;
-    struct ThreadBuffer;
-
     struct MetricDef
     {
         std::string name;
@@ -207,35 +193,20 @@ class MetricsRegistry
         size_t slot = 0; ///< dense per-kind storage index
     };
 
-    struct HistogramCell
-    {
-        uint64_t count = 0;
-        double sum = 0.0;
-        double min = 0.0;
-        double max = 0.0;
-        std::array<uint64_t, histogramBuckets> buckets{};
-
-        void observe(double value);
-        void merge(const HistogramCell &other);
-    };
-
-    static ThreadBuffer &threadBuffer();
-    void bind(ThreadBuffer &buffer, uint64_t epoch);
-    void mergeBuffer(ThreadBuffer &buffer);
-
     mutable std::mutex _mutex;
     std::vector<MetricDef> _defs;
     std::vector<uint64_t> _counters;
     std::vector<double> _gauges;
-    std::vector<HistogramCell> _histograms;
+    /** Histograms accumulate through histogramObserve. */
+    std::vector<MetricSnapshot> _histograms;
 };
 
 /**
  * RAII process-wide installation: while alive, current() returns the
- * registry and instrumentation is live. Destruction (or a newer
- * installation) detaches it; thread buffers bound to a detached
- * epoch are discarded on their next use, so flush everything that
- * matters (join the run) before uninstalling.
+ * registry and instrumentation is live. Destruction restores the
+ * previously installed registry (or none). Join the run before
+ * uninstalling: a write that races the uninstall may land in either
+ * registry.
  */
 class MetricsInstallation
 {
@@ -249,7 +220,6 @@ class MetricsInstallation
 
   private:
     MetricsRegistry *_previous;
-    uint64_t _epoch;
 };
 
 /** Instrumentation-site helpers: no-ops while no registry is

@@ -12,13 +12,13 @@ namespace
 {
 
 /**
- * Installation state, same idiom as obs/metrics.cc: the epoch
- * increments on every install/uninstall so a thread's cached log
- * pointer detects staleness with one comparison and never aliases a
- * recorder reallocated at the same address.
+ * Installation state: the span epoch increments on every
+ * install/uninstall so a thread's cached log pointer detects
+ * staleness with one comparison and never aliases a recorder
+ * reallocated at the same address.
  */
 std::atomic<SpanRecorder *> g_installed{nullptr};
-std::atomic<uint64_t> g_epoch{0};
+std::atomic<uint64_t> g_spanEpoch{0};
 
 struct ThreadSlot
 {
@@ -60,7 +60,7 @@ SpanRecorder::ThreadLog &
 SpanRecorder::threadLog()
 {
     ThreadSlot &slot = threadSlot();
-    uint64_t epoch = g_epoch.load(std::memory_order_acquire);
+    uint64_t epoch = g_spanEpoch.load(std::memory_order_acquire);
     if (slot.recorder != this || slot.epoch != epoch) {
         std::lock_guard<std::mutex> lock(_mutex);
         auto log = std::make_unique<ThreadLog>();
@@ -228,13 +228,13 @@ SpanInstallation::SpanInstallation(SpanRecorder &recorder)
     : _previous(g_installed.load(std::memory_order_relaxed))
 {
     g_installed.store(&recorder, std::memory_order_relaxed);
-    g_epoch.fetch_add(1, std::memory_order_acq_rel);
+    g_spanEpoch.fetch_add(1, std::memory_order_acq_rel);
 }
 
 SpanInstallation::~SpanInstallation()
 {
     g_installed.store(_previous, std::memory_order_relaxed);
-    g_epoch.fetch_add(1, std::memory_order_acq_rel);
+    g_spanEpoch.fetch_add(1, std::memory_order_acq_rel);
 }
 
 } // namespace pdnspot

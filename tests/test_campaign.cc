@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -457,8 +458,8 @@ TEST(CampaignEngineTest, SinkExceptionAbortsTheCampaign)
     FailingSink sink;
     EXPECT_THROW(CampaignEngine(runner).run(spec, sink),
                  std::runtime_error);
-    // Nothing may reach the sink after the failure.
-    EXPECT_LE(sink.delivered, 2u);
+    // Nothing reaches the sink after the failure.
+    EXPECT_EQ(sink.delivered, 2u);
 }
 
 TEST(CampaignEngineTest, RunStatsAreConsistentAndThreadInvariant)
@@ -477,24 +478,108 @@ TEST(CampaignEngineTest, RunStatsAreConsistentAndThreadInvariant)
         phaseTotal += t.resolve().phases().size();
     phaseTotal *= spec.platforms.size() * spec.pdns.size();
 
-    CampaignRunStats serial;
-    {
-        ParallelRunner runner(1);
-        CountingSink sink;
-        CampaignEngine(runner).run(spec, sink, &serial);
-        EXPECT_EQ(sink.delivered, spec.cellCount());
-    }
-    EXPECT_EQ(serial.cells, spec.cellCount());
-    EXPECT_EQ(serial.phases, phaseTotal);
-
-    for (unsigned threads : {2u, 8u}) {
+    for (unsigned threads : {1u, 2u, 8u}) {
         ParallelRunner runner(threads);
+        MetricsRegistry registry;
         CountingSink sink;
-        CampaignRunStats stats;
-        CampaignEngine(runner).run(spec, sink, &stats);
-        EXPECT_EQ(stats.cells, serial.cells) << threads;
-        EXPECT_EQ(stats.phases, serial.phases) << threads;
+        {
+            MetricsInstallation install(registry);
+            CampaignEngine(runner).run(spec, sink);
+        }
+        EXPECT_EQ(sink.delivered, spec.cellCount()) << threads;
+        EXPECT_EQ(registry.counterValue(Metric::CampaignCells),
+                  spec.cellCount())
+            << threads;
+        EXPECT_EQ(registry.counterValue(Metric::CampaignPhases),
+                  phaseTotal)
+            << threads;
     }
+}
+
+TEST(CampaignEngineTest, SinkRunsOnCallingThread)
+{
+    /** Counts deliveries that arrive on another thread. */
+    class ThreadCheckingSink : public CampaignSink
+    {
+      public:
+        void
+        consume(CampaignCellResult) override
+        {
+            ++delivered;
+            if (std::this_thread::get_id() != caller)
+                ++foreign;
+        }
+
+        std::thread::id caller = std::this_thread::get_id();
+        size_t delivered = 0;
+        size_t foreign = 0;
+    };
+
+    CampaignSpec spec = smallSpec(SimMode::Static);
+    for (unsigned threads : {1u, 2u, 8u}) {
+        ParallelRunner runner(threads);
+        ThreadCheckingSink sink;
+        CampaignEngine(runner).run(spec, sink);
+        EXPECT_EQ(sink.delivered, spec.cellCount()) << threads;
+        EXPECT_EQ(sink.foreign, 0u) << threads;
+    }
+}
+
+TEST(CampaignEngineTest, FirstWaveIsDeliveredBeforeLaterWavesRun)
+{
+    // 60 one-phase traces x 1 platform x 5 PDNs = 300 cells: more
+    // than one wave on a one-thread pool, so the engine must hand
+    // the first wave to the sink before it simulates the rest.
+    CampaignSpec spec;
+    for (uint64_t t = 0; t < 60; ++t) {
+        TraceGeneratorSpec one;
+        one.kind = "random-mix";
+        one.seed = t;
+        one.phases = 1;
+        one.meanPhaseLen = milliseconds(1.0);
+        spec.traces.push_back(TraceSpec::generator(one).rename(
+            "one-phase-" + std::to_string(t)));
+    }
+    spec.platforms = {ultraportablePreset()};
+    spec.pdns = {allPdnKinds.begin(), allPdnKinds.end()};
+    spec.mode = SimMode::Static;
+    ASSERT_EQ(spec.cellCount(), 300u);
+
+    /** Records the simulated-cell count at the first delivery. */
+    class FirstDeliverySink : public CampaignSink
+    {
+      public:
+        explicit FirstDeliverySink(const MetricsRegistry &registry)
+            : _registry(registry)
+        {}
+
+        void
+        consume(CampaignCellResult) override
+        {
+            if (delivered++ == 0)
+                cellsAtFirst =
+                    _registry.counterValue(Metric::CampaignCells);
+        }
+
+        size_t delivered = 0;
+        uint64_t cellsAtFirst = 0;
+
+      private:
+        const MetricsRegistry &_registry;
+    };
+
+    ParallelRunner serial(1);
+    MetricsRegistry registry;
+    FirstDeliverySink sink(registry);
+    {
+        MetricsInstallation install(registry);
+        CampaignEngine(serial).run(spec, sink);
+    }
+    EXPECT_EQ(sink.delivered, spec.cellCount());
+    EXPECT_GT(sink.cellsAtFirst, 0u);
+    EXPECT_LT(sink.cellsAtFirst, spec.cellCount());
+    EXPECT_EQ(registry.counterValue(Metric::CampaignCells),
+              spec.cellCount());
 }
 
 TEST(CampaignEngineTest, BuildsEachPlatformAndTraceOncePerRun)

@@ -369,7 +369,6 @@ TEST(FleetBatteryTest, HistogramObserveMatchesTheRegistry)
                                      MetricKind::Histogram);
         for (double v : samples)
             registry.observe(id, v);
-        MetricsRegistry::flushThread();
     }
     MetricSnapshot fromRegistry;
     for (const MetricSnapshot &snap : registry.snapshot())

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the observability layer (src/obs): the metrics registry
- * and its thread-buffer merge protocol, the span recorder's B/E
+ * under concurrent writers, the span recorder's B/E
  * balance guarantees under nesting/drops/open spans, the swappable
  * log sink, and the run-report document (provenance hash and the
  * golden-file canonicalization).
@@ -68,9 +68,6 @@ TEST(MetricsRegistryTest, CounterAccumulatesThroughHelpers)
         EXPECT_EQ(MetricsRegistry::current(), &registry);
         metricAdd(Metric::CampaignCells);
         metricAdd(Metric::CampaignCells, 4);
-        // Buffered: nothing merged until the thread flushes.
-        EXPECT_EQ(registry.counterValue(Metric::CampaignCells), 0u);
-        MetricsRegistry::flushThread();
         EXPECT_EQ(registry.counterValue(Metric::CampaignCells), 5u);
     }
     EXPECT_EQ(MetricsRegistry::current(), nullptr);
@@ -82,11 +79,6 @@ TEST(MetricsRegistryTest, HelpersAreNoOpsWhileUninstalled)
     metricAdd(Metric::CampaignCells, 100);
     metricObserve(Metric::CampaignCellMicros, 3.0);
     metricSet(Metric::RunnerThreads, 8.0);
-    MetricsRegistry::flushThread();
-    {
-        MetricsInstallation install(registry);
-        MetricsRegistry::flushThread();
-    }
     for (const MetricSnapshot &m : registry.snapshot()) {
         EXPECT_EQ(m.count, 0u) << m.name;
         EXPECT_EQ(m.value, 0.0) << m.name;
@@ -113,7 +105,6 @@ TEST(MetricsRegistryTest, HistogramBucketsCountSumMinMax)
     metricObserve(Metric::CampaignCellMicros, 1.0);    // bucket 1
     metricObserve(Metric::CampaignCellMicros, 3.0);    // bucket 2
     metricObserve(Metric::CampaignCellMicros, 1000.0); // bucket 10
-    MetricsRegistry::flushThread();
 
     MetricSnapshot h = registry.snapshot()[static_cast<size_t>(
         Metric::CampaignCellMicros)];
@@ -131,21 +122,33 @@ TEST(MetricsRegistryTest, HistogramBucketsCountSumMinMax)
     EXPECT_EQ(h.buckets[5], 0u);
 }
 
-TEST(MetricsRegistryTest, WorkerThreadBuffersMergeOnFlush)
+TEST(MetricsRegistryTest, ConcurrentWorkersLoseNoIncrements)
 {
     MetricsRegistry registry;
     MetricsInstallation install(registry);
     std::vector<std::thread> workers;
     for (int t = 0; t < 4; ++t) {
-        workers.emplace_back([] {
-            for (int i = 0; i < 100; ++i)
+        workers.emplace_back([t] {
+            for (int i = 0; i < 1000; ++i) {
                 metricAdd(Metric::CampaignCells);
-            MetricsRegistry::flushThread();
+                metricObserve(Metric::CampaignCellMicros,
+                              static_cast<double>(t + 1));
+            }
         });
     }
     for (std::thread &w : workers)
         w.join();
-    EXPECT_EQ(registry.counterValue(Metric::CampaignCells), 400u);
+    EXPECT_EQ(registry.counterValue(Metric::CampaignCells), 4000u);
+
+    // Worker t observed 1000 samples of t + 1: buckets 1, 2, 2, 3.
+    MetricSnapshot h = registry.snapshot()[static_cast<size_t>(
+        Metric::CampaignCellMicros)];
+    EXPECT_EQ(h.count, 4000u);
+    EXPECT_EQ(h.value, 10000.0);
+    EXPECT_EQ(h.min, 1.0);
+    EXPECT_EQ(h.max, 4.0);
+    EXPECT_EQ(h.buckets,
+              (std::vector<uint64_t>{0u, 1000u, 2000u, 1000u}));
 }
 
 TEST(MetricsRegistryTest, ReinstallationRetargetsNewIncrements)
@@ -155,16 +158,13 @@ TEST(MetricsRegistryTest, ReinstallationRetargetsNewIncrements)
     {
         MetricsInstallation install(first);
         metricAdd(Metric::CampaignCells, 2);
-        MetricsRegistry::flushThread();
         {
             // A newer installation shadows; the inner scope's
             // increments land in `second` only.
             MetricsInstallation shadow(second);
             metricAdd(Metric::CampaignCells, 7);
-            MetricsRegistry::flushThread();
         }
         metricAdd(Metric::CampaignCells, 1);
-        MetricsRegistry::flushThread();
     }
     EXPECT_EQ(first.counterValue(Metric::CampaignCells), 3u);
     EXPECT_EQ(second.counterValue(Metric::CampaignCells), 7u);
@@ -202,22 +202,10 @@ TEST(MetricsRegistryTest, KindMismatchPanics)
         ModelError);
 }
 
-TEST(MetricsRegistryTest, CampaignStatsSnapshotProjectsCounters)
-{
-    MetricsRegistry registry;
-    MetricsInstallation install(registry);
-    metricAdd(Metric::CampaignCells, 12);
-    metricAdd(Metric::CampaignPhases, 240);
-    MetricsRegistry::flushThread();
-
-    CampaignRunStats stats = campaignStatsSnapshot(registry);
-    EXPECT_EQ(stats.cells, 12u);
-    EXPECT_EQ(stats.phases, 240u);
-}
-
 // A campaign run with a caller-installed registry banks its activity
-// there, and the CSV rows are identical to an uninstrumented run —
-// the zero-perturbation half of the observability contract.
+// there at any thread count, and the CSV rows are identical to an
+// uninstrumented run — the zero-perturbation half of the
+// observability contract.
 TEST(MetricsRegistryTest, EngineReportsIntoInstalledRegistry)
 {
     TraceGeneratorSpec mix;
@@ -232,31 +220,38 @@ TEST(MetricsRegistryTest, EngineReportsIntoInstalledRegistry)
     spec.pdns = {PdnKind::IVR, PdnKind::FlexWatts};
     spec.mode = SimMode::Static;
 
-    ParallelRunner serial(1);
-    CampaignEngine engine(serial);
+    const uint64_t phases = spec.traces[0].resolve().phases().size();
 
     std::ostringstream plainCsv;
     {
+        ParallelRunner serial(1);
         CampaignCsvSink sink(plainCsv);
-        engine.run(spec, sink);
+        CampaignEngine(serial).run(spec, sink);
     }
 
-    MetricsRegistry registry;
-    std::ostringstream observedCsv;
-    CampaignRunStats stats;
-    {
-        MetricsInstallation install(registry);
-        CampaignCsvSink sink(observedCsv);
-        engine.run(spec, sink, &stats);
-    }
+    for (unsigned threads : {1u, 2u, 8u}) {
+        ParallelRunner runner(threads);
+        MetricsRegistry registry;
+        std::ostringstream observedCsv;
+        {
+            MetricsInstallation install(registry);
+            CampaignCsvSink sink(observedCsv);
+            CampaignEngine(runner).run(spec, sink);
+        }
 
-    EXPECT_EQ(observedCsv.str(), plainCsv.str());
-    EXPECT_EQ(stats.cells, 2u);
-    EXPECT_GT(stats.phases, 0u);
-    EXPECT_EQ(registry.counterValue(Metric::CampaignCells), 2u);
-    EXPECT_GE(registry.counterValue(Metric::CampaignChunks), 1u);
-    EXPECT_EQ(registry.counterValue(Metric::TraceResolves), 1u);
-    EXPECT_EQ(registry.counterValue(Metric::SimRunsStatic), 2u);
+        EXPECT_EQ(observedCsv.str(), plainCsv.str()) << threads;
+        EXPECT_EQ(registry.counterValue(Metric::CampaignCells), 2u)
+            << threads;
+        EXPECT_EQ(registry.counterValue(Metric::CampaignPhases),
+                  2 * phases)
+            << threads;
+        EXPECT_GE(registry.counterValue(Metric::CampaignChunks), 1u)
+            << threads;
+        EXPECT_EQ(registry.counterValue(Metric::TraceResolves), 1u)
+            << threads;
+        EXPECT_EQ(registry.counterValue(Metric::SimRunsStatic), 2u)
+            << threads;
+    }
 }
 
 // ---------------------------------------------------------------
@@ -500,7 +495,6 @@ TEST(RunReportTest, ReportCarriesProvenanceAndMetrics)
         MetricsInstallation install(registry);
         metricAdd(Metric::CampaignCells, 10);
         metricObserve(Metric::CampaignCellMicros, 2.0);
-        MetricsRegistry::flushThread();
     }
 
     JsonValue report =
@@ -545,7 +539,6 @@ TEST(RunReportTest, CanonicalizationPinsVolatileMembers)
         metricAdd(Metric::CampaignCells, 10);
         metricObserve(Metric::CampaignCellMicros, 2.0);
         metricObserve(Metric::CampaignCellMicros, 64.0);
-        MetricsRegistry::flushThread();
     }
 
     JsonValue canon = canonicalizeRunReport(
