@@ -8,7 +8,7 @@
 #include "bench_util.hh"
 
 #include "common/table.hh"
-#include "flexwatts/hybrid_vr.hh"
+#include "flexwatts/flexwatts_pdn.hh"
 
 namespace
 {
@@ -33,15 +33,11 @@ printFigure()
     t.print(std::cout);
 
     bench::banner("Sec. 6 - FlexWatts on-die area overhead");
+    double rail_mm2 =
+        inSquareMillimetres(FlexWattsPdn::ldoModeAreaOverhead());
     std::cout << "LDO-mode overhead per hybrid rail: "
-              << AsciiTable::num(inSquareMillimetres(
-                                     HybridVr::ldoModeAreaOverhead()),
-                                 3)
-              << " mm^2 (4 rails: "
-              << AsciiTable::num(
-                     4.0 * inSquareMillimetres(
-                               HybridVr::ldoModeAreaOverhead()),
-                     3)
+              << AsciiTable::num(rail_mm2, 3) << " mm^2 (4 rails: "
+              << AsciiTable::num(4.0 * rail_mm2, 3)
               << " mm^2; ~0.03-0.04% of a client die)\n\n";
 }
 

@@ -74,7 +74,7 @@ printSummary()
 {
     bench::banner("ParallelRunner sweep fan-out");
     std::cout << "hardware threads: "
-              << ParallelRunner::global().threadCount() << "\n"
+              << ParallelRunner().threadCount() << "\n"
               << "dense sweep: " << denseTdps().size() << " TDPs x "
               << allPdnKinds.size() << " PDN kinds\n\n";
 }

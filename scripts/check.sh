@@ -116,7 +116,8 @@ cmp "$smoke_dir/cpp.csv" "$smoke_dir/obs8.csv"
 grep -q '"schema": "pdnspot-report-1"' "$build_dir/paper_report.json"
 begins=$(grep -c '"ph": "B"' "$build_dir/paper_trace.json")
 ends=$(grep -c '"ph": "E"' "$build_dir/paper_trace.json")
-test "$begins" -gt 0 && test "$begins" -eq "$ends"
+test "$begins" -gt 0
+test "$begins" -eq "$ends"
 # The registry's counters are written concurrently by the 8-thread
 # run's workers; the thread-invariant ones must equal the serial
 # run's exactly.
@@ -207,6 +208,26 @@ grep -q "fleet: 4000 sessions in 2 cohorts" \
 grep -q "fleet: 1000000 sessions" "$smoke_dir/million.txt"
 echo "check.sh: fleet smoke green" \
     "(summary + aggregates in $build_dir)"
+
+# Fleet observability smoke: the exporters must not perturb the
+# fleet either — its CSV stays byte-identical with
+# --report/--trace-events/--progress at 1 and 8 threads — and each
+# span trace is balanced and labelled with the fleet tool's name.
+for threads in 1 8; do
+    "$build_dir"/tools/pdnspot_fleet examples/specs/fleet_study.json \
+        --threads $threads -o "$smoke_dir/fleet_obs$threads.csv" \
+        --report "$smoke_dir/fleet_report$threads.json" \
+        --trace-events "$smoke_dir/fleet_trace$threads.json" --progress
+    cmp "$smoke_dir/fleet1.csv" "$smoke_dir/fleet_obs$threads.csv"
+    grep -q '"schema": "pdnspot-report-1"' \
+        "$smoke_dir/fleet_report$threads.json"
+    begins=$(grep -c '"ph": "B"' "$smoke_dir/fleet_trace$threads.json")
+    ends=$(grep -c '"ph": "E"' "$smoke_dir/fleet_trace$threads.json")
+    test "$begins" -gt 0
+    test "$begins" -eq "$ends"
+    grep -q '"pdnspot_fleet"' "$smoke_dir/fleet_trace$threads.json"
+done
+echo "check.sh: fleet observability smoke green ($begins spans)"
 
 # Second pass: the whole test suite under ASan+UBSan. The bench
 # binaries' figure-only tests already ran above, so skip them here to

@@ -218,11 +218,4 @@ ParallelRunner::suggestedGrain(size_t n, size_t chunksPerThread) const
     return std::clamp<size_t>(n / target, 1, n);
 }
 
-const ParallelRunner &
-ParallelRunner::global()
-{
-    static ParallelRunner runner;
-    return runner;
-}
-
 } // namespace pdnspot

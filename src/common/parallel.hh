@@ -100,9 +100,6 @@ class ParallelRunner
     size_t suggestedGrain(size_t n,
                           size_t chunksPerThread = 8) const;
 
-    /** Process-wide shared pool (sized per the default policy). */
-    static const ParallelRunner &global();
-
     /**
      * Parse a PDNSPOT_THREADS value. Non-numeric, zero, negative,
      * empty or trailing-garbage values warn (naming the offending

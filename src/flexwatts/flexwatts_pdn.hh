@@ -6,10 +6,13 @@
  * rail that operates either as an IVR chain (V_IN at 1.8 V, on-die
  * buck second stage) or as an LDO chain (V_IN at the max compute
  * voltage, on-die LDO second stage); SA and IO get dedicated one-stage
- * off-chip VRs behind power gates. Resource sharing between the two
- * modes slightly raises the compute load-line relative to the pure
- * IVR (1.1 vs 1.0 mOhm) and pure LDO (1.4 vs 1.25 mOhm) PDNs, which
- * is why FlexWatts trails the per-TDP best static PDN by <1% (Sec. 7).
+ * off-chip VRs behind power gates. In each mode the whole PDN is
+ * therefore an existing topology: IVR-Mode is the I+MBVR PDN and
+ * LDO-Mode the LDO PDN. FlexWattsPdn composes one of each and adds
+ * the mode choice. Resource sharing between the two modes slightly
+ * raises the compute load-line relative to the pure IVR (1.1 vs
+ * 1.0 mOhm) and pure LDO (1.4 vs 1.25 mOhm) PDNs, which is why
+ * FlexWatts trails the per-TDP best static PDN by <1% (Sec. 7).
  *
  * The off-chip rail set is sized for IVR-Mode: whenever a high-current
  * workload arrives the predictor switches to IVR-Mode, so the shared
@@ -23,11 +26,9 @@
 #include <vector>
 
 #include "flexwatts/hybrid_mode.hh"
-#include "pdn/load_line.hh"
+#include "pdn/imbvr_pdn.hh"
+#include "pdn/ldo_pdn.hh"
 #include "pdn/pdn_model.hh"
-#include "vr/buck_vr.hh"
-#include "vr/ivr.hh"
-#include "vr/ldo_vr.hh"
 
 namespace pdnspot
 {
@@ -43,10 +44,21 @@ struct FlexWattsParams
     Resistance rllIo = milliohms(4.0);
 };
 
-/** The hybrid adaptive PDN. */
+/**
+ * The hybrid adaptive PDN: an I+MBVR model for IVR-Mode and an LDO
+ * model for LDO-Mode, both at FlexWatts' shared-resource TOBs and
+ * load-lines, plus the choice between them.
+ */
 class FlexWattsPdn : public PdnModel
 {
   public:
+    /**
+     * Extra die area of one hybrid rail's LDO mode at 14 nm: the LDO
+     * reuses the IVR's high-side power switch, decoupling and routing
+     * (Sec. 6, after Luria et al., JSSC 2016).
+     */
+    static Area ldoModeAreaOverhead() { return squareMillimetres(0.041); }
+
     explicit FlexWattsPdn(PdnPlatformParams platform = {},
                           FlexWattsParams params = {});
 
@@ -64,8 +76,13 @@ class FlexWattsPdn : public PdnModel
     EteeResult evaluate(const PlatformState &state,
                         HybridMode mode) const;
 
-    /** The oracle-best mode at this operating point. */
-    HybridMode bestMode(const PlatformState &state) const;
+    /**
+     * The oracle-best mode at this operating point. Evaluates each
+     * mode once; when `winner` is given it receives the chosen mode's
+     * evaluation.
+     */
+    HybridMode bestMode(const PlatformState &state,
+                        EteeResult *winner = nullptr) const;
 
     std::vector<OffChipRail>
     offChipRails(const PlatformState &peak) const override;
@@ -74,15 +91,8 @@ class FlexWattsPdn : public PdnModel
 
   private:
     FlexWattsParams _params;
-    Ivr _ivr;
-    LdoVr _ldo;
-    BuckVr _vrIn;
-    BuckVr _vrSa;
-    BuckVr _vrIo;
-    LoadLine _llInIvrMode;
-    LoadLine _llInLdoMode;
-    LoadLine _llSa;
-    LoadLine _llIo;
+    ImbvrPdn _ivrMode;
+    LdoPdn _ldoMode;
 };
 
 } // namespace pdnspot

@@ -41,9 +41,8 @@ namespace pdnspot
 inline constexpr const char *runReportSchema = "pdnspot-report-1";
 
 /**
- * Build stamp: the PDNSPOT_GIT_REV environment variable when set
- * (the bench-JSON convention, bench/bench_util.hh), else the
- * revision baked in at configure time, else "unknown".
+ * Build stamp: the PDNSPOT_GIT_REV environment variable when set,
+ * else the revision baked in at configure time, else "unknown".
  */
 std::string gitRevision();
 

@@ -138,7 +138,6 @@ SpanRecorder::traceEventsJson() const
 {
     TraceEventExport unstamped;
     unstamped.shardIndex = static_cast<size_t>(getpid());
-    unstamped.processName.clear();
     return traceEventsJson(unstamped);
 }
 

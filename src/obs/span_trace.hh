@@ -52,11 +52,12 @@ struct TraceEventExport
     size_t shardCount = 1;
 
     /**
-     * Process name for the "M" process_name metadata event; when
-     * shardCount > 1 the serializer appends " shard k/n". Empty
-     * suppresses the metadata event.
+     * Process name for the "M" process_name metadata event, normally
+     * the emitting tool's name; when shardCount > 1 the serializer
+     * appends " shard k/n". Empty (the default) suppresses the
+     * metadata event.
      */
-    std::string processName = "pdnspot_campaign";
+    std::string processName;
 
     std::vector<JsonValue> extraEvents;
 };

@@ -6,17 +6,16 @@
  *
  *  - a shared motherboard rail: one off-chip buck VR feeding one or
  *    more domains (possibly through power gates) at a common voltage
- *    (MBVR's V_Cores/V_GFX/V_SA/V_IO; the SA/IO rails of LDO, I+MBVR
- *    and FlexWatts);
+ *    (MBVR's V_Cores/V_GFX/V_SA/V_IO; the SA/IO rails of LDO and
+ *    I+MBVR);
  *  - an IVR chain: an off-chip V_IN VR at ~1.8 V feeding per-domain
- *    integrated buck converters (IVR PDN; compute side of I+MBVR and
- *    of FlexWatts in IVR-Mode);
+ *    integrated buck converters (IVR PDN; compute side of I+MBVR);
  *  - an LDO chain: an off-chip V_IN VR at the maximum domain voltage
- *    feeding per-domain LDOs in bypass/regulation (LDO PDN; compute
- *    side of FlexWatts in LDO-Mode).
+ *    feeding per-domain LDOs in bypass/regulation (LDO PDN).
  *
  * The evaluators implement the paper's Eq. 2-12 pipeline once so all
- * topologies share it.
+ * topologies share it. FlexWatts calls none of them directly: it is
+ * an I+MBVR model (IVR-Mode) and an LDO model (LDO-Mode).
  */
 
 #ifndef PDNSPOT_PDN_RAIL_CHAINS_HH

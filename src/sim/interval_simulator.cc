@@ -88,11 +88,8 @@ IntervalSimulator::runOracle(const PhaseSoA &soa,
     const std::vector<TracePhase> &unique = soa.uniquePhases();
     std::vector<HybridMode> modes(unique.size());
     std::vector<EteeResult> etee(unique.size());
-    for (size_t u = 0; u < unique.size(); ++u) {
-        PlatformState s = stateFor(unique[u]);
-        modes[u] = pdn.bestMode(s);
-        etee[u] = pdn.evaluate(s, modes[u]);
-    }
+    for (size_t u = 0; u < unique.size(); ++u)
+        modes[u] = pdn.bestMode(stateFor(unique[u]), &etee[u]);
 
     SimResult result;
     const std::vector<Time> &durations = soa.durations();

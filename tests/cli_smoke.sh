@@ -272,6 +272,17 @@ EOF
         "bucket,t_s,sessions_alive,supply_power_w,energy_j,mode_switches,deaths,storm" \
         || fail "aggregate CSV header drifted"
     ;;
+  fleet_trace_events)
+    # The fleet timeline carries its own tool's process name, not
+    # the campaign's.
+    run 0 "$spec_dir/fleet_study.json" -o "$tmp/f.csv" \
+        --trace-events "$tmp/t.json"
+    grep -qF '"pdnspot_fleet"' "$tmp/t.json" \
+        || fail "trace lacks the pdnspot_fleet process name"
+    if grep -qF '"pdnspot_campaign"' "$tmp/t.json"; then
+        fail "fleet trace is labelled pdnspot_campaign"
+    fi
+    ;;
   launch_usage)
     run 2
     expect_err "missing spec file"

@@ -11,9 +11,11 @@
 #include "flexwatts/flexwatts_pdn.hh"
 #include "flexwatts/mode_predictor.hh"
 #include "flexwatts/mode_switch.hh"
+#include "pdn/imbvr_pdn.hh"
 #include "pdn/ivr_pdn.hh"
 #include "pdn/ldo_pdn.hh"
 #include "pdn/mbvr_pdn.hh"
+#include "pdnspot/platform.hh"
 #include "power/operating_point.hh"
 
 namespace pdnspot
@@ -212,6 +214,108 @@ TEST_F(FlexWattsTest, PredictorRejectsBadHysteresis)
     EteeTable table(fw, opm);
     EXPECT_THROW(ModePredictor(table, -0.1), ConfigError);
     EXPECT_THROW(ModePredictor(table, 1.0), ConfigError);
+}
+
+/** Exact equality of every field an evaluation's consumers read. */
+void
+expectSameEvaluation(const EteeResult &got, const EteeResult &want,
+                     const std::string &where)
+{
+    EXPECT_EQ(inWatts(got.inputPower), inWatts(want.inputPower))
+        << where;
+    EXPECT_EQ(inWatts(got.nominalPower), inWatts(want.nominalPower))
+        << where;
+    EXPECT_EQ(inWatts(got.loss.vrLoss), inWatts(want.loss.vrLoss))
+        << where;
+    EXPECT_EQ(inWatts(got.loss.conductionCompute),
+              inWatts(want.loss.conductionCompute))
+        << where;
+    EXPECT_EQ(inWatts(got.loss.conductionUncore),
+              inWatts(want.loss.conductionUncore))
+        << where;
+    EXPECT_EQ(inWatts(got.loss.other), inWatts(want.loss.other))
+        << where;
+    EXPECT_EQ(inAmps(got.chipInputCurrent),
+              inAmps(want.chipInputCurrent))
+        << where;
+    EXPECT_EQ(inMilliohms(got.computeLoadLine),
+              inMilliohms(want.computeLoadLine))
+        << where;
+}
+
+TEST_F(FlexWattsTest, ModesAreTheImbvrAndLdoTopologies)
+{
+    // Sec. 6: the hybrid rail in IVR-Mode is the I+MBVR topology and
+    // in LDO-Mode the LDO topology, each at FlexWatts' shared-resource
+    // TOB and load-lines, with SA/IO on dedicated off-chip VRs.
+    FlexWattsParams p;
+    for (const PlatformConfig &preset : allPlatformPresets()) {
+        FlexWattsPdn flex(preset.pdnParams, p);
+        ImbvrPdn imbvr(preset.pdnParams,
+                       ImbvrParams{.tob = p.tobIvrMode,
+                                   .rllIn = p.rllInIvrMode,
+                                   .rllSa = p.rllSa,
+                                   .rllIo = p.rllIo});
+        LdoPdn ldo(preset.pdnParams,
+                   LdoPdnParams{.tob = p.tobLdoMode,
+                                .rllIn = p.rllInLdoMode,
+                                .rllSa = p.rllSa,
+                                .rllIo = p.rllIo});
+
+        std::vector<OperatingPointModel::Query> grid;
+        OperatingPointModel::Query q;
+        q.tdp = preset.tdp;
+        for (WorkloadType type : allWorkloadTypes) {
+            q.type = type;
+            for (double ar : {0.2, 0.5, 0.9}) {
+                q.ar = ar;
+                grid.push_back(q);
+            }
+        }
+        q.type = WorkloadType::BatteryLife;
+        for (PackageCState cs : batteryLifeCStates) {
+            q.cstate = cs;
+            grid.push_back(q);
+        }
+
+        for (const OperatingPointModel::Query &point : grid) {
+            PlatformState s = opm.build(point);
+            std::string where = preset.name + " " +
+                                toString(point.type) + " AR " +
+                                std::to_string(point.ar) + " " +
+                                toString(point.cstate);
+            expectSameEvaluation(flex.evaluate(s, HybridMode::IvrMode),
+                                 imbvr.evaluate(s), where + " IVR-Mode");
+            expectSameEvaluation(flex.evaluate(s, HybridMode::LdoMode),
+                                 ldo.evaluate(s), where + " LDO-Mode");
+            EteeResult winner;
+            HybridMode best = flex.bestMode(s, &winner);
+            EXPECT_EQ(best, flex.bestMode(s)) << where;
+            expectSameEvaluation(winner, flex.evaluate(s, best),
+                                 where + " oracle");
+
+            std::vector<OffChipRail> rails = flex.offChipRails(s);
+            std::vector<OffChipRail> want = imbvr.offChipRails(s);
+            ASSERT_EQ(rails.size(), want.size()) << where;
+            for (size_t i = 0; i < rails.size(); ++i) {
+                EXPECT_EQ(rails[i].name, want[i].name) << where;
+                EXPECT_EQ(inVolts(rails[i].outputVoltage),
+                          inVolts(want[i].outputVoltage))
+                    << where << " " << want[i].name;
+                EXPECT_EQ(inAmps(rails[i].iccMax),
+                          inAmps(want[i].iccMax))
+                    << where << " " << want[i].name;
+            }
+        }
+    }
+}
+
+TEST_F(FlexWattsTest, LdoModeAreaOverheadMatchesPaper)
+{
+    // Sec. 6: ~0.041 mm^2 per hybrid rail at 14 nm.
+    EXPECT_NEAR(
+        inSquareMillimetres(FlexWattsPdn::ldoModeAreaOverhead()), 0.041,
+        1e-12);
 }
 
 TEST(ModeSwitchFlowTest, TotalLatencyMatchesPaper)

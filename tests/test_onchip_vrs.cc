@@ -1,16 +1,13 @@
 /**
  * @file
- * Unit tests for the on-chip regulators: IVR, LDO VR, power gate,
- * and the FlexWatts hybrid VR.
+ * Unit tests for the on-chip regulators: the IVR and the LDO VR.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
-#include "flexwatts/hybrid_vr.hh"
 #include "vr/ivr.hh"
 #include "vr/ldo_vr.hh"
-#include "vr/power_gate.hh"
 
 namespace pdnspot
 {
@@ -123,54 +120,6 @@ TEST(Ldo, RejectsBadCurrentEfficiency)
                  ConfigError);
     EXPECT_THROW(LdoVr(LdoParams{.name = "x", .currentEfficiency = 1.5}),
                  ConfigError);
-}
-
-TEST(PowerGate, DropFollowsOhm)
-{
-    PowerGate pg(PowerGateParams{.name = "pg-test",
-                                 .onResistance = milliohms(2.0)});
-    EXPECT_NEAR(inMillivolts(pg.drop(amps(5.0))), 10.0, 1e-12);
-    EXPECT_THROW(pg.drop(amps(-1.0)), ConfigError);
-    EXPECT_GT(inWatts(pg.offLeakage()), 0.0);
-}
-
-TEST(HybridVr, RejectsModeSwitchUnderLoad)
-{
-    // The voltage-noise-free invariant (Sec. 6): reconfiguration only
-    // while the domain is gated.
-    HybridVr h("hybrid-test", IvrParams{.name = "i"},
-               LdoParams{.name = "l"});
-    EXPECT_EQ(h.mode(), HybridMode::IvrMode);
-    EXPECT_THROW(h.setMode(HybridMode::LdoMode, /*domain_active=*/true),
-                 ModelError);
-    EXPECT_EQ(h.mode(), HybridMode::IvrMode);
-
-    h.setMode(HybridMode::LdoMode, /*domain_active=*/false);
-    EXPECT_EQ(h.mode(), HybridMode::LdoMode);
-
-    // Re-setting the same mode under load is a no-op, not an error.
-    EXPECT_NO_THROW(h.setMode(HybridMode::LdoMode, true));
-}
-
-TEST(HybridVr, ModeSelectsConversionModel)
-{
-    HybridVr h("hybrid-test", IvrParams{.name = "i"},
-               LdoParams{.name = "l"});
-    // IVR mode from 1.8 V.
-    Power ivr_in = h.inputPower(volts(1.8), volts(0.9), watts(3.0));
-    h.setMode(HybridMode::LdoMode, false);
-    // LDO mode from a near-bypass input: far less loss.
-    Power ldo_in = h.inputPower(volts(0.95), volts(0.9), watts(3.0));
-    EXPECT_LT(inWatts(ldo_in), inWatts(ivr_in));
-    EXPECT_NEAR(h.efficiency(volts(0.95), volts(0.9), watts(3.0)),
-                (0.9 / 0.95) * 0.991, 1e-9);
-}
-
-TEST(HybridVr, AreaOverheadMatchesPaper)
-{
-    // Sec. 6: ~0.041 mm^2 at 14 nm.
-    EXPECT_NEAR(inSquareMillimetres(HybridVr::ldoModeAreaOverhead()),
-                0.041, 1e-12);
 }
 
 } // anonymous namespace

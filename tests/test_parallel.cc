@@ -226,7 +226,6 @@ TEST(ParallelRunnerTest, DefaultsToAtLeastOneThread)
 {
     ParallelRunner runner;
     EXPECT_GE(runner.threadCount(), 1u);
-    EXPECT_GE(ParallelRunner::global().threadCount(), 1u);
 }
 
 /** Sweep determinism: the satellite acceptance test of ISSUE 1. */

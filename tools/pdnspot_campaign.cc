@@ -465,11 +465,7 @@ runCli(const Options &opts)
                             countersPath.c_str()));
     }
 
-    std::optional<ParallelRunner> ownRunner;
-    if (opts.threads)
-        ownRunner.emplace(*opts.threads);
-    const ParallelRunner &runner =
-        ownRunner ? *ownRunner : ParallelRunner::global();
+    ParallelRunner runner(opts.threads.value_or(0));
     CampaignEngine engine(runner);
 
     std::ofstream file;
@@ -535,6 +531,7 @@ runCli(const Options &opts)
     if (spans) {
         spanInstall.reset(); // quiesce before serializing
         TraceEventExport stamp;
+        stamp.processName = tool.name;
         stamp.shardIndex = opts.shardIndex;
         stamp.shardCount = opts.shardCount;
         stamp.extraEvents = sink.counterEvents();

@@ -323,11 +323,7 @@ runCli(const Options &opts)
                             opts.traceEventsPath.c_str()));
     }
 
-    std::optional<ParallelRunner> ownRunner;
-    if (opts.threads)
-        ownRunner.emplace(*opts.threads);
-    const ParallelRunner &runner =
-        ownRunner ? *ownRunner : ParallelRunner::global();
+    ParallelRunner runner(opts.threads.value_or(0));
     FleetEngine engine(runner);
 
     std::ofstream file;
@@ -385,6 +381,7 @@ runCli(const Options &opts)
     if (spans) {
         spanInstall.reset(); // quiesce before serializing
         TraceEventExport stamp;
+        stamp.processName = tool.name;
         stamp.extraEvents = fleetCounterEvents(result);
         traceEventsFile << writeJson(spans->traceEventsJson(stamp));
         traceEventsFile.close();
