@@ -206,13 +206,25 @@ grep -q "fleet: 4000 sessions in 2 cohorts" \
 "$build_dir"/tools/pdnspot_fleet examples/specs/fleet_million.json \
     --threads 8 -o /dev/null --summary 2>"$smoke_dir/million.txt"
 grep -q "fleet: 1000000 sessions" "$smoke_dir/million.txt"
+# The benchmark's fleet spec (perfbench/gen.py, seed 1): three cohorts
+# whose buckets cut cycles mid-phase and empty most batteries, so the
+# contract also covers partial-cycle stepping and deaths.
+python3 perfbench/gen.py --seed 1 --out "$smoke_dir/pb" >/dev/null
+for threads in 1 2; do
+    "$build_dir"/tools/pdnspot_fleet "$smoke_dir/pb/fleet_mixed.json" \
+        --threads $threads -o "$smoke_dir/fleet_mixed$threads.csv" \
+        --quiet
+done
+cmp "$smoke_dir/fleet_mixed1.csv" "$smoke_dir/fleet_mixed2.csv"
 echo "check.sh: fleet smoke green" \
     "(summary + aggregates in $build_dir)"
 
 # Fleet observability smoke: the exporters must not perturb the
 # fleet either — its CSV stays byte-identical with
-# --report/--trace-events/--progress at 1 and 8 threads — and each
-# span trace is balanced and labelled with the fleet tool's name.
+# --report/--trace-events/--progress at 1 and 8 threads — each
+# report carries the stepping counters perfbench's replay reports
+# under the same names, and each span trace is balanced and labelled
+# with the fleet tool's name.
 for threads in 1 8; do
     "$build_dir"/tools/pdnspot_fleet examples/specs/fleet_study.json \
         --threads $threads -o "$smoke_dir/fleet_obs$threads.csv" \
@@ -220,6 +232,10 @@ for threads in 1 8; do
         --trace-events "$smoke_dir/fleet_trace$threads.json" --progress
     cmp "$smoke_dir/fleet1.csv" "$smoke_dir/fleet_obs$threads.csv"
     grep -q '"schema": "pdnspot-report-1"' \
+        "$smoke_dir/fleet_report$threads.json"
+    grep -q '"fleet.session_buckets"' \
+        "$smoke_dir/fleet_report$threads.json"
+    grep -q '"fleet.ns_per_session_bucket"' \
         "$smoke_dir/fleet_report$threads.json"
     begins=$(grep -c '"ph": "B"' "$smoke_dir/fleet_trace$threads.json")
     ends=$(grep -c '"ph": "E"' "$smoke_dir/fleet_trace$threads.json")

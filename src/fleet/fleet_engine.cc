@@ -4,13 +4,10 @@
 #include <chrono>
 #include <cmath>
 
-#include "campaign/campaign_engine.hh"
-#include "common/logging.hh"
 #include "common/noise.hh"
-#include "obs/probe.hh"
+#include "fleet/cohort_profile.hh"
 #include "obs/span_trace.hh"
 #include "sim/battery_model.hh"
-#include "workload/phase_soa.hh"
 
 namespace pdnspot
 {
@@ -18,145 +15,50 @@ namespace pdnspot
 namespace
 {
 
-/**
- * One cohort's immutable replay profile: dense per-phase arrays the
- * session inner loop indexes, built once through the full simulator
- * stack. A whole trace cycle from *any* starting position consumes
- * cycleEnergyJ over cycleS with cycleSwitches switches (the sums are
- * position-independent), which the bucket stepper exploits to jump
- * whole cycles without walking phases.
- */
-struct CohortProfile
-{
-    std::vector<double> powerW; ///< mean supply power per phase
-    std::vector<double> durS;   ///< phase durations
-    std::vector<uint32_t> switchesIn; ///< switches on entering phase
-    std::vector<double> prefixS;      ///< duration prefix sums, n+1
-
-    /** The mode the cell kernel ran: Static for every PDN but
-     * FlexWatts, whatever the cohort asked for. */
-    SimMode mode = SimMode::Static;
-
-    double cycleS = 0.0;
-    double cycleEnergyJ = 0.0;
-    uint64_t cycleSwitches = 0;
-
-    double capacityJ = 0.0; ///< nominal battery capacity
-    double spread = 0.0;
-    double jitterS = 0.0;
-};
-
-CohortProfile
-buildProfile(const FleetCohort &cohort, Time tick)
-{
-    SpanScope span("fleet.profile", "fleet");
-    CohortProfile profile;
-
-    Platform platform(cohort.platform);
-    PhaseSoA soa(cohort.trace.resolve());
-    size_t phases = soa.phaseCount();
-    if (phases == 0)
-        fatal(strprintf("FleetEngine: cohort \"%s\" trace \"%s\" "
-                        "resolved to zero phases",
-                        cohort.name.c_str(),
-                        cohort.trace.name().c_str()));
-
-    // Run the cohort trace once through the campaign's cell kernel
-    // with a probe capturing per-phase supply power and mode (plus
-    // mode-switch events); every session replays this waveform
-    // cyclically from its own offset.
-    ProbeSpec ps;
-    ps.signals = {ProbeSignal::SupplyPowerW, ProbeSignal::Mode};
-    SignalProbe probe(ps, platform.config().tdp);
-    simulateCell(platform, soa, cohort.pdn, cohort.mode,
-                 cohort.trace.tickOverride().value_or(tick), &probe);
-    Waveform w = probe.take();
-
-    size_t powerCol = 0, modeCol = 0;
-    for (size_t s = 0; s < w.signals.size(); ++s) {
-        if (w.signals[s] == ProbeSignal::SupplyPowerW)
-            powerCol = s;
-        if (w.signals[s] == ProbeSignal::Mode)
-            modeCol = s;
-    }
-    if (w.rows.size() != phases)
-        panic(strprintf("FleetEngine: cohort profile captured %zu "
-                        "rows for %zu phases",
-                        w.rows.size(), phases));
-
-    profile.powerW.resize(phases);
-    profile.durS.resize(phases);
-    profile.switchesIn.assign(phases, 0);
-    for (size_t p = 0; p < phases; ++p) {
-        profile.powerW[p] = w.rows[p].values[powerCol];
-        profile.durS[p] = inSeconds(soa.durations()[p]);
-    }
-    // Switches: the PMU kernel reports each one as it happens; the
-    // oracle switches instantly wherever consecutive phases run in
-    // different modes (static rows all carry mode -1).
-    if (cohort.mode == SimMode::Pmu) {
-        for (const WaveformEvent &event : w.events) {
-            if (event.kind == "mode_switch" && event.phase < phases)
-                ++profile.switchesIn[event.phase];
-        }
-    } else {
-        for (size_t p = 1; p < phases; ++p) {
-            if (w.rows[p].values[modeCol] !=
-                w.rows[p - 1].values[modeCol])
-                profile.switchesIn[p] = 1;
-        }
-    }
-    // Cyclic wrap: replaying the waveform back-to-back incurs one
-    // more switch when it ends in the other mode than it began in.
-    double first = w.rows.front().values[modeCol];
-    double last = w.rows.back().values[modeCol];
-    if (phases > 1 && first != last)
-        ++profile.switchesIn[0];
-    profile.mode = first < 0.0 ? SimMode::Static : cohort.mode;
-
-    profile.prefixS.resize(phases + 1);
-    profile.prefixS[0] = 0.0;
-    for (size_t p = 0; p < phases; ++p) {
-        profile.prefixS[p + 1] =
-            profile.prefixS[p] + profile.durS[p];
-        profile.cycleEnergyJ +=
-            profile.powerW[p] * profile.durS[p];
-        profile.cycleSwitches += profile.switchesIn[p];
-    }
-    profile.cycleS = profile.prefixS[phases];
-    if (profile.cycleS <= 0.0)
-        fatal(strprintf("FleetEngine: cohort \"%s\" trace has a "
-                        "zero-length cycle",
-                        cohort.name.c_str()));
-
-    profile.capacityJ = cohort.batteryWh * 3600.0;
-    profile.spread = cohort.batterySpread;
-    profile.jitterS = inSeconds(cohort.startJitter);
-    return profile;
-}
-
-/** Per-session mutable state, structure-of-arrays. ~44 bytes per
+/** Per-session mutable state, structure-of-arrays. 40 bytes per
  * session all told — the only allocation that scales with the
  * population. */
 struct SessionSoA
 {
-    std::vector<uint32_t> cohort;  ///< owning cohort index
-    std::vector<uint32_t> cursor;  ///< current phase in the cycle
-    std::vector<double> residueS;  ///< time left in current phase
-    std::vector<double> socJ;      ///< remaining battery charge
-    std::vector<double> energyJ;   ///< supply energy drawn so far
-    std::vector<double> emptyAtS;  ///< death time; < 0 while alive
+    std::vector<uint32_t> cohort; ///< owning cohort index
+    std::vector<uint32_t> cursor; ///< phase holding posNs
+    std::vector<int64_t> posNs;   ///< clock position in the cycle
+    std::vector<double> socJ;     ///< remaining battery charge
+    std::vector<double> energyJ;  ///< supply energy drawn so far
+    std::vector<double> emptyAtS; ///< death time; < 0 while alive
 
     void
     resize(size_t n)
     {
         cohort.resize(n);
         cursor.resize(n);
-        residueS.resize(n);
+        posNs.resize(n);
         socJ.resize(n);
         energyJ.resize(n);
         emptyAtS.resize(n);
     }
+};
+
+/**
+ * One bucket's span split for one cohort: the whole trace cycles it
+ * holds, with their totals, and the partial cycle left over. Every
+ * session of the cohort shares it.
+ */
+struct CohortStep
+{
+    int64_t cycles = 0;
+    int64_t wholeNs = 0;
+    double wholeJ = 0.0;
+    uint64_t wholeSwitches = 0;
+    int64_t restNs = 0;
+
+    CohortStep(const CohortProfile &cp, int64_t dtNs)
+        : cycles(dtNs / cp.cycleNs), wholeNs(cycles * cp.cycleNs),
+          wholeJ(static_cast<double>(cycles) * cp.cycleEnergyJ),
+          wholeSwitches(static_cast<uint64_t>(cycles) *
+                        cp.cycleSwitches),
+          restNs(dtNs - wholeNs)
+    {}
 };
 
 /** One chunk's bucket-local aggregate contribution. */
@@ -174,10 +76,12 @@ struct FleetMetrics
     bool active = false;
     size_t sessions = 0;
     size_t bucketsDone = 0;
+    size_t sessionBuckets = 0;
     size_t deaths = 0;
     size_t switches = 0;
     size_t stormBuckets = 0;
     size_t bucketUs = 0;
+    size_t nsPerSessionBucket = 0;
 
     static FleetMetrics
     install()
@@ -191,6 +95,8 @@ struct FleetMetrics
             r->registerMetric("fleet.sessions", MetricKind::Counter);
         m.bucketsDone =
             r->registerMetric("fleet.buckets", MetricKind::Counter);
+        m.sessionBuckets = r->registerMetric("fleet.session_buckets",
+                                             MetricKind::Counter);
         m.deaths =
             r->registerMetric("fleet.deaths", MetricKind::Counter);
         m.switches = r->registerMetric("fleet.mode_switches",
@@ -199,89 +105,114 @@ struct FleetMetrics
                                            MetricKind::Counter);
         m.bucketUs = r->registerMetric("fleet.bucket_us",
                                        MetricKind::Histogram);
+        m.nsPerSessionBucket = r->registerMetric(
+            "fleet.ns_per_session_bucket", MetricKind::Gauge);
         return m;
     }
 };
 
 /**
- * Advance one session across one bucket of `dtS` starting at
- * `startS` on the virtual clock, accumulating into the chunk
- * partial. Pure per-session math: identical at any thread count.
+ * Advance one session across one bucket that starts at `startNs` on
+ * the clock, accumulating into the chunk partial. Pure per-session
+ * math: identical at any thread count.
+ *
+ * Whole cycles cost nothing to step — a cycle from any position
+ * returns there having consumed the cycle totals — so the bucket's
+ * whole cycles are taken at once while the charge covers them. What
+ * is left is stepped in spans of at most one cycle on the
+ * doubled-cycle prefix arrays: an upper_bound on tNs finds the phase
+ * the span ends in, prefix differences give its energy and
+ * switches, and when the span's energy reaches the charge, a
+ * lower_bound on eJ finds the phase the battery empties in.
+ *
+ * Tie rule: a phase entered exactly at the bucket's end belongs to
+ * this bucket — its switches count here and the session's cursor
+ * rests on it.
  */
 void
-advanceSession(const CohortProfile &cp, size_t s, SessionSoA &state,
-               double startS, double dtS, BucketPartial &partial)
+advanceSession(const CohortProfile &cp, const CohortStep &step,
+               size_t s, SessionSoA &state, int64_t startNs,
+               BucketPartial &partial)
 {
     if (state.emptyAtS[s] >= 0.0)
         return;
 
-    double remaining = dtS;
-    double elapsed = 0.0;
-    uint32_t cur = state.cursor[s];
-    double rem = state.residueS[s];
     double soc = state.socJ[s];
     double energy = 0.0;
     uint64_t switches = 0;
-    bool died = false;
-
-    // Whole-cycle fast path: a full cycle from any phase position
-    // returns to that position having consumed the cycle totals, so
-    // all complete cycles inside the bucket are jumped in one step —
-    // capped below the charge actually left, so any death still
-    // falls to the exact-phase walk below.
-    if (remaining >= cp.cycleS) {
-        double n = std::floor(remaining / cp.cycleS);
-        if (cp.cycleEnergyJ > 0.0) {
-            double byCharge = std::floor(soc / cp.cycleEnergyJ);
-            while (byCharge > 0.0 &&
-                   byCharge * cp.cycleEnergyJ >= soc)
-                byCharge -= 1.0;
-            n = std::min(n, byCharge);
-        }
-        if (n > 0.0) {
-            double spent = n * cp.cycleEnergyJ;
-            soc -= spent;
-            energy += spent;
-            switches +=
-                static_cast<uint64_t>(n) * cp.cycleSwitches;
-            remaining -= n * cp.cycleS;
-            elapsed += n * cp.cycleS;
-        }
+    int64_t elapsedNs = 0;
+    int64_t leftNs = step.restNs;
+    if (step.wholeJ < soc) {
+        soc -= step.wholeJ;
+        energy = step.wholeJ;
+        switches = step.wholeSwitches;
+        elapsedNs = step.wholeNs;
+    } else {
+        // The charge runs out inside the whole cycles: jump the
+        // cycles it covers (strictly below the charge left), and the
+        // death falls to the stepping below.
+        double n = std::floor(soc / cp.cycleEnergyJ);
+        while (n > 0.0 && n * cp.cycleEnergyJ >= soc)
+            n -= 1.0;
+        int64_t cycles =
+            std::min(static_cast<int64_t>(n), step.cycles);
+        double spent = static_cast<double>(cycles) * cp.cycleEnergyJ;
+        soc -= spent;
+        energy = spent;
+        switches = static_cast<uint64_t>(cycles) * cp.cycleSwitches;
+        elapsedNs = cycles * cp.cycleNs;
+        leftNs += step.wholeNs - elapsedNs;
     }
 
-    size_t phases = cp.powerW.size();
-    while (remaining > 0.0) {
-        double step = rem < remaining ? rem : remaining;
-        double power = cp.powerW[cur];
-        double stepEnergy = power * step;
-        if (power > 0.0 && stepEnergy >= soc) {
-            // The battery empties inside this step; the death time
-            // comes from the shared SoC-integration helper (the
-            // same math BatteryModel::life runs over a full
-            // capacity).
-            elapsed += inSeconds(
-                drainTime(joules(soc), watts(power)));
+    size_t n = cp.phases();
+    size_t c = state.cursor[s];
+    int64_t pos = state.posNs[s];
+    const int64_t *t = cp.tNs.data();
+    const double *e = cp.eJ.data();
+    bool died = false;
+    while (leftNs > 0) {
+        int64_t span = std::min(leftNs, cp.cycleNs);
+        int64_t end = pos + span;
+        // end < tNs[c + 1] + cycleNs = tNs[c + n + 1], so the phase
+        // holding it lies in [c, c + n].
+        size_t d = static_cast<size_t>(
+            std::upper_bound(t + c + 1, t + c + n + 1, end) - t - 1);
+        double baseJ = cp.energyAt(c, pos);
+        double targetJ = baseJ + soc;
+        double endJ = cp.energyAt(d, end);
+        if (endJ >= targetJ) {
+            size_t q = static_cast<size_t>(
+                std::lower_bound(e + c + 1, e + d + 1, targetJ) - e -
+                1);
+            double leftJ = q == c ? soc : soc - (e[q] - baseJ);
+            int64_t atNs = q == c ? pos : t[q];
+            Power power = watts(cp.powerW[q < n ? q : q - n]);
+            state.emptyAtS[s] =
+                clockSeconds(startNs + elapsedNs + (atNs - pos)) +
+                inSeconds(
+                    drainTime(joules(std::max(leftJ, 0.0)), power));
             energy += soc;
             soc = 0.0;
-            state.emptyAtS[s] = startS + elapsed;
+            switches += cp.sw[q] - cp.sw[c];
             ++partial.deaths;
             died = true;
             break;
         }
-        soc -= stepEnergy;
-        energy += stepEnergy;
-        remaining -= step;
-        elapsed += step;
-        rem -= step;
-        if (rem <= 0.0) {
-            cur = cur + 1 == phases ? 0 : cur + 1;
-            rem = cp.durS[cur];
-            switches += cp.switchesIn[cur];
+        soc -= endJ - baseJ;
+        energy += endJ - baseJ;
+        switches += cp.sw[d] - cp.sw[c];
+        c = d;
+        pos = end;
+        if (c >= n) {
+            c -= n;
+            pos -= cp.cycleNs;
         }
+        leftNs -= span;
+        elapsedNs += span;
     }
 
-    state.cursor[s] = cur;
-    state.residueS[s] = rem;
+    state.cursor[s] = static_cast<uint32_t>(c);
+    state.posNs[s] = pos;
     state.socJ[s] = soc;
     state.energyJ[s] += energy;
     partial.energyJ += energy;
@@ -332,28 +263,12 @@ FleetEngine::run(const FleetSpec &spec,
     _runner.forEachChunked(
         nSessions, sessionGrain, [&](size_t begin, size_t end) {
             for (size_t s = begin; s < end; ++s) {
-                const CohortProfile &cp = profiles[state.cohort[s]];
-                uint64_t g = static_cast<uint64_t>(s);
-                double pos = 0.0;
-                if (cp.jitterS > 0.0) {
-                    pos = std::fmod(noise.unit(2 * g) * cp.jitterS,
-                                    cp.cycleS);
-                    if (!(pos >= 0.0) || pos >= cp.cycleS)
-                        pos = 0.0;
-                }
-                // First phase whose end lies past pos.
-                size_t idx = static_cast<size_t>(
-                    std::upper_bound(cp.prefixS.begin() + 1,
-                                     cp.prefixS.end(), pos) -
-                    (cp.prefixS.begin() + 1));
-                if (idx >= cp.durS.size())
-                    idx = cp.durS.size() - 1;
-                state.cursor[s] = static_cast<uint32_t>(idx);
-                state.residueS[s] = cp.prefixS[idx + 1] - pos;
-                double capacity =
-                    cp.capacityJ *
-                    (1.0 + cp.spread * noise.signedUnit(2 * g + 1));
-                state.socJ[s] = capacity;
+                SessionStart start =
+                    sessionStart(profiles[state.cohort[s]], noise,
+                                 static_cast<uint64_t>(s));
+                state.cursor[s] = start.cursor;
+                state.posNs[s] = start.posNs;
+                state.socJ[s] = start.socJ;
                 state.energyJ[s] = 0.0;
                 state.emptyAtS[s] = -1.0;
             }
@@ -375,6 +290,12 @@ FleetEngine::run(const FleetSpec &spec,
     std::vector<BucketPartial> partials(nChunks);
     result.buckets.reserve(
         std::min<uint64_t>(nBuckets, 1 << 20));
+    int64_t bucketNs = spec.bucketNs();
+    int64_t horizonNs = spec.horizonNs();
+    std::vector<CohortStep> steps;
+    steps.reserve(profiles.size());
+    uint64_t sessionBuckets = 0;
+    double steppingUs = 0.0;
 
     for (uint64_t b = 0; b < nBuckets; ++b) {
         SpanScope bucketSpan("fleet.bucket", "fleet");
@@ -382,47 +303,54 @@ FleetEngine::run(const FleetSpec &spec,
         if (metrics.active)
             wallStart = std::chrono::steady_clock::now();
 
-        double startS =
-            static_cast<double>(b) * result.bucketS;
-        double dtS =
-            std::min(result.bucketS, result.horizonS - startS);
+        int64_t startNs = static_cast<int64_t>(b) * bucketNs;
+        int64_t endNs = std::min(startNs + bucketNs, horizonNs);
+        steps.clear();
+        for (const CohortProfile &cp : profiles)
+            steps.emplace_back(cp, endNs - startNs);
         partials.assign(nChunks, BucketPartial{});
         _runner.forEachChunked(
             nSessions, sessionGrain,
             [&](size_t begin, size_t end) {
                 BucketPartial partial;
-                for (size_t s = begin; s < end; ++s)
-                    advanceSession(profiles[state.cohort[s]], s,
-                                   state, startS, dtS, partial);
+                for (size_t s = begin; s < end; ++s) {
+                    uint32_t c = state.cohort[s];
+                    advanceSession(profiles[c], steps[c], s, state,
+                                   startNs, partial);
+                }
                 partials[begin / sessionGrain] = partial;
             });
 
         FleetBucketRow row;
         row.index = b;
-        row.tEndS = startS + dtS;
+        row.tEndS = clockSeconds(endNs);
         for (const BucketPartial &partial : partials) {
             row.energyJ += partial.energyJ;
             row.modeSwitches += partial.switches;
             row.deaths += partial.deaths;
             row.alive += partial.alive;
         }
-        row.powerW = dtS > 0.0 ? row.energyJ / dtS : 0.0;
+        row.powerW = row.energyJ / clockSeconds(endNs - startNs);
         result.totalEnergyJ += row.energyJ;
         result.totalSwitches += row.modeSwitches;
         result.deaths += row.deaths;
         result.simulatedS = row.tEndS;
         result.buckets.push_back(row);
 
+        // Sessions stepped in this bucket: those alive at its start.
+        sessionBuckets += row.alive + row.deaths;
         if (metrics.active) {
             MetricsRegistry *r = MetricsRegistry::current();
             if (r) {
                 r->add(metrics.bucketsDone);
+                r->add(metrics.sessionBuckets, row.alive + row.deaths);
                 double us =
                     std::chrono::duration<double, std::micro>(
                         std::chrono::steady_clock::now() -
                         wallStart)
                         .count();
                 r->observe(metrics.bucketUs, us);
+                steppingUs += us;
             }
         }
 
@@ -483,7 +411,7 @@ FleetEngine::run(const FleetSpec &spec,
         info.pdn = pdnKindToString(cohort.pdn);
         info.mode = toString(profiles[c].mode);
         info.trace = cohort.trace.name();
-        info.phases = profiles[c].powerW.size();
+        info.phases = profiles[c].phases();
         info.cycleS = profiles[c].cycleS;
         result.cohorts.push_back(std::move(info));
     }
@@ -495,6 +423,10 @@ FleetEngine::run(const FleetSpec &spec,
             r->add(metrics.deaths, result.deaths);
             r->add(metrics.switches, result.totalSwitches);
             r->add(metrics.stormBuckets, result.stormBuckets);
+            if (sessionBuckets > 0)
+                r->set(metrics.nsPerSessionBucket,
+                       steppingUs * 1e3 /
+                           static_cast<double>(sessionBuckets));
         }
     }
 

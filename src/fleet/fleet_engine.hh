@@ -4,15 +4,19 @@
  * inner loop.
  *
  * The engine advances millions of lightweight device sessions on a
- * shared virtual clock in fixed time buckets. The expensive physics
- * runs once per *cohort*, not per session: each cohort's trace is
- * resolved into PhaseSoA form and profiled into dense per-phase
- * supply-power / mode-switch arrays by one probed run of the
- * campaign's cell kernel (simulateCell, campaign/campaign_engine.hh)
- * whose waveform the cohort replays. Per-session mutable
- * state is packed structure-of-arrays — phase cursor, intra-phase
- * residue, battery charge, accumulated energy, death time — a few
- * tens of bytes per session, no per-session Platform objects.
+ * shared virtual clock of whole nanoseconds in fixed time buckets.
+ * The expensive physics runs once per *cohort*, not per session:
+ * each cohort's trace is resolved into PhaseSoA form and profiled
+ * into dense per-phase supply-power / mode-switch arrays by one
+ * probed run of the campaign's cell kernel (simulateCell,
+ * campaign/campaign_engine.hh) whose waveform the cohort replays
+ * (fleet/cohort_profile.hh). Per-session mutable state is packed
+ * structure-of-arrays — phase cursor, clock position in the cycle,
+ * battery charge, accumulated energy, death time — 40 bytes per
+ * session, no per-session Platform objects. A session steps a bucket
+ * in O(log n) for an n-phase cycle: whole cycles in closed form,
+ * the rest by binary search on the cohort's doubled-cycle prefix
+ * sums.
  *
  * Parallelism follows the campaign discipline: sessions are chunked
  * with a *fixed* grain (thread-count independent), per-chunk partial

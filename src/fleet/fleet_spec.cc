@@ -17,11 +17,32 @@ FleetSpec::sessionCount() const
     return total;
 }
 
+namespace
+{
+
+/** Whether t lies in [1 ns, maxClockNs] once on the clock. */
+bool
+onClock(Time t)
+{
+    double ns = inSeconds(t) * 1e9;
+    return ns >= 0.5 && ns <= static_cast<double>(maxClockNs);
+}
+
+} // namespace
+
+int64_t
+toClockNs(Time t)
+{
+    return std::llround(inSeconds(t) * 1e9);
+}
+
 uint64_t
 FleetSpec::bucketCount() const
 {
-    double buckets = std::ceil(inSeconds(horizon) / inSeconds(bucket));
-    return buckets > 0.0 ? static_cast<uint64_t>(buckets) : 0;
+    if (!onClock(bucket) || !onClock(horizon))
+        return 0;
+    int64_t b = bucketNs();
+    return static_cast<uint64_t>((horizonNs() + b - 1) / b);
 }
 
 void
@@ -31,7 +52,15 @@ FleetSpec::validate() const
         fatal("FleetSpec: at least one cohort required");
     if (bucket <= seconds(0.0))
         fatal("FleetSpec: non-positive bucket");
-    if (horizon < bucket)
+    if (!onClock(bucket))
+        fatal(strprintf("FleetSpec: bucket %g s is off the "
+                        "nanosecond clock (1 ns to %g s)",
+                        inSeconds(bucket), clockSeconds(maxClockNs)));
+    if (!onClock(horizon))
+        fatal(strprintf("FleetSpec: horizon %g s is off the "
+                        "nanosecond clock (1 ns to %g s)",
+                        inSeconds(horizon), clockSeconds(maxClockNs)));
+    if (horizonNs() < bucketNs())
         fatal("FleetSpec: horizon shorter than one bucket");
     if (tick <= seconds(0.0))
         fatal("FleetSpec: non-positive tick");

@@ -77,6 +77,24 @@ struct FleetCohort
     double batterySpread = 0.0;
 };
 
+/**
+ * The fleet's shared virtual clock counts whole nanoseconds, so
+ * bucket edges, phase boundaries and session positions compare
+ * exactly. Times convert once, rounding to the nearest nanosecond.
+ */
+int64_t toClockNs(Time t);
+
+/** A clock reading back in seconds (correctly rounded). */
+inline double
+clockSeconds(int64_t ns)
+{
+    return static_cast<double>(ns) / 1e9;
+}
+
+/** Longest horizon or trace cycle the clock holds (~146 years), so
+ * position plus one cycle, or a bucket end, cannot overflow. */
+constexpr int64_t maxClockNs = int64_t(1) << 62;
+
 /** One fleet study: the cohorts plus the shared-clock parameters. */
 struct FleetSpec
 {
@@ -108,7 +126,15 @@ struct FleetSpec
     /** Total sessions across all cohorts. */
     uint64_t sessionCount() const;
 
-    /** Buckets the horizon spans (last one possibly partial). */
+    /** The bucket and horizon on the nanosecond clock. */
+    int64_t bucketNs() const { return toClockNs(bucket); }
+    int64_t horizonNs() const { return toClockNs(horizon); }
+
+    /**
+     * Buckets the horizon spans on the nanosecond clock (the last
+     * one possibly partial, never empty); 0 for a spec whose bucket
+     * or horizon is out of the clock's range.
+     */
     uint64_t bucketCount() const;
 
     /**
@@ -116,9 +142,10 @@ struct FleetSpec
      * with a unique CSV-safe name, a positive count, a well-formed
      * trace (TraceSpec::validate), a positive finite battery
      * capacity, a spread in [0, 1) and a non-negative jitter; a
-     * positive bucket no longer than the horizon, a positive tick, a
-     * positive finite stormK, and a bucket count small enough to
-     * aggregate (≤ 10^7).
+     * bucket and horizon of at least 1 ns on the clock, the horizon
+     * no longer than maxClockNs and no shorter than the bucket, a
+     * positive tick, a positive finite stormK, and a bucket count
+     * small enough to aggregate (≤ 10^7).
      */
     void validate() const;
 };

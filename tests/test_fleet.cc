@@ -5,10 +5,13 @@
  * aggregate conservation across the time series, the storm-detector
  * math, early exit once the whole fleet is dark, the drainTime /
  * BatteryModel::life equivalence, the histogramObserve-vs-registry
- * bucketing identity, and a golden run summary pinning the
- * human-readable surface.
+ * bucketing identity, the nanosecond bucket clock, a differential
+ * test of the prefix-sum bucket step against the phase-by-phase
+ * reference walk (fleet_reference.hh), and a golden run summary
+ * pinning the human-readable surface.
  */
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -18,7 +21,9 @@
 
 #include "campaign/campaign_engine.hh"
 #include "common/logging.hh"
+#include "fleet/cohort_profile.hh"
 #include "fleet/fleet_engine.hh"
+#include "fleet_reference.hh"
 #include "obs/metrics.hh"
 #include "sim/battery_model.hh"
 #include "workload/phase_soa.hh"
@@ -334,6 +339,239 @@ TEST(FleetEngineTest, ProfileAgreesWithCampaignCell)
             EXPECT_GT(cell.modeSwitches, 0u);
         }
     }
+}
+
+TEST(FleetSpecTest, BucketCountIsExactOnTheNsClock)
+{
+    // 35 ms in 5 ms buckets is 7 buckets, and 81 ms in 9 ms buckets
+    // is 9: a double ceil(horizon / bucket) overshoots both and adds
+    // an empty eighth (tenth) bucket, diluting the storm baseline.
+    FleetSpec spec = testSpec();
+    spec.bucket = milliseconds(5.0);
+    spec.horizon = seconds(0.035);
+    EXPECT_EQ(spec.bucketCount(), 7u);
+    FleetResult result = runAt(spec, 1);
+    ASSERT_EQ(result.buckets.size(), 7u);
+    EXPECT_EQ(result.buckets.back().tEndS, 0.035);
+    EXPECT_NE(csvOf(result).find("\n6,0.035,"), std::string::npos);
+    EXPECT_DOUBLE_EQ(result.stormBaseline,
+                     static_cast<double>(result.totalSwitches) / 7.0);
+
+    spec.bucket = milliseconds(9.0);
+    spec.horizon = seconds(0.081);
+    EXPECT_EQ(spec.bucketCount(), 9u);
+    spec.horizon = seconds(0.0815);
+    EXPECT_EQ(spec.bucketCount(), 10u);
+    result = runAt(spec, 1);
+    ASSERT_EQ(result.buckets.size(), 10u);
+    EXPECT_EQ(result.buckets[8].tEndS, 0.081);
+    EXPECT_EQ(result.buckets[9].tEndS, 0.0815);
+
+    // A bucket or horizon that rounds below 1 ns is off the clock.
+    spec = testSpec();
+    spec.bucket = seconds(4e-10);
+    EXPECT_THROW(spec.validate(), ConfigError);
+    spec.horizon = seconds(4e-10);
+    EXPECT_THROW(spec.validate(), ConfigError);
+    spec = testSpec();
+    spec.horizon = seconds(1e12);
+    spec.bucket = seconds(1e6);
+    EXPECT_THROW(spec.validate(), ConfigError);
+}
+
+/**
+ * A ten-phase cycle of 20 ms phases alternating busy and idle, so
+ * oracle and PMU cohorts switch modes at phase boundaries and any
+ * bucket that is a multiple of 20 ms ends exactly on one.
+ */
+PhaseTrace
+tieTrace()
+{
+    std::vector<TracePhase> phases;
+    for (size_t i = 0; i < 10; ++i) {
+        TracePhase p;
+        p.duration = milliseconds(20.0);
+        if (i % 2 == 0) {
+            p.cstate = PackageCState::C0;
+            p.type = i % 4 == 0 ? WorkloadType::MultiThread
+                                : WorkloadType::Graphics;
+            p.ar = 0.5 + 0.04 * static_cast<double>(i);
+        } else {
+            p.cstate =
+                i % 3 == 0 ? PackageCState::C8 : PackageCState::C2;
+            p.type = WorkloadType::BatteryLife;
+            p.ar = 0.3;
+        }
+        phases.push_back(p);
+    }
+    return PhaseTrace("ties-20ms", std::move(phases));
+}
+
+/** One cohort over the tie trace, started in phase 0, no spread. */
+FleetCohort
+tieCohort(std::string name, SimMode mode, double batteryWh)
+{
+    FleetCohort cohort;
+    cohort.name = std::move(name);
+    cohort.count = 300;
+    cohort.platform = ultraportablePreset();
+    cohort.pdn = PdnKind::FlexWatts;
+    cohort.mode = mode;
+    cohort.trace = TraceSpec(tieTrace());
+    cohort.batteryWh = batteryWh;
+    return cohort;
+}
+
+/**
+ * The engine's prefix-sum step against the reference walk: per
+ * bucket, sessions alive, deaths and mode switches exactly, energy
+ * and power within 1e-11 relative, and the same deaths at the same
+ * times to rounding.
+ */
+void
+expectEngineMatchesReference(const FleetSpec &spec)
+{
+    FleetResult engine = runAt(spec, 2);
+    reference::FleetRun ref = reference::fleetRun(spec);
+    ASSERT_EQ(engine.buckets.size(), ref.buckets.size());
+    for (size_t b = 0; b < ref.buckets.size(); ++b) {
+        SCOPED_TRACE("bucket " + std::to_string(b));
+        const FleetBucketRow &e = engine.buckets[b];
+        const FleetBucketRow &r = ref.buckets[b];
+        EXPECT_EQ(e.tEndS, r.tEndS);
+        EXPECT_EQ(e.alive, r.alive);
+        EXPECT_EQ(e.deaths, r.deaths);
+        EXPECT_EQ(e.modeSwitches, r.modeSwitches);
+        EXPECT_NEAR(e.energyJ, r.energyJ, 1e-11 * r.energyJ);
+        EXPECT_NEAR(e.powerW, r.powerW, 1e-11 * r.powerW);
+    }
+
+    MetricSnapshot refLife;
+    for (double t : ref.emptyAtS) {
+        if (t >= 0.0)
+            histogramObserve(refLife, t / 3600.0);
+    }
+    EXPECT_EQ(engine.batteryLifeH.count, refLife.count);
+    EXPECT_NEAR(engine.batteryLifeH.min, refLife.min,
+                1e-12 * refLife.max);
+    EXPECT_NEAR(engine.batteryLifeH.max, refLife.max,
+                1e-12 * refLife.max);
+    EXPECT_NEAR(engine.batteryLifeH.value, refLife.value,
+                1e-12 * refLife.value);
+}
+
+TEST(FleetKernelTest, MatchesThePhaseWalkWithoutTies)
+{
+    // Jittered starts over random-mix durations: bucket ends fall
+    // inside phases. Buckets span a fraction of a cycle, a few
+    // cycles, and many cycles with a horizon-truncated last bucket;
+    // the tablets die throughout.
+    FleetCohort pmu = testSpec().cohorts[1];
+    pmu.name = "pmu";
+    pmu.count = 300;
+    pmu.mode = SimMode::Pmu;
+    pmu.batteryWh = 0.004;
+    pmu.batterySpread = 0.5;
+    pmu.startJitter = seconds(3.0);
+    for (double bucketS : {0.037, 0.5, 2.9}) {
+        SCOPED_TRACE("bucket " + std::to_string(bucketS) + " s");
+        FleetSpec spec = testSpec();
+        spec.cohorts.push_back(pmu);
+        spec.bucket = seconds(bucketS);
+        spec.horizon = seconds(7.3);
+        ASSERT_NE(std::fmod(7.3, bucketS), 0.0);
+        expectEngineMatchesReference(spec);
+    }
+}
+
+TEST(FleetKernelTest, MatchesThePhaseWalkOnTies)
+{
+    // Zero jitter and 20 ms phases: every bucket that is a multiple
+    // of 20 ms ends on a phase boundary, most of them mode switches.
+    // The capacity spread staggers deaths across the horizon.
+    for (double bucketMs : {20.0, 60.0, 200.0, 1000.0}) {
+        SCOPED_TRACE("bucket " + std::to_string(bucketMs) + " ms");
+        FleetSpec spec;
+        spec.cohorts = {tieCohort("oracle", SimMode::Oracle, 0.001),
+                        tieCohort("pmu", SimMode::Pmu, 0.003)};
+        for (FleetCohort &cohort : spec.cohorts)
+            cohort.batterySpread = 0.5;
+        spec.bucket = milliseconds(bucketMs);
+        spec.horizon = seconds(6.0);
+        FleetResult result = runAt(spec, 1);
+        EXPECT_GT(result.totalSwitches, 0u);
+        EXPECT_GT(result.deaths, 0u);
+        expectEngineMatchesReference(spec);
+    }
+}
+
+TEST(FleetKernelTest, PhaseEnteredAtABucketEndBelongsToIt)
+{
+    // One session from phase 0 in 20 ms buckets: bucket b ends as
+    // phase b + 1 begins, so it carries that phase's entry switches.
+    FleetSpec spec;
+    spec.cohorts = {tieCohort("oracle", SimMode::Oracle, 50.0)};
+    spec.cohorts[0].count = 1;
+    spec.bucket = milliseconds(20.0);
+    spec.horizon = seconds(0.4);
+    CohortProfile cp = buildProfile(spec.cohorts[0], spec.tick);
+    ASSERT_EQ(cp.phases(), 10u);
+    ASSERT_GT(cp.cycleSwitches, 0u);
+
+    FleetResult result = runAt(spec, 1);
+    ASSERT_EQ(result.buckets.size(), 20u);
+    for (size_t b = 0; b < result.buckets.size(); ++b)
+        EXPECT_EQ(result.buckets[b].modeSwitches,
+                  cp.switchesIn[(b + 1) % 10])
+            << "bucket " << b;
+}
+
+TEST(FleetKernelTest, DeathInTheStartPhase)
+{
+    // Every session starts at phase 0 with less charge than the
+    // phase draws, so all die inside it at charge / power.
+    FleetSpec spec;
+    spec.cohorts = {tieCohort("oracle", SimMode::Oracle, 1.0)};
+    spec.bucket = milliseconds(50.0);
+    spec.horizon = seconds(1.0);
+    CohortProfile cp = buildProfile(spec.cohorts[0], spec.tick);
+    double phaseJ = cp.powerW[0] * cp.durS[0];
+    spec.cohorts[0].batteryWh = 0.4 * phaseJ / 3600.0;
+
+    FleetResult result = runAt(spec, 1);
+    ASSERT_EQ(result.buckets.size(), 1u);
+    EXPECT_EQ(result.buckets[0].deaths, spec.cohorts[0].count);
+    EXPECT_EQ(result.buckets[0].modeSwitches, 0u);
+    double lifeS = 0.4 * phaseJ / cp.powerW[0];
+    EXPECT_NEAR(result.batteryLifeH.max * 3600.0, lifeS, 1e-12);
+    EXPECT_LT(lifeS, cp.durS[0]);
+    expectEngineMatchesReference(spec);
+
+    // Jittered starts die inside whatever phase they start in.
+    spec.cohorts[0].startJitter = seconds(0.2);
+    spec.cohorts[0].batteryWh = 0.05 * phaseJ / 3600.0;
+    expectEngineMatchesReference(spec);
+}
+
+TEST(FleetKernelTest, DeathAfterChargeCappedWholeCycles)
+{
+    // 10 s buckets hold 50 cycles but the charge covers about four,
+    // so the whole-cycle jump stops short and the death falls in the
+    // following cycle — all within the first bucket.
+    FleetSpec spec;
+    spec.cohorts = {tieCohort("oracle", SimMode::Oracle, 1.0)};
+    spec.cohorts[0].startJitter = seconds(1.0);
+    spec.cohorts[0].batterySpread = 0.2;
+    spec.bucket = seconds(10.0);
+    spec.horizon = seconds(20.0);
+    CohortProfile cp = buildProfile(spec.cohorts[0], spec.tick);
+    spec.cohorts[0].batteryWh = 4.0 * cp.cycleEnergyJ / 3600.0;
+
+    FleetResult result = runAt(spec, 1);
+    ASSERT_EQ(result.buckets.size(), 1u);
+    EXPECT_EQ(result.buckets[0].deaths, spec.cohorts[0].count);
+    EXPECT_GT(result.batteryLifeH.min * 3600.0, 3.0 * cp.cycleS);
+    expectEngineMatchesReference(spec);
 }
 
 TEST(FleetBatteryTest, DrainTimeMatchesBatteryModelLife)
