@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Full verification pass: configure, build with warnings-as-errors,
-# run every registered test in parallel (once on a serial default
-# pool, once on a 4-thread one), then repeat the test
-# suite under AddressSanitizer + UBSan (the threaded campaign/sweep
-# paths are sanitizer-gated). This is the tier-1 gate (ROADMAP.md)
-# and is ready to drop into CI as-is.
+# Full verification pass on top of tier-1 (plain `ctest`, see
+# ROADMAP.md): builds with warnings as errors (-Werror), runs every
+# registered test in parallel under two pool sizes (a serial default
+# pool and a 4-thread one), drives the shipped binaries end to end
+# (campaign/fleet determinism, sharding, launcher retry, archive and
+# observability smokes), then repeats the test suite under
+# AddressSanitizer + UBSan (the threaded campaign/sweep paths are
+# sanitizer-gated). Ready to drop into CI as-is.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check; the
 # sanitizer pass uses <build-dir>-asan)

@@ -141,6 +141,8 @@ summaryJson(const CampaignPdnSummary &s)
 JsonValue
 buildRunReport(const RunReportInputs &in)
 {
+    if (in.toolName.empty())
+        panic("buildRunReport: RunReportInputs::toolName is empty");
     std::vector<Member> doc;
     doc.emplace_back("schema", str(runReportSchema));
 

@@ -62,8 +62,8 @@ std::string fnv1a64Hex(const std::string &text);
 /** Everything one tool run feeds into its report. */
 struct RunReportInputs
 {
-    /** Emitting binary's name (the "tool.name" member). */
-    std::string toolName = "pdnspot_campaign";
+    /** Emitting binary's name (the "tool.name" member); required. */
+    std::string toolName;
 
     std::string specPath;  ///< as given on the command line
     std::string specText;  ///< raw spec file bytes (hashed)

@@ -1,7 +1,6 @@
 #include "obs/span_trace.hh"
 
 #include <atomic>
-#include <unistd.h>
 
 #include "common/logging.hh"
 
@@ -134,11 +133,47 @@ SpanRecorder::droppedSpans() const
 }
 
 JsonValue
-SpanRecorder::traceEventsJson() const
+traceProcessNameEvent(double pid, std::string name)
 {
-    TraceEventExport unstamped;
-    unstamped.shardIndex = static_cast<size_t>(getpid());
-    return traceEventsJson(unstamped);
+    std::vector<JsonValue::Member> args;
+    args.emplace_back("name", JsonValue::makeString(std::move(name)));
+    std::vector<JsonValue::Member> fields;
+    fields.emplace_back("name",
+                        JsonValue::makeString("process_name"));
+    fields.emplace_back("ph", JsonValue::makeString("M"));
+    fields.emplace_back("pid", JsonValue::makeNumber(pid));
+    fields.emplace_back("tid", JsonValue::makeNumber(0.0));
+    fields.emplace_back("args",
+                        JsonValue::makeObject(std::move(args)));
+    return JsonValue::makeObject(std::move(fields));
+}
+
+JsonValue
+traceCounterEvent(std::string name, double tsMicros, double pid,
+                  double value)
+{
+    std::vector<JsonValue::Member> args;
+    args.emplace_back("value", JsonValue::makeNumber(value));
+    std::vector<JsonValue::Member> fields;
+    fields.emplace_back("name",
+                        JsonValue::makeString(std::move(name)));
+    fields.emplace_back("ph", JsonValue::makeString("C"));
+    fields.emplace_back("ts", JsonValue::makeNumber(tsMicros));
+    fields.emplace_back("pid", JsonValue::makeNumber(pid));
+    fields.emplace_back("tid", JsonValue::makeNumber(0.0));
+    fields.emplace_back("args",
+                        JsonValue::makeObject(std::move(args)));
+    return JsonValue::makeObject(std::move(fields));
+}
+
+JsonValue
+traceEventDocument(std::vector<JsonValue> events)
+{
+    std::vector<JsonValue::Member> doc;
+    doc.emplace_back("traceEvents",
+                     JsonValue::makeArray(std::move(events)));
+    doc.emplace_back("displayTimeUnit", JsonValue::makeString("ms"));
+    return JsonValue::makeObject(std::move(doc));
 }
 
 JsonValue
@@ -153,18 +188,8 @@ SpanRecorder::traceEventsJson(const TraceEventExport &options) const
         if (options.shardCount > 1)
             label += strprintf(" shard %zu/%zu", options.shardIndex,
                                options.shardCount);
-        std::vector<JsonValue::Member> args;
-        args.emplace_back("name",
-                          JsonValue::makeString(std::move(label)));
-        std::vector<JsonValue::Member> fields;
-        fields.emplace_back(
-            "name", JsonValue::makeString("process_name"));
-        fields.emplace_back("ph", JsonValue::makeString("M"));
-        fields.emplace_back("pid", JsonValue::makeNumber(pid));
-        fields.emplace_back("tid", JsonValue::makeNumber(0.0));
-        fields.emplace_back(
-            "args", JsonValue::makeObject(std::move(args)));
-        events.push_back(JsonValue::makeObject(std::move(fields)));
+        events.push_back(
+            traceProcessNameEvent(pid, std::move(label)));
     }
     for (const auto &log : _logs) {
         // A span still open at serialization time (its scope is
@@ -208,19 +233,7 @@ SpanRecorder::traceEventsJson(const TraceEventExport &options) const
 
     for (const JsonValue &extra : options.extraEvents)
         events.push_back(extra);
-
-    std::vector<JsonValue::Member> doc;
-    doc.emplace_back("traceEvents",
-                     JsonValue::makeArray(std::move(events)));
-    doc.emplace_back("displayTimeUnit",
-                     JsonValue::makeString("ms"));
-    return JsonValue::makeObject(std::move(doc));
-}
-
-std::string
-SpanRecorder::writeTraceEvents() const
-{
-    return writeJson(traceEventsJson());
+    return traceEventDocument(std::move(events));
 }
 
 SpanInstallation::SpanInstallation(SpanRecorder &recorder)

@@ -63,10 +63,26 @@ struct TraceEventExport
 };
 
 /**
+ * The trace-event JSON builders every exporter shares (spans here,
+ * probe waveforms in obs/waveform_io.hh, fleet aggregates in
+ * pdnspot_fleet). All events sit on tid 0 of `pid`.
+ */
+
+/** A "process_name" metadata ("M") event labelling `pid`. */
+JsonValue traceProcessNameEvent(double pid, std::string name);
+
+/** A counter ("C") event: `name` = `value` at `tsMicros`. */
+JsonValue traceCounterEvent(std::string name, double tsMicros,
+                            double pid, double value);
+
+/** Wrap events as {"traceEvents": [...], "displayTimeUnit": "ms"}. */
+JsonValue traceEventDocument(std::vector<JsonValue> events);
+
+/**
  * Collects spans from every thread that touches it while installed.
- * Serialize (traceEventsJson/writeTraceEvents) only after the
- * producing threads have quiesced — typically after the campaign
- * run's ParallelRunner drain.
+ * Serialize (traceEventsJson) only after the producing threads have
+ * quiesced — typically after the campaign run's ParallelRunner
+ * drain.
  */
 class SpanRecorder
 {
@@ -104,25 +120,16 @@ class SpanRecorder
     uint64_t droppedSpans() const;
 
     /**
-     * The recorded spans as a Chrome trace-event document:
-     * {"traceEvents": [{"name", "cat", "ph", "ts", "pid", "tid"},
-     * ...]}. Timestamps are microseconds from the recorder's
-     * construction; tids are dense per-thread ids in first-use order.
-     */
-    JsonValue traceEventsJson() const;
-
-    /**
-     * Identity-stamped export: spans carry pid = options.shardIndex
-     * (not getpid()), a process_name metadata event labels the
-     * timeline (shard-suffixed when shardCount > 1), and
-     * options.extraEvents ride along at the end of traceEvents. The
-     * zero-argument overload above keeps the historical unstamped
-     * shape.
+     * The recorded spans as a Chrome trace-event document
+     * (traceEventDocument): {"name", "cat", "ph", "ts", "pid", "tid"}
+     * per event. Spans carry pid = options.shardIndex, a
+     * process_name metadata event labels the timeline
+     * (shard-suffixed when shardCount > 1), and options.extraEvents
+     * ride along at the end. Timestamps are microseconds from the
+     * recorder's construction; tids are dense per-thread ids in
+     * first-use order.
      */
     JsonValue traceEventsJson(const TraceEventExport &options) const;
-
-    /** writeJson(traceEventsJson()). */
-    std::string writeTraceEvents() const;
 
   private:
     friend class SpanScope;

@@ -4,6 +4,7 @@
 
 #include "common/csv.hh"
 #include "common/logging.hh"
+#include "obs/span_trace.hh"
 
 namespace pdnspot
 {
@@ -168,44 +169,14 @@ waveformCounterEvents(const Waveform &waveform)
     events.reserve(1 + waveform.rows.size() * waveform.signals.size() +
                    waveform.events.size());
 
-    {
-        std::vector<JsonValue::Member> args;
-        args.emplace_back(
-            "name", JsonValue::makeString(
-                        "probe " + waveform.trace + "/" +
-                        waveform.platform + "/" + waveform.pdn + "/" +
-                        waveform.mode));
-        std::vector<JsonValue::Member> fields;
-        fields.emplace_back("name",
-                            JsonValue::makeString("process_name"));
-        fields.emplace_back("ph", JsonValue::makeString("M"));
-        fields.emplace_back("pid", JsonValue::makeNumber(pid));
-        fields.emplace_back("tid", JsonValue::makeNumber(0.0));
-        fields.emplace_back(
-            "args", JsonValue::makeObject(std::move(args)));
-        events.push_back(JsonValue::makeObject(std::move(fields)));
-    }
-
+    events.push_back(traceProcessNameEvent(
+        pid, "probe " + waveform.trace + "/" + waveform.platform +
+                 "/" + waveform.pdn + "/" + waveform.mode));
     for (const WaveformRow &row : waveform.rows) {
-        for (size_t i = 0; i < waveform.signals.size(); ++i) {
-            std::vector<JsonValue::Member> args;
-            args.emplace_back(
-                "value", JsonValue::makeNumber(row.values[i]));
-            std::vector<JsonValue::Member> fields;
-            fields.emplace_back(
-                "name", JsonValue::makeString(
-                            toString(waveform.signals[i])));
-            fields.emplace_back("ph", JsonValue::makeString("C"));
-            fields.emplace_back(
-                "ts", JsonValue::makeNumber(
-                          inMicroseconds(row.start)));
-            fields.emplace_back("pid", JsonValue::makeNumber(pid));
-            fields.emplace_back("tid", JsonValue::makeNumber(0.0));
-            fields.emplace_back(
-                "args", JsonValue::makeObject(std::move(args)));
-            events.push_back(
-                JsonValue::makeObject(std::move(fields)));
-        }
+        for (size_t i = 0; i < waveform.signals.size(); ++i)
+            events.push_back(traceCounterEvent(
+                toString(waveform.signals[i]),
+                inMicroseconds(row.start), pid, row.values[i]));
     }
 
     for (const WaveformEvent &e : waveform.events) {
@@ -225,17 +196,6 @@ waveformCounterEvents(const Waveform &waveform)
         events.push_back(JsonValue::makeObject(std::move(fields)));
     }
     return events;
-}
-
-JsonValue
-counterTrackDocument(std::vector<JsonValue> events)
-{
-    std::vector<JsonValue::Member> doc;
-    doc.emplace_back("traceEvents",
-                     JsonValue::makeArray(std::move(events)));
-    doc.emplace_back("displayTimeUnit",
-                     JsonValue::makeString("ms"));
-    return JsonValue::makeObject(std::move(doc));
 }
 
 } // namespace pdnspot

@@ -42,7 +42,7 @@ namespace pdnspot
 /**
  * Counter-track pids start here; adding the global campaign cell
  * index keeps them unique across shards (tool spans use the shard
- * index as pid — see SpanRecorder::TraceEventExport).
+ * index as pid — see TraceEventExport in obs/span_trace.hh).
  */
 inline constexpr uint64_t probeCounterPidBase = 1000000;
 
@@ -62,12 +62,9 @@ Waveform readWaveformCsv(std::istream &is,
  * record, one "C" counter event per sample per signal, and one "i"
  * instant event per waveform event, all under the cell's synthetic
  * pid. Append these to a span recorder's export or wrap them with
- * counterTrackDocument().
+ * traceEventDocument() (obs/span_trace.hh).
  */
 std::vector<JsonValue> waveformCounterEvents(const Waveform &waveform);
-
-/** Wrap trace events as {"traceEvents": [...]} (span-export shape). */
-JsonValue counterTrackDocument(std::vector<JsonValue> events);
 
 } // namespace pdnspot
 

@@ -165,6 +165,16 @@ ResultArchive::ResultArchive(std::string root)
     }
 }
 
+ResultArchive
+ResultArchive::openExisting(std::string root)
+{
+    if (!fs::is_directory(root + "/runs"))
+        fatal(strprintf("\"%s\" is not a result archive (no runs/ "
+                        "directory)",
+                        root.c_str()));
+    return ResultArchive(std::move(root));
+}
+
 std::string
 ResultArchive::indexPath() const
 {

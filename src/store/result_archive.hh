@@ -107,6 +107,14 @@ class ResultArchive
      */
     explicit ResultArchive(std::string root);
 
+    /**
+     * Open the archive already at `root` without creating anything:
+     * fatal() naming `root` when it holds no archive (no runs/
+     * directory), so a mistyped path is an error, not an empty
+     * archive. The read side (pdnspot_query list/show/...) uses it.
+     */
+    static ResultArchive openExisting(std::string root);
+
     const std::string &root() const { return _root; }
 
     /**

@@ -53,6 +53,34 @@ expect_err() { grep -qF -- "$1" "$tmp/err" || fail "stderr lacks \"$1\""; }
 expect_out() { grep -qF -- "$1" "$tmp/out" || fail "stdout lacks \"$1\""; }
 
 case "$case_name" in
+  *_conventions)
+    # The conventions every tool shares (tools/cli_common.hh): the
+    # version line, --help, an unknown option and a flag given
+    # without its value.
+    name="$(basename "$tool")"
+    run 0 --version
+    grep -qE "^$name [^ ]+ \(git [^ )]+\)$" "$tmp/out" \
+        || fail "--version is not \"$name VERSION (git REV)\""
+    run 0 --help
+    expect_out "usage: $name"
+    run 2 --frobnicate
+    expect_err "$name: unknown option \"--frobnicate\""
+    expect_err "usage: $name"
+    run 2 -o
+    expect_err "$name: -o needs a value"
+    expect_err "usage: $name"
+    ;;
+  *_common_flags)
+    # The flags campaign, fleet and launch bind alike reject bad
+    # values as usage errors, before any spec is read.
+    name="$(basename "$tool")"
+    run 2 "$tmp/spec.json" --threads 0
+    expect_err "$name: --threads must be a positive integer, got \"0\""
+    expect_err "usage: $name"
+    run 2 "$tmp/spec.json" --log-level loud
+    expect_err "$name: --log-level must be info, warn or silent"
+    expect_err "usage: $name"
+    ;;
   usage_no_spec)
     run 2
     expect_err "missing spec file"
@@ -283,6 +311,28 @@ EOF
         fail "fleet trace is labelled pdnspot_campaign"
     fi
     ;;
+  fleet_unwritable_outputs)
+    # Every output opens before the run and names the bad path.
+    for pair in "-o output" "--report report" \
+        "--trace-events trace-events"; do
+        flag="${pair%% *}"
+        what="${pair#* }"
+        run 1 "$spec_dir/fleet_study.json" -o "$tmp/f.csv" \
+            "$flag" "$tmp/no_such_dir/x"
+        expect_err "cannot open $what file \"$tmp/no_such_dir/x\""
+    done
+    ;;
+  fleet_seed_in_report)
+    # A --seed override changes the results, so the report's fleet
+    # block carries the effective seed (the spec echo keeps the
+    # file's own).
+    run 0 "$spec_dir/fleet_study.json" -o "$tmp/f.csv" --seed 5 \
+        --report "$tmp/r.json"
+    awk '/^  "fleet": \{/ { on = 1 } on { print } on && /^  \}/ { exit }' \
+        "$tmp/r.json" >"$tmp/fleet_block"
+    grep -qF '"seed": 5' "$tmp/fleet_block" \
+        || fail "the report's fleet block lacks the --seed 5 override"
+    ;;
   launch_usage)
     run 2
     expect_err "missing spec file"
@@ -327,6 +377,20 @@ EOF
         --campaign-bin "$campaign" --work-dir "$tmp/work"
     expect_err "shard 2/2 failed after 2 attempts"
     expect_err "shard_2.log"
+    ;;
+  launch_unwritable_output)
+    # -o opens before any shard is spawned: an unwritable path fails
+    # fast, naming the path, and leaves the work dir untouched.
+    run 1 "$spec_dir/measured_campaign.json" -n 2 \
+        -o "$tmp/no_such_dir/out.csv" --campaign-bin "$extra_bin" \
+        --work-dir "$tmp/work"
+    expect_err "cannot open output file \"$tmp/no_such_dir/out.csv\""
+    if grep -qF "launching" "$tmp/err"; then
+        fail "shards were launched before -o was opened"
+    fi
+    if [ -e "$tmp/work" ] && [ -n "$(ls -A "$tmp/work")" ]; then
+        fail "the failed launch wrote into --work-dir"
+    fi
     ;;
   query_usage)
     run 2
@@ -377,6 +441,17 @@ EOF
     expect_out "FlexWatts"
     run 1 "$tmp/arch" show ffffnotanid
     expect_err 'no archived run matches id prefix'
+    ;;
+  query_missing_archive)
+    # A read command on a path that holds no archive fails naming
+    # the path and creates nothing: a mistyped path must not read
+    # as "no matching runs".
+    for cmd in list summaries "show abc" csv; do
+        # shellcheck disable=SC2086 # $cmd is a command + operand
+        run 1 "$tmp/typo" $cmd
+        expect_err "\"$tmp/typo\" is not a result archive"
+        [ ! -e "$tmp/typo" ] || fail "\"$cmd\" created $tmp/typo"
+    done
     ;;
   *)
     echo "cli_smoke: unknown case \"$case_name\"" >&2

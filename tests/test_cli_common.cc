@@ -1,12 +1,20 @@
 /**
  * @file
- * The CLI parse helpers shared by every tool (tools/cli_common.hh):
+ * The CLI helpers shared by every tool (tools/cli_common.hh):
  * strict locale-independent number parsing — including the
  * non-finite rejection every flag relies on — integer range
- * behavior, and the progress-heartbeat line formatting.
+ * behavior, the progress-heartbeat line formatting, output files
+ * and the exception-to-exit-code mapping.
  */
 
+#include <filesystem>
+#include <fstream>
+#include <iostream>
+#include <sstream>
+#include <stdexcept>
+
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "cli_common.hh"
 
@@ -107,6 +115,83 @@ TEST(FormatProgressLine, UnknownTotalShowsPlainCount)
     EXPECT_EQ(line.find('%'), std::string::npos) << line;
     EXPECT_EQ(line.find("100"), std::string::npos) << line;
     EXPECT_NE(line.find("ETA --"), std::string::npos) << line;
+}
+
+const cli::ToolInfo testTool{"tool", "usage: tool\n"};
+
+TEST(OutputFile, DashIsStdout)
+{
+    cli::OutputFile out("-", "output");
+    EXPECT_TRUE(out.isStdout());
+    EXPECT_EQ(&out.stream(), &std::cout);
+    out.finish();
+}
+
+TEST(OutputFile, WritesAndClosesAFile)
+{
+    std::string path = (std::filesystem::temp_directory_path() /
+                        ("pdnspot_cli_out_" +
+                         std::to_string(::getpid()) + ".txt"))
+                           .string();
+    {
+        cli::OutputFile out(path, "output");
+        EXPECT_FALSE(out.isStdout());
+        out.stream() << "rows\n";
+        out.finish();
+    }
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(), "rows\n");
+    std::filesystem::remove(path);
+}
+
+TEST(OutputFile, UnwritablePathThrowsNamingIt)
+{
+    const std::string path = "/nonexistent-pdnspot-dir/out.csv";
+    try {
+        cli::OutputFile out(path, "report");
+        FAIL() << "opened an unwritable path";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "fatal: cannot open report file \"" + path + "\"");
+    }
+}
+
+TEST(RunMain, PassesTheBodysExitCodeThrough)
+{
+    EXPECT_EQ(cli::runMain(testTool, [] { return 0; }), 0);
+    EXPECT_EQ(cli::runMain(testTool, [] { return 7; }), 7);
+}
+
+TEST(RunMain, ConfigErrorExitsOne)
+{
+    testing::internal::CaptureStderr();
+    int code = cli::runMain(testTool, []() -> int {
+        fatal("bad spec.json:3:5: nope");
+    });
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 1);
+    EXPECT_EQ(err, "tool: fatal: bad spec.json:3:5: nope\n");
+}
+
+TEST(RunMain, AnyOtherExceptionIsAnInternalErrorExitingThree)
+{
+    testing::internal::CaptureStderr();
+    int code = cli::runMain(testTool, []() -> int {
+        panic("invariant broken");
+    });
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 3);
+    EXPECT_EQ(err, "tool: internal error: panic: invariant broken\n");
+
+    testing::internal::CaptureStderr();
+    code = cli::runMain(testTool, []() -> int {
+        throw std::runtime_error("disk on fire");
+    });
+    err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, 3);
+    EXPECT_EQ(err, "tool: internal error: disk on fire\n");
 }
 
 } // namespace

@@ -26,6 +26,7 @@
 #include "common/table.hh"
 #include "obs/metrics.hh"
 #include "obs/run_report.hh"
+#include "obs/span_trace.hh"
 #include "obs/waveform_io.hh"
 #include "pdnspot/platform.hh"
 #include "workload/trace_io.hh"
@@ -134,6 +135,7 @@ TEST(GoldenFileTest, RunReport)
 
     CampaignSpec spec = goldenSpec();
     RunReportInputs in;
+    in.toolName = "pdnspot_campaign";
     in.specPath = "golden.json";
     in.specText = "golden";
     in.specEcho = JsonValue::makeNull();
@@ -184,7 +186,7 @@ TEST(GoldenFileTest, ProbeCounterTracks)
     std::shared_ptr<const Waveform> waveform = goldenWaveform();
     ASSERT_NE(waveform, nullptr);
     checkGolden("probe_counters.json",
-                writeJson(counterTrackDocument(
+                writeJson(traceEventDocument(
                     waveformCounterEvents(*waveform))));
 }
 

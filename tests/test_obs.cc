@@ -258,6 +258,16 @@ TEST(MetricsRegistryTest, EngineReportsIntoInstalledRegistry)
 // SpanRecorder
 // ---------------------------------------------------------------
 
+/**
+ * The recorder's export with default stamping (pid 1, no
+ * process_name event), round-tripped through its JSON text.
+ */
+JsonValue
+exportSpans(const SpanRecorder &recorder)
+{
+    return parse(writeJson(recorder.traceEventsJson({})));
+}
+
 /** B/E phase counts of a trace-event document. */
 std::pair<size_t, size_t>
 phaseCounts(const JsonValue &doc)
@@ -289,7 +299,7 @@ TEST(SpanRecorderTest, RecordsBalancedNestedSpans)
     EXPECT_EQ(recorder.eventCount(), 4u);
     EXPECT_EQ(recorder.droppedSpans(), 0u);
 
-    JsonValue doc = parse(recorder.writeTraceEvents());
+    JsonValue doc = exportSpans(recorder);
     auto [begins, ends] = phaseCounts(doc);
     EXPECT_EQ(begins, 2u);
     EXPECT_EQ(ends, 2u);
@@ -306,6 +316,36 @@ TEST(SpanRecorderTest, RecordsBalancedNestedSpans)
         EXPECT_GE(e.find("ts")->asNumber(), ts);
         ts = e.find("ts")->asNumber();
     }
+}
+
+TEST(SpanRecorderTest, StampedExportLabelsTheShard)
+{
+    SpanRecorder recorder;
+    {
+        SpanInstallation install(recorder);
+        SpanScope scope("span", "test");
+    }
+    TraceEventExport stamp;
+    stamp.shardIndex = 2;
+    stamp.shardCount = 3;
+    stamp.processName = "tool";
+    stamp.extraEvents.push_back(
+        traceCounterEvent("gauge", 5.0, 77.0, 1.5));
+    JsonValue doc = recorder.traceEventsJson(stamp);
+    EXPECT_EQ(doc.find("displayTimeUnit")->asString(), "ms");
+    const std::vector<JsonValue> &events =
+        doc.find("traceEvents")->items();
+    ASSERT_EQ(events.size(), 4u);
+    // process_name first, then the B/E pair on the shard's pid, then
+    // the extra events untouched.
+    EXPECT_EQ(events[0].find("ph")->asString(), "M");
+    EXPECT_EQ(events[0].find("args")->find("name")->asString(),
+              "tool shard 2/3");
+    for (size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(events[i].find("pid")->asNumber(), 2.0) << i;
+    EXPECT_EQ(events[3].find("ph")->asString(), "C");
+    EXPECT_EQ(events[3].find("pid")->asNumber(), 77.0);
+    EXPECT_EQ(events[3].find("args")->find("value")->asNumber(), 1.5);
 }
 
 TEST(SpanRecorderTest, ScopesAreNoOpsWhileUninstalled)
@@ -329,7 +369,7 @@ TEST(SpanRecorderTest, OpenSpansAreSkippedButNestedOnesKept)
         // "left-open" never ends: serialization must skip its B
         // while keeping the closed child pair balanced.
     }
-    JsonValue doc = parse(recorder.writeTraceEvents());
+    JsonValue doc = exportSpans(recorder);
     auto [begins, ends] = phaseCounts(doc);
     EXPECT_EQ(begins, 1u);
     EXPECT_EQ(ends, 1u);
@@ -354,7 +394,7 @@ TEST(SpanRecorderTest, FullBufferDropsWholeSpans)
     EXPECT_EQ(recorder.eventCount(), 4u);
     EXPECT_EQ(recorder.droppedSpans(), 8u);
     auto [begins, ends] =
-        phaseCounts(parse(recorder.writeTraceEvents()));
+        phaseCounts(exportSpans(recorder));
     EXPECT_EQ(begins, 2u);
     EXPECT_EQ(ends, 2u);
 }
@@ -375,7 +415,7 @@ TEST(SpanRecorderTest, DroppedNestedBeginsSwallowTheirEnds)
     EXPECT_EQ(recorder.eventCount(), 4u);
     EXPECT_EQ(recorder.droppedSpans(), 1u);
     auto [begins, ends] =
-        phaseCounts(parse(recorder.writeTraceEvents()));
+        phaseCounts(exportSpans(recorder));
     EXPECT_EQ(begins, 2u);
     EXPECT_EQ(ends, 2u);
 }
@@ -391,7 +431,7 @@ TEST(SpanRecorderTest, ThreadsGetDenseTids)
         worker.join();
         SpanScope scope("main-span", "test");
     }
-    JsonValue doc = parse(recorder.writeTraceEvents());
+    JsonValue doc = exportSpans(recorder);
     const std::vector<JsonValue> &events =
         doc.find("traceEvents")->items();
     ASSERT_EQ(events.size(), 4u);
@@ -468,6 +508,7 @@ sampleInputs(const CampaignSpec &spec,
              const MetricsRegistry &registry)
 {
     RunReportInputs in;
+    in.toolName = "pdnspot_campaign";
     in.specPath = "/tmp/example.json";
     in.specText = "{\"traces\": []}";
     in.specEcho = parse(in.specText);
@@ -481,6 +522,13 @@ sampleInputs(const CampaignSpec &spec,
     in.wallSeconds = 1.25;
     in.metrics = &registry;
     return in;
+}
+
+TEST(RunReportTest, ToolNameIsRequired)
+{
+    // No default: a report that forgot its tool once labelled a
+    // fleet run "pdnspot_campaign".
+    EXPECT_THROW(buildRunReport(RunReportInputs{}), ModelError);
 }
 
 TEST(RunReportTest, ReportCarriesProvenanceAndMetrics)

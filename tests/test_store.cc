@@ -140,6 +140,27 @@ TEST_F(StoreTest, IngestAndReadBack)
               "pdnspot-report-1");
 }
 
+TEST_F(StoreTest, OpenExistingRejectsAPathWithoutAnArchive)
+{
+    // The read side must not mistake a typo for an empty archive,
+    // nor leave a fresh archive behind at the typo.
+    EXPECT_THROW(ResultArchive::openExisting(root()), ConfigError);
+    EXPECT_FALSE(fs::exists(root()));
+    fs::create_directories(root());
+    try {
+        ResultArchive::openExisting(root());
+        FAIL() << "an empty directory opened as an archive";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(root()),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(fs::is_empty(root()));
+
+    std::string id = ResultArchive(root()).ingest(reportText(1, 1), "");
+    EXPECT_TRUE(ResultArchive::openExisting(root()).findRun(id));
+}
+
 TEST_F(StoreTest, IngestIsIdempotent)
 {
     ResultArchive archive(root());

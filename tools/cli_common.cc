@@ -2,13 +2,12 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <unistd.h>
 
 #include "common/parallel.hh"
-#include "obs/run_report.hh"
+#include "config/json.hh"
 
 namespace pdnspot
 {
@@ -22,11 +21,21 @@ usageError(const ToolInfo &tool, const std::string &message)
     std::exit(2);
 }
 
-void
-printVersion(const ToolInfo &tool)
+int
+runMain(const ToolInfo &tool, const std::function<int()> &body)
 {
-    std::cout << tool.name << " " << toolVersion() << " (git "
-              << gitRevision() << ")\n";
+    try {
+        return body();
+    } catch (const ConfigError &e) {
+        std::cerr << tool.name << ": " << e.what() << "\n";
+        return 1;
+    } catch (const std::exception &e) {
+        // ModelError (an internal invariant, i.e. a bug) or OS-level
+        // failures: report and exit instead of std::terminate.
+        std::cerr << tool.name << ": internal error: " << e.what()
+                  << "\n";
+        return 3;
+    }
 }
 
 std::optional<double>
@@ -47,32 +56,200 @@ parseDouble(const std::string &v)
     return out;
 }
 
-unsigned
-parseThreads(const ToolInfo &tool, const std::string &v)
+ArgWalker::ArgWalker(const ToolInfo &tool, int argc, char **argv)
+    : _tool(tool), _argc(argc), _argv(argv)
+{}
+
+bool
+ArgWalker::next()
 {
-    std::optional<long> parsed = parseInt<long>(v);
-    long n = parsed.value_or(0);
-    if (!parsed || n < 1)
-        usageError(tool, "--threads must be a positive integer, "
-                         "got \"" +
-                             v + "\"");
-    if (n > static_cast<long>(ParallelRunner::maxThreadCount)) {
-        std::cerr << tool.name << ": --threads " << n
-                  << " capped at " << ParallelRunner::maxThreadCount
-                  << "\n";
-        n = ParallelRunner::maxThreadCount;
+    if (++_i >= _argc)
+        return false;
+    _arg = _argv[_i];
+    if (_arg == "-h" || _arg == "--help") {
+        std::cout << _tool.usage;
+        std::exit(0);
     }
-    return static_cast<unsigned>(n);
+    if (_arg == "--version") {
+        std::cout << _tool.name << " " << toolVersion() << " (git "
+                  << gitRevision() << ")\n";
+        std::exit(0);
+    }
+    return true;
 }
 
-LogLevel
-parseLogLevel(const ToolInfo &tool, const std::string &v)
+bool
+ArgWalker::isOption() const
 {
-    if (v != "info" && v != "warn" && v != "silent")
-        usageError(tool, "--log-level must be info, warn or silent, "
-                         "got \"" +
-                             v + "\"");
-    return logLevelFromString(v);
+    return !_arg.empty() && _arg[0] == '-' && _arg != "-";
+}
+
+std::string
+ArgWalker::value()
+{
+    if (_i + 1 >= _argc)
+        fail(_arg + " needs a value");
+    return _argv[++_i];
+}
+
+std::string
+ArgWalker::nonEmptyValue(const char *noun)
+{
+    std::string v = value();
+    if (v.empty())
+        fail(_arg + " needs a " + noun);
+    return v;
+}
+
+void
+ArgWalker::badValue(const std::string &v, const char *what) const
+{
+    fail(_arg + " must be " + what + ", got \"" + v + "\"");
+}
+
+void
+ArgWalker::unknown() const
+{
+    fail("unknown option \"" + _arg + "\"");
+}
+
+void
+ArgWalker::fail(const std::string &message) const
+{
+    usageError(_tool, message);
+}
+
+bool
+RunFlags::bind(ArgWalker &args)
+{
+    const std::string &arg = args.arg();
+    if (!args.isOption()) {
+        if (!specPath.empty())
+            args.fail("more than one spec file given");
+        specPath = arg;
+    } else if (arg == "-o") {
+        outPath = args.value();
+    } else if (arg == "--threads") {
+        long n = args.intValue<long>("a positive integer", 1);
+        if (n > static_cast<long>(ParallelRunner::maxThreadCount)) {
+            std::cerr << args.tool().name << ": --threads " << n
+                      << " capped at " << ParallelRunner::maxThreadCount
+                      << "\n";
+            n = ParallelRunner::maxThreadCount;
+        }
+        threads = static_cast<unsigned>(n);
+    } else if (arg == "--trace-dir") {
+        traceDir = args.nonEmptyValue("directory");
+    } else if (arg == "--progress") {
+        progress = true;
+    } else if (arg == "--quiet") {
+        setLogThreshold(LogLevel::Warn);
+    } else if (arg == "--log-level") {
+        std::string v = args.value();
+        if (v != "info" && v != "warn" && v != "silent")
+            args.badValue(v, "info, warn or silent");
+        setLogThreshold(logLevelFromString(v));
+    } else if (arg == "--dry-run") {
+        dryRun = true;
+    } else {
+        return false;
+    }
+    return true;
+}
+
+OutputFile::OutputFile(std::string path, const char *what)
+    : _path(std::move(path))
+{
+    if (isStdout())
+        return;
+    _file.open(_path, std::ios::binary);
+    if (!_file)
+        fatal(strprintf("cannot open %s file \"%s\"", what,
+                        _path.c_str()));
+}
+
+std::ostream &
+OutputFile::stream()
+{
+    return isStdout() ? std::cout : _file;
+}
+
+void
+OutputFile::finish()
+{
+    stream().flush();
+    if (isStdout())
+        return;
+    _file.close();
+    if (!_file)
+        fatal(strprintf("error writing \"%s\"", _path.c_str()));
+}
+
+RunObservers::RunObservers(const ToolInfo &tool,
+                           const std::string &reportPath,
+                           const std::string &traceEventsPath,
+                           bool summary)
+    : _tool(tool)
+{
+    if (!reportPath.empty())
+        _report.emplace(reportPath, "report");
+    if (!traceEventsPath.empty())
+        _traceEvents.emplace(traceEventsPath, "trace-events");
+    if (_report || summary) {
+        _registry.emplace();
+        _metricsInstall.emplace(*_registry);
+    }
+    if (_traceEvents) {
+        _spans.emplace();
+        _spanInstall.emplace(*_spans);
+    }
+}
+
+const MetricsRegistry *
+RunObservers::metrics() const
+{
+    return _registry ? &*_registry : nullptr;
+}
+
+void
+RunObservers::run(const std::function<void()> &body)
+{
+    auto start = std::chrono::steady_clock::now();
+    body();
+    std::chrono::duration<double> wall =
+        std::chrono::steady_clock::now() - start;
+    _wallSeconds = wall.count();
+    _metricsInstall.reset(); // quiesced: snapshots are final now
+}
+
+void
+RunObservers::finish(TraceEventExport stamp,
+                     const std::function<void(RunReportInputs &)> &fill)
+{
+    if (_spans) {
+        _spanInstall.reset(); // quiesce before serializing
+        stamp.processName = _tool.name;
+        _traceEvents->stream()
+            << writeJson(_spans->traceEventsJson(stamp));
+        _traceEvents->finish();
+        inform(strprintf(
+            "wrote %zu trace events to %s (%llu spans dropped)",
+            _spans->eventCount(), _traceEvents->path().c_str(),
+            static_cast<unsigned long long>(_spans->droppedSpans())));
+    }
+    if (_report) {
+        RunReportInputs in;
+        fill(in);
+        in.toolName = _tool.name;
+        in.specText = readFileBytes(in.specPath);
+        in.specEcho = parseJsonFile(in.specPath);
+        in.wallSeconds = _wallSeconds;
+        in.metrics = &*_registry;
+        _report->stream() << writeJson(buildRunReport(in));
+        _report->finish();
+        inform(strprintf("wrote run report to %s",
+                         _report->path().c_str()));
+    }
 }
 
 std::string

@@ -1,16 +1,28 @@
 /**
  * @file
- * Plumbing shared by the pdnspot CLI tools (pdnspot_campaign,
- * pdnspot_fleet): strict locale-independent number parsing, the
- * usage/exit-2 convention, --version/--threads/--log-level handling,
- * the rate-limited TTY progress heartbeat, and small file helpers.
+ * The one home of the conventions every pdnspot CLI tool shares
+ * (pdnspot_campaign, pdnspot_fleet, pdnspot_launch, pdnspot_query):
  *
- * Keeping these in one place pins the conventions the smoke tests
- * rely on — exit 2 for usage errors with the usage text on stderr,
- * exit 1 for ConfigError, "name VERSION (git REV)" for --version,
- * thread counts capped at ParallelRunner::maxThreadCount with a
- * warning — so every tool behaves identically and a fix lands in all
- * of them.
+ * - argv walking (ArgWalker): -h/--help prints the usage text and
+ *   exits 0; --version prints "name VERSION (git REV)"; a usage
+ *   error ("<flag> needs a value", "unknown option \"<x>\"", a bad
+ *   flag value) prints "name: message" plus the usage text and
+ *   exits 2;
+ * - the run flags campaign, fleet and launch spell alike (RunFlags):
+ *   -o, --threads (capped at ParallelRunner::maxThreadCount with a
+ *   warning), --trace-dir, --progress, --quiet, --log-level,
+ *   --dry-run and the spec-file positional;
+ * - exit mapping (runMain): ConfigError exits 1, any other exception
+ *   exits 3 as an internal error;
+ * - output files (OutputFile): "-" is stdout, any other path opens
+ *   before the work it receives and fails naming the path;
+ * - the --report/--trace-events/--summary session campaign and
+ *   fleet share (RunObservers);
+ * - strict locale-independent number parsing and the --progress
+ *   heartbeat.
+ *
+ * A fix here lands in every tool at once, and the smoke tests pin
+ * the shared behaviour per tool (tests/cli_smoke.sh).
  */
 
 #ifndef PDNSPOT_TOOLS_CLI_COMMON_HH
@@ -18,10 +30,15 @@
 
 #include <charconv>
 #include <chrono>
+#include <fstream>
+#include <functional>
 #include <optional>
 #include <string>
 
 #include "common/logging.hh"
+#include "obs/metrics.hh"
+#include "obs/run_report.hh"
+#include "obs/span_trace.hh"
 
 namespace pdnspot
 {
@@ -39,8 +56,13 @@ struct ToolInfo
 [[noreturn]] void usageError(const ToolInfo &tool,
                              const std::string &message);
 
-/** Print "name VERSION (git REV)" to stdout (the --version line). */
-void printVersion(const ToolInfo &tool);
+/**
+ * Run a tool's `body` and map its exceptions to exit codes:
+ * ConfigError prints "tool: message" and returns 1; any other
+ * exception (a ModelError is a bug) prints "tool: internal error:
+ * message" and returns 3.
+ */
+int runMain(const ToolInfo &tool, const std::function<int()> &body);
 
 /**
  * Locale-independent strict number parses (the src/common/csv.cc:31
@@ -66,14 +88,154 @@ parseInt(const std::string &v)
 }
 
 /**
- * Bind a --threads value: a positive integer, capped at
- * ParallelRunner::maxThreadCount with a warning on stderr; anything
- * else is a usage error.
+ * One pass over argv. next() handles -h/--help and --version itself;
+ * the tool dispatches every other argument, consuming flag values
+ * through value() and friends.
  */
-unsigned parseThreads(const ToolInfo &tool, const std::string &v);
+class ArgWalker
+{
+  public:
+    ArgWalker(const ToolInfo &tool, int argc, char **argv);
 
-/** Bind a --log-level value (info, warn or silent). */
-LogLevel parseLogLevel(const ToolInfo &tool, const std::string &v);
+    /** Step to the next argument; false past the last one. */
+    bool next();
+
+    /** The current argument. */
+    const std::string &arg() const { return _arg; }
+
+    /** Is the current argument an option ("-x", not "-" or "")? */
+    bool isOption() const;
+
+    /** Consume the current flag's value: "<flag> needs a value". */
+    std::string value();
+
+    /** value(), which must be non-empty: "<flag> needs a <noun>". */
+    std::string nonEmptyValue(const char *noun);
+
+    /**
+     * value() as an integer no smaller than `min`: "<flag> must be
+     * <what>, got \"<v>\"" otherwise.
+     */
+    template <typename Int>
+    Int
+    intValue(const char *what, Int min = 0)
+    {
+        std::string v = value();
+        std::optional<Int> n = parseInt<Int>(v);
+        if (!n || *n < min)
+            badValue(v, what);
+        return *n;
+    }
+
+    /** Usage error "<flag> must be <what>, got \"<v>\"". */
+    [[noreturn]] void badValue(const std::string &v,
+                               const char *what) const;
+
+    /** Usage error "unknown option \"<arg>\"". */
+    [[noreturn]] void unknown() const;
+
+    /** Usage error with `message`. */
+    [[noreturn]] void fail(const std::string &message) const;
+
+    const ToolInfo &tool() const { return _tool; }
+
+  private:
+    const ToolInfo &_tool;
+    int _argc;
+    char **_argv;
+    int _i = 0;
+    std::string _arg;
+};
+
+/**
+ * The flags pdnspot_campaign, pdnspot_fleet and pdnspot_launch
+ * spell, check and word identically, plus their spec-file
+ * positional. --quiet and --log-level set the log threshold as they
+ * are walked, so the last one wins.
+ */
+struct RunFlags
+{
+    std::string specPath;
+    std::string outPath = "-";
+    std::optional<unsigned> threads;
+    std::string traceDir;
+    bool progress = false;
+    bool dryRun = false;
+
+    /** Bind the walker's current argument if it is one of these. */
+    bool bind(ArgWalker &args);
+};
+
+/**
+ * One output stream: "-" is stdout; any other path is opened at
+ * construction (fatal "cannot open <what> file \"<path>\"") so an
+ * unwritable path fails before the work it would receive.
+ */
+class OutputFile
+{
+  public:
+    OutputFile(std::string path, const char *what);
+
+    std::ostream &stream();
+    const std::string &path() const { return _path; }
+    bool isStdout() const { return _path == "-"; }
+
+    /** Flush and close; fatal "error writing \"<path>\"" on failure. */
+    void finish();
+
+  private:
+    std::string _path;
+    std::ofstream _file;
+};
+
+/**
+ * The observability session pdnspot_campaign and pdnspot_fleet
+ * share. Construction opens --report and --trace-events (before the
+ * run, so a bad path fails in milliseconds), installs a metrics
+ * registry when a report or the summary is wanted and a span
+ * recorder when trace events are. All are pure observers: the
+ * tools' CSVs are byte-identical with or without them.
+ */
+class RunObservers
+{
+  public:
+    RunObservers(const ToolInfo &tool, const std::string &reportPath,
+                 const std::string &traceEventsPath, bool summary);
+
+    RunObservers(const RunObservers &) = delete;
+    RunObservers &operator=(const RunObservers &) = delete;
+
+    bool wantReport() const { return _report.has_value(); }
+
+    /** The installed registry, or nullptr. */
+    const MetricsRegistry *metrics() const;
+
+    /**
+     * Run the study (`body` returns after its join) and time it;
+     * the registry is uninstalled afterwards, so its snapshots are
+     * final.
+     */
+    void run(const std::function<void()> &body);
+
+    /**
+     * Write the trace (spans quiesced first; `stamp` gets the tool's
+     * process name), then the report: `fill` completes its inputs,
+     * and the tool name, spec bytes and echo, wall time and metrics
+     * are filled in here. Each write is followed by its inform line.
+     */
+    void finish(TraceEventExport stamp,
+                const std::function<void(RunReportInputs &)> &fill);
+
+  private:
+    const ToolInfo &_tool;
+    std::optional<OutputFile> _report;
+    std::optional<OutputFile> _traceEvents;
+    std::optional<MetricsRegistry> _registry;
+    std::optional<MetricsInstallation> _metricsInstall;
+    std::optional<SpanRecorder> _spans;
+    std::optional<SpanInstallation> _spanInstall;
+    double _wallSeconds = 0.0;
+};
 
 /** Read a file into a string; fatal() when unreadable. */
 std::string readFileBytes(const std::string &path);

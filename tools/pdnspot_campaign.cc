@@ -11,15 +11,10 @@
  * studies and diff outputs exactly.
  *
  * Usage: pdnspot_campaign <spec.json> [options]
- *   -o <path>        write the campaign CSV to <path> ("-" = stdout,
- *                    the default)
  *   --summary        print the per-PDN summary table and p50/p95/p99
  *                    lines for every histogram metric
  *                    (histogramQuantile, obs/metrics.hh) to stderr
  *   --battery-wh <x> battery capacity for the summary (default 50)
- *   --threads <n>    thread count (overrides PDNSPOT_THREADS)
- *   --trace-dir <d>  resolve relative "file" trace paths against <d>
- *                    (default: the spec file's directory)
  *   --shard k/n      run only shard k of n (1-based): a contiguous
  *                    range of the campaign's canonical cell order.
  *                    Shard 1 carries the CSV header; concatenating
@@ -46,12 +41,6 @@
  *                    tracks also merge into --trace-events when both
  *                    are given. Without this flag the spec's probes
  *                    are ignored entirely (the zero-overhead path)
- *   --progress       rate-limited cells/sec + ETA heartbeat on
- *                    stderr; auto-disabled when stderr is not a TTY
- *   --quiet          drop info-level messages (same as
- *                    --log-level warn)
- *   --log-level <l>  minimum message severity: info, warn or silent
- *   --version        print the tool version and git revision
  *   --dry-run        load + validate the spec, report the campaign
  *                    shape and per-trace provenance (including any
  *                    transform chains), and exit without simulating
@@ -60,6 +49,9 @@
  *   --list-traces    print the standard trace library (with --seed)
  *   --list-presets   print the named PlatformConfig presets
  *   --seed <n>       library seed for --list-traces (default 42)
+ * plus the run flags and conventions every tool shares (-o, where
+ * the CSV goes, default stdout; --threads, --trace-dir, --progress,
+ * --quiet, --log-level, --version; tools/cli_common.hh).
  *
  * None of the observability flags perturb results: the campaign CSV
  * is byte-identical with and without --report/--trace-events/
@@ -69,9 +61,7 @@
  * probe timestamps are simulated time).
  */
 
-#include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -81,8 +71,6 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "config/campaign_config.hh"
-#include "obs/run_report.hh"
-#include "obs/span_trace.hh"
 #include "obs/waveform_io.hh"
 
 namespace
@@ -109,72 +97,41 @@ constexpr cli::ToolInfo tool{"pdnspot_campaign", usageText};
 /** Parsed command line. */
 struct Options
 {
-    std::string specPath;
-    std::string outPath = "-";
+    cli::RunFlags run;
     bool summary = false;
     double batteryWh = 50.0;
-    std::optional<unsigned> threads;
-    std::string traceDir;
     size_t shardIndex = 1; ///< 1-based
     size_t shardCount = 1;
     std::string reportPath;
     std::string traceEventsPath;
     std::string probeOutDir;
-    bool progress = false;
-    std::optional<LogLevel> logLevel;
-    bool dryRun = false;
     bool echoSpec = false;
     bool listTraces = false;
     bool listPresets = false;
     uint64_t listSeed = 42;
 };
 
-[[noreturn]] void
-usageError(const std::string &message)
-{
-    cli::usageError(tool, message);
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
-    auto value = [&](int &i, const char *flag) -> std::string {
-        if (i + 1 >= argc)
-            usageError(std::string(flag) + " needs a value");
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-h" || arg == "--help") {
-            std::cout << usageText;
-            std::exit(0);
-        } else if (arg == "--version") {
-            cli::printVersion(tool);
-            std::exit(0);
-        } else if (arg == "-o") {
-            opts.outPath = value(i, "-o");
-        } else if (arg == "--summary") {
+    cli::ArgWalker args(tool, argc, argv);
+    while (args.next()) {
+        if (opts.run.bind(args))
+            continue;
+        const std::string &arg = args.arg();
+        if (arg == "--summary") {
             opts.summary = true;
         } else if (arg == "--battery-wh") {
-            std::string v = value(i, "--battery-wh");
+            std::string v = args.value();
             // parseDouble rejects non-finite values ("nan"/"inf")
             // for every caller, so a positivity check suffices.
             std::optional<double> wh = cli::parseDouble(v);
             if (!wh || !(*wh > 0.0))
-                usageError("--battery-wh must be a positive number, "
-                           "got \"" +
-                           v + "\"");
+                args.badValue(v, "a positive number");
             opts.batteryWh = *wh;
-        } else if (arg == "--threads") {
-            opts.threads =
-                cli::parseThreads(tool, value(i, "--threads"));
-        } else if (arg == "--trace-dir") {
-            opts.traceDir = value(i, "--trace-dir");
-            if (opts.traceDir.empty())
-                usageError("--trace-dir needs a directory");
         } else if (arg == "--shard") {
-            std::string v = value(i, "--shard");
+            std::string v = args.value();
             size_t slash = v.find('/');
             std::optional<size_t> k, n;
             if (slash != std::string::npos) {
@@ -185,58 +142,31 @@ parseArgs(int argc, char **argv)
                 n = cli::parseInt<size_t>(v.substr(slash + 1));
             }
             if (!k || !n || *k < 1 || *n < 1 || *k > *n)
-                usageError("--shard must be k/n with 1 <= k <= n, "
-                           "got \"" +
-                           v + "\"");
+                args.badValue(v, "k/n with 1 <= k <= n");
             opts.shardIndex = *k;
             opts.shardCount = *n;
         } else if (arg == "--report") {
-            opts.reportPath = value(i, "--report");
-            if (opts.reportPath.empty())
-                usageError("--report needs a path");
+            opts.reportPath = args.nonEmptyValue("path");
         } else if (arg == "--trace-events") {
-            opts.traceEventsPath = value(i, "--trace-events");
-            if (opts.traceEventsPath.empty())
-                usageError("--trace-events needs a path");
+            opts.traceEventsPath = args.nonEmptyValue("path");
         } else if (arg == "--probe-out") {
-            opts.probeOutDir = value(i, "--probe-out");
-            if (opts.probeOutDir.empty())
-                usageError("--probe-out needs a directory");
-        } else if (arg == "--progress") {
-            opts.progress = true;
-        } else if (arg == "--quiet") {
-            opts.logLevel = LogLevel::Warn;
-        } else if (arg == "--log-level") {
-            opts.logLevel =
-                cli::parseLogLevel(tool, value(i, "--log-level"));
+            opts.probeOutDir = args.nonEmptyValue("directory");
         } else if (arg == "--seed") {
-            std::string v = value(i, "--seed");
-            std::optional<uint64_t> seed =
-                cli::parseInt<uint64_t>(v);
-            if (!seed)
-                usageError("--seed must be a non-negative integer, "
-                           "got \"" +
-                           v + "\"");
-            opts.listSeed = *seed;
+            opts.listSeed =
+                args.intValue<uint64_t>("a non-negative integer");
         } else if (arg == "--list-traces") {
             opts.listTraces = true;
         } else if (arg == "--list-presets") {
             opts.listPresets = true;
-        } else if (arg == "--dry-run") {
-            opts.dryRun = true;
         } else if (arg == "--echo-spec") {
             opts.echoSpec = true;
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            usageError("unknown option \"" + arg + "\"");
-        } else if (opts.specPath.empty()) {
-            opts.specPath = arg;
         } else {
-            usageError("more than one spec file given");
+            args.unknown();
         }
     }
-    if (opts.specPath.empty() && !opts.listTraces &&
+    if (opts.run.specPath.empty() && !opts.listTraces &&
         !opts.listPresets)
-        usageError("missing spec file");
+        args.fail("missing spec file");
     return opts;
 }
 
@@ -336,25 +266,16 @@ class CliSink : public CampaignSink
 
     /** Perfetto counter events from every probed cell, in canonical
      * cell order. */
-    const std::vector<JsonValue> &counterEvents() const
-    {
-        return _counterEvents;
-    }
+    std::vector<JsonValue> &counterEvents() { return _counterEvents; }
 
   private:
     void
     exportWaveform(const Waveform &waveform)
     {
-        std::string path =
-            _probeDir + "/" + waveform.cellName() + ".csv";
-        std::ofstream file(path, std::ios::binary);
-        if (!file)
-            fatal(strprintf("cannot open waveform file \"%s\"",
-                            path.c_str()));
-        file << writeWaveformCsv(waveform);
-        file.close();
-        if (!file)
-            fatal(strprintf("error writing \"%s\"", path.c_str()));
+        cli::OutputFile file(
+            _probeDir + "/" + waveform.cellName() + ".csv", "waveform");
+        file.stream() << writeWaveformCsv(waveform);
+        file.finish();
         for (JsonValue &event : waveformCounterEvents(waveform))
             _counterEvents.push_back(std::move(event));
         ++_waveforms;
@@ -387,12 +308,12 @@ runCli(const Options &opts)
         inform(strprintf("pdnspot_campaign %s (git %s)",
                          toolVersion().c_str(),
                          gitRevision().c_str()));
-        std::cout << writeJson(parseJsonFile(opts.specPath));
+        std::cout << writeJson(parseJsonFile(opts.run.specPath));
         return 0;
     }
 
     CampaignSpec spec =
-        loadCampaignSpecFile(opts.specPath, opts.traceDir);
+        loadCampaignSpecFile(opts.run.specPath, opts.run.traceDir);
 
     // Probes only run when an output surface asks for them: without
     // --probe-out the spec's probes are dropped here, so the engine
@@ -403,7 +324,7 @@ runCli(const Options &opts)
     } else if (spec.probes.empty()) {
         warn(strprintf("--probe-out given but \"%s\" binds no "
                        "probes; no waveforms will be captured",
-                       opts.specPath.c_str()));
+                       opts.run.specPath.c_str()));
     }
 
     // Shard k/n covers cells [(k-1)*cells/n, k*cells/n): contiguous
@@ -413,8 +334,8 @@ runCli(const Options &opts)
         cells * (opts.shardIndex - 1) / opts.shardCount;
     size_t endCell = cells * opts.shardIndex / opts.shardCount;
 
-    if (opts.dryRun) {
-        std::cerr << "pdnspot_campaign: " << opts.specPath << ": "
+    if (opts.run.dryRun) {
+        std::cerr << "pdnspot_campaign: " << opts.run.specPath << ": "
                   << spec.traces.size() << " traces x "
                   << spec.platforms.size() << " platforms x "
                   << spec.pdns.size() << " PDNs = "
@@ -431,24 +352,11 @@ runCli(const Options &opts)
         return 0;
     }
 
-    // Exporter outputs open before the campaign runs: an unwritable
+    // Every output opens before the campaign runs: an unwritable
     // path should fail in milliseconds, not after the study.
-    std::ofstream reportFile;
-    if (!opts.reportPath.empty()) {
-        reportFile.open(opts.reportPath, std::ios::binary);
-        if (!reportFile)
-            fatal(strprintf("cannot open report file \"%s\"",
-                            opts.reportPath.c_str()));
-    }
-    std::ofstream traceEventsFile;
-    if (!opts.traceEventsPath.empty()) {
-        traceEventsFile.open(opts.traceEventsPath,
-                             std::ios::binary);
-        if (!traceEventsFile)
-            fatal(strprintf("cannot open trace-events file \"%s\"",
-                            opts.traceEventsPath.c_str()));
-    }
-    std::ofstream countersFile;
+    cli::RunObservers obs(tool, opts.reportPath, opts.traceEventsPath,
+                          opts.summary);
+    std::optional<cli::OutputFile> counters;
     if (!opts.probeOutDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(opts.probeOutDir, ec);
@@ -457,125 +365,54 @@ runCli(const Options &opts)
                             "%s",
                             opts.probeOutDir.c_str(),
                             ec.message().c_str()));
-        std::string countersPath =
-            opts.probeOutDir + "/counters.json";
-        countersFile.open(countersPath, std::ios::binary);
-        if (!countersFile)
-            fatal(strprintf("cannot open counter file \"%s\"",
-                            countersPath.c_str()));
+        counters.emplace(opts.probeOutDir + "/counters.json",
+                         "counter");
     }
-
-    ParallelRunner runner(opts.threads.value_or(0));
+    ParallelRunner runner(opts.run.threads.value_or(0));
     CampaignEngine engine(runner);
-
-    std::ofstream file;
-    if (opts.outPath != "-") {
-        file.open(opts.outPath, std::ios::binary);
-        if (!file)
-            fatal(strprintf("cannot open output file \"%s\"",
-                            opts.outPath.c_str()));
-    }
-    std::ostream &out = opts.outPath != "-" ? file : std::cout;
-
-    // Observability installs: metrics whenever a report or the
-    // summary's percentile lines are wanted, spans whenever trace
-    // events are. All are pure observers — the campaign CSV stays
-    // byte-identical with or without them.
-    const bool wantReport = !opts.reportPath.empty();
-    std::optional<MetricsRegistry> registry;
-    std::optional<MetricsInstallation> metricsInstall;
-    if (wantReport || opts.summary) {
-        registry.emplace();
-        metricsInstall.emplace(*registry);
-    }
-    std::optional<SpanRecorder> spans;
-    std::optional<SpanInstallation> spanInstall;
-    if (!opts.traceEventsPath.empty()) {
-        spans.emplace();
-        spanInstall.emplace(*spans);
-    }
-
-    cli::ProgressMeter progress(tool, "cells", opts.progress,
+    cli::OutputFile out(opts.run.outPath, "output");
+    cli::ProgressMeter progress(tool, "cells", opts.run.progress,
                                 endCell - firstCell);
-    CliSink sink(out, opts.summary || wantReport,
+    CliSink sink(out.stream(), opts.summary || obs.wantReport(),
                  opts.shardIndex == 1,
-                 opts.progress ? &progress : nullptr,
+                 opts.run.progress ? &progress : nullptr,
                  opts.probeOutDir);
-    auto runStart = std::chrono::steady_clock::now();
-    engine.run(spec, sink, firstCell, endCell);
-    std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - runStart;
-    metricsInstall.reset(); // quiesced: snapshots are final now
+    obs.run([&] { engine.run(spec, sink, firstCell, endCell); });
 
-    if (opts.outPath != "-") {
-        file.close();
-        if (!file)
-            fatal(strprintf("error writing \"%s\"",
-                            opts.outPath.c_str()));
+    out.finish();
+    if (!out.isStdout())
         inform(strprintf("wrote %zu rows to %s", sink.rows(),
-                         opts.outPath.c_str()));
-    }
-
-    if (!opts.probeOutDir.empty()) {
-        countersFile << writeJson(
-            counterTrackDocument(sink.counterEvents()));
-        countersFile.close();
-        if (!countersFile)
-            fatal(strprintf("error writing \"%s/counters.json\"",
-                            opts.probeOutDir.c_str()));
+                         out.path().c_str()));
+    if (counters) {
+        counters->stream()
+            << writeJson(traceEventDocument(sink.counterEvents()));
+        counters->finish();
         inform(strprintf("wrote %zu waveforms to %s",
                          sink.waveforms(),
                          opts.probeOutDir.c_str()));
     }
 
-    if (spans) {
-        spanInstall.reset(); // quiesce before serializing
-        TraceEventExport stamp;
-        stamp.processName = tool.name;
-        stamp.shardIndex = opts.shardIndex;
-        stamp.shardCount = opts.shardCount;
-        stamp.extraEvents = sink.counterEvents();
-        traceEventsFile << writeJson(spans->traceEventsJson(stamp));
-        traceEventsFile.close();
-        if (!traceEventsFile)
-            fatal(strprintf("error writing \"%s\"",
-                            opts.traceEventsPath.c_str()));
-        inform(strprintf(
-            "wrote %zu trace events to %s (%llu spans dropped)",
-            spans->eventCount(), opts.traceEventsPath.c_str(),
-            static_cast<unsigned long long>(
-                spans->droppedSpans())));
-    }
-
-    if (wantReport) {
-        RunReportInputs rin;
-        rin.specPath = opts.specPath;
-        rin.specText = cli::readFileBytes(opts.specPath);
-        rin.specEcho = parseJsonFile(opts.specPath);
+    TraceEventExport stamp;
+    stamp.shardIndex = opts.shardIndex;
+    stamp.shardCount = opts.shardCount;
+    stamp.extraEvents = std::move(sink.counterEvents());
+    obs.finish(std::move(stamp), [&](RunReportInputs &rin) {
+        rin.specPath = opts.run.specPath;
         rin.spec = &spec;
         rin.threads = runner.threadCount();
         rin.shardIndex = opts.shardIndex;
         rin.shardCount = opts.shardCount;
         rin.firstCell = firstCell;
         rin.endCell = endCell;
-        rin.wallSeconds = wall.count();
         rin.rows = sink.rows();
         rin.summaries = sink.builder().summaries(
             BatteryModel(wattHours(opts.batteryWh)));
         rin.batteryWh = opts.batteryWh;
-        rin.metrics = &*registry;
-        reportFile << writeJson(buildRunReport(rin));
-        reportFile.close();
-        if (!reportFile)
-            fatal(strprintf("error writing \"%s\"",
-                            opts.reportPath.c_str()));
-        inform(strprintf("wrote run report to %s",
-                         opts.reportPath.c_str()));
-    }
+    });
 
     if (opts.summary) {
         printSummary(sink.builder(), opts.batteryWh);
-        for (const MetricSnapshot &m : registry->snapshot()) {
+        for (const MetricSnapshot &m : obs.metrics()->snapshot()) {
             if (m.kind != MetricKind::Histogram || m.count == 0)
                 continue;
             std::cerr << strprintf(
@@ -595,19 +432,6 @@ runCli(const Options &opts)
 int
 main(int argc, char **argv)
 {
-    Options opts = parseArgs(argc, argv);
-    if (opts.logLevel)
-        setLogThreshold(*opts.logLevel);
-    try {
-        return runCli(opts);
-    } catch (const ConfigError &e) {
-        std::cerr << "pdnspot_campaign: " << e.what() << "\n";
-        return 1;
-    } catch (const std::exception &e) {
-        // ModelError (an internal invariant, i.e. a bug) or OS-level
-        // failures: report and exit instead of std::terminate.
-        std::cerr << "pdnspot_campaign: internal error: " << e.what()
-                  << "\n";
-        return 3;
-    }
+    return cli::runMain(tool,
+                        [&] { return runCli(parseArgs(argc, argv)); });
 }

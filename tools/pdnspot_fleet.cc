@@ -11,15 +11,11 @@
  * (check.sh verifies 1 vs 8 threads with cmp).
  *
  * Usage: pdnspot_fleet <spec.json> [options]
- *   -o <path>        write the aggregate CSV to <path> ("-" =
- *                    stdout, the default)
  *   --summary        print the fleet summary (population shape,
  *                    energy totals, storm verdict, battery-life and
  *                    time-to-empty quantiles) to stderr
- *   --threads <n>    thread count (overrides PDNSPOT_THREADS)
- *   --seed <n>       override the spec's jitter/capacity seed
- *   --trace-dir <d>  resolve relative "file" trace paths against <d>
- *                    (default: the spec file's directory)
+ *   --seed <n>       override the spec's jitter/capacity seed (the
+ *                    report's "fleet" block carries the effective one)
  *   --report <path>  write a provenance-stamped pdnspot-report-1
  *                    JSON run report (obs/run_report.hh) with a
  *                    "fleet" aggregate block
@@ -28,25 +24,17 @@
  *                    tracks of the fleet aggregates (sessions alive,
  *                    supply power, mode switches per bucket) and
  *                    write Chrome/Perfetto trace-event JSON
- *   --progress       rate-limited buckets/sec + ETA heartbeat on
- *                    stderr; auto-disabled when stderr is not a TTY
- *   --quiet          drop info-level messages (same as
- *                    --log-level warn)
- *   --log-level <l>  minimum message severity: info, warn or silent
- *   --version        print the tool version and git revision
  *   --dry-run        load + validate the spec, report the population
  *                    shape and per-cohort provenance, and exit
  *                    without simulating
- *
- * Exit codes follow the pdnspot_campaign conventions: 0 success, 1
- * ConfigError (with the offending value's file:line:col), 2 usage,
- * 3 internal error. None of the observability flags perturb
+ * plus the run flags and conventions every tool shares (-o, where
+ * the aggregate CSV goes, default stdout; --threads, --trace-dir,
+ * --progress, --quiet, --log-level, --version; exit codes;
+ * tools/cli_common.hh). None of the observability flags perturb
  * results: the aggregate CSV is byte-identical with and without
  * --report/--trace-events/--progress.
  */
 
-#include <chrono>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -55,8 +43,6 @@
 #include "common/logging.hh"
 #include "config/fleet_config.hh"
 #include "fleet/fleet_engine.hh"
-#include "obs/run_report.hh"
-#include "obs/span_trace.hh"
 #include "obs/waveform_io.hh"
 
 namespace
@@ -79,89 +65,37 @@ constexpr cli::ToolInfo tool{"pdnspot_fleet", usageText};
 /** Parsed command line. */
 struct Options
 {
-    std::string specPath;
-    std::string outPath = "-";
+    cli::RunFlags run;
     bool summary = false;
-    std::optional<unsigned> threads;
     std::optional<uint64_t> seed;
-    std::string traceDir;
     std::string reportPath;
     std::string traceEventsPath;
-    bool progress = false;
-    std::optional<LogLevel> logLevel;
-    bool dryRun = false;
 };
-
-[[noreturn]] void
-usageError(const std::string &message)
-{
-    cli::usageError(tool, message);
-}
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
-    auto value = [&](int &i, const char *flag) -> std::string {
-        if (i + 1 >= argc)
-            usageError(std::string(flag) + " needs a value");
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-h" || arg == "--help") {
-            std::cout << usageText;
-            std::exit(0);
-        } else if (arg == "--version") {
-            cli::printVersion(tool);
-            std::exit(0);
-        } else if (arg == "-o") {
-            opts.outPath = value(i, "-o");
-        } else if (arg == "--summary") {
+    cli::ArgWalker args(tool, argc, argv);
+    while (args.next()) {
+        if (opts.run.bind(args))
+            continue;
+        const std::string &arg = args.arg();
+        if (arg == "--summary") {
             opts.summary = true;
-        } else if (arg == "--threads") {
-            opts.threads =
-                cli::parseThreads(tool, value(i, "--threads"));
         } else if (arg == "--seed") {
-            std::string v = value(i, "--seed");
-            std::optional<uint64_t> seed =
-                cli::parseInt<uint64_t>(v);
-            if (!seed)
-                usageError("--seed must be a non-negative integer, "
-                           "got \"" +
-                           v + "\"");
-            opts.seed = *seed;
-        } else if (arg == "--trace-dir") {
-            opts.traceDir = value(i, "--trace-dir");
-            if (opts.traceDir.empty())
-                usageError("--trace-dir needs a directory");
+            opts.seed =
+                args.intValue<uint64_t>("a non-negative integer");
         } else if (arg == "--report") {
-            opts.reportPath = value(i, "--report");
-            if (opts.reportPath.empty())
-                usageError("--report needs a path");
+            opts.reportPath = args.nonEmptyValue("path");
         } else if (arg == "--trace-events") {
-            opts.traceEventsPath = value(i, "--trace-events");
-            if (opts.traceEventsPath.empty())
-                usageError("--trace-events needs a path");
-        } else if (arg == "--progress") {
-            opts.progress = true;
-        } else if (arg == "--quiet") {
-            opts.logLevel = LogLevel::Warn;
-        } else if (arg == "--log-level") {
-            opts.logLevel =
-                cli::parseLogLevel(tool, value(i, "--log-level"));
-        } else if (arg == "--dry-run") {
-            opts.dryRun = true;
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            usageError("unknown option \"" + arg + "\"");
-        } else if (opts.specPath.empty()) {
-            opts.specPath = arg;
+            opts.traceEventsPath = args.nonEmptyValue("path");
         } else {
-            usageError("more than one spec file given");
+            args.unknown();
         }
     }
-    if (opts.specPath.empty())
-        usageError("missing spec file");
+    if (opts.run.specPath.empty())
+        args.fail("missing spec file");
     return opts;
 }
 
@@ -180,42 +114,16 @@ fleetCounterEvents(const FleetResult &result)
     double pid = static_cast<double>(probeCounterPidBase - 1);
     std::vector<JsonValue> events;
     events.reserve(1 + result.buckets.size() * 3);
-
-    {
-        std::vector<JsonValue::Member> args;
-        args.emplace_back(
-            "name", JsonValue::makeString("fleet aggregates"));
-        std::vector<JsonValue::Member> fields;
-        fields.emplace_back("name",
-                            JsonValue::makeString("process_name"));
-        fields.emplace_back("ph", JsonValue::makeString("M"));
-        fields.emplace_back("pid", JsonValue::makeNumber(pid));
-        fields.emplace_back("tid", JsonValue::makeNumber(0.0));
-        fields.emplace_back("args",
-                            JsonValue::makeObject(std::move(args)));
-        events.push_back(JsonValue::makeObject(std::move(fields)));
-    }
-
-    auto counter = [&](const char *name, double tS, double value) {
-        std::vector<JsonValue::Member> args;
-        args.emplace_back("value", JsonValue::makeNumber(value));
-        std::vector<JsonValue::Member> fields;
-        fields.emplace_back("name", JsonValue::makeString(name));
-        fields.emplace_back("ph", JsonValue::makeString("C"));
-        fields.emplace_back("ts",
-                            JsonValue::makeNumber(tS * 1e6));
-        fields.emplace_back("pid", JsonValue::makeNumber(pid));
-        fields.emplace_back("tid", JsonValue::makeNumber(0.0));
-        fields.emplace_back("args",
-                            JsonValue::makeObject(std::move(args)));
-        events.push_back(JsonValue::makeObject(std::move(fields)));
-    };
+    events.push_back(traceProcessNameEvent(pid, "fleet aggregates"));
     for (const FleetBucketRow &row : result.buckets) {
-        counter("sessions_alive", row.tEndS,
-                static_cast<double>(row.alive));
-        counter("supply_power_w", row.tEndS, row.powerW);
-        counter("mode_switches", row.tEndS,
-                static_cast<double>(row.modeSwitches));
+        double ts = row.tEndS * 1e6;
+        events.push_back(traceCounterEvent(
+            "sessions_alive", ts, pid, static_cast<double>(row.alive)));
+        events.push_back(
+            traceCounterEvent("supply_power_w", ts, pid, row.powerW));
+        events.push_back(
+            traceCounterEvent("mode_switches", ts, pid,
+                              static_cast<double>(row.modeSwitches)));
     }
     return events;
 }
@@ -240,9 +148,13 @@ histogramJson(const MetricSnapshot &h)
     return JsonValue::makeObject(std::move(m));
 }
 
-/** The report's tool-specific "fleet" block. */
+/**
+ * The report's tool-specific "fleet" block. `seed` is the effective
+ * seed: a --seed override changes the results but not the spec echo
+ * or its content hash.
+ */
 JsonValue
-fleetReportBlock(const FleetResult &result)
+fleetReportBlock(const FleetResult &result, uint64_t seed)
 {
     auto num = [](double v) { return JsonValue::makeNumber(v); };
     std::vector<JsonValue::Member> fleet;
@@ -254,6 +166,7 @@ fleetReportBlock(const FleetResult &result)
     fleet.emplace_back(
         "buckets",
         num(static_cast<double>(result.buckets.size())));
+    fleet.emplace_back("seed", num(static_cast<double>(seed)));
     fleet.emplace_back("bucket_s", num(result.bucketS));
     fleet.emplace_back("horizon_s", num(result.horizonS));
     fleet.emplace_back("simulated_s", num(result.simulatedS));
@@ -283,12 +196,13 @@ fleetReportBlock(const FleetResult &result)
 int
 runCli(const Options &opts)
 {
-    FleetSpec spec = loadFleetSpecFile(opts.specPath, opts.traceDir);
+    FleetSpec spec =
+        loadFleetSpecFile(opts.run.specPath, opts.run.traceDir);
     if (opts.seed)
         spec.seed = *opts.seed;
 
-    if (opts.dryRun) {
-        std::cerr << "pdnspot_fleet: " << opts.specPath << ": "
+    if (opts.run.dryRun) {
+        std::cerr << "pdnspot_fleet: " << opts.run.specPath << ": "
                   << spec.sessionCount() << " sessions in "
                   << spec.cohorts.size() << " cohorts, "
                   << spec.bucketCount() << " buckets of "
@@ -305,115 +219,42 @@ runCli(const Options &opts)
         return 0;
     }
 
-    // Exporter outputs open before the run: an unwritable path
-    // should fail in milliseconds, not after the study.
-    std::ofstream reportFile;
-    if (!opts.reportPath.empty()) {
-        reportFile.open(opts.reportPath, std::ios::binary);
-        if (!reportFile)
-            fatal(strprintf("cannot open report file \"%s\"",
-                            opts.reportPath.c_str()));
-    }
-    std::ofstream traceEventsFile;
-    if (!opts.traceEventsPath.empty()) {
-        traceEventsFile.open(opts.traceEventsPath,
-                             std::ios::binary);
-        if (!traceEventsFile)
-            fatal(strprintf("cannot open trace-events file \"%s\"",
-                            opts.traceEventsPath.c_str()));
-    }
-
-    ParallelRunner runner(opts.threads.value_or(0));
+    // Every output opens before the run: an unwritable path should
+    // fail in milliseconds, not after the study.
+    cli::RunObservers obs(tool, opts.reportPath, opts.traceEventsPath,
+                          opts.summary);
+    ParallelRunner runner(opts.run.threads.value_or(0));
     FleetEngine engine(runner);
+    cli::OutputFile out(opts.run.outPath, "output");
 
-    std::ofstream file;
-    if (opts.outPath != "-") {
-        file.open(opts.outPath, std::ios::binary);
-        if (!file)
-            fatal(strprintf("cannot open output file \"%s\"",
-                            opts.outPath.c_str()));
-    }
-    std::ostream &out = opts.outPath != "-" ? file : std::cout;
-
-    // Observability installs: metrics whenever a report or the
-    // summary is wanted, spans whenever trace events are. All are
-    // pure observers — the aggregate CSV stays byte-identical with
-    // or without them.
-    const bool wantReport = !opts.reportPath.empty();
-    std::optional<MetricsRegistry> registry;
-    std::optional<MetricsInstallation> metricsInstall;
-    if (wantReport || opts.summary) {
-        registry.emplace();
-        metricsInstall.emplace(*registry);
-    }
-    std::optional<SpanRecorder> spans;
-    std::optional<SpanInstallation> spanInstall;
-    if (!opts.traceEventsPath.empty()) {
-        spans.emplace();
-        spanInstall.emplace(*spans);
-    }
-
-    cli::ProgressMeter progress(tool, "buckets", opts.progress,
+    cli::ProgressMeter progress(tool, "buckets", opts.run.progress,
                                 spec.bucketCount());
-    auto runStart = std::chrono::steady_clock::now();
-    FleetResult result = engine.run(
-        spec, opts.progress
-                  ? FleetEngine::Progress(
-                        [&](uint64_t done, uint64_t) {
-                            progress.tick(done);
-                        })
-                  : FleetEngine::Progress());
-    std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - runStart;
-    metricsInstall.reset(); // quiesced: snapshots are final now
+    FleetResult result;
+    obs.run([&] {
+        result = engine.run(
+            spec, opts.run.progress
+                      ? FleetEngine::Progress(
+                            [&](uint64_t done, uint64_t) {
+                                progress.tick(done);
+                            })
+                      : FleetEngine::Progress());
+    });
 
-    result.writeCsv(out);
-    if (opts.outPath != "-") {
-        file.close();
-        if (!file)
-            fatal(strprintf("error writing \"%s\"",
-                            opts.outPath.c_str()));
+    result.writeCsv(out.stream());
+    out.finish();
+    if (!out.isStdout())
         inform(strprintf("wrote %zu buckets to %s",
-                         result.buckets.size(),
-                         opts.outPath.c_str()));
-    }
+                         result.buckets.size(), out.path().c_str()));
 
-    if (spans) {
-        spanInstall.reset(); // quiesce before serializing
-        TraceEventExport stamp;
-        stamp.processName = tool.name;
-        stamp.extraEvents = fleetCounterEvents(result);
-        traceEventsFile << writeJson(spans->traceEventsJson(stamp));
-        traceEventsFile.close();
-        if (!traceEventsFile)
-            fatal(strprintf("error writing \"%s\"",
-                            opts.traceEventsPath.c_str()));
-        inform(strprintf(
-            "wrote %zu trace events to %s (%llu spans dropped)",
-            spans->eventCount(), opts.traceEventsPath.c_str(),
-            static_cast<unsigned long long>(
-                spans->droppedSpans())));
-    }
-
-    if (wantReport) {
-        RunReportInputs rin;
-        rin.toolName = "pdnspot_fleet";
-        rin.specPath = opts.specPath;
-        rin.specText = cli::readFileBytes(opts.specPath);
-        rin.specEcho = parseJsonFile(opts.specPath);
+    TraceEventExport stamp;
+    stamp.extraEvents = fleetCounterEvents(result);
+    obs.finish(std::move(stamp), [&](RunReportInputs &rin) {
+        rin.specPath = opts.run.specPath;
         rin.threads = runner.threadCount();
-        rin.wallSeconds = wall.count();
         rin.rows = result.buckets.size();
-        rin.metrics = &*registry;
-        rin.extra.emplace_back("fleet", fleetReportBlock(result));
-        reportFile << writeJson(buildRunReport(rin));
-        reportFile.close();
-        if (!reportFile)
-            fatal(strprintf("error writing \"%s\"",
-                            opts.reportPath.c_str()));
-        inform(strprintf("wrote run report to %s",
-                         opts.reportPath.c_str()));
-    }
+        rin.extra.emplace_back("fleet",
+                               fleetReportBlock(result, spec.seed));
+    });
 
     if (opts.summary)
         result.writeSummary(std::cerr);
@@ -425,19 +266,6 @@ runCli(const Options &opts)
 int
 main(int argc, char **argv)
 {
-    Options opts = parseArgs(argc, argv);
-    if (opts.logLevel)
-        setLogThreshold(*opts.logLevel);
-    try {
-        return runCli(opts);
-    } catch (const ConfigError &e) {
-        std::cerr << "pdnspot_fleet: " << e.what() << "\n";
-        return 1;
-    } catch (const std::exception &e) {
-        // ModelError (an internal invariant, i.e. a bug) or OS-level
-        // failures: report and exit instead of std::terminate.
-        std::cerr << "pdnspot_fleet: internal error: " << e.what()
-                  << "\n";
-        return 3;
-    }
+    return cli::runMain(tool,
+                        [&] { return runCli(parseArgs(argc, argv)); });
 }

@@ -16,8 +16,6 @@
  * Usage: pdnspot_launch <spec.json> [options]
  *   -n, --shards <n>  shard count (default: the spec's
  *                     "launch.shards", else 4)
- *   -o <path>         write the concatenated CSV to <path>
- *                     ("-" = stdout, the default)
  *   --jobs <j>        concurrent shard processes (default:
  *                     "launch.jobs", else min(n, hardware))
  *   --timeout <s>     per-attempt wall-clock limit; a shard past it
@@ -36,14 +34,15 @@
  *   --work-dir <dir>  keep shard CSVs/logs/reports here (default: a
  *                     temp dir, removed when the launch succeeds)
  *   --keep-work       keep the temp work dir even on success
- *   --threads <n>     per-shard --threads passed through
- *   --trace-dir <d>   pass --trace-dir through to every shard
  *   --archive <dir>   ingest every shard's run report + CSV into
  *                     the result archive at <dir>
  *   --report-dir <d>  keep the per-shard pdnspot-report-1 files in
  *                     <d> (shard_<k>.report.json)
- *   --progress        shards-done heartbeat on stderr (TTY only)
- *   --quiet / --log-level <l> / --version / --dry-run
+ * plus the run flags and conventions every tool shares
+ * (tools/cli_common.hh): -o takes the concatenated CSV (default
+ * stdout) and opens before any shard runs; --threads and --trace-dir
+ * pass through to every shard; --progress counts shards done;
+ * --dry-run prints the resolved plan and per-shard cell ranges.
  *
  * Failure injection (tests + check.sh only): the environment
  * variable PDNSPOT_LAUNCH_INJECT=<mode>:<shard>:<times> makes the
@@ -53,10 +52,8 @@
  * child SIGKILL itself before exec (a parent-sent kill can race a
  * fast shard to completion), exercising the died-by-signal retry
  * path. The retry machinery treats both exactly like real faults.
- *
- * Exit codes follow the campaign tool: 0 success, 1 runtime failure
- * (including a shard exhausting its retries — the message names the
- * shard and its log), 2 usage, 3 internal error.
+ * A shard exhausting its retries is a runtime failure (exit 1) whose
+ * message names the shard and its log.
  */
 
 #include <algorithm>
@@ -107,17 +104,10 @@ constexpr const char *usageText =
 
 constexpr cli::ToolInfo tool{"pdnspot_launch", usageText};
 
-[[noreturn]] void
-usageError(const std::string &message)
-{
-    cli::usageError(tool, message);
-}
-
 /** Parsed command line (spec-file launch knobs already folded in). */
 struct Options
 {
-    std::string specPath;
-    std::string outPath = "-";
+    cli::RunFlags run;
     std::optional<size_t> shards;
     std::optional<size_t> jobs;
     std::optional<double> timeoutS;
@@ -127,127 +117,64 @@ struct Options
     std::string campaignBin;
     std::string workDir;
     bool keepWork = false;
-    std::optional<unsigned> threads;
-    std::string traceDir;
     std::string archiveDir;
     std::string reportDir;
-    bool progress = false;
-    std::optional<LogLevel> logLevel;
-    bool dryRun = false;
 };
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
-    auto value = [&](int &i, const char *flag) -> std::string {
-        if (i + 1 >= argc)
-            usageError(std::string(flag) + " needs a value");
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-h" || arg == "--help") {
-            std::cout << usageText;
-            std::exit(0);
-        } else if (arg == "--version") {
-            cli::printVersion(tool);
-            std::exit(0);
-        } else if (arg == "-n" || arg == "--shards") {
-            std::string v = value(i, arg.c_str());
+    cli::ArgWalker args(tool, argc, argv);
+    while (args.next()) {
+        if (opts.run.bind(args))
+            continue;
+        const std::string &arg = args.arg();
+        if (arg == "-n" || arg == "--shards") {
+            // Both spellings word their errors as --shards.
+            std::string v = args.value();
             std::optional<size_t> n = cli::parseInt<size_t>(v);
             if (!n || *n < 1)
-                usageError("--shards must be a positive integer, "
-                           "got \"" +
-                           v + "\"");
+                args.fail("--shards must be a positive integer, got "
+                          "\"" +
+                          v + "\"");
             opts.shards = *n;
-        } else if (arg == "-o") {
-            opts.outPath = value(i, "-o");
         } else if (arg == "--jobs") {
-            std::string v = value(i, "--jobs");
-            std::optional<size_t> j = cli::parseInt<size_t>(v);
-            if (!j || *j < 1)
-                usageError("--jobs must be a positive integer, got "
-                           "\"" +
-                           v + "\"");
-            opts.jobs = *j;
+            opts.jobs = args.intValue<size_t>("a positive integer", 1);
         } else if (arg == "--timeout") {
-            std::string v = value(i, "--timeout");
+            std::string v = args.value();
             std::optional<double> s = cli::parseDouble(v);
             if (!s || !(*s >= 0.0))
-                usageError("--timeout must be a non-negative "
-                           "number of seconds, got \"" +
-                           v + "\"");
+                args.badValue(v, "a non-negative number of seconds");
             opts.timeoutS = *s;
         } else if (arg == "--retries") {
-            std::string v = value(i, "--retries");
-            std::optional<unsigned> r = cli::parseInt<unsigned>(v);
-            if (!r)
-                usageError("--retries must be a non-negative "
-                           "integer, got \"" +
-                           v + "\"");
-            opts.retries = *r;
+            opts.retries =
+                args.intValue<unsigned>("a non-negative integer");
         } else if (arg == "--backoff-ms") {
-            std::string v = value(i, "--backoff-ms");
+            std::string v = args.value();
             std::optional<double> ms = cli::parseDouble(v);
             if (!ms || !(*ms >= 0.0))
-                usageError("--backoff-ms must be a non-negative "
-                           "number, got \"" +
-                           v + "\"");
+                args.badValue(v, "a non-negative number");
             opts.backoffMs = *ms;
         } else if (arg == "--seed") {
-            std::string v = value(i, "--seed");
-            std::optional<uint64_t> seed =
-                cli::parseInt<uint64_t>(v);
-            if (!seed)
-                usageError("--seed must be a non-negative integer, "
-                           "got \"" +
-                           v + "\"");
-            opts.seed = *seed;
+            opts.seed =
+                args.intValue<uint64_t>("a non-negative integer");
         } else if (arg == "--campaign-bin") {
-            opts.campaignBin = value(i, "--campaign-bin");
-            if (opts.campaignBin.empty())
-                usageError("--campaign-bin needs a path");
+            opts.campaignBin = args.nonEmptyValue("path");
         } else if (arg == "--work-dir") {
-            opts.workDir = value(i, "--work-dir");
-            if (opts.workDir.empty())
-                usageError("--work-dir needs a directory");
+            opts.workDir = args.nonEmptyValue("directory");
         } else if (arg == "--keep-work") {
             opts.keepWork = true;
-        } else if (arg == "--threads") {
-            opts.threads =
-                cli::parseThreads(tool, value(i, "--threads"));
-        } else if (arg == "--trace-dir") {
-            opts.traceDir = value(i, "--trace-dir");
-            if (opts.traceDir.empty())
-                usageError("--trace-dir needs a directory");
         } else if (arg == "--archive") {
-            opts.archiveDir = value(i, "--archive");
-            if (opts.archiveDir.empty())
-                usageError("--archive needs a directory");
+            opts.archiveDir = args.nonEmptyValue("directory");
         } else if (arg == "--report-dir") {
-            opts.reportDir = value(i, "--report-dir");
-            if (opts.reportDir.empty())
-                usageError("--report-dir needs a directory");
-        } else if (arg == "--progress") {
-            opts.progress = true;
-        } else if (arg == "--quiet") {
-            opts.logLevel = LogLevel::Warn;
-        } else if (arg == "--log-level") {
-            opts.logLevel =
-                cli::parseLogLevel(tool, value(i, "--log-level"));
-        } else if (arg == "--dry-run") {
-            opts.dryRun = true;
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            usageError("unknown option \"" + arg + "\"");
-        } else if (opts.specPath.empty()) {
-            opts.specPath = arg;
+            opts.reportDir = args.nonEmptyValue("directory");
         } else {
-            usageError("more than one spec file given");
+            args.unknown();
         }
     }
-    if (opts.specPath.empty())
-        usageError("missing spec file");
+    if (opts.run.specPath.empty())
+        args.fail("missing spec file");
     return opts;
 }
 
@@ -422,7 +349,7 @@ pid_t
 spawnShard(const LaunchPlan &plan, const Options &opts,
            ShardTask &shard, Injection &inject)
 {
-    std::string spec = opts.specPath;
+    std::string spec = opts.run.specPath;
     if (inject.claim(Injection::Mode::Fail, shard.index))
         spec = plan.workDir + "/injected-missing-spec.json";
     // Claimed parent-side (the counter must survive the fork), but
@@ -442,13 +369,13 @@ spawnShard(const LaunchPlan &plan, const Options &opts,
         args.push_back("--report");
         args.push_back(shard.reportPath);
     }
-    if (opts.threads) {
+    if (opts.run.threads) {
         args.push_back("--threads");
-        args.push_back(strprintf("%u", *opts.threads));
+        args.push_back(strprintf("%u", *opts.run.threads));
     }
-    if (!opts.traceDir.empty()) {
+    if (!opts.run.traceDir.empty()) {
         args.push_back("--trace-dir");
-        args.push_back(opts.traceDir);
+        args.push_back(opts.run.traceDir);
     }
 
     appendLogLine(shard.logPath,
@@ -636,8 +563,8 @@ runCli(const Options &opts, const char *argv0)
     // Load the campaign spec up front: an invalid spec must fail in
     // milliseconds here, not n times in n subprocess logs.
     CampaignSpec spec =
-        loadCampaignSpecFile(opts.specPath, opts.traceDir);
-    LaunchSpec launchSpec = loadLaunchSpecFile(opts.specPath);
+        loadCampaignSpecFile(opts.run.specPath, opts.run.traceDir);
+    LaunchSpec launchSpec = loadLaunchSpecFile(opts.run.specPath);
 
     LaunchPlan plan;
     plan.shards = opts.shards.value_or(launchSpec.shards);
@@ -656,12 +583,12 @@ runCli(const Options &opts, const char *argv0)
 
     size_t cells = spec.cellCount();
 
-    if (opts.dryRun) {
+    if (opts.run.dryRun) {
         std::cerr << strprintf(
             "pdnspot_launch: %s: %zu cells over %zu shards "
             "(jobs %zu, timeout %s, retries %u, backoff %g ms, "
             "seed %llu)\n",
-            opts.specPath.c_str(), cells, plan.shards, plan.jobs,
+            opts.run.specPath.c_str(), cells, plan.shards, plan.jobs,
             plan.timeoutS > 0.0
                 ? strprintf("%g s", plan.timeoutS).c_str()
                 : "none",
@@ -679,7 +606,9 @@ runCli(const Options &opts, const char *argv0)
         return 0;
     }
 
-    // The campaign binary must be runnable before we fork n times.
+    // Every output is checked before we fork n times: -o opens (and
+    // the campaign binary must be runnable) before any shard runs.
+    cli::OutputFile out(opts.run.outPath, "output");
     if (::access(plan.campaignBin.c_str(), X_OK) != 0)
         fatal(strprintf("campaign binary \"%s\" is not executable "
                         "(%s); use --campaign-bin",
@@ -730,39 +659,26 @@ runCli(const Options &opts, const char *argv0)
     inform(strprintf(
         "launching %zu shards of %s (%zu cells, %zu at a time) "
         "via %s",
-        plan.shards, opts.specPath.c_str(), cells, plan.jobs,
+        plan.shards, opts.run.specPath.c_str(), cells, plan.jobs,
         plan.campaignBin.c_str()));
 
-    cli::ProgressMeter progress(tool, "shards", opts.progress,
+    cli::ProgressMeter progress(tool, "shards", opts.run.progress,
                                 plan.shards);
     superviseShards(plan, opts, shards, inject, progress);
 
     // Concatenate in shard order — byte-identical to the unsharded
     // run because shard 1 carries the header and the ranges tile
     // the canonical cell order.
-    std::ofstream file;
-    if (opts.outPath != "-") {
-        file.open(opts.outPath, std::ios::binary);
-        if (!file)
-            fatal(strprintf("cannot open output file \"%s\"",
-                            opts.outPath.c_str()));
-    }
-    std::ostream &out = opts.outPath != "-" ? file : std::cout;
     size_t bytes = 0;
     for (const ShardTask &s : shards) {
         std::string csv = cli::readFileBytes(s.csvPath);
         bytes += csv.size();
-        out << csv;
+        out.stream() << csv;
     }
-    out.flush();
-    if (opts.outPath != "-") {
-        file.close();
-        if (!file)
-            fatal(strprintf("error writing \"%s\"",
-                            opts.outPath.c_str()));
+    out.finish();
+    if (!out.isStdout())
         inform(strprintf("wrote %zu bytes to %s", bytes,
-                         opts.outPath.c_str()));
-    }
+                         out.path().c_str()));
 
     if (!opts.archiveDir.empty()) {
         ResultArchive archive(opts.archiveDir);
@@ -810,17 +726,8 @@ runCli(const Options &opts, const char *argv0)
 int
 main(int argc, char **argv)
 {
-    Options opts = parseArgs(argc, argv);
-    if (opts.logLevel)
-        setLogThreshold(*opts.logLevel);
-    try {
-        return runCli(opts, argc > 0 ? argv[0] : nullptr);
-    } catch (const ConfigError &e) {
-        std::cerr << "pdnspot_launch: " << e.what() << "\n";
-        return 1;
-    } catch (const std::exception &e) {
-        std::cerr << "pdnspot_launch: internal error: " << e.what()
-                  << "\n";
-        return 3;
-    }
+    return cli::runMain(tool, [&] {
+        return runCli(parseArgs(argc, argv),
+                      argc > 0 ? argv[0] : nullptr);
+    });
 }

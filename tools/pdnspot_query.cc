@@ -45,14 +45,14 @@
  *                    ops: < <= > >= = !=  (repeatable, ANDed)
  *
  * Output: --format table|csv (default table), -o <path> ("-" =
- * stdout). Exit codes: 0 success (even when a filter matches
- * nothing — the empty table is the answer), 1 runtime/config
- * error, 2 usage, 3 internal error.
+ * stdout). A filter that matches nothing succeeds — the empty table
+ * is the answer — but a read command on a path that holds no
+ * archive fails: a typo is not an empty archive. Exit codes and
+ * usage errors follow tools/cli_common.hh.
  */
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -92,12 +92,6 @@ constexpr const char *usageText =
     "       pdnspot_query --version\n";
 
 constexpr cli::ToolInfo tool{"pdnspot_query", usageText};
-
-[[noreturn]] void
-usageError(const std::string &message)
-{
-    cli::usageError(tool, message);
-}
 
 /** One --where predicate, parsed. */
 struct MetricPredicate
@@ -145,9 +139,10 @@ summaryMetric(const ArchivePdnSummary &row,
         return static_cast<double>(row.modeSwitches);
     if (metric == "cells")
         return static_cast<double>(row.cells);
-    usageError("unknown --where metric \"" + metric +
-               "\" (valid: battery_life_h, mean_power_w, "
-               "mean_etee, supply_energy_j, mode_switches, cells)");
+    cli::usageError(tool, "unknown --where metric \"" + metric +
+                              "\" (valid: battery_life_h, "
+                              "mean_power_w, mean_etee, "
+                              "supply_energy_j, mode_switches, cells)");
 }
 
 MetricPredicate
@@ -171,14 +166,15 @@ parseWhere(const std::string &expr)
         std::string rhs = expr.substr(at + std::strlen(text));
         std::optional<double> value = cli::parseDouble(rhs);
         if (!value)
-            usageError("--where value \"" + rhs +
-                       "\" is not a finite number");
+            cli::usageError(tool, "--where value \"" + rhs +
+                                      "\" is not a finite number");
         pred.value = *value;
         summaryMetric(ArchivePdnSummary{}, pred.metric); // validate
         return pred;
     }
-    usageError("--where expects <metric><op><value>, got \"" +
-               expr + "\"");
+    cli::usageError(tool, "--where expects <metric><op><value>, got "
+                          "\"" +
+                              expr + "\"");
 }
 
 /** All filters a query command can carry. */
@@ -255,65 +251,53 @@ Options
 parseArgs(int argc, char **argv)
 {
     Options opts;
-    auto value = [&](int &i, const char *flag) -> std::string {
-        if (i + 1 >= argc)
-            usageError(std::string(flag) + " needs a value");
-        return argv[++i];
-    };
+    cli::ArgWalker args(tool, argc, argv);
     std::vector<std::string> positional;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "-h" || arg == "--help") {
-            std::cout << usageText;
-            std::exit(0);
-        } else if (arg == "--version") {
-            cli::printVersion(tool);
-            std::exit(0);
-        } else if (arg == "--spec-hash") {
-            opts.filters.specHash = value(i, "--spec-hash");
+    while (args.next()) {
+        const std::string &arg = args.arg();
+        if (arg == "--spec-hash") {
+            opts.filters.specHash = args.value();
         } else if (arg == "--preset") {
-            opts.filters.preset = value(i, "--preset");
+            opts.filters.preset = args.value();
         } else if (arg == "--pdn") {
-            opts.filters.pdn = value(i, "--pdn");
+            opts.filters.pdn = args.value();
         } else if (arg == "--trace") {
-            opts.filters.trace = value(i, "--trace");
+            opts.filters.trace = args.value();
         } else if (arg == "--tool") {
-            opts.filters.tool = value(i, "--tool");
+            opts.filters.tool = args.value();
         } else if (arg == "--git-rev") {
-            opts.filters.gitRev = value(i, "--git-rev");
+            opts.filters.gitRev = args.value();
         } else if (arg == "--where") {
-            opts.filters.where.push_back(
-                parseWhere(value(i, "--where")));
+            opts.filters.where.push_back(parseWhere(args.value()));
         } else if (arg == "--csv-file") {
-            opts.csvFile = value(i, "--csv-file");
+            opts.csvFile = args.value();
         } else if (arg == "--format") {
-            opts.format = value(i, "--format");
+            opts.format = args.value();
             if (opts.format != "table" && opts.format != "csv")
-                usageError("--format must be table or csv, got \"" +
-                           opts.format + "\"");
+                args.badValue(opts.format, "table or csv");
         } else if (arg == "-o") {
-            opts.outPath = value(i, "-o");
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            usageError("unknown option \"" + arg + "\"");
+            opts.outPath = args.value();
+        } else if (args.isOption()) {
+            args.unknown();
         } else {
             positional.push_back(arg);
         }
     }
 
     if (positional.empty())
-        usageError("missing archive directory (or \"hash <file>\")");
+        args.fail("missing archive directory (or \"hash <file>\")");
 
     // "hash <file>" has no archive directory.
     if (positional[0] == "hash") {
         opts.command = "hash";
         if (positional.size() != 2)
-            usageError("hash expects exactly one file argument");
+            args.fail("hash expects exactly one file argument");
         opts.operand = positional[1];
         return opts;
     }
 
     if (positional.size() < 2)
-        usageError("missing command after archive directory");
+        args.fail("missing command after archive directory");
     opts.archiveDir = positional[0];
     opts.command = positional[1];
 
@@ -324,61 +308,23 @@ parseArgs(int argc, char **argv)
                      [&](const char *c) {
                          return opts.command == c;
                      }) == std::end(commands))
-        usageError("unknown command \"" + opts.command + "\"");
+        args.fail("unknown command \"" + opts.command + "\"");
 
     if (positional.size() > 3)
-        usageError("too many arguments");
+        args.fail("too many arguments");
     if (positional.size() == 3) {
         if (opts.command != "show" && opts.command != "csv" &&
             opts.command != "ingest")
-            usageError("command \"" + opts.command +
-                       "\" takes no operand");
+            args.fail("command \"" + opts.command +
+                      "\" takes no operand");
         opts.operand = positional[2];
     }
     if ((opts.command == "show" || opts.command == "ingest") &&
         opts.operand.empty())
-        usageError("command \"" + opts.command +
-                   "\" needs an operand");
+        args.fail("command \"" + opts.command +
+                  "\" needs an operand");
     return opts;
 }
-
-/** -o plumbing shared by every printing command. */
-class Output
-{
-  public:
-    explicit Output(const std::string &path)
-    {
-        if (path != "-") {
-            _file.open(path, std::ios::binary);
-            if (!_file)
-                fatal(strprintf("cannot open output file \"%s\"",
-                                path.c_str()));
-        }
-        _path = path;
-    }
-
-    std::ostream &
-    stream()
-    {
-        return _path != "-" ? _file : std::cout;
-    }
-
-    void
-    finish()
-    {
-        stream().flush();
-        if (_path != "-") {
-            _file.close();
-            if (!_file)
-                fatal(strprintf("error writing \"%s\"",
-                                _path.c_str()));
-        }
-    }
-
-  private:
-    std::string _path;
-    std::ofstream _file;
-};
 
 std::string
 joinNames(const std::vector<std::string> &names)
@@ -407,7 +353,7 @@ runList(const Options &opts, const std::vector<ArchiveEntry> &rows)
         "id",        "tool",      "git_rev",
         "shard",     "spec_hash", "traces",
         "platforms", "rows",      "wall_s"};
-    Output out(opts.outPath);
+    cli::OutputFile out(opts.outPath, "output");
     if (opts.format == "csv") {
         CsvWriter csv(headers);
         emitListRows(csv, rows);
@@ -452,7 +398,7 @@ runSummaries(const Options &opts,
         "id",           "shard",         "pdn",
         "cells",        "supply_energy_j", "mean_etee",
         "mode_switches", "mean_power_w",  "battery_life_h"};
-    Output out(opts.outPath);
+    cli::OutputFile out(opts.outPath, "output");
     if (opts.format == "csv") {
         CsvWriter csv(headers);
         emitSummaryRows(csv, opts, rows);
@@ -476,7 +422,7 @@ runCsv(const Options &opts, const ResultArchive &archive,
             fatal(strprintf("no archived run matches id prefix "
                             "\"%s\"",
                             opts.operand.c_str()));
-        Output out(opts.outPath);
+        cli::OutputFile out(opts.outPath, "output");
         out.stream() << archive.readCsv(*entry);
         out.finish();
         return;
@@ -485,7 +431,7 @@ runCsv(const Options &opts, const ResultArchive &archive,
         fatal("no archived runs match the given filters");
     std::vector<ArchiveEntry> ordered =
         orderShardSet(std::move(rows));
-    Output out(opts.outPath);
+    cli::OutputFile out(opts.outPath, "output");
     for (const ArchiveEntry &entry : ordered)
         out.stream() << archive.readCsv(entry);
     out.finish();
@@ -501,23 +447,28 @@ runCli(const Options &opts)
         return 0;
     }
 
-    ResultArchive archive(opts.archiveDir);
-
+    // The write commands create the archive; the read commands must
+    // find one there, so a mistyped path fails instead of reading as
+    // an empty archive.
     if (opts.command == "ingest") {
         std::string csv = opts.csvFile.empty()
                               ? ""
                               : cli::readFileBytes(opts.csvFile);
-        std::string id = archive.ingest(
-            cli::readFileBytes(opts.operand), csv);
+        std::string id = ResultArchive(opts.archiveDir)
+                             .ingest(cli::readFileBytes(opts.operand),
+                                     csv);
         std::cout << id << "\n";
         return 0;
     }
     if (opts.command == "rebuild-index") {
+        ResultArchive archive(opts.archiveDir);
         archive.rebuildIndex();
         inform(strprintf("rebuilt %s",
                          archive.indexPath().c_str()));
         return 0;
     }
+    ResultArchive archive =
+        ResultArchive::openExisting(opts.archiveDir);
     if (opts.command == "show") {
         std::optional<ArchiveEntry> entry =
             archive.findRun(opts.operand);
@@ -525,7 +476,7 @@ runCli(const Options &opts)
             fatal(strprintf("no archived run matches id prefix "
                             "\"%s\"",
                             opts.operand.c_str()));
-        Output out(opts.outPath);
+        cli::OutputFile out(opts.outPath, "output");
         out.stream() << writeJson(archive.readReport(entry->id));
         out.finish();
         return 0;
@@ -550,15 +501,6 @@ runCli(const Options &opts)
 int
 main(int argc, char **argv)
 {
-    Options opts = parseArgs(argc, argv);
-    try {
-        return runCli(opts);
-    } catch (const ConfigError &e) {
-        std::cerr << "pdnspot_query: " << e.what() << "\n";
-        return 1;
-    } catch (const std::exception &e) {
-        std::cerr << "pdnspot_query: internal error: " << e.what()
-                  << "\n";
-        return 3;
-    }
+    return cli::runMain(tool,
+                        [&] { return runCli(parseArgs(argc, argv)); });
 }
