@@ -2,9 +2,10 @@
 # Full verification pass on top of tier-1 (plain `ctest`, see
 # ROADMAP.md): builds with warnings as errors (-Werror), runs every
 # registered test in parallel under two pool sizes (a serial default
-# pool and a 4-thread one), drives the shipped binaries end to end
-# (campaign/fleet determinism, sharding, launcher retry, archive and
-# observability smokes), then repeats the test suite under
+# pool and a 4-thread one; the "determinism" label holds the
+# campaign thread-count, campaign_study and shard rows), drives the
+# shipped binaries end to end (observability, probe, launcher retry,
+# archive and fleet smokes), then repeats the test suite under
 # AddressSanitizer + UBSan (the threaded campaign/sweep paths are
 # sanitizer-gated). Ready to drop into CI as-is.
 #
@@ -35,71 +36,13 @@ for threads in 1 4; do
         -j "$(nproc)" --output-on-failure
 done
 
-# Spec-file CLI smoke: pdnspot_campaign on the checked-in example
-# spec must reproduce the C++-built acceptance campaign byte for
-# byte, serial and parallel (the streaming-export determinism
-# contract at the binary surface).
+# The determinism contract's thread-count, campaign_study and
+# shard-concatenation rows run in the ctest passes above (label
+# "determinism", tests/determinism.sh). The C++-built acceptance
+# campaign is the reference the smokes below compare against.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 "$build_dir"/examples/campaign_study "$smoke_dir/cpp.csv" >/dev/null
-PDNSPOT_THREADS=1 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/paper_campaign.json -o "$smoke_dir/spec1.csv"
-PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/paper_campaign.json -o "$smoke_dir/spec8.csv"
-cmp "$smoke_dir/cpp.csv" "$smoke_dir/spec1.csv"
-cmp "$smoke_dir/cpp.csv" "$smoke_dir/spec8.csv"
-echo "check.sh: pdnspot_campaign spec-file smoke green"
-
-# Trace-source smoke: the measured-workload spec exercises all four
-# TraceSpec kinds (library, generator, battery profile, file-backed
-# CSV). Results must be byte-identical serial vs 8 threads.
-PDNSPOT_THREADS=1 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/measured_campaign.json -o "$smoke_dir/meas1.csv"
-PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/measured_campaign.json -o "$smoke_dir/meas8.csv"
-cmp "$smoke_dir/meas1.csv" "$smoke_dir/meas8.csv"
-
-# Sharding smoke: a 2-way sharded run concatenates to exactly the
-# unsharded CSV (shard 1 carries the header, shard 2 does not).
-PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/measured_campaign.json --shard 1/2 \
-    -o "$smoke_dir/shard1.csv"
-PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/measured_campaign.json --shard 2/2 \
-    -o "$smoke_dir/shard2.csv"
-cat "$smoke_dir/shard1.csv" "$smoke_dir/shard2.csv" \
-    > "$smoke_dir/shardcat.csv"
-cmp "$smoke_dir/meas1.csv" "$smoke_dir/shardcat.csv"
-echo "check.sh: trace-source + sharding smoke green"
-
-# Trace-transform smoke: the sensitivity spec derives perturbed
-# variants (time-scale, AR-perturb, repeat+truncate, concat) of the
-# checked-in measured trace; transformed campaigns must stay
-# byte-identical at any thread count, and the transform chains must
-# surface in --dry-run provenance.
-PDNSPOT_THREADS=1 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/sensitivity_campaign.json -o "$smoke_dir/sens1.csv"
-PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/sensitivity_campaign.json -o "$smoke_dir/sens8.csv"
-cmp "$smoke_dir/sens1.csv" "$smoke_dir/sens8.csv"
-# Capture, then grep: grep -q on a live pipe closes it at the first
-# match and SIGPIPEs the tool mid-provenance (pipefail turns that
-# into exit 141).
-"$build_dir"/tools/pdnspot_campaign \
-    examples/specs/sensitivity_campaign.json --dry-run \
-    >"$smoke_dir/dryrun.txt" 2>&1
-grep -q "ar-perturb(0.1, seed 7)" "$smoke_dir/dryrun.txt"
-echo "check.sh: trace-transform sensitivity smoke green"
-
-# Oracle-mode smoke: the specs above all run in pmu mode; the
-# generated-trace spec runs the oracle kernel, which must be
-# byte-identical serial vs 8 threads too.
-PDNSPOT_THREADS=1 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/generated_campaign.json -o "$smoke_dir/gen1.csv"
-PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/generated_campaign.json -o "$smoke_dir/gen8.csv"
-cmp "$smoke_dir/gen1.csv" "$smoke_dir/gen8.csv"
-echo "check.sh: oracle-mode generated-trace smoke green"
 
 # Observability smoke: the exporters must not perturb the campaign
 # — CSVs stay byte-identical with --report/--trace-events/--progress

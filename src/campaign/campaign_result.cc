@@ -33,7 +33,7 @@ appendCsvRow(std::string &buf, const CampaignCellResult &c)
     buf += ",";
     buf += c.platform;
     buf += ",";
-    buf += pdnKindToString(c.pdn);
+    buf += toString(c.pdn);
     buf += ",";
     buf += toString(c.mode);
     buf += ",";
@@ -122,7 +122,7 @@ CampaignResult::cell(const std::string &trace,
     }
     fatal(strprintf("CampaignResult: no cell (%s, %s, %s)",
                     trace.c_str(), platform.c_str(),
-                    pdnKindToString(pdn).c_str()));
+                    nameOf(pdn)));
 }
 
 std::vector<CampaignPdnSummary>
@@ -168,8 +168,8 @@ CampaignResult::readCsv(std::istream &is)
         CampaignCellResult c;
         c.trace = f[0];
         c.platform = f[1];
-        c.pdn = pdnKindFromString(f[2]);
-        c.mode = simModeFromString(f[3]);
+        c.pdn = parseName<PdnKind>(f[2]);
+        c.mode = parseName<SimMode>(f[3]);
         c.sim.duration = seconds(csvToDouble(f[4]));
         c.sim.supplyEnergy = joules(csvToDouble(f[5]));
         c.sim.nominalEnergy = joules(csvToDouble(f[6]));

@@ -7,30 +7,12 @@
 namespace pdnspot
 {
 
-std::string
-toString(SimMode mode)
+CellRange
+shardCellRange(size_t cells, size_t k, size_t n)
 {
-    switch (mode) {
-      case SimMode::Static:
-        return "static";
-      case SimMode::Pmu:
-        return "pmu";
-      case SimMode::Oracle:
-        return "oracle";
-    }
-    panic("toString: invalid SimMode");
-}
-
-SimMode
-simModeFromString(const std::string &name)
-{
-    for (SimMode mode :
-         {SimMode::Static, SimMode::Pmu, SimMode::Oracle}) {
-        if (toString(mode) == name)
-            return mode;
-    }
-    fatal(strprintf("simModeFromString: unknown mode \"%s\"",
-                    name.c_str()));
+    if (k < 1 || k > n)
+        fatal(strprintf("shard %zu/%zu: need 1 <= k <= n", k, n));
+    return {cells * (k - 1) / n, cells * k / n};
 }
 
 void
@@ -97,7 +79,7 @@ CampaignSpec::validate() const
             if (pdns[i] == pdns[j])
                 fatal(strprintf("CampaignSpec: duplicate PDN kind "
                                 "\"%s\"",
-                                toString(pdns[i]).c_str()));
+                                nameOf(pdns[i])));
         }
     }
 
@@ -138,7 +120,7 @@ CampaignSpec::validate() const
                             "\"%s\" does not match the campaign "
                             "mode \"%s\"",
                             probe.mode.c_str(),
-                            toString(mode).c_str()));
+                            nameOf(mode)));
     }
 }
 

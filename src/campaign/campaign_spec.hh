@@ -49,10 +49,13 @@ enum class SimMode
     Oracle,
 };
 
-std::string toString(SimMode mode);
-
-/** Inverse of toString(SimMode); fatal() on an unknown name. */
-SimMode simModeFromString(const std::string &name);
+template <>
+inline constexpr NameTable<SimMode, 3> nameTable<SimMode>{
+    "simulation mode",
+    {{{SimMode::Static, "static"},
+      {SimMode::Pmu, "pmu"},
+      {SimMode::Oracle, "oracle"}}}};
+static_assert(inEnumOrder(nameTable<SimMode>));
 
 /**
  * One campaign: the cell cross-product and how to simulate it.
@@ -110,6 +113,21 @@ struct CampaignSpec
      */
     void validate() const;
 };
+
+/** Cells [first, end) of a campaign's canonical cell order. */
+struct CellRange
+{
+    size_t first = 0;
+    size_t end = 0;
+};
+
+/**
+ * Shard k of n (1 <= k <= n) over `cells` cells: [(k-1)*cells/n,
+ * k*cells/n). The n shards are contiguous, disjoint and jointly
+ * cover [0, cells); when n > cells some of them are empty. fatal()
+ * unless 1 <= k <= n.
+ */
+CellRange shardCellRange(size_t cells, size_t k, size_t n);
 
 } // namespace pdnspot
 

@@ -21,9 +21,7 @@ LogSink g_sink; ///< empty = default stderr sink
 void
 defaultSink(LogLevel severity, const std::string &msg)
 {
-    const char *prefix =
-        severity == LogLevel::Warn ? "warn: " : "info: ";
-    std::cerr << prefix << msg << "\n";
+    std::cerr << nameOf(severity) << ": " << msg << "\n";
 }
 
 void
@@ -75,7 +73,7 @@ joinStrings(const std::vector<std::string> &parts,
 void
 fatal(const std::string &msg)
 {
-    throw ConfigError("fatal: " + msg);
+    throw ConfigError(msg);
 }
 
 void
@@ -94,34 +92,6 @@ void
 inform(const std::string &msg)
 {
     emit(LogLevel::Info, msg);
-}
-
-const char *
-toString(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Info:
-        return "info";
-      case LogLevel::Warn:
-        return "warn";
-      case LogLevel::Silent:
-        return "silent";
-    }
-    panic("toString: invalid LogLevel");
-}
-
-LogLevel
-logLevelFromString(const std::string &name)
-{
-    if (name == "info")
-        return LogLevel::Info;
-    if (name == "warn")
-        return LogLevel::Warn;
-    if (name == "silent")
-        return LogLevel::Silent;
-    fatal(strprintf("unknown log level \"%s\" (expected info, warn "
-                    "or silent)",
-                    name.c_str()));
 }
 
 LogLevel

@@ -25,16 +25,28 @@
 #include <string>
 #include <vector>
 
+#include "common/names.hh"
+
 namespace pdnspot
 {
 
-/** Raised by fatal(): bad user input or configuration. */
+/**
+ * Raised by fatal(): bad user input or configuration. what() is
+ * "fatal: <message>"; a caller that re-raises the error with more
+ * context (a file position) chains message(), so the result carries
+ * one "fatal: " prefix.
+ */
 class ConfigError : public std::runtime_error
 {
   public:
-    explicit ConfigError(const std::string &what)
-        : std::runtime_error(what)
+    explicit ConfigError(const std::string &message)
+        : std::runtime_error("fatal: " + message), _message(message)
     {}
+
+    const std::string &message() const { return _message; }
+
+  private:
+    std::string _message;
 };
 
 /** Raised by panic(): internal model invariant violated. */
@@ -81,10 +93,13 @@ enum class LogLevel
     Silent = 2,
 };
 
-const char *toString(LogLevel level);
-
-/** Inverse of toString(LogLevel); fatal() on an unknown name. */
-LogLevel logLevelFromString(const std::string &name);
+template <>
+inline constexpr NameTable<LogLevel, 3> nameTable<LogLevel>{
+    "log level",
+    {{{LogLevel::Info, "info"},
+      {LogLevel::Warn, "warn"},
+      {LogLevel::Silent, "silent"}}}};
+static_assert(inEnumOrder(nameTable<LogLevel>));
 
 /**
  * Messages below `level` are dropped before reaching the sink.

@@ -25,35 +25,6 @@ rejectUnknownKeys(const JsonValue &obj, const char *what,
     }
 }
 
-SimMode
-simModeFromJson(const JsonValue &v)
-{
-    const std::string &name = v.asString();
-    for (SimMode mode :
-         {SimMode::Static, SimMode::Pmu, SimMode::Oracle}) {
-        if (toString(mode) == name)
-            return mode;
-    }
-    v.fail(strprintf("unknown simulation mode \"%s\" (expected "
-                     "static, pmu or oracle)",
-                     name.c_str()));
-}
-
-PdnKind
-pdnKindFromJson(const JsonValue &v)
-{
-    const std::string &name = v.asString();
-    for (PdnKind kind : allPdnKinds) {
-        if (pdnKindToString(kind) == name)
-            return kind;
-    }
-    std::vector<std::string> names;
-    for (PdnKind kind : allPdnKinds)
-        names.push_back(pdnKindToString(kind));
-    v.fail(strprintf("unknown PDN kind \"%s\" (expected one of %s)",
-                     name.c_str(), joinStrings(names).c_str()));
-}
-
 namespace
 {
 
@@ -69,11 +40,11 @@ pdnsFromJson(const JsonValue &v)
     }
     std::vector<PdnKind> out;
     for (const JsonValue &item : v.items()) {
-        PdnKind kind = pdnKindFromJson(item);
+        PdnKind kind = nameFromJson<PdnKind>(item);
         for (PdnKind seen : out) {
             if (seen == kind)
                 item.fail(strprintf("duplicate PDN kind \"%s\"",
-                                    pdnKindToString(kind).c_str()));
+                                    nameOf(kind)));
         }
         out.push_back(kind);
     }
@@ -117,11 +88,7 @@ libraryTracesFromJson(const JsonValue &v)
 
     for (const JsonValue &item : names->items()) {
         const std::string &name = item.asString();
-        if (!library.find(name))
-            item.fail(strprintf(
-                "no trace \"%s\" in the standard library (available: "
-                "%s)",
-                name.c_str(), joinStrings(library.names()).c_str()));
+        nameFromJson(library.names(), item, "library trace");
         for (const TraceSpec &seen : out) {
             if (seen.name() == name)
                 item.fail(strprintf("trace \"%s\" selected twice",
@@ -147,17 +114,9 @@ generatorSpecFromJson(const JsonValue &v)
         v.fail("missing required generator key \"kind\"");
 
     TraceGeneratorSpec params;
-    params.kind = kind->asString();
-    bool known = false;
-    for (const std::string &k : traceGeneratorKinds())
-        known = known || params.kind == k;
-    if (!known)
-        kind->fail(strprintf(
-            "unknown generator kind \"%s\" (expected one of %s)",
-            params.kind.c_str(),
-            joinStrings(traceGeneratorKinds()).c_str()));
-    bool bursty = params.kind == "bursty-compute";
-    bool mix = params.kind == "random-mix";
+    params.kind = nameFromJson<TraceGeneratorKind>(*kind);
+    bool bursty = params.kind == TraceGeneratorKind::BurstyCompute;
+    bool mix = params.kind == TraceGeneratorKind::RandomMix;
 
     // Parameters that do not apply to the chosen kind are rejected
     // rather than silently ignored.
@@ -165,7 +124,7 @@ generatorSpecFromJson(const JsonValue &v)
         if (const JsonValue *stray = v.find(key))
             stray->fail(strprintf("\"%s\" does not apply to "
                                   "generator kind \"%s\"",
-                                  key, params.kind.c_str()));
+                                  key, nameOf(params.kind)));
     };
     if (!bursty) {
         rejectForKind("bursts");
@@ -280,15 +239,6 @@ transformFromJson(const JsonValue &v, const std::string &traceDir)
     return TraceTransform::concat(traceSpecFromJson(tail, traceDir));
 }
 
-std::vector<std::string>
-profileNames()
-{
-    std::vector<std::string> out;
-    for (const BatteryProfile &profile : batteryLifeWorkloads())
-        out.push_back(profile.name);
-    return out;
-}
-
 std::vector<TraceSpec>
 tracesFromJson(const JsonValue &v, const std::string &traceDir)
 {
@@ -328,38 +278,21 @@ probeFromJson(const JsonValue &v)
     // the enum), existence in the spec's axes in
     // CampaignSpec::validate.
     if (const JsonValue *p = v.find("pdn"))
-        probe.pdn = pdnKindToString(pdnKindFromJson(*p));
+        probe.pdn = toString(nameFromJson<PdnKind>(*p));
     if (const JsonValue *m = v.find("mode"))
-        probe.mode = toString(simModeFromJson(*m));
+        probe.mode = toString(nameFromJson<SimMode>(*m));
 
     if (const JsonValue *signals = v.find("signals")) {
         if (signals->items().empty())
             signals->fail("\"signals\" must name at least one "
                           "signal (omit the key to capture all)");
         for (const JsonValue &item : signals->items()) {
-            const std::string &name = item.asString();
-            bool known = false;
-            ProbeSignal signal = ProbeSignal::SupplyPowerW;
-            for (ProbeSignal s : allProbeSignals) {
-                if (toString(s) == name) {
-                    signal = s;
-                    known = true;
-                }
-            }
-            if (!known) {
-                std::vector<std::string> names;
-                for (ProbeSignal s : allProbeSignals)
-                    names.push_back(toString(s));
-                item.fail(strprintf(
-                    "unknown probe signal \"%s\" (expected one of "
-                    "%s)",
-                    name.c_str(), joinStrings(names).c_str()));
-            }
+            ProbeSignal signal = nameFromJson<ProbeSignal>(item);
             for (ProbeSignal seen : probe.signals) {
                 if (seen == signal)
                     item.fail(strprintf("duplicate probe signal "
                                         "\"%s\"",
-                                        name.c_str()));
+                                        nameOf(signal)));
             }
             probe.signals.push_back(signal);
         }
@@ -372,24 +305,8 @@ probeFromJson(const JsonValue &v)
     if (const JsonValue *trigger = v.find("trigger")) {
         rejectUnknownKeys(*trigger, "trigger", {"on", "window"});
         ProbeTriggerSpec t;
-        if (const JsonValue *on = trigger->find("on")) {
-            const std::string &name = on->asString();
-            bool known = false;
-            for (ProbeTriggerSpec::On o :
-                 {ProbeTriggerSpec::On::ModeSwitch,
-                  ProbeTriggerSpec::On::BudgetClip,
-                  ProbeTriggerSpec::On::Any}) {
-                if (toString(o) == name) {
-                    t.on = o;
-                    known = true;
-                }
-            }
-            if (!known)
-                on->fail(strprintf(
-                    "unknown trigger \"%s\" (expected mode_switch, "
-                    "budget_clip or any)",
-                    name.c_str()));
-        }
+        if (const JsonValue *on = trigger->find("on"))
+            t.on = nameFromJson<ProbeTriggerSpec::On>(*on);
         const JsonValue *window = trigger->find("window");
         if (!window)
             trigger->fail("missing required trigger key \"window\"");
@@ -407,29 +324,6 @@ probeFromJson(const JsonValue &v)
         probe.batteryWh = capacity;
     }
     return probe;
-}
-
-std::vector<std::string>
-presetNames()
-{
-    std::vector<std::string> out;
-    for (const PlatformConfig &cfg : allPlatformPresets())
-        out.push_back(cfg.name);
-    return out;
-}
-
-PlatformConfig
-presetFromJson(const JsonValue &v)
-{
-    const std::string &name = v.asString();
-    for (const PlatformConfig &cfg : allPlatformPresets()) {
-        if (cfg.name == name)
-            return cfg;
-    }
-    v.fail(strprintf("unknown platform preset \"%s\" (available: "
-                     "%s)",
-                     name.c_str(),
-                     joinStrings(presetNames()).c_str()));
 }
 
 } // namespace
@@ -480,25 +374,14 @@ traceSpecFromJson(const JsonValue &value, const std::string &traceDir)
         uint64_t seed = 42;
         if (const JsonValue *s = value.find("seed"))
             seed = seedFromJson(*s);
-        TraceLibrary lib = standardCampaignTraces(seed);
-        if (!lib.find(library->asString()))
-            library->fail(strprintf(
-                "no trace \"%s\" in the standard library "
-                "(available: %s)",
-                library->asString().c_str(),
-                joinStrings(lib.names()).c_str()));
+        nameFromJson(standardCampaignTraces(seed).names(), *library,
+                     "library trace");
         spec = TraceSpec::library(library->asString(), seed);
     } else if (generator) {
         spec = TraceSpec::generator(generatorSpecFromJson(*generator));
     } else if (profile) {
-        bool known = false;
-        for (const BatteryProfile &p : batteryLifeWorkloads())
-            known = known || p.name == profile->asString();
-        if (!known)
-            profile->fail(strprintf(
-                "unknown battery profile \"%s\" (available: %s)",
-                profile->asString().c_str(),
-                joinStrings(profileNames()).c_str()));
+        nameFromJson(batteryLifeWorkloads(), *profile,
+                     "battery profile");
         Time framePeriod = milliseconds(33.3);
         size_t frames = 4;
         if (const JsonValue *ms = value.find("frame_ms")) {
@@ -553,7 +436,7 @@ traceSpecFromJson(const JsonValue &value, const std::string &traceDir)
         try {
             spec.resolve();
         } catch (const ConfigError &e) {
-            file->fail(e.what());
+            file->fail(e.message());
         }
     }
 
@@ -562,7 +445,7 @@ traceSpecFromJson(const JsonValue &value, const std::string &traceDir)
     try {
         spec.validate();
     } catch (const ConfigError &e) {
-        value.fail(e.what());
+        value.fail(e.message());
     }
     return spec;
 }
@@ -571,7 +454,8 @@ PlatformConfig
 platformConfigFromJson(const JsonValue &value)
 {
     if (value.kind() == JsonValue::Kind::String)
-        return presetFromJson(value);
+        return nameFromJson(allPlatformPresets(), value,
+                            "platform preset");
 
     rejectUnknownKeys(value, "platform",
                       {"preset", "name", "tdp_w", "supply_v",
@@ -580,7 +464,8 @@ platformConfigFromJson(const JsonValue &value)
     PlatformConfig cfg;
     const JsonValue *preset = value.find("preset");
     if (preset)
-        cfg = presetFromJson(*preset);
+        cfg = nameFromJson(allPlatformPresets(), *preset,
+                           "platform preset");
     else if (!value.find("name"))
         value.fail("inline platforms need a \"name\" (or start from "
                    "a \"preset\")");
@@ -650,7 +535,7 @@ campaignSpecFromJson(const JsonValue &root,
     }
     spec.pdns = pdnsFromJson(*root.find("pdns"));
     if (const JsonValue *mode = root.find("mode"))
-        spec.mode = simModeFromJson(*mode);
+        spec.mode = nameFromJson<SimMode>(*mode);
     if (const JsonValue *tick = root.find("tick_us")) {
         double us = tick->asNumber();
         if (!(us > 0.0))
@@ -705,7 +590,7 @@ campaignSpecFromJson(const JsonValue &root,
                     "probe mode selector \"%s\" does not match the "
                     "campaign mode \"%s\"",
                     probe.mode.c_str(),
-                    toString(spec.mode).c_str()));
+                    nameOf(spec.mode)));
             }
             spec.probes.push_back(std::move(probe));
         }

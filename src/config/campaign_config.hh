@@ -49,10 +49,11 @@
  *   "tdp_w": ..., "supply_v": ..., "predictor_hysteresis": ...},
  *   starting from the named preset (or defaults) and overriding the
  *   given fields.
- * - "pdns" is "all" or an array of PDN kind names (pdnKindToString
- *   spelling: IVR, MBVR, LDO, I+MBVR, FlexWatts).
- * - "mode" is "static" (default), "pmu" or "oracle"; "tick_us" is
- *   the simulator step in microseconds (default 50).
+ * - "pdns" is "all" or an array of PDN kind names
+ *   (nameTable<PdnKind>, pdn/pdn_model.hh).
+ * - "mode" is a simulation mode (nameTable<SimMode>,
+ *   campaign/campaign_spec.hh; default static); "tick_us" is the
+ *   simulator step in microseconds (default 50).
  * - "probes" (optional) binds waveform probes (obs/probe.hh) to
  *   matching cells; each entry is an object of cell selectors and
  *   capture parameters, all optional:
@@ -65,17 +66,24 @@
  *      "battery_wh": 50.0}
  *
  *   Omitted selectors match every value on that axis (but non-empty
- *   selectors must name something the spec's axes carry); omitted
- *   "signals" captures all signals; "decimate" keeps every Nth
- *   phase; "trigger" bounds capture to ±window phases around each
- *   "mode_switch", "budget_clip" or "any" (default) event. The
+ *   selectors must name something the spec's axes carry); "signals"
+ *   names nameTable<ProbeSignal> entries (omitted = all signals);
+ *   "decimate" keeps every Nth phase; "trigger" bounds capture to
+ *   ±window phases around each event its "on" names
+ *   (nameTable<ProbeTriggerSpec::On>, default any). The
  *   first matching probe binds to a cell. Probes only produce
  *   output through surfaces that ask for it (the CLI's
  *   --probe-out); see docs/observability.md for the full grammar.
  *
- * Every binding error — unknown key, bad enum value, missing trace
- * or preset — is a single-line ConfigError carrying the offending
- * value's file:line:col position.
+ * Every value a spec spells from a fixed vocabulary — generator
+ * "kind" (nameTable<TraceGeneratorKind>), battery "profile"
+ * (batteryLifeWorkloads()), platform preset (allPlatformPresets()),
+ * PDN kind, mode, probe signal and trigger — is bound from that
+ * vocabulary's one name table (common/names.hh). Every binding error
+ * — unknown key, unknown name, missing trace — is a single-line
+ * ConfigError carrying the offending value's file:line:col position;
+ * an unknown name reads "unknown <what> \"<name>\" (expected one of
+ * ...)".
  */
 
 #ifndef PDNSPOT_CONFIG_CAMPAIGN_CONFIG_HH
@@ -138,12 +146,6 @@ PlatformConfig platformConfigFromJson(const JsonValue &value);
  */
 void rejectUnknownKeys(const JsonValue &obj, const char *what,
                        std::initializer_list<const char *> valid);
-
-/** A "mode" value: "static", "pmu" or "oracle". */
-SimMode simModeFromJson(const JsonValue &v);
-
-/** A PDN kind name in pdnKindToString spelling. */
-PdnKind pdnKindFromJson(const JsonValue &v);
 
 } // namespace pdnspot
 

@@ -42,9 +42,9 @@ cohortFromJson(const JsonValue &v, const std::string &traceDir)
         "\"count\"", 1, 100000000L));
     cohort.platform = platformConfigFromJson(*v.find("platform"));
     if (const JsonValue *pdn = v.find("pdn"))
-        cohort.pdn = pdnKindFromJson(*pdn);
+        cohort.pdn = nameFromJson<PdnKind>(*pdn);
     if (const JsonValue *mode = v.find("mode"))
-        cohort.mode = simModeFromJson(*mode);
+        cohort.mode = nameFromJson<SimMode>(*mode);
     cohort.trace = traceSpecFromJson(*v.find("trace"), traceDir);
 
     if (const JsonValue *jitter = v.find("start_jitter_ms")) {
@@ -112,7 +112,7 @@ fleetSpecFromJson(const JsonValue &root, const std::string &traceDir)
     try {
         spec.validate();
     } catch (const ConfigError &e) {
-        root.fail(e.what());
+        root.fail(e.message());
     }
     return spec;
 }

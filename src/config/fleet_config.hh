@@ -33,9 +33,10 @@
  *   "tick_us" overrides included. Relative "file" trace paths
  *   resolve against the spec file's directory unless a trace
  *   directory is passed explicitly (the CLI's --trace-dir).
- * - "pdn" is one PDN kind name (default FlexWatts); "mode" is
- *   "static" (default), "pmu" or "oracle". Non-FlexWatts cohorts
- *   always profile statically (campaign semantics).
+ * - "pdn" is one PDN kind name (nameTable<PdnKind>, default
+ *   FlexWatts); "mode" is one simulation mode (nameTable<SimMode>,
+ *   default static). Non-FlexWatts cohorts always profile
+ *   statically (campaign semantics).
  * - "start_jitter_ms" (default 0) bounds the seeded per-session
  *   start offset into the cyclic trace; "battery_wh" (default 50)
  *   and "battery_spread" (default 0, in [0, 1)) shape the capacity
@@ -44,9 +45,12 @@
  *   3600), "tick_us" (default 50), "seed" (default 1) and "storm_k"
  *   (default 4) tune the shared clock and the storm detector.
  *
- * Every binding error — unknown key, bad enum value, missing preset
- * or trace — is a single-line ConfigError carrying the offending
- * value's file:line:col position.
+ * Names are bound from their vocabulary's one name table
+ * (common/names.hh), as in campaign specs. Every binding error —
+ * unknown key, unknown name, missing trace — is a single-line
+ * ConfigError carrying the offending value's file:line:col position;
+ * an unknown name reads "unknown <what> \"<name>\" (expected one of
+ * ...)".
  */
 
 #ifndef PDNSPOT_CONFIG_FLEET_CONFIG_HH

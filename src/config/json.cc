@@ -12,26 +12,6 @@
 namespace pdnspot
 {
 
-const char *
-JsonValue::kindName(Kind kind)
-{
-    switch (kind) {
-      case Kind::Null:
-        return "null";
-      case Kind::Bool:
-        return "boolean";
-      case Kind::Number:
-        return "number";
-      case Kind::String:
-        return "string";
-      case Kind::Array:
-        return "array";
-      case Kind::Object:
-        return "object";
-    }
-    panic("JsonValue::kindName: invalid kind");
-}
-
 std::string
 JsonValue::where() const
 {
@@ -51,9 +31,8 @@ namespace
 [[noreturn]] void
 wrongKind(const JsonValue &v, JsonValue::Kind wanted)
 {
-    v.fail(strprintf("expected %s, got %s",
-                     JsonValue::kindName(wanted),
-                     JsonValue::kindName(v.kind())));
+    v.fail(strprintf("expected %s, got %s", nameOf(wanted),
+                     nameOf(v.kind())));
 }
 
 } // namespace
@@ -572,11 +551,13 @@ appendJsonString(std::string &out, const std::string &s)
     out += '"';
 }
 
+/**
+ * Serialize `v` at nesting `depth`; a negative depth writes the
+ * single-line form (", " between elements, no newlines).
+ */
 void
 appendJson(std::string &out, const JsonValue &v, int depth)
 {
-    std::string indent(static_cast<size_t>(depth) * 2, ' ');
-    std::string inner(static_cast<size_t>(depth + 1) * 2, ' ');
     switch (v.kind()) {
       case JsonValue::Kind::Null:
         out += "null";
@@ -590,90 +571,35 @@ appendJson(std::string &out, const JsonValue &v, int depth)
       case JsonValue::Kind::String:
         appendJsonString(out, v.asString());
         return;
-      case JsonValue::Kind::Array: {
-        const std::vector<JsonValue> &items = v.items();
-        if (items.empty()) {
-            out += "[]";
-            return;
-        }
-        out += "[\n";
-        for (size_t i = 0; i < items.size(); ++i) {
-            out += inner;
-            appendJson(out, items[i], depth + 1);
-            if (i + 1 < items.size())
-                out += ',';
-            out += '\n';
-        }
-        out += indent;
-        out += ']';
-        return;
-      }
-      case JsonValue::Kind::Object: {
-        const std::vector<JsonValue::Member> &members = v.members();
-        if (members.empty()) {
-            out += "{}";
-            return;
-        }
-        out += "{\n";
-        for (size_t i = 0; i < members.size(); ++i) {
-            out += inner;
-            appendJsonString(out, members[i].first);
-            out += ": ";
-            appendJson(out, members[i].second, depth + 1);
-            if (i + 1 < members.size())
-                out += ',';
-            out += '\n';
-        }
-        out += indent;
-        out += '}';
-        return;
-      }
+      case JsonValue::Kind::Array:
+      case JsonValue::Kind::Object:
+        break;
     }
-    panic("writeJson: invalid JSON kind");
-}
-
-void
-appendJsonCompact(std::string &out, const JsonValue &v)
-{
-    switch (v.kind()) {
-      case JsonValue::Kind::Null:
-        out += "null";
-        return;
-      case JsonValue::Kind::Bool:
-        out += v.asBool() ? "true" : "false";
-        return;
-      case JsonValue::Kind::Number:
-        out += csvExactDouble(v.asNumber());
-        return;
-      case JsonValue::Kind::String:
-        appendJsonString(out, v.asString());
-        return;
-      case JsonValue::Kind::Array: {
-        out += '[';
-        const std::vector<JsonValue> &items = v.items();
-        for (size_t i = 0; i < items.size(); ++i) {
-            if (i)
-                out += ", ";
-            appendJsonCompact(out, items[i]);
+    bool object = v.kind() == JsonValue::Kind::Object;
+    bool pretty = depth >= 0;
+    int inner = pretty ? depth + 1 : depth;
+    size_t n = object ? v.members().size() : v.items().size();
+    out += object ? '{' : '[';
+    for (size_t i = 0; i < n; ++i) {
+        if (i > 0)
+            out += pretty ? "," : ", ";
+        if (pretty) {
+            out += '\n';
+            out.append(static_cast<size_t>(inner) * 2, ' ');
         }
-        out += ']';
-        return;
-      }
-      case JsonValue::Kind::Object: {
-        out += '{';
-        const std::vector<JsonValue::Member> &members = v.members();
-        for (size_t i = 0; i < members.size(); ++i) {
-            if (i)
-                out += ", ";
-            appendJsonString(out, members[i].first);
+        if (object) {
+            appendJsonString(out, v.members()[i].first);
             out += ": ";
-            appendJsonCompact(out, members[i].second);
+            appendJson(out, v.members()[i].second, inner);
+        } else {
+            appendJson(out, v.items()[i], inner);
         }
-        out += '}';
-        return;
-      }
     }
-    panic("writeJsonCompact: invalid JSON kind");
+    if (pretty && n > 0) {
+        out += '\n';
+        out.append(static_cast<size_t>(depth) * 2, ' ');
+    }
+    out += object ? '}' : ']';
 }
 
 } // namespace
@@ -691,7 +617,7 @@ std::string
 writeJsonCompact(const JsonValue &value)
 {
     std::string out;
-    appendJsonCompact(out, value);
+    appendJson(out, value, -1);
     return out;
 }
 

@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/names.hh"
+
 namespace pdnspot
 {
 
@@ -46,9 +48,6 @@ class JsonValue
     JsonValue() = default;
 
     Kind kind() const { return _kind; }
-
-    /** Human-readable kind name ("object", "number", ...). */
-    static const char *kindName(Kind kind);
 
     bool isNull() const { return _kind == Kind::Null; }
 
@@ -106,6 +105,43 @@ class JsonValue
     int _line = 0;
     int _column = 0;
 };
+
+template <>
+inline constexpr NameTable<JsonValue::Kind, 6> nameTable<JsonValue::Kind>{
+    "JSON kind",
+    {{{JsonValue::Kind::Null, "null"},
+      {JsonValue::Kind::Bool, "boolean"},
+      {JsonValue::Kind::Number, "number"},
+      {JsonValue::Kind::String, "string"},
+      {JsonValue::Kind::Array, "array"},
+      {JsonValue::Kind::Object, "object"}}}};
+static_assert(inEnumOrder(nameTable<JsonValue::Kind>));
+
+/**
+ * The entry of a named catalogue (a range of objects with a `name`
+ * member) a string value names; fails at the value's position with
+ * "unknown <what> ..." otherwise.
+ */
+template <typename Range>
+const auto &
+nameFromJson(const Range &range, const JsonValue &v, const char *what)
+{
+    const std::string &name = v.asString();
+    if (const auto *row = findName(range, name))
+        return *row;
+    v.fail(unknownName(what, name, range));
+}
+
+/**
+ * A string value spelled from E's name table (common/names.hh);
+ * fails at the value's position with "unknown <what> ..." otherwise.
+ */
+template <NamedEnum E>
+E
+nameFromJson(const JsonValue &v)
+{
+    return nameFromJson(nameTable<E>, v, nameTable<E>.what).value;
+}
 
 /**
  * Parse one JSON document. `sourceName` labels error messages (a file

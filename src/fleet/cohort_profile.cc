@@ -62,7 +62,9 @@ buildProfile(const FleetCohort &cohort, Time tick)
     // different modes (static rows all carry mode -1).
     if (cohort.mode == SimMode::Pmu) {
         for (const WaveformEvent &event : w.events) {
-            if (event.kind == "mode_switch" && event.phase < phases)
+            if (event.kind ==
+                    nameOf(ProbeTriggerSpec::On::ModeSwitch) &&
+                event.phase < phases)
                 ++profile.switchesIn[event.phase];
         }
     } else {

@@ -408,7 +408,7 @@ FleetEngine::run(const FleetSpec &spec,
         info.name = cohort.name;
         info.count = cohort.count;
         info.platform = cohort.platform.name;
-        info.pdn = pdnKindToString(cohort.pdn);
+        info.pdn = toString(cohort.pdn);
         info.mode = toString(profiles[c].mode);
         info.trace = cohort.trace.name();
         info.phases = profiles[c].phases();

@@ -48,8 +48,8 @@ struct FleetCohortInfo
     std::string name;
     uint64_t count = 0;
     std::string platform;
-    std::string pdn;   ///< pdnKindToString spelling
-    std::string mode;  ///< toString(SimMode) spelling
+    std::string pdn;   ///< nameTable<PdnKind> spelling
+    std::string mode;  ///< nameTable<SimMode> spelling
     std::string trace; ///< trace name
     uint64_t phases = 0;  ///< phases per trace cycle
     double cycleS = 0.0;  ///< trace cycle period

@@ -62,7 +62,6 @@ class FlexWattsPdn : public PdnModel
     explicit FlexWattsPdn(PdnPlatformParams platform = {},
                           FlexWattsParams params = {});
 
-    std::string name() const override { return "FlexWatts"; }
     PdnKind kind() const override { return PdnKind::FlexWatts; }
 
     /**

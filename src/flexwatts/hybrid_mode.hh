@@ -7,7 +7,8 @@
 #define PDNSPOT_FLEXWATTS_HYBRID_MODE_HH
 
 #include <array>
-#include <string>
+
+#include "common/names.hh"
 
 namespace pdnspot
 {
@@ -19,11 +20,15 @@ enum class HybridMode
     LdoMode, ///< V_IN at the max domain voltage, on-die LDOs regulate
 };
 
-inline constexpr std::array<HybridMode, 2> allHybridModes = {
-    HybridMode::IvrMode, HybridMode::LdoMode,
-};
+template <>
+inline constexpr NameTable<HybridMode, 2> nameTable<HybridMode>{
+    "hybrid mode",
+    {{{HybridMode::IvrMode, "IVR-Mode"},
+      {HybridMode::LdoMode, "LDO-Mode"}}}};
+static_assert(inEnumOrder(nameTable<HybridMode>));
 
-std::string toString(HybridMode mode);
+inline constexpr std::array<HybridMode, 2> allHybridModes =
+    valuesOf(nameTable<HybridMode>);
 
 } // namespace pdnspot
 

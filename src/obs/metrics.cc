@@ -42,20 +42,6 @@ constexpr std::array<WellKnownDef,
 } // namespace
 
 const char *
-toString(MetricKind kind)
-{
-    switch (kind) {
-      case MetricKind::Counter:
-        return "counter";
-      case MetricKind::Gauge:
-        return "gauge";
-      case MetricKind::Histogram:
-        return "histogram";
-    }
-    panic("toString: invalid MetricKind");
-}
-
-const char *
 metricName(Metric metric)
 {
     return wellKnown[static_cast<size_t>(metric)].name;
@@ -123,8 +109,8 @@ MetricsRegistry::registerMetric(const std::string &name,
         if (_defs[id].kind != kind)
             panic(strprintf("MetricsRegistry: metric \"%s\" "
                             "re-registered as %s (was %s)",
-                            name.c_str(), toString(kind),
-                            toString(_defs[id].kind)));
+                            name.c_str(), nameOf(kind),
+                            nameOf(_defs[id].kind)));
         return id;
     }
 

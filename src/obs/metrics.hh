@@ -33,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "common/names.hh"
+
 namespace pdnspot
 {
 
@@ -44,7 +46,13 @@ enum class MetricKind
     Histogram, ///< log2-bucketed double samples + count/sum/min/max
 };
 
-const char *toString(MetricKind kind);
+template <>
+inline constexpr NameTable<MetricKind, 3> nameTable<MetricKind>{
+    "metric kind",
+    {{{MetricKind::Counter, "counter"},
+      {MetricKind::Gauge, "gauge"},
+      {MetricKind::Histogram, "histogram"}}}};
+static_assert(inEnumOrder(nameTable<MetricKind>));
 
 /**
  * The metrics the instrumented subsystems report, pre-registered in

@@ -8,76 +8,6 @@
 namespace pdnspot
 {
 
-std::string
-toString(ProbeSignal signal)
-{
-    switch (signal) {
-      case ProbeSignal::SupplyPowerW:
-        return "supply_power_w";
-      case ProbeSignal::NominalPowerW:
-        return "nominal_power_w";
-      case ProbeSignal::Etee:
-        return "etee";
-      case ProbeSignal::Mode:
-        return "mode";
-      case ProbeSignal::VrLossW:
-        return "vr_loss_w";
-      case ProbeSignal::ConductionComputeW:
-        return "conduction_compute_w";
-      case ProbeSignal::ConductionUncoreW:
-        return "conduction_uncore_w";
-      case ProbeSignal::OtherLossW:
-        return "other_loss_w";
-      case ProbeSignal::BudgetAvgPowerW:
-        return "budget_avg_power_w";
-      case ProbeSignal::BudgetMultiplier:
-        return "budget_multiplier";
-      case ProbeSignal::BatterySoc:
-        return "battery_soc";
-    }
-    panic("toString: invalid ProbeSignal");
-}
-
-ProbeSignal
-probeSignalFromString(const std::string &name)
-{
-    for (ProbeSignal s : allProbeSignals) {
-        if (toString(s) == name)
-            return s;
-    }
-    fatal(strprintf("probeSignalFromString: unknown signal \"%s\"",
-                    name.c_str()));
-}
-
-std::string
-toString(ProbeTriggerSpec::On on)
-{
-    switch (on) {
-      case ProbeTriggerSpec::On::ModeSwitch:
-        return "mode_switch";
-      case ProbeTriggerSpec::On::BudgetClip:
-        return "budget_clip";
-      case ProbeTriggerSpec::On::Any:
-        return "any";
-    }
-    panic("toString: invalid ProbeTriggerSpec::On");
-}
-
-ProbeTriggerSpec::On
-probeTriggerOnFromString(const std::string &name)
-{
-    for (ProbeTriggerSpec::On on :
-         {ProbeTriggerSpec::On::ModeSwitch,
-          ProbeTriggerSpec::On::BudgetClip,
-          ProbeTriggerSpec::On::Any}) {
-        if (toString(on) == name)
-            return on;
-    }
-    fatal(strprintf("probeTriggerOnFromString: unknown trigger "
-                    "\"%s\"",
-                    name.c_str()));
-}
-
 bool
 ProbeSpec::matches(const std::string &traceName,
                    const std::string &platformName,
@@ -243,7 +173,7 @@ SignalProbe::samplePhase(const ProbeFrame &frame)
     bool clamped = _budget.clamped();
     if (clamped && !_wasClamped) {
         WaveformEvent e;
-        e.kind = "budget_clip";
+        e.kind = nameOf(ProbeTriggerSpec::On::BudgetClip);
         e.phase = frame.phase;
         e.t = frame.start + frame.duration;
         e.detail = csvExactDouble(_budget.recommendedMultiplier());
@@ -261,7 +191,7 @@ void
 SignalProbe::modeSwitch(uint64_t phase, Time t, HybridMode target)
 {
     WaveformEvent e;
-    e.kind = "mode_switch";
+    e.kind = nameOf(ProbeTriggerSpec::On::ModeSwitch);
     e.phase = phase;
     e.t = t;
     e.detail = toString(target);

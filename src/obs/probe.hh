@@ -50,7 +50,7 @@ namespace pdnspot
 
 /**
  * The signals a probe can capture, in canonical (column) order.
- * toString() spellings are the waveform CSV column names.
+ * Their nameTable spellings are the waveform CSV column names.
  */
 enum class ProbeSignal
 {
@@ -69,25 +69,25 @@ enum class ProbeSignal
 
 inline constexpr size_t probeSignalCount = 11;
 
-inline constexpr std::array<ProbeSignal, probeSignalCount>
-    allProbeSignals = {
-        ProbeSignal::SupplyPowerW,
-        ProbeSignal::NominalPowerW,
-        ProbeSignal::Etee,
-        ProbeSignal::Mode,
-        ProbeSignal::VrLossW,
-        ProbeSignal::ConductionComputeW,
-        ProbeSignal::ConductionUncoreW,
-        ProbeSignal::OtherLossW,
-        ProbeSignal::BudgetAvgPowerW,
-        ProbeSignal::BudgetMultiplier,
-        ProbeSignal::BatterySoc,
-};
+template <>
+inline constexpr NameTable<ProbeSignal, probeSignalCount>
+    nameTable<ProbeSignal>{
+        "probe signal",
+        {{{ProbeSignal::SupplyPowerW, "supply_power_w"},
+          {ProbeSignal::NominalPowerW, "nominal_power_w"},
+          {ProbeSignal::Etee, "etee"},
+          {ProbeSignal::Mode, "mode"},
+          {ProbeSignal::VrLossW, "vr_loss_w"},
+          {ProbeSignal::ConductionComputeW, "conduction_compute_w"},
+          {ProbeSignal::ConductionUncoreW, "conduction_uncore_w"},
+          {ProbeSignal::OtherLossW, "other_loss_w"},
+          {ProbeSignal::BudgetAvgPowerW, "budget_avg_power_w"},
+          {ProbeSignal::BudgetMultiplier, "budget_multiplier"},
+          {ProbeSignal::BatterySoc, "battery_soc"}}}};
+static_assert(inEnumOrder(nameTable<ProbeSignal>));
 
-std::string toString(ProbeSignal signal);
-
-/** Inverse of toString(ProbeSignal); fatal() on an unknown name. */
-ProbeSignal probeSignalFromString(const std::string &name);
+inline constexpr std::array<ProbeSignal, probeSignalCount> allProbeSignals =
+    valuesOf(nameTable<ProbeSignal>);
 
 /**
  * Bounds capture to "±window phases around each trigger". Without a
@@ -111,10 +111,18 @@ struct ProbeTriggerSpec
     bool operator==(const ProbeTriggerSpec &) const = default;
 };
 
-std::string toString(ProbeTriggerSpec::On on);
-
-/** Inverse of toString(ProbeTriggerSpec::On); fatal() on unknown. */
-ProbeTriggerSpec::On probeTriggerOnFromString(const std::string &name);
+/**
+ * Trigger spellings; ModeSwitch and BudgetClip double as the
+ * WaveformEvent kinds.
+ */
+template <>
+inline constexpr NameTable<ProbeTriggerSpec::On, 3>
+    nameTable<ProbeTriggerSpec::On>{
+        "trigger",
+        {{{ProbeTriggerSpec::On::ModeSwitch, "mode_switch"},
+          {ProbeTriggerSpec::On::BudgetClip, "budget_clip"},
+          {ProbeTriggerSpec::On::Any, "any"}}}};
+static_assert(inEnumOrder(nameTable<ProbeTriggerSpec::On>));
 
 /**
  * One declaratively-bound probe: which campaign cells it attaches to
@@ -156,7 +164,7 @@ struct ProbeSpec
 /** One discrete event on a waveform timeline. */
 struct WaveformEvent
 {
-    std::string kind;   ///< "mode_switch" or "budget_clip"
+    std::string kind;   ///< nameOf(On::ModeSwitch or On::BudgetClip)
     uint64_t phase = 0; ///< trace phase index the event fell in
     Time t;             ///< simulated time of the event
     std::string detail; ///< target mode / clip multiplier
@@ -185,8 +193,8 @@ struct Waveform
 {
     std::string trace;
     std::string platform;
-    std::string pdn;  ///< pdnKindToString spelling
-    std::string mode; ///< toString(SimMode) spelling
+    std::string pdn;  ///< nameTable<PdnKind> spelling
+    std::string mode; ///< nameTable<SimMode> spelling
 
     /** Global (unsharded) campaign cell index; keys counter pids. */
     uint64_t cellIndex = 0;

@@ -90,7 +90,7 @@ metricJson(const MetricSnapshot &m)
 {
     std::vector<Member> fields;
     fields.emplace_back("name", str(m.name));
-    fields.emplace_back("kind", str(toString(m.kind)));
+    fields.emplace_back("kind", str(nameOf(m.kind)));
     switch (m.kind) {
       case MetricKind::Counter:
         fields.emplace_back("count", num(m.count));
@@ -122,7 +122,7 @@ JsonValue
 summaryJson(const CampaignPdnSummary &s)
 {
     std::vector<Member> fields;
-    fields.emplace_back("pdn", str(pdnKindToString(s.pdn)));
+    fields.emplace_back("pdn", str(toString(s.pdn)));
     fields.emplace_back("cells", num(s.cells));
     fields.emplace_back("supply_energy_j",
                         num(inJoules(s.supplyEnergy)));
@@ -363,7 +363,7 @@ JsonValue
 canonicalMetric(const JsonValue &metric)
 {
     const JsonValue *kind = metric.find("kind");
-    if (!kind || kind->asString() != "histogram")
+    if (!kind || kind->asString() != nameOf(MetricKind::Histogram))
         return metric;
     JsonValue out = metric;
     out = withMember(out, "sum", JsonValue::makeNumber(0.0));

@@ -88,9 +88,9 @@ readWaveformCsv(std::istream &is, const std::string &sourceName)
     Waveform w;
     for (size_t i = fixedColumns; i + 1 < head.size(); ++i) {
         try {
-            w.signals.push_back(probeSignalFromString(head[i]));
+            w.signals.push_back(parseName<ProbeSignal>(head[i]));
         } catch (const ConfigError &e) {
-            failAt(sourceName, 1, e.what());
+            failAt(sourceName, 1, e.message());
         }
     }
 
@@ -111,7 +111,7 @@ readWaveformCsv(std::istream &is, const std::string &sourceName)
         try {
             phase = static_cast<uint64_t>(csvToDouble(f[1]));
         } catch (const ConfigError &e) {
-            failAt(sourceName, lineNo, e.what());
+            failAt(sourceName, lineNo, e.message());
         }
 
         if (f[0] == "sample") {
@@ -128,13 +128,15 @@ readWaveformCsv(std::istream &is, const std::string &sourceName)
                     row.values.push_back(
                         csvToDouble(f[fixedColumns + i]));
             } catch (const ConfigError &e) {
-                failAt(sourceName, lineNo, e.what());
+                failAt(sourceName, lineNo, e.message());
             }
             if (!f.back().empty())
                 failAt(sourceName, lineNo,
                        "sample row with a non-empty detail field");
             w.rows.push_back(std::move(row));
-        } else if (f[0] == "mode_switch" || f[0] == "budget_clip") {
+        } else if (const auto *event =
+                       findName(nameTable<ProbeTriggerSpec::On>, f[0]);
+                   event && event->value != ProbeTriggerSpec::On::Any) {
             sawEvent = true;
             WaveformEvent e;
             e.kind = f[0];
@@ -142,7 +144,7 @@ readWaveformCsv(std::istream &is, const std::string &sourceName)
             try {
                 e.t = seconds(csvToDouble(f[2]));
             } catch (const ConfigError &err) {
-                failAt(sourceName, lineNo, err.what());
+                failAt(sourceName, lineNo, err.message());
             }
             for (size_t i = 3; i + 1 < f.size(); ++i) {
                 if (!f[i].empty())
@@ -153,8 +155,11 @@ readWaveformCsv(std::istream &is, const std::string &sourceName)
             w.events.push_back(std::move(e));
         } else {
             failAt(sourceName, lineNo,
-                   strprintf("unknown record kind \"%s\"",
-                             f[0].c_str()));
+                   strprintf("unknown record kind \"%s\" (expected one "
+                             "of sample, %s, %s)",
+                             f[0].c_str(),
+                             nameOf(ProbeTriggerSpec::On::ModeSwitch),
+                             nameOf(ProbeTriggerSpec::On::BudgetClip)));
         }
     }
     return w;

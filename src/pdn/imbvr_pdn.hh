@@ -37,7 +37,6 @@ class ImbvrPdn : public PdnModel
     explicit ImbvrPdn(PdnPlatformParams platform = {},
                       ImbvrParams params = {});
 
-    std::string name() const override { return "I+MBVR"; }
     PdnKind kind() const override { return PdnKind::IplusMBVR; }
 
     EteeResult evaluate(const PlatformState &state) const override;

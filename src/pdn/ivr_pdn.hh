@@ -35,7 +35,6 @@ class IvrPdn : public PdnModel
     explicit IvrPdn(PdnPlatformParams platform = {},
                     IvrPdnParams params = {});
 
-    std::string name() const override { return "IVR"; }
     PdnKind kind() const override { return PdnKind::IVR; }
 
     EteeResult evaluate(const PlatformState &state) const override;

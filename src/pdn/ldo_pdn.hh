@@ -38,7 +38,6 @@ class LdoPdn : public PdnModel
     explicit LdoPdn(PdnPlatformParams platform = {},
                     LdoPdnParams params = {});
 
-    std::string name() const override { return "LDO"; }
     PdnKind kind() const override { return PdnKind::LDO; }
 
     EteeResult evaluate(const PlatformState &state) const override;

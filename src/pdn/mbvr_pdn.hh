@@ -36,7 +36,6 @@ class MbvrPdn : public PdnModel
     explicit MbvrPdn(PdnPlatformParams platform = {},
                      MbvrParams params = {});
 
-    std::string name() const override { return "MBVR"; }
     PdnKind kind() const override { return PdnKind::MBVR; }
 
     EteeResult evaluate(const PlatformState &state) const override;

@@ -5,35 +5,6 @@
 namespace pdnspot
 {
 
-std::string
-pdnKindToString(PdnKind kind)
-{
-    switch (kind) {
-      case PdnKind::IVR:
-        return "IVR";
-      case PdnKind::MBVR:
-        return "MBVR";
-      case PdnKind::LDO:
-        return "LDO";
-      case PdnKind::IplusMBVR:
-        return "I+MBVR";
-      case PdnKind::FlexWatts:
-        return "FlexWatts";
-    }
-    panic("pdnKindToString: invalid PdnKind");
-}
-
-PdnKind
-pdnKindFromString(const std::string &name)
-{
-    for (PdnKind kind : allPdnKinds) {
-        if (pdnKindToString(kind) == name)
-            return kind;
-    }
-    fatal(strprintf("pdnKindFromString: unknown PDN kind \"%s\"",
-                    name.c_str()));
-}
-
 PdnModel::PdnModel(PdnPlatformParams platform)
     : _platform(platform), _guardband()
 {

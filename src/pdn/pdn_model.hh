@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/names.hh"
 #include "common/units.hh"
 #include "pdn/etee_result.hh"
 #include "power/guardband.hh"
@@ -34,33 +35,27 @@ enum class PdnKind
     FlexWatts, ///< this paper: hybrid adaptive IVR/LDO
 };
 
-inline constexpr std::array<PdnKind, 5> allPdnKinds = {
-    PdnKind::IVR, PdnKind::MBVR, PdnKind::LDO, PdnKind::IplusMBVR,
-    PdnKind::FlexWatts,
-};
-
 /** The three static PDNs the motivation study compares (Fig. 4/5). */
 inline constexpr std::array<PdnKind, 3> classicPdnKinds = {
     PdnKind::IVR, PdnKind::MBVR, PdnKind::LDO,
 };
 
 /**
- * The canonical spelling of a PDN kind ("IVR", "MBVR", "LDO",
- * "I+MBVR", "FlexWatts") — the single source of truth for every CSV
- * export and spec-file binding, and the exact inverse of
- * pdnKindFromString.
+ * The canonical spelling of each PDN kind — the single source of
+ * truth for every CSV export, spec-file binding and model name().
  */
-std::string pdnKindToString(PdnKind kind);
+template <>
+inline constexpr NameTable<PdnKind, 5> nameTable<PdnKind>{
+    "PDN kind",
+    {{{PdnKind::IVR, "IVR"},
+      {PdnKind::MBVR, "MBVR"},
+      {PdnKind::LDO, "LDO"},
+      {PdnKind::IplusMBVR, "I+MBVR"},
+      {PdnKind::FlexWatts, "FlexWatts"}}}};
+static_assert(inEnumOrder(nameTable<PdnKind>));
 
-/** Inverse of pdnKindToString; fatal() on an unknown name. */
-PdnKind pdnKindFromString(const std::string &name);
-
-/** Convenience overload matching toString(SimMode) etc. */
-inline std::string
-toString(PdnKind kind)
-{
-    return pdnKindToString(kind);
-}
+inline constexpr std::array<PdnKind, 5> allPdnKinds =
+    valuesOf(nameTable<PdnKind>);
 
 /** An off-chip rail description, consumed by the BOM/area models. */
 struct OffChipRail
@@ -89,8 +84,10 @@ class PdnModel
     PdnModel(const PdnModel &) = delete;
     PdnModel &operator=(const PdnModel &) = delete;
 
-    virtual std::string name() const = 0;
     virtual PdnKind kind() const = 0;
+
+    /** The kind's canonical spelling (nameTable<PdnKind>). */
+    std::string name() const { return nameOf(kind()); }
 
     /** Evaluate ETEE and the loss breakdown at one operating point. */
     virtual EteeResult evaluate(const PlatformState &state) const = 0;

@@ -62,12 +62,7 @@ allPlatformPresets()
 PlatformConfig
 platformPresetByName(const std::string &name)
 {
-    for (const PlatformConfig &cfg : allPlatformPresets()) {
-        if (cfg.name == name)
-            return cfg;
-    }
-    fatal(strprintf("platformPresetByName: unknown preset \"%s\"",
-                    name.c_str()));
+    return parseName(allPlatformPresets(), name, "platform preset");
 }
 
 } // namespace pdnspot

@@ -116,7 +116,7 @@ SweepEngine::sweep(std::string xLabel, std::string yLabel,
     r.yLabel = std::move(yLabel);
     for (size_t k = 0; k < kinds.size(); ++k) {
         SweepSeries s;
-        s.label = pdnKindToString(kinds[k]);
+        s.label = toString(kinds[k]);
         for (size_t i = 0; i < nx; ++i)
             s.points.emplace_back(xs[i], ys[k * nx + i]);
         r.series.push_back(std::move(s));

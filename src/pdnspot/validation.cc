@@ -42,7 +42,7 @@ ValidationHarness::makeTraceSet(size_t count) const
         t.tdp = watts(tdps[(i / types.size()) % tdps.size()]);
         t.ar = 0.40 + 0.40 * _noise.unit(i);
         t.name = strprintf("%s-%.0fW-ar%02.0f-%zu",
-                           toString(t.type).c_str(), inWatts(t.tdp),
+                           nameOf(t.type), inWatts(t.tdp),
                            t.ar * 100.0, i);
         set.push_back(std::move(t));
         ++i;
@@ -56,7 +56,7 @@ ValidationHarness::makeTraceSet(size_t count) const
         t.ar = 0.30;
         t.tdp = watts(tdps[j % tdps.size()]);
         t.name = strprintf("cstate-%s-%zu",
-                           toString(t.cstate).c_str(), j);
+                           nameOf(t.cstate), j);
         set.push_back(std::move(t));
         ++j;
     }

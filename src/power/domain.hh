@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <string>
 
+#include "common/names.hh"
 #include "common/units.hh"
 
 namespace pdnspot
@@ -34,11 +35,6 @@ enum class DomainId : size_t
 
 inline constexpr size_t numDomains = 6;
 
-inline constexpr std::array<DomainId, numDomains> allDomains = {
-    DomainId::Core0, DomainId::Core1, DomainId::LLC,
-    DomainId::GFX, DomainId::SA, DomainId::IO,
-};
-
 /** Domains with a wide power range (hybrid-PDN candidates in Sec. 6). */
 inline constexpr std::array<DomainId, 4> computeDomains = {
     DomainId::Core0, DomainId::Core1, DomainId::LLC, DomainId::GFX,
@@ -49,7 +45,19 @@ inline constexpr std::array<DomainId, 2> uncoreDomains = {
     DomainId::SA, DomainId::IO,
 };
 
-std::string toString(DomainId id);
+template <>
+inline constexpr NameTable<DomainId, numDomains> nameTable<DomainId>{
+    "domain",
+    {{{DomainId::Core0, "Core0"},
+      {DomainId::Core1, "Core1"},
+      {DomainId::LLC, "LLC"},
+      {DomainId::GFX, "GFX"},
+      {DomainId::SA, "SA"},
+      {DomainId::IO, "IO"}}}};
+static_assert(inEnumOrder(nameTable<DomainId>));
+
+inline constexpr std::array<DomainId, numDomains> allDomains =
+    valuesOf(nameTable<DomainId>);
 
 constexpr size_t
 domainIndex(DomainId id)

@@ -14,7 +14,8 @@
 #define PDNSPOT_POWER_PACKAGE_CSTATE_HH
 
 #include <array>
-#include <string>
+
+#include "common/names.hh"
 
 namespace pdnspot
 {
@@ -31,22 +32,23 @@ enum class PackageCState
     C8,    ///< display refresh from local buffer; memory self-refresh
 };
 
-inline constexpr std::array<PackageCState, 7> allPackageCStates = {
-    PackageCState::C0, PackageCState::C0Min, PackageCState::C2,
-    PackageCState::C3, PackageCState::C6, PackageCState::C7,
-    PackageCState::C8,
-};
-
 /** Idle C-states used by battery-life residency profiles (Fig. 4j). */
 inline constexpr std::array<PackageCState, 6> batteryLifeCStates = {
     PackageCState::C0Min, PackageCState::C2, PackageCState::C3,
     PackageCState::C6, PackageCState::C7, PackageCState::C8,
 };
 
-std::string toString(PackageCState state);
-
-/** Inverse of toString(PackageCState); fatal() on an unknown name. */
-PackageCState packageCStateFromString(const std::string &name);
+template <>
+inline constexpr NameTable<PackageCState, 7> nameTable<PackageCState>{
+    "C-state",
+    {{{PackageCState::C0, "C0"},
+      {PackageCState::C0Min, "C0MIN"},
+      {PackageCState::C2, "C2"},
+      {PackageCState::C3, "C3"},
+      {PackageCState::C6, "C6"},
+      {PackageCState::C7, "C7"},
+      {PackageCState::C8, "C8"}}}};
+static_assert(inEnumOrder(nameTable<PackageCState>));
 
 /** True if the compute domains (cores, LLC, GFX) are power-gated. */
 constexpr bool

@@ -13,7 +13,8 @@
 #define PDNSPOT_POWER_WORKLOAD_TYPE_HH
 
 #include <array>
-#include <string>
+
+#include "common/names.hh"
 
 namespace pdnspot
 {
@@ -27,15 +28,17 @@ enum class WorkloadType
     BatteryLife,  ///< mostly-idle duty-cycled workload
 };
 
-inline constexpr std::array<WorkloadType, 4> allWorkloadTypes = {
-    WorkloadType::SingleThread, WorkloadType::MultiThread,
-    WorkloadType::Graphics, WorkloadType::BatteryLife,
-};
+template <>
+inline constexpr NameTable<WorkloadType, 4> nameTable<WorkloadType>{
+    "workload type",
+    {{{WorkloadType::SingleThread, "single-thread"},
+      {WorkloadType::MultiThread, "multi-thread"},
+      {WorkloadType::Graphics, "graphics"},
+      {WorkloadType::BatteryLife, "battery-life"}}}};
+static_assert(inEnumOrder(nameTable<WorkloadType>));
 
-std::string toString(WorkloadType type);
-
-/** Inverse of toString(WorkloadType); fatal() on an unknown name. */
-WorkloadType workloadTypeFromString(const std::string &name);
+inline constexpr std::array<WorkloadType, 4> allWorkloadTypes =
+    valuesOf(nameTable<WorkloadType>);
 
 } // namespace pdnspot
 

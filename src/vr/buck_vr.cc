@@ -84,7 +84,7 @@ BuckVr::loss(Voltage vin, Voltage vout, Current iout,
     if (iout > s.maxCurrent) {
         fatal(strprintf("BuckVr %s: %.2fA exceeds %s ceiling %.2fA",
                         _params.name.c_str(), inAmps(iout),
-                        toString(ps).c_str(), inAmps(s.maxCurrent)));
+                        nameOf(ps), inAmps(s.maxCurrent)));
     }
     Power switching = watts(s.switchingCoeff * inVolts(vin) * inAmps(iout));
     Power conduction = watts(inAmps(iout) * inAmps(iout) *

@@ -5,20 +5,6 @@
 namespace pdnspot
 {
 
-std::string
-toString(LdoMode mode)
-{
-    switch (mode) {
-      case LdoMode::Regulation:
-        return "regulation";
-      case LdoMode::Bypass:
-        return "bypass";
-      case LdoMode::PowerGate:
-        return "power-gate";
-    }
-    panic("toString: invalid LdoMode");
-}
-
 LdoVr::LdoVr(LdoParams params)
     : _params(std::move(params))
 {

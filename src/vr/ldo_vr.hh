@@ -19,6 +19,7 @@
 
 #include <string>
 
+#include "common/names.hh"
 #include "common/units.hh"
 
 namespace pdnspot
@@ -32,7 +33,13 @@ enum class LdoMode
     PowerGate,  ///< domain disconnected
 };
 
-std::string toString(LdoMode mode);
+template <>
+inline constexpr NameTable<LdoMode, 3> nameTable<LdoMode>{
+    "LDO mode",
+    {{{LdoMode::Regulation, "regulation"},
+      {LdoMode::Bypass, "bypass"},
+      {LdoMode::PowerGate, "power-gate"}}}};
+static_assert(inEnumOrder(nameTable<LdoMode>));
 
 /** Parameters of an LDO VR. */
 struct LdoParams

@@ -14,7 +14,8 @@
 #define PDNSPOT_VR_VR_POWER_STATE_HH
 
 #include <array>
-#include <string>
+
+#include "common/names.hh"
 
 namespace pdnspot
 {
@@ -28,14 +29,18 @@ enum class VrPowerState
     PS4, ///< deepest: microamp-class standby loads only
 };
 
-/** All states in order, for iteration. */
-inline constexpr std::array<VrPowerState, 4> allVrPowerStates = {
-    VrPowerState::PS0, VrPowerState::PS1, VrPowerState::PS3,
-    VrPowerState::PS4,
-};
+template <>
+inline constexpr NameTable<VrPowerState, 4> nameTable<VrPowerState>{
+    "VR power state",
+    {{{VrPowerState::PS0, "PS0"},
+      {VrPowerState::PS1, "PS1"},
+      {VrPowerState::PS3, "PS3"},
+      {VrPowerState::PS4, "PS4"}}}};
+static_assert(inEnumOrder(nameTable<VrPowerState>));
 
-/** Human-readable name ("PS0" ... "PS4"). */
-std::string toString(VrPowerState ps);
+/** All states in order, for iteration. */
+inline constexpr std::array<VrPowerState, 4> allVrPowerStates =
+    valuesOf(nameTable<VrPowerState>);
 
 } // namespace pdnspot
 

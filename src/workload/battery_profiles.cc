@@ -91,16 +91,7 @@ batteryLifeWorkloads()
 const BatteryProfile &
 batteryProfileByName(const std::string &name)
 {
-    for (const BatteryProfile &profile : batteryLifeWorkloads()) {
-        if (profile.name == name)
-            return profile;
-    }
-    std::vector<std::string> names;
-    for (const BatteryProfile &profile : batteryLifeWorkloads())
-        names.push_back(profile.name);
-    fatal(strprintf("batteryProfileByName: unknown profile \"%s\" "
-                    "(available: %s)",
-                    name.c_str(), joinStrings(names).c_str()));
+    return parseName(batteryLifeWorkloads(), name, "battery profile");
 }
 
 } // namespace pdnspot

@@ -5,6 +5,15 @@
 namespace pdnspot
 {
 
+std::string
+generatorTraceName(TraceGeneratorKind kind, uint64_t seed)
+{
+    if (kind == TraceGeneratorKind::RandomMix)
+        return strprintf("%s-%llu", nameOf(kind),
+                         static_cast<unsigned long long>(seed));
+    return nameOf(kind);
+}
+
 namespace
 {
 
@@ -47,7 +56,9 @@ TraceGenerator::burstyCompute(size_t bursts, Time burst_len,
         idle.ar = 0.3;
         phases.push_back(idle);
     }
-    return PhaseTrace("bursty-compute", std::move(phases));
+    return PhaseTrace(
+        generatorTraceName(TraceGeneratorKind::BurstyCompute, _seed),
+        std::move(phases));
 }
 
 PhaseTrace
@@ -96,7 +107,9 @@ TraceGenerator::dayInTheLife() const
     // Overnight standby.
     idle(milliseconds(500.0), PackageCState::C8);
 
-    return PhaseTrace("day-in-the-life", std::move(phases));
+    return PhaseTrace(
+        generatorTraceName(TraceGeneratorKind::DayInTheLife, _seed),
+        std::move(phases));
 }
 
 PhaseTrace
@@ -133,9 +146,9 @@ TraceGenerator::randomMix(size_t phases_count, Time mean_phase_len,
         }
         phases.push_back(p);
     }
-    return PhaseTrace(strprintf("random-mix-%llu",
-                                static_cast<unsigned long long>(_seed)),
-                      std::move(phases));
+    return PhaseTrace(
+        generatorTraceName(TraceGeneratorKind::RandomMix, _seed),
+        std::move(phases));
 }
 
 } // namespace pdnspot

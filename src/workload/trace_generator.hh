@@ -14,11 +14,35 @@
 
 #include <cstdint>
 
+#include "common/names.hh"
 #include "common/noise.hh"
 #include "workload/trace.hh"
 
 namespace pdnspot
 {
+
+/** The synthetic generators, one per TraceGenerator method. */
+enum class TraceGeneratorKind
+{
+    BurstyCompute, ///< TraceGenerator::burstyCompute
+    DayInTheLife,  ///< TraceGenerator::dayInTheLife
+    RandomMix,     ///< TraceGenerator::randomMix
+};
+
+template <>
+inline constexpr NameTable<TraceGeneratorKind, 3>
+    nameTable<TraceGeneratorKind>{
+        "generator kind",
+        {{{TraceGeneratorKind::BurstyCompute, "bursty-compute"},
+          {TraceGeneratorKind::DayInTheLife, "day-in-the-life"},
+          {TraceGeneratorKind::RandomMix, "random-mix"}}}};
+static_assert(inEnumOrder(nameTable<TraceGeneratorKind>));
+
+/**
+ * The name a generated trace carries: the kind's spelling, suffixed
+ * "-<seed>" for random-mix (whose shape is all seed).
+ */
+std::string generatorTraceName(TraceGeneratorKind kind, uint64_t seed);
 
 /** Deterministic synthetic trace builder. */
 class TraceGenerator

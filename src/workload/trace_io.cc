@@ -75,10 +75,10 @@ readTraceCsv(std::istream &is, const std::string &name,
         p.duration = seconds(
             csvNumberAt(f[0], "duration_s", sourceName, lineNo));
         try {
-            p.cstate = packageCStateFromString(f[1]);
-            p.type = workloadTypeFromString(f[2]);
+            p.cstate = parseName<PackageCState>(f[1]);
+            p.type = parseName<WorkloadType>(f[2]);
         } catch (const ConfigError &e) {
-            failAt(sourceName, lineNo, e.what());
+            failAt(sourceName, lineNo, e.message());
         }
         p.ar = csvNumberAt(f[3], "ar", sourceName, lineNo);
 
@@ -160,11 +160,7 @@ traceFromJson(const JsonValue &root, const std::string &name)
         p.duration = milliseconds(duration.asNumber());
 
         const JsonValue &cstate = *item.find("cstate");
-        try {
-            p.cstate = packageCStateFromString(cstate.asString());
-        } catch (const ConfigError &e) {
-            cstate.fail(e.what());
-        }
+        p.cstate = nameFromJson<PackageCState>(cstate);
 
         // "type" and "ar" describe what the compute domains run, so
         // they only make sense while the package is in C0; idle
@@ -173,14 +169,8 @@ traceFromJson(const JsonValue &root, const std::string &name)
         const JsonValue *type = item.find("type");
         const JsonValue *ar = item.find("ar");
         if (p.cstate == PackageCState::C0) {
-            if (type) {
-                try {
-                    p.type =
-                        workloadTypeFromString(type->asString());
-                } catch (const ConfigError &e) {
-                    type->fail(e.what());
-                }
-            }
+            if (type)
+                p.type = nameFromJson<WorkloadType>(*type);
             if (ar)
                 p.ar = ar->asNumber();
         } else {
@@ -190,7 +180,7 @@ traceFromJson(const JsonValue &root, const std::string &name)
                     "\"%s\" is a C0-only field; %s phases take "
                     "neither \"type\" nor \"ar\"",
                     type ? "type" : "ar",
-                    toString(p.cstate).c_str()));
+                    nameOf(p.cstate)));
             p.type = WorkloadType::BatteryLife;
             p.ar = 0.3;
         }

@@ -47,10 +47,7 @@ TraceLibrary::get(const std::string &name) const
 {
     if (const PhaseTrace *t = find(name))
         return *t;
-    std::string available = joinStrings(names());
-    fatal(strprintf("TraceLibrary: no trace \"%s\" (available: %s)",
-                    name.c_str(),
-                    available.empty() ? "none" : available.c_str()));
+    fatal(unknownName("library trace", name, names()));
 }
 
 TraceLibrary

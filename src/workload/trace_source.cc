@@ -14,40 +14,6 @@
 namespace pdnspot
 {
 
-const std::vector<std::string> &
-traceGeneratorKinds()
-{
-    static const std::vector<std::string> kinds = {
-        "bursty-compute", "day-in-the-life", "random-mix"};
-    return kinds;
-}
-
-namespace
-{
-
-bool
-knownGeneratorKind(const std::string &kind)
-{
-    for (const std::string &k : traceGeneratorKinds()) {
-        if (kind == k)
-            return true;
-    }
-    return false;
-}
-
-/** The name a generator spec's trace will carry (before rename). */
-std::string
-generatorTraceName(const TraceGeneratorSpec &params)
-{
-    if (params.kind == "random-mix")
-        return strprintf("random-mix-%llu",
-                         static_cast<unsigned long long>(
-                             params.seed));
-    return params.kind;
-}
-
-} // namespace
-
 TraceSpec::TraceSpec(PhaseTrace trace)
     : _kind(Kind::Inline), _name(trace.name()),
       _inline(std::move(trace))
@@ -69,7 +35,7 @@ TraceSpec::generator(TraceGeneratorSpec params)
 {
     TraceSpec spec;
     spec._kind = Kind::Generator;
-    spec._name = generatorTraceName(params);
+    spec._name = generatorTraceName(params.kind, params.seed);
     spec._params = std::move(params);
     return spec;
 }
@@ -141,15 +107,19 @@ TraceSpec::resolve() const
         break;
       case Kind::Generator: {
         TraceGenerator gen(_params.seed);
-        if (_params.kind == "bursty-compute") {
+        switch (_params.kind) {
+          case TraceGeneratorKind::BurstyCompute:
             t = gen.burstyCompute(_params.bursts, _params.burstLen,
                                   _params.idleLen, _params.arMin,
                                   _params.arMax);
-        } else if (_params.kind == "day-in-the-life") {
+            break;
+          case TraceGeneratorKind::DayInTheLife:
             t = gen.dayInTheLife();
-        } else {
+            break;
+          case TraceGeneratorKind::RandomMix:
             t = gen.randomMix(_params.phases, _params.meanPhaseLen,
                               _params.arMin, _params.arMax);
+            break;
         }
         break;
       }
@@ -192,7 +162,7 @@ TraceSpec::describe() const
         break;
       case Kind::Generator:
         d = strprintf("generator \"%s\" (seed %llu)",
-                      _params.kind.c_str(),
+                      nameOf(_params.kind),
                       static_cast<unsigned long long>(_params.seed));
         break;
       case Kind::Profile:
@@ -235,13 +205,6 @@ TraceSpec::validate() const
       case Kind::Library:
         break;
       case Kind::Generator:
-        if (!knownGeneratorKind(_params.kind)) {
-            fatal(strprintf(
-                "TraceSpec \"%s\": unknown generator kind \"%s\" "
-                "(expected one of %s)",
-                _name.c_str(), _params.kind.c_str(),
-                joinStrings(traceGeneratorKinds()).c_str()));
-        }
         if (!(_params.arMin >= 0.0 &&
               _params.arMin <= _params.arMax &&
               _params.arMax <= 1.0))
@@ -250,7 +213,7 @@ TraceSpec::validate() const
                             "<= 1",
                             _name.c_str(), _params.arMin,
                             _params.arMax));
-        if (_params.kind == "bursty-compute" &&
+        if (_params.kind == TraceGeneratorKind::BurstyCompute &&
             (_params.bursts == 0 ||
              _params.burstLen <= seconds(0.0) ||
              _params.idleLen <= seconds(0.0)))
@@ -258,7 +221,7 @@ TraceSpec::validate() const
                             "a positive burst count and positive "
                             "burst/idle lengths",
                             _name.c_str()));
-        if (_params.kind == "random-mix" &&
+        if (_params.kind == TraceGeneratorKind::RandomMix &&
             (_params.phases == 0 ||
              _params.meanPhaseLen <= seconds(0.0)))
             fatal(strprintf("TraceSpec \"%s\": random-mix needs a "

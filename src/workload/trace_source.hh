@@ -24,6 +24,7 @@
 
 #include "common/units.hh"
 #include "workload/trace.hh"
+#include "workload/trace_generator.hh"
 #include "workload/trace_transform.hh"
 
 namespace pdnspot
@@ -31,21 +32,13 @@ namespace pdnspot
 
 /**
  * Parameters for one synthetic-generator trace
- * (workload/trace_generator.hh). `kind` selects the generator
- * ("bursty-compute", "day-in-the-life" or "random-mix"); the other
- * fields parameterize the kinds that take them and default to the
- * standard-corpus values.
+ * (workload/trace_generator.hh). `kind` selects the generator; the
+ * other fields parameterize the kinds that take them and default to
+ * the standard-corpus values.
  */
-/**
- * The generator kinds TraceGeneratorSpec::kind accepts
- * ("bursty-compute", "day-in-the-life", "random-mix") — the single
- * source of truth shared by validation and the config bindings.
- */
-const std::vector<std::string> &traceGeneratorKinds();
-
 struct TraceGeneratorSpec
 {
-    std::string kind = "bursty-compute";
+    TraceGeneratorKind kind = TraceGeneratorKind::BurstyCompute;
     uint64_t seed = 42;
 
     size_t bursts = 6;                      ///< bursty-compute

@@ -51,6 +51,11 @@ run()
 
 expect_err() { grep -qF -- "$1" "$tmp/err" || fail "stderr lacks \"$1\""; }
 expect_out() { grep -qF -- "$1" "$tmp/out" || fail "stdout lacks \"$1\""; }
+expect_single_fatal()
+{
+    [ "$(grep -o 'fatal:' "$tmp/err" | wc -l)" -eq 1 ] \
+        || fail "stderr does not carry exactly one \"fatal:\""
+}
 
 case "$case_name" in
   *_conventions)
@@ -78,7 +83,7 @@ case "$case_name" in
     expect_err "$name: --threads must be a positive integer, got \"0\""
     expect_err "usage: $name"
     run 2 "$tmp/spec.json" --log-level loud
-    expect_err "$name: --log-level must be info, warn or silent"
+    expect_err "$name: --log-level: unknown log level \"loud\" (expected one of info, warn, silent)"
     expect_err "usage: $name"
     ;;
   usage_no_spec)
@@ -140,6 +145,20 @@ EOF
     run 1 "$tmp/bad_spec.json"
     expect_err "bad_spec.json:3:"
     expect_err 'unknown generator kind "perlin"'
+    ;;
+  nested_trace_error)
+    # A trace file with a bad C-state, named by a spec: the error
+    # chains spec position, trace row and the bare message under a
+    # single "fatal:" prefix.
+    printf 'duration_s,cstate,type,ar\n0.01,c0,single-thread,0.5\n' \
+        >"$tmp/t.csv"
+    cat >"$tmp/s.json" <<'EOF'
+{"traces": [{"file": "t.csv"}], "platforms": ["ultraportable-15w"],
+ "pdns": "all"}
+EOF
+    run 1 "$tmp/s.json"
+    expect_err "s.json:1:22: $tmp/t.csv:2: unknown C-state \"c0\" (expected one of C0, C0MIN, C2, C3, C6, C7, C8)"
+    expect_single_fatal
     ;;
   list_traces)
     run 0 --list-traces
@@ -261,7 +280,7 @@ EOF
         fail "--log-level silent left stderr non-empty"
     fi
     run 2 "$spec_dir/paper_campaign.json" --log-level verbose
-    expect_err "--log-level must be info, warn or silent"
+    expect_err '--log-level: unknown log level "verbose"'
     ;;
   fleet_usage)
     run 2
@@ -285,6 +304,18 @@ EOF
     run 1 "$tmp/bad_fleet.json"
     expect_err "bad_fleet.json:3:"
     expect_err 'unknown platform preset "nope"'
+    ;;
+  fleet_nested_trace_error)
+    # The fleet binder chains a trace file's row error the same way.
+    printf 'duration_s,cstate,type,ar\n0.01,C0,single-thread,1.5\n' \
+        >"$tmp/ar.csv"
+    cat >"$tmp/f.json" <<'EOF'
+{"cohorts": [{"name": "a", "count": 5, "platform": "ultraportable-15w",
+              "trace": {"file": "ar.csv"}}]}
+EOF
+    run 1 "$tmp/f.json"
+    expect_err "f.json:2:33: $tmp/ar.csv:2: activity ratio must be in [0, 1], got 1.5"
+    expect_single_fatal
     ;;
   fleet_summary)
     # The example study end to end: population + cohort shape lines,
@@ -397,11 +428,13 @@ EOF
     expect_err "missing archive directory"
     expect_err "usage: pdnspot_query"
     run 2 "$tmp/arch" frobnicate
-    expect_err 'unknown command "frobnicate"'
+    expect_err 'unknown command "frobnicate" (expected one of list, summaries, show, csv, ingest, rebuild-index)'
     run 2 "$tmp/arch" list --where "battery_life_h"
     expect_err "--where expects <metric><op><value>"
     run 2 "$tmp/arch" list --where "bogus>1"
-    expect_err 'unknown --where metric "bogus"'
+    expect_err 'unknown --where metric "bogus" (expected one of battery_life_h, mean_power_w, mean_etee, supply_energy_j, mode_switches, cells)'
+    run 2 "$tmp/arch" list --format xml
+    expect_err '--format: unknown output format "xml" (expected one of table, csv)'
     ;;
   query_hash)
     run 0 hash "$spec_dir/measured_campaign.json"

@@ -103,8 +103,28 @@ TEST(CampaignSpecTest, SimModeNamesRoundTrip)
 {
     for (SimMode mode :
          {SimMode::Static, SimMode::Pmu, SimMode::Oracle})
-        EXPECT_EQ(simModeFromString(toString(mode)), mode);
-    EXPECT_THROW(simModeFromString("bogus"), ConfigError);
+        EXPECT_EQ(parseName<SimMode>(toString(mode)), mode);
+    EXPECT_THROW(parseName<SimMode>("bogus"), ConfigError);
+}
+
+TEST(CampaignSpecTest, ShardRangesTileTheCellsDisjointly)
+{
+    // Every k/n split, including more shards than cells: the ranges
+    // are contiguous, in order, and cover [0, cells) exactly once.
+    for (size_t cells : {0u, 1u, 5u, 7u, 135u}) {
+        for (size_t n = 1; n <= 12; ++n) {
+            size_t next = 0;
+            for (size_t k = 1; k <= n; ++k) {
+                CellRange r = shardCellRange(cells, k, n);
+                EXPECT_EQ(r.first, next) << cells << " " << k << "/" << n;
+                EXPECT_LE(r.first, r.end);
+                next = r.end;
+            }
+            EXPECT_EQ(next, cells) << cells << " over " << n;
+        }
+    }
+    EXPECT_THROW(shardCellRange(10, 0, 2), ConfigError);
+    EXPECT_THROW(shardCellRange(10, 3, 2), ConfigError);
 }
 
 /**
@@ -130,7 +150,7 @@ declarativeSpec(SimMode mode)
     }();
 
     TraceGeneratorSpec mix;
-    mix.kind = "random-mix";
+    mix.kind = TraceGeneratorKind::RandomMix;
     mix.seed = 13;
     mix.phases = 8;
     mix.meanPhaseLen = milliseconds(5.0);
@@ -533,7 +553,7 @@ TEST(CampaignEngineTest, FirstWaveIsDeliveredBeforeLaterWavesRun)
     CampaignSpec spec;
     for (uint64_t t = 0; t < 60; ++t) {
         TraceGeneratorSpec one;
-        one.kind = "random-mix";
+        one.kind = TraceGeneratorKind::RandomMix;
         one.seed = t;
         one.phases = 1;
         one.meanPhaseLen = milliseconds(1.0);

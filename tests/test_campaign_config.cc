@@ -233,7 +233,7 @@ TEST(CampaignConfigTest, RejectsBadTraceEntries)
                  "profile": "web-browsing"})"),
         "exactly one source key");
     expectSpecError(wrap(R"({"library": "no-such", "seed": 7})"),
-                    "no trace \"no-such\"");
+                    "unknown library trace \"no-such\"");
     expectSpecError(wrap(R"({"generator": {"bursts": 3}})"),
                     "missing required generator key \"kind\"");
     expectSpecError(
@@ -365,7 +365,7 @@ TEST(CampaignConfigTest, RejectsMissingTracesAndPresets)
     expectSpecError(R"({"traces": {"names": ["no-such-trace"]},
                         "platforms": ["ultraportable-15w"],
                         "pdns": ["IVR"]})",
-                    "no trace \"no-such-trace\"");
+                    "unknown library trace \"no-such-trace\"");
     expectSpecError(R"({"traces": {}, "platforms": ["atx-750w"],
                         "pdns": ["IVR"]})",
                     "unknown platform preset \"atx-750w\"");
@@ -506,7 +506,7 @@ TEST(CampaignConfigTest, RejectsBadTransformEntries)
     // at their own position.
     expectSpecError(
         wrap("[{\"concat\": {\"library\": \"no-such-trace\"}}]"),
-        "no trace \"no-such-trace\"");
+        "unknown library trace \"no-such-trace\"");
     expectSpecError(
         wrap("[{\"concat\": {\"generator\": {\"kind\": "
              "\"perlin\"}}}]"),

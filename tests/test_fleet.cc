@@ -12,8 +12,6 @@
  */
 
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -24,6 +22,7 @@
 #include "fleet/cohort_profile.hh"
 #include "fleet/fleet_engine.hh"
 #include "fleet_reference.hh"
+#include "golden.hh"
 #include "obs/metrics.hh"
 #include "sim/battery_model.hh"
 #include "workload/phase_soa.hh"
@@ -46,7 +45,7 @@ FleetSpec
 testSpec()
 {
     TraceGeneratorSpec mix;
-    mix.kind = "random-mix";
+    mix.kind = TraceGeneratorKind::RandomMix;
     mix.seed = 7;
     mix.phases = 12;
 
@@ -283,11 +282,11 @@ TEST(FleetEngineTest, ProfileAgreesWithCampaignCell)
     // day-in-the-life PMU run switches inside its first phase, which
     // only the kernel's switch events show.
     TraceGeneratorSpec mix;
-    mix.kind = "random-mix";
+    mix.kind = TraceGeneratorKind::RandomMix;
     mix.seed = 8;
     mix.phases = 12;
     TraceGeneratorSpec day;
-    day.kind = "day-in-the-life";
+    day.kind = TraceGeneratorKind::DayInTheLife;
     day.seed = 1;
 
     FleetCohort ivr;
@@ -626,33 +625,6 @@ TEST(FleetBatteryTest, HistogramObserveMatchesTheRegistry)
     for (double q : {0.0, 0.5, 0.95, 1.0})
         EXPECT_DOUBLE_EQ(histogramQuantile(standalone, q),
                          histogramQuantile(fromRegistry, q));
-}
-
-/** Compare against tests/golden/, or rewrite when regenerating. */
-void
-checkGolden(const std::string &fileName, const std::string &actual)
-{
-    std::string path =
-        std::string(PDNSPOT_GOLDEN_DIR) + "/" + fileName;
-
-    if (std::getenv("PDNSPOT_REGEN_GOLDEN") != nullptr) {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << actual;
-        out.close();
-        ASSERT_TRUE(out.good()) << "error writing " << path;
-        return;
-    }
-
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden file " << path
-                    << " — run scripts/regen_golden.sh";
-    std::ostringstream expected;
-    expected << in.rdbuf();
-    EXPECT_EQ(actual, expected.str())
-        << "output drifted from " << path
-        << "; if the change is intentional, run "
-        << "scripts/regen_golden.sh and review the diff";
 }
 
 TEST(FleetGoldenTest, RunSummary)

@@ -7,16 +7,10 @@
  * compares it byte for byte against a checked-in file under
  * tests/golden/ — any formatting or numeric drift in the promised
  * surfaces fails loudly instead of silently changing downstream
- * tooling's inputs.
- *
- * Running with PDNSPOT_REGEN_GOLDEN=1 in the environment rewrites
- * the golden files from the current output instead of comparing
- * (scripts/regen_golden.sh drives that); review the diff before
- * committing a regeneration.
+ * tooling's inputs. checkGolden (golden.hh) rewrites the files
+ * instead when regenerating.
  */
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -24,6 +18,7 @@
 
 #include "campaign/campaign_engine.hh"
 #include "common/table.hh"
+#include "golden.hh"
 #include "obs/metrics.hh"
 #include "obs/run_report.hh"
 #include "obs/span_trace.hh"
@@ -39,36 +34,6 @@ namespace
 {
 
 /**
- * Compare `actual` against the checked-in golden file, or rewrite
- * the file when regenerating.
- */
-void
-checkGolden(const std::string &fileName, const std::string &actual)
-{
-    std::string path =
-        std::string(PDNSPOT_GOLDEN_DIR) + "/" + fileName;
-
-    if (std::getenv("PDNSPOT_REGEN_GOLDEN") != nullptr) {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(out) << "cannot write " << path;
-        out << actual;
-        out.close();
-        ASSERT_TRUE(out.good()) << "error writing " << path;
-        return;
-    }
-
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden file " << path
-                    << " — run scripts/regen_golden.sh";
-    std::ostringstream expected;
-    expected << in.rdbuf();
-    EXPECT_EQ(actual, expected.str())
-        << "output drifted from " << path
-        << "; if the change is intentional, run "
-        << "scripts/regen_golden.sh and review the diff";
-}
-
-/**
  * The golden campaign: heterogeneous but small (2 traces x 1
  * platform x 2 PDNs, PMU mode), with one transformed trace so the
  * derivation pipeline sits inside the regression net too.
@@ -77,7 +42,7 @@ CampaignSpec
 goldenSpec()
 {
     TraceGeneratorSpec mix;
-    mix.kind = "random-mix";
+    mix.kind = TraceGeneratorKind::RandomMix;
     mix.seed = 31;
     mix.phases = 10;
     mix.meanPhaseLen = milliseconds(6.0);
@@ -199,7 +164,7 @@ TEST(GoldenFileTest, SummaryTable)
                       "switches", "life @50Wh (h)"});
     for (const CampaignPdnSummary &s :
          goldenResult().summarizeByPdn(battery)) {
-        table.addRow({pdnKindToString(s.pdn),
+        table.addRow({toString(s.pdn),
                       std::to_string(s.cells),
                       AsciiTable::num(inJoules(s.supplyEnergy), 2),
                       AsciiTable::percent(s.meanEtee(), 1),

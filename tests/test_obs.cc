@@ -209,7 +209,7 @@ TEST(MetricsRegistryTest, KindMismatchPanics)
 TEST(MetricsRegistryTest, EngineReportsIntoInstalledRegistry)
 {
     TraceGeneratorSpec mix;
-    mix.kind = "random-mix";
+    mix.kind = TraceGeneratorKind::RandomMix;
     mix.seed = 7;
     mix.phases = 6;
     mix.meanPhaseLen = milliseconds(4.0);
@@ -481,13 +481,13 @@ TEST(LoggingTest, ThresholdFiltersBeforeTheSink)
 
 TEST(LoggingTest, LogLevelNamesRoundTrip)
 {
-    EXPECT_STREQ(toString(LogLevel::Info), "info");
-    EXPECT_STREQ(toString(LogLevel::Warn), "warn");
-    EXPECT_STREQ(toString(LogLevel::Silent), "silent");
-    EXPECT_EQ(logLevelFromString("info"), LogLevel::Info);
-    EXPECT_EQ(logLevelFromString("warn"), LogLevel::Warn);
-    EXPECT_EQ(logLevelFromString("silent"), LogLevel::Silent);
-    EXPECT_THROW(logLevelFromString("debug"), ConfigError);
+    EXPECT_STREQ(nameOf(LogLevel::Info), "info");
+    EXPECT_STREQ(nameOf(LogLevel::Warn), "warn");
+    EXPECT_STREQ(nameOf(LogLevel::Silent), "silent");
+    EXPECT_EQ(parseName<LogLevel>("info"), LogLevel::Info);
+    EXPECT_EQ(parseName<LogLevel>("warn"), LogLevel::Warn);
+    EXPECT_EQ(parseName<LogLevel>("silent"), LogLevel::Silent);
+    EXPECT_THROW(parseName<LogLevel>("debug"), ConfigError);
 }
 
 // ---------------------------------------------------------------

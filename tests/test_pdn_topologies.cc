@@ -51,12 +51,10 @@ TEST_F(PdnTopologies, FactoryProducesAllKinds)
 TEST_F(PdnTopologies, KindNamesRoundTripFromOneSourceOfTruth)
 {
     for (PdnKind kind : allPdnKinds) {
-        EXPECT_EQ(pdnKindFromString(pdnKindToString(kind)), kind);
-        // The toString overload is an alias, not a second spelling.
-        EXPECT_EQ(toString(kind), pdnKindToString(kind));
+        EXPECT_EQ(parseName<PdnKind>(toString(kind)), kind);
     }
-    EXPECT_THROW(pdnKindFromString("ivr"), ConfigError);
-    EXPECT_THROW(pdnKindFromString(""), ConfigError);
+    EXPECT_THROW(parseName<PdnKind>("ivr"), ConfigError);
+    EXPECT_THROW(parseName<PdnKind>(""), ConfigError);
 }
 
 TEST_F(PdnTopologies, EnergyConservationInvariant)

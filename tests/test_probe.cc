@@ -101,8 +101,8 @@ TEST(ProbeSpecTest, ValidateRejectsNonsense)
 TEST(ProbeSignalTest, NamesRoundTrip)
 {
     for (ProbeSignal s : allProbeSignals)
-        EXPECT_EQ(probeSignalFromString(toString(s)), s);
-    EXPECT_THROW(probeSignalFromString("bogus"), ConfigError);
+        EXPECT_EQ(parseName<ProbeSignal>(toString(s)), s);
+    EXPECT_THROW(parseName<ProbeSignal>("bogus"), ConfigError);
 }
 
 TEST(SignalProbeTest, DecimationKeepsEveryNth)

@@ -45,7 +45,7 @@ TEST(TraceSpecTest, LibraryResolvesToTheCorpusEntry)
 TEST(TraceSpecTest, GeneratorResolvesToTheGeneratorOutput)
 {
     TraceGeneratorSpec params;
-    params.kind = "bursty-compute";
+    params.kind = TraceGeneratorKind::BurstyCompute;
     params.seed = 11;
     params.bursts = 3;
     params.burstLen = milliseconds(6.0);
@@ -60,7 +60,7 @@ TEST(TraceSpecTest, GeneratorResolvesToTheGeneratorOutput)
                                                0.5, 0.9));
 
     TraceGeneratorSpec mix;
-    mix.kind = "random-mix";
+    mix.kind = TraceGeneratorKind::RandomMix;
     mix.seed = 5;
     mix.phases = 10;
     mix.meanPhaseLen = milliseconds(8.0);
@@ -69,7 +69,7 @@ TEST(TraceSpecTest, GeneratorResolvesToTheGeneratorOutput)
               TraceGenerator(5).randomMix(10, milliseconds(8.0)));
 
     TraceGeneratorSpec day;
-    day.kind = "day-in-the-life";
+    day.kind = TraceGeneratorKind::DayInTheLife;
     day.seed = 2;
     EXPECT_EQ(TraceSpec::generator(day).resolve(),
               TraceGenerator(2).dayInTheLife());
@@ -130,7 +130,7 @@ TEST(TraceSpecTest, RenameAndTickOverrideStick)
 TEST(TraceSpecTest, ResolutionIsDeterministic)
 {
     TraceGeneratorSpec mix;
-    mix.kind = "random-mix";
+    mix.kind = TraceGeneratorKind::RandomMix;
     mix.seed = 77;
     for (const TraceSpec &spec :
          {TraceSpec::library("day-in-the-life", 42),
@@ -158,11 +158,7 @@ TEST(TraceSpecTest, ValidateRejectsMalformedSpecs)
     EXPECT_THROW(TraceSpec().validate(), ConfigError); // unnamed
 
     TraceGeneratorSpec params;
-    params.kind = "perlin";
-    EXPECT_THROW(TraceSpec::generator(params).validate(),
-                 ConfigError);
-
-    params.kind = "random-mix";
+    params.kind = TraceGeneratorKind::RandomMix;
     params.arMin = 0.9;
     params.arMax = 0.4;
     EXPECT_THROW(TraceSpec::generator(params).validate(),

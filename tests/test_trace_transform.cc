@@ -174,7 +174,7 @@ TEST(TraceTransformTest, ChainsApplyInAppendOrder)
 TEST(TraceTransformTest, EveryTransformResolvesDeterministically)
 {
     TraceGeneratorSpec mix;
-    mix.kind = "random-mix";
+    mix.kind = TraceGeneratorKind::RandomMix;
     mix.seed = 23;
     mix.phases = 12;
     mix.meanPhaseLen = milliseconds(5.0);

@@ -145,10 +145,7 @@ RunFlags::bind(ArgWalker &args)
     } else if (arg == "--quiet") {
         setLogThreshold(LogLevel::Warn);
     } else if (arg == "--log-level") {
-        std::string v = args.value();
-        if (v != "info" && v != "warn" && v != "silent")
-            args.badValue(v, "info, warn or silent");
-        setLogThreshold(logLevelFromString(v));
+        setLogThreshold(args.nameValue<LogLevel>());
     } else if (arg == "--dry-run") {
         dryRun = true;
     } else {

@@ -127,6 +127,29 @@ class ArgWalker
         return *n;
     }
 
+    /**
+     * value() spelled from a name table (common/names.hh): usage
+     * error "<flag>: unknown <what> \"<v>\" (expected one of ...)"
+     * otherwise.
+     */
+    template <typename Table>
+    auto
+    nameValue(const Table &table, const char *what)
+    {
+        std::string v = value();
+        if (const auto *row = findName(table, v))
+            return row->value;
+        fail(_arg + ": " + unknownName(what, v, table));
+    }
+
+    /** nameValue over E's nameTable. */
+    template <NamedEnum E>
+    E
+    nameValue()
+    {
+        return nameValue(nameTable<E>, nameTable<E>.what);
+    }
+
     /** Usage error "<flag> must be <what>, got \"<v>\"". */
     [[noreturn]] void badValue(const std::string &v,
                                const char *what) const;

@@ -221,7 +221,7 @@ printSummary(const CampaignSummaryBuilder &builder, double batteryWh)
                       "switches",
                       strprintf("life @%gWh (h)", batteryWh)});
     for (const CampaignPdnSummary &s : builder.summaries(battery)) {
-        table.addRow({pdnKindToString(s.pdn),
+        table.addRow({toString(s.pdn),
                       std::to_string(s.cells),
                       AsciiTable::num(inJoules(s.supplyEnergy), 2),
                       AsciiTable::percent(s.meanEtee(), 1),
@@ -327,12 +327,8 @@ runCli(const Options &opts)
                        opts.run.specPath.c_str()));
     }
 
-    // Shard k/n covers cells [(k-1)*cells/n, k*cells/n): contiguous
-    // in the canonical order, disjoint, and jointly covering.
-    size_t cells = spec.cellCount();
-    size_t firstCell =
-        cells * (opts.shardIndex - 1) / opts.shardCount;
-    size_t endCell = cells * opts.shardIndex / opts.shardCount;
+    CellRange shard = shardCellRange(spec.cellCount(), opts.shardIndex,
+                                     opts.shardCount);
 
     if (opts.run.dryRun) {
         std::cerr << "pdnspot_campaign: " << opts.run.specPath << ": "
@@ -347,8 +343,8 @@ runCli(const Options &opts)
                       << "\": " << t.describe() << "\n";
         if (opts.shardCount > 1)
             std::cerr << "  shard " << opts.shardIndex << "/"
-                      << opts.shardCount << ": cells [" << firstCell
-                      << ", " << endCell << ")\n";
+                      << opts.shardCount << ": cells [" << shard.first
+                      << ", " << shard.end << ")\n";
         return 0;
     }
 
@@ -372,12 +368,12 @@ runCli(const Options &opts)
     CampaignEngine engine(runner);
     cli::OutputFile out(opts.run.outPath, "output");
     cli::ProgressMeter progress(tool, "cells", opts.run.progress,
-                                endCell - firstCell);
+                                shard.end - shard.first);
     CliSink sink(out.stream(), opts.summary || obs.wantReport(),
                  opts.shardIndex == 1,
                  opts.run.progress ? &progress : nullptr,
                  opts.probeOutDir);
-    obs.run([&] { engine.run(spec, sink, firstCell, endCell); });
+    obs.run([&] { engine.run(spec, sink, shard.first, shard.end); });
 
     out.finish();
     if (!out.isStdout())
@@ -402,8 +398,8 @@ runCli(const Options &opts)
         rin.threads = runner.threadCount();
         rin.shardIndex = opts.shardIndex;
         rin.shardCount = opts.shardCount;
-        rin.firstCell = firstCell;
-        rin.endCell = endCell;
+        rin.firstCell = shard.first;
+        rin.endCell = shard.end;
         rin.rows = sink.rows();
         rin.summaries = sink.builder().summaries(
             BatteryModel(wattHours(opts.batteryWh)));

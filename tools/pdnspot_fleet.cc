@@ -213,7 +213,7 @@ runCli(const Options &opts)
             std::cerr << "  cohort \"" << c.name
                       << "\": " << c.count << " sessions, "
                       << c.platform.name << ", "
-                      << pdnKindToString(c.pdn) << ", "
+                      << toString(c.pdn) << ", "
                       << toString(c.mode) << " mode, trace "
                       << c.trace.describe() << "\n";
         return 0;

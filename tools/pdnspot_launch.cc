@@ -597,11 +597,10 @@ runCli(const Options &opts, const char *argv0)
         std::cerr << "  campaign binary: " << plan.campaignBin
                   << "\n";
         for (size_t k = 1; k <= plan.shards; ++k) {
-            size_t first = cells * (k - 1) / plan.shards;
-            size_t end = cells * k / plan.shards;
+            CellRange shard = shardCellRange(cells, k, plan.shards);
             std::cerr << strprintf(
                 "  shard %zu/%zu: cells [%zu, %zu)\n", k,
-                plan.shards, first, end);
+                plan.shards, shard.first, shard.end);
         }
         return 0;
     }

@@ -52,6 +52,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -93,10 +94,31 @@ constexpr const char *usageText =
 
 constexpr cli::ToolInfo tool{"pdnspot_query", usageText};
 
+/** The summary columns --where can test, by name. */
+using SummaryMetric = double (*)(const ArchivePdnSummary &);
+constexpr std::array<Named<SummaryMetric>, 6> whereMetrics = {{
+    {[](const ArchivePdnSummary &r) { return r.batteryLifeHours; },
+     "battery_life_h"},
+    {[](const ArchivePdnSummary &r) { return r.meanPowerW; },
+     "mean_power_w"},
+    {[](const ArchivePdnSummary &r) { return r.meanEtee; },
+     "mean_etee"},
+    {[](const ArchivePdnSummary &r) { return r.supplyEnergyJ; },
+     "supply_energy_j"},
+    {[](const ArchivePdnSummary &r) {
+         return static_cast<double>(r.modeSwitches);
+     },
+     "mode_switches"},
+    {[](const ArchivePdnSummary &r) {
+         return static_cast<double>(r.cells);
+     },
+     "cells"},
+}};
+
 /** One --where predicate, parsed. */
 struct MetricPredicate
 {
-    std::string metric;
+    SummaryMetric metric;
     enum class Op
     {
         Lt,
@@ -123,28 +145,6 @@ struct MetricPredicate
     }
 };
 
-double
-summaryMetric(const ArchivePdnSummary &row,
-              const std::string &metric)
-{
-    if (metric == "battery_life_h")
-        return row.batteryLifeHours;
-    if (metric == "mean_power_w")
-        return row.meanPowerW;
-    if (metric == "mean_etee")
-        return row.meanEtee;
-    if (metric == "supply_energy_j")
-        return row.supplyEnergyJ;
-    if (metric == "mode_switches")
-        return static_cast<double>(row.modeSwitches);
-    if (metric == "cells")
-        return static_cast<double>(row.cells);
-    cli::usageError(tool, "unknown --where metric \"" + metric +
-                              "\" (valid: battery_life_h, "
-                              "mean_power_w, mean_etee, "
-                              "supply_energy_j, mode_switches, cells)");
-}
-
 MetricPredicate
 parseWhere(const std::string &expr)
 {
@@ -160,17 +160,18 @@ parseWhere(const std::string &expr)
         size_t at = expr.find(text);
         if (at == std::string::npos || at == 0)
             continue;
-        MetricPredicate pred;
-        pred.metric = expr.substr(0, at);
-        pred.op = op;
         std::string rhs = expr.substr(at + std::strlen(text));
         std::optional<double> value = cli::parseDouble(rhs);
         if (!value)
             cli::usageError(tool, "--where value \"" + rhs +
                                       "\" is not a finite number");
-        pred.value = *value;
-        summaryMetric(ArchivePdnSummary{}, pred.metric); // validate
-        return pred;
+        std::string metric = expr.substr(0, at);
+        const Named<SummaryMetric> *row =
+            findName(whereMetrics, metric);
+        if (!row)
+            cli::usageError(tool, unknownName("--where metric", metric,
+                                              whereMetrics));
+        return {row->value, op, *value};
     }
     cli::usageError(tool, "--where expects <metric><op><value>, got "
                           "\"" +
@@ -196,7 +197,7 @@ summaryRowMatches(const Filters &f, const ArchivePdnSummary &row)
     if (!f.pdn.empty() && row.pdn != f.pdn)
         return false;
     for (const MetricPredicate &pred : f.where)
-        if (!pred.holds(summaryMetric(row, pred.metric)))
+        if (!pred.holds(pred.metric(row)))
             return false;
     return true;
 }
@@ -236,14 +237,46 @@ entryMatches(const Filters &f, const ArchiveEntry &entry)
                        });
 }
 
+enum class Command
+{
+    Hash,
+    List,
+    Summaries,
+    Show,
+    Csv,
+    Ingest,
+    RebuildIndex,
+};
+
+/** The commands that follow an archive directory. */
+constexpr std::array<Named<Command>, 6> archiveCommands = {{
+    {Command::List, "list"},
+    {Command::Summaries, "summaries"},
+    {Command::Show, "show"},
+    {Command::Csv, "csv"},
+    {Command::Ingest, "ingest"},
+    {Command::RebuildIndex, "rebuild-index"},
+}};
+
+enum class Format
+{
+    Table,
+    Csv,
+};
+
+constexpr std::array<Named<Format>, 2> formats = {{
+    {Format::Table, "table"},
+    {Format::Csv, "csv"},
+}};
+
 struct Options
 {
     std::string archiveDir;
-    std::string command;
+    Command command = Command::List;
     std::string operand; ///< id prefix / report path / hash file
     std::string csvFile; ///< ingest --csv-file
     Filters filters;
-    std::string format = "table";
+    Format format = Format::Table;
     std::string outPath = "-";
 };
 
@@ -272,9 +305,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--csv-file") {
             opts.csvFile = args.value();
         } else if (arg == "--format") {
-            opts.format = args.value();
-            if (opts.format != "table" && opts.format != "csv")
-                args.badValue(opts.format, "table or csv");
+            opts.format = args.nameValue(formats, "output format");
         } else if (arg == "-o") {
             opts.outPath = args.value();
         } else if (args.isOption()) {
@@ -289,7 +320,7 @@ parseArgs(int argc, char **argv)
 
     // "hash <file>" has no archive directory.
     if (positional[0] == "hash") {
-        opts.command = "hash";
+        opts.command = Command::Hash;
         if (positional.size() != 2)
             args.fail("hash expects exactly one file argument");
         opts.operand = positional[1];
@@ -299,30 +330,23 @@ parseArgs(int argc, char **argv)
     if (positional.size() < 2)
         args.fail("missing command after archive directory");
     opts.archiveDir = positional[0];
-    opts.command = positional[1];
+    const std::string &name = positional[1];
+    const Named<Command> *command = findName(archiveCommands, name);
+    if (!command)
+        args.fail(unknownName("command", name, archiveCommands));
+    opts.command = command->value;
 
-    static const char *commands[] = {"list", "summaries", "show",
-                                     "csv", "ingest",
-                                     "rebuild-index"};
-    if (std::find_if(std::begin(commands), std::end(commands),
-                     [&](const char *c) {
-                         return opts.command == c;
-                     }) == std::end(commands))
-        args.fail("unknown command \"" + opts.command + "\"");
-
+    bool show = opts.command == Command::Show;
+    bool ingest = opts.command == Command::Ingest;
     if (positional.size() > 3)
         args.fail("too many arguments");
     if (positional.size() == 3) {
-        if (opts.command != "show" && opts.command != "csv" &&
-            opts.command != "ingest")
-            args.fail("command \"" + opts.command +
-                      "\" takes no operand");
+        if (!show && !ingest && opts.command != Command::Csv)
+            args.fail("command \"" + name + "\" takes no operand");
         opts.operand = positional[2];
     }
-    if ((opts.command == "show" || opts.command == "ingest") &&
-        opts.operand.empty())
-        args.fail("command \"" + opts.command +
-                  "\" needs an operand");
+    if ((show || ingest) && opts.operand.empty())
+        args.fail("command \"" + name + "\" needs an operand");
     return opts;
 }
 
@@ -354,7 +378,7 @@ runList(const Options &opts, const std::vector<ArchiveEntry> &rows)
         "shard",     "spec_hash", "traces",
         "platforms", "rows",      "wall_s"};
     cli::OutputFile out(opts.outPath, "output");
-    if (opts.format == "csv") {
+    if (opts.format == Format::Csv) {
         CsvWriter csv(headers);
         emitListRows(csv, rows);
         csv.write(out.stream());
@@ -399,7 +423,7 @@ runSummaries(const Options &opts,
         "cells",        "supply_energy_j", "mean_etee",
         "mode_switches", "mean_power_w",  "battery_life_h"};
     cli::OutputFile out(opts.outPath, "output");
-    if (opts.format == "csv") {
+    if (opts.format == Format::Csv) {
         CsvWriter csv(headers);
         emitSummaryRows(csv, opts, rows);
         csv.write(out.stream());
@@ -440,7 +464,7 @@ runCsv(const Options &opts, const ResultArchive &archive,
 int
 runCli(const Options &opts)
 {
-    if (opts.command == "hash") {
+    if (opts.command == Command::Hash) {
         std::cout << "fnv1a64:"
                   << fnv1a64Hex(cli::readFileBytes(opts.operand))
                   << "\n";
@@ -450,7 +474,7 @@ runCli(const Options &opts)
     // The write commands create the archive; the read commands must
     // find one there, so a mistyped path fails instead of reading as
     // an empty archive.
-    if (opts.command == "ingest") {
+    if (opts.command == Command::Ingest) {
         std::string csv = opts.csvFile.empty()
                               ? ""
                               : cli::readFileBytes(opts.csvFile);
@@ -460,7 +484,7 @@ runCli(const Options &opts)
         std::cout << id << "\n";
         return 0;
     }
-    if (opts.command == "rebuild-index") {
+    if (opts.command == Command::RebuildIndex) {
         ResultArchive archive(opts.archiveDir);
         archive.rebuildIndex();
         inform(strprintf("rebuilt %s",
@@ -469,7 +493,7 @@ runCli(const Options &opts)
     }
     ResultArchive archive =
         ResultArchive::openExisting(opts.archiveDir);
-    if (opts.command == "show") {
+    if (opts.command == Command::Show) {
         std::optional<ArchiveEntry> entry =
             archive.findRun(opts.operand);
         if (!entry)
@@ -487,9 +511,9 @@ runCli(const Options &opts)
         if (entryMatches(opts.filters, entry))
             rows.push_back(std::move(entry));
 
-    if (opts.command == "list")
+    if (opts.command == Command::List)
         runList(opts, rows);
-    else if (opts.command == "summaries")
+    else if (opts.command == Command::Summaries)
         runSummaries(opts, rows);
     else
         runCsv(opts, archive, std::move(rows));
