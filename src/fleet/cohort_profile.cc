@@ -1,6 +1,5 @@
 #include "fleet/cohort_profile.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "campaign/campaign_engine.hh"
@@ -82,16 +81,13 @@ buildProfile(const FleetCohort &cohort, Time tick)
         ++profile.switchesIn[0];
     profile.mode = first < 0.0 ? SimMode::Static : cohort.mode;
 
-    // Boundaries round once from the duration prefix sums; the
-    // second pass repeats the first shifted by one cycle.
+    // Boundaries round once from the duration prefix sums.
     std::vector<double> prefixS(phases + 1, 0.0);
-    for (size_t p = 0; p < phases; ++p) {
+    for (size_t p = 0; p < phases; ++p)
         prefixS[p + 1] = prefixS[p] + profile.durS[p];
-        profile.cycleEnergyJ += profile.powerW[p] * profile.durS[p];
-        profile.cycleSwitches += profile.switchesIn[p];
-    }
     profile.cycleS = prefixS[phases];
-    // Strictly below the limit: the second pass ends at 2 × cycleNs.
+    // Strictly below the limit: a position within the horizon plus
+    // one cycle stays on the int64 clock.
     if (!(profile.cycleS * 1e9 < static_cast<double>(maxClockNs)))
         fatal(strprintf("FleetEngine: cohort \"%s\" trace cycle of "
                         "%g s is longer than the clock holds",
@@ -102,31 +98,45 @@ buildProfile(const FleetCohort &cohort, Time tick)
                         "cycle shorter than 1 ns",
                         cohort.name.c_str()));
 
-    size_t doubled = 2 * phases;
-    profile.tNs.resize(doubled + 1);
-    profile.eJ.resize(doubled + 1);
-    profile.sw.resize(doubled + 1);
-    profile.jPerNs.resize(doubled);
-    profile.eJ[0] = 0.0;
-    profile.sw[0] = 0;
-    for (size_t q = 0; q <= doubled; ++q) {
-        size_t p = q % phases;
-        profile.tNs[q] =
-            q < phases ? toClockNs(seconds(prefixS[q]))
-                       : profile.cycleNs + profile.tNs[q - phases];
-        if (q == doubled)
-            break;
-        profile.eJ[q + 1] =
-            profile.eJ[q] + profile.powerW[p] * profile.durS[p];
-        profile.sw[q + 1] =
-            profile.sw[q] + profile.switchesIn[(q + 1) % phases];
-        profile.jPerNs[q] = profile.powerW[p] * 1e-9;
+    profile.tNs.resize(phases + 1);
+    profile.eJ.assign(phases + 1, 0.0);
+    profile.sw.assign(phases + 1, 0);
+    profile.jPerNs.resize(phases);
+    for (size_t p = 0; p < phases; ++p) {
+        profile.tNs[p] = toClockNs(seconds(prefixS[p]));
+        profile.eJ[p + 1] =
+            profile.eJ[p] + profile.powerW[p] * profile.durS[p];
+        profile.sw[p + 1] =
+            profile.sw[p] + profile.switchesIn[(p + 1) % phases];
+        profile.jPerNs[p] = profile.powerW[p] * 1e-9;
     }
+    profile.tNs[phases] = profile.cycleNs;
+    profile.cycleEnergyJ = profile.eJ[phases];
+    profile.cycleSwitches = profile.sw[phases];
 
     profile.capacityJ = cohort.batteryWh * 3600.0;
     profile.spread = cohort.batterySpread;
     profile.jitterS = inSeconds(cohort.startJitter);
     return profile;
+}
+
+size_t
+CohortProfile::phaseAt(int64_t x) const
+{
+    // A branch-free binary search for the last boundary at or before
+    // x; tNs[0] = 0 is one.
+    const int64_t *base = tNs.data();
+    for (size_t len = phases(); len > 1; len -= len / 2)
+        base = base[len / 2] <= x ? base + len / 2 : base;
+    return static_cast<size_t>(base - tNs.data());
+}
+
+double
+CohortProfile::drawnJ(int64_t x) const
+{
+    int64_t cycles = x / cycleNs, pos = x % cycleNs;
+    return static_cast<double>(cycles) * cycleEnergyJ +
+           energyAt(phaseAt(pos), pos);
 }
 
 SessionStart
@@ -140,13 +150,7 @@ sessionStart(const CohortProfile &cp, const HashNoise &noise,
         if (pos >= 0.0 && pos < cp.cycleS)
             start.posNs = toClockNs(seconds(pos)) % cp.cycleNs;
     }
-    // The last boundary at or before the position: zero-length
-    // phases are passed, so the cursor's phase holds posNs.
-    start.cursor = static_cast<uint32_t>(
-        std::upper_bound(cp.tNs.begin(),
-                         cp.tNs.begin() + cp.phases() + 1,
-                         start.posNs) -
-        cp.tNs.begin() - 1);
+    start.cursor = static_cast<uint32_t>(cp.phaseAt(start.posNs));
     start.socJ = cp.capacityJ *
                  (1.0 + cp.spread * noise.signedUnit(2 * g + 1));
     return start;

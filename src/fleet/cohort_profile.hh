@@ -20,11 +20,10 @@ namespace pdnspot
 
 /**
  * One cohort's replay profile, built once through the full simulator
- * stack. Per-phase arrays hold the captured waveform; the
- * doubled-cycle prefix arrays (2n+1 entries, index q standing for
- * phase q mod n of the first or second pass) let a session step any
- * span of at most one cycle from any position with two binary
- * searches and a few differences, without walking phases.
+ * stack. Per-phase arrays hold the captured waveform; the prefix
+ * arrays (n+1 entries) give the energy and switches from the cycle
+ * start to any position, and where a given energy is reached, by one
+ * binary search, without walking phases.
  *
  * Phase *boundaries* sit on the nanosecond clock (tNs, rounded once
  * from the duration prefix sums), so positions and bucket edges
@@ -38,10 +37,10 @@ struct CohortProfile
     std::vector<double> durS;         ///< phase durations, unrounded
     std::vector<uint32_t> switchesIn; ///< switches on entering phase
 
-    std::vector<int64_t> tNs;   ///< phase-q start on the clock, 2n+1
-    std::vector<double> eJ;     ///< energy from 0 to tNs[q], 2n+1
-    std::vector<uint64_t> sw;   ///< switches entering 1..q, 2n+1
-    std::vector<double> jPerNs; ///< phase-q power per ns, 2n
+    std::vector<int64_t> tNs;   ///< phase-q start on the clock, n+1
+    std::vector<double> eJ;     ///< energy from 0 to tNs[q], n+1
+    std::vector<uint64_t> sw;   ///< switches entering 1..q, n+1
+    std::vector<double> jPerNs; ///< phase-q power per ns, n
 
     /** The mode the cell kernel ran: Static for every PDN but
      * FlexWatts, whatever the cohort asked for. */
@@ -58,13 +57,21 @@ struct CohortProfile
 
     size_t phases() const { return powerW.size(); }
 
+    /** The phase holding cycle position x in [0, cycleNs): the last
+     * boundary at or before it, so zero-length phases are passed. */
+    size_t phaseAt(int64_t x) const;
+
     /** Energy drawn from the cycle start to position x, which lies
-     * in doubled phase q (tNs[q] <= x < tNs[q + 1]). */
+     * in phase q (tNs[q] <= x < tNs[q + 1]). */
     double
     energyAt(size_t q, int64_t x) const
     {
         return eJ[q] + jPerNs[q] * static_cast<double>(x - tNs[q]);
     }
+
+    /** Energy drawn from the cycle start to the unrolled position
+     * x >= 0: its whole cycles, then energyAt. */
+    double drawnJ(int64_t x) const;
 };
 
 /**

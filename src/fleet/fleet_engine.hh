@@ -1,28 +1,32 @@
 /**
  * @file
- * FleetEngine: event-stepped population simulation over the batched
+ * FleetEngine: closed-form population simulation over the batched
  * inner loop.
  *
- * The engine advances millions of lightweight device sessions on a
+ * The engine simulates millions of lightweight device sessions on a
  * shared virtual clock of whole nanoseconds in fixed time buckets.
  * The expensive physics runs once per *cohort*, not per session:
  * each cohort's trace is resolved into PhaseSoA form and profiled
  * into dense per-phase supply-power / mode-switch arrays by one
  * probed run of the campaign's cell kernel (simulateCell,
  * campaign/campaign_engine.hh) whose waveform the cohort replays
- * (fleet/cohort_profile.hh). Per-session mutable state is packed
- * structure-of-arrays — phase cursor, clock position in the cycle,
- * battery charge, accumulated energy, death time — 40 bytes per
- * session, no per-session Platform objects. A session steps a bucket
- * in O(log n) for an n-phase cycle: whole cycles in closed form,
- * the rest by binary search on the cohort's doubled-cycle prefix
- * sums.
+ * (fleet/cohort_profile.hh).
  *
- * Parallelism follows the campaign discipline: sessions are chunked
- * with a *fixed* grain (thread-count independent), per-chunk partial
- * aggregates land in a slot keyed by chunk index, and the per-bucket
- * reduction walks chunks in canonical order — so the aggregate CSV
- * is byte-identical at any thread count.
+ * A session is that waveform from its own start offset with its own
+ * battery capacity, so what it draws up to any time is a difference
+ * of the cohort's cumulative energy at two shifted positions. Each
+ * session is solved once, at set-up: where its charge runs out, and
+ * so the bucket it dies in. A bucket then costs
+ * O(cohorts × phases × log n), plus O(log n) per session dying in
+ * it: a Fenwick tree over each cohort's sorted live offsets gives,
+ * per phase, how many sessions sit in it and their exact position
+ * sum, and each dying session leaves the tree and adds what it is
+ * owed up to its death.
+ *
+ * Set-up runs on the runner: sessions in chunks, each one pure, and
+ * one offset sort per cohort. The bucket loop and every reduction
+ * are serial in a fixed order, so the aggregate CSV is
+ * byte-identical at any thread count.
  */
 
 #ifndef PDNSPOT_FLEET_FLEET_ENGINE_HH
@@ -43,13 +47,6 @@ class FleetEngine
   public:
     /** Uses the given pool (1 thread = fully serial). */
     explicit FleetEngine(const ParallelRunner &runner);
-
-    /**
-     * Sessions are claimed in fixed-size ranges of this many
-     * indices; the chunk partition depends only on the session
-     * count, never on the thread count (the determinism contract).
-     */
-    static constexpr size_t sessionGrain = 1024;
 
     /**
      * Called after each completed bucket with (buckets done, buckets

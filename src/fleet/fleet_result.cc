@@ -12,12 +12,10 @@ double
 FleetResult::meanPowerW() const
 {
     // Sessions stop drawing when they die, so normalize by the
-    // aggregate session-time actually powered, approximated by the
-    // simulated span (exact while every session lives).
-    if (simulatedS <= 0.0 || sessions == 0)
+    // session-time actually powered.
+    if (poweredS <= 0.0)
         return 0.0;
-    return totalEnergyJ /
-           (simulatedS * static_cast<double>(sessions));
+    return totalEnergyJ / poweredS;
 }
 
 void

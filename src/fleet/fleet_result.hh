@@ -11,7 +11,7 @@
  * (obs/metrics.hh — histogramQuantile works on them directly), and
  * the storm-detector verdict. The CSV and summary writers are
  * deterministic: byte-identical at any thread count (the engine
- * merges partial aggregates in canonical chunk order).
+ * solves each session on its own and aggregates serially).
  */
 
 #ifndef PDNSPOT_FLEET_FLEET_RESULT_HH
@@ -74,6 +74,12 @@ struct FleetResult
     double totalEnergyJ = 0.0;
     uint64_t totalSwitches = 0;
 
+    /**
+     * Session-seconds powered: each session's time until it emptied
+     * or the simulated span ended, summed over the population.
+     */
+    double poweredS = 0.0;
+
     /** Mean switches per bucket (the storm-detector baseline). */
     double stormBaseline = 0.0;
     double stormK = 0.0;
@@ -96,7 +102,8 @@ struct FleetResult
      */
     MetricSnapshot timeToEmptyH;
 
-    /** Fleet-wide mean supply power over the simulated span. */
+    /** Mean supply power per session while it had charge:
+     * totalEnergyJ / poweredS. */
     double meanPowerW() const;
 
     /**

@@ -72,6 +72,7 @@ FleetSpec::validate() const
                         static_cast<unsigned long long>(
                             bucketCount())));
 
+    uint64_t sessions = 0;
     for (size_t i = 0; i < cohorts.size(); ++i) {
         const FleetCohort &c = cohorts[i];
         if (c.name.empty())
@@ -90,6 +91,11 @@ FleetSpec::validate() const
             fatal(strprintf("FleetSpec: cohort \"%s\" has zero "
                             "sessions",
                             c.name.c_str()));
+        if (c.count > maxFleetSessions - sessions)
+            fatal(strprintf("FleetSpec: more than %llu sessions in all",
+                            static_cast<unsigned long long>(
+                                maxFleetSessions)));
+        sessions += c.count;
         c.trace.validate();
         if (!std::isfinite(c.batteryWh) || c.batteryWh <= 0.0)
             fatal(strprintf("FleetSpec: cohort \"%s\" battery_wh "

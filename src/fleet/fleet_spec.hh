@@ -95,6 +95,10 @@ clockSeconds(int64_t ns)
  * position plus one cycle, or a bucket end, cannot overflow. */
 constexpr int64_t maxClockNs = int64_t(1) << 62;
 
+/** Most sessions one fleet holds: the engine indexes and counts them
+ * in 32 bits. */
+constexpr uint64_t maxFleetSessions = 0xffffffffu;
+
 /** One fleet study: the cohorts plus the shared-clock parameters. */
 struct FleetSpec
 {
@@ -144,8 +148,9 @@ struct FleetSpec
      * capacity, a spread in [0, 1) and a non-negative jitter; a
      * bucket and horizon of at least 1 ns on the clock, the horizon
      * no longer than maxClockNs and no shorter than the bucket, a
-     * positive tick, a positive finite stormK, and a bucket count
-     * small enough to aggregate (≤ 10^7).
+     * positive tick, a positive finite stormK, a bucket count
+     * small enough to aggregate (≤ 10^7), and at most
+     * maxFleetSessions sessions in all.
      */
     void validate() const;
 };

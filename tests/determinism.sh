@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The determinism contract at the CLI surface, one CTest row per
 # (checked-in spec, variant) (tests/CMakeLists.txt, label
-# "determinism"). Each row runs pdnspot_campaign twice — or against
+# "determinism"). Each row runs the tool twice or more — or against
 # the C++-built acceptance campaign — and compares the CSVs byte for
-# byte:
+# byte. pdnspot_campaign variants:
 #
 #   threads         the spec at --threads 1 vs --threads 8
 #   campaign_study  the spec vs examples/campaign_study, which builds
@@ -12,8 +12,20 @@
 #   shard_concat    --shard 1/2 and 2/2 at 8 threads, concatenated,
 #                   vs the unsharded serial run
 #
-# Usage: determinism.sh <pdnspot_campaign> <spec.json> <variant> \
-#            [campaign_study]
+# pdnspot_fleet variants (a spec named gen.py is perfbench's
+# generator: the row runs its seed-1 fleet_mixed spec):
+#
+#   fleet_threads   the spec at --threads 1 vs --threads N (default
+#                   8): CSVs and --summary byte-identical, and the
+#                   summary counts every session the spec declares
+#   fleet_observers --report/--trace-events/--progress at 1 and 8
+#                   threads leave the CSV unchanged; each report
+#                   names the fleet.session_buckets and
+#                   fleet.ns_per_session_bucket metrics, and each
+#                   span trace is balanced and names pdnspot_fleet
+#
+# Usage: determinism.sh <tool> <spec.json> <variant> \
+#            [campaign_study | N]
 
 set -euo pipefail
 
@@ -25,7 +37,13 @@ study="${4:-}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-campaign() { "$tool" "$spec" --quiet "$@"; }
+run_tool() { "$tool" "$spec" --quiet "$@"; }
+
+if [[ "$spec" == */gen.py ]]; then
+    python3 "$spec" --seed 1 --workload fleet_mixed --out "$tmp/gen" \
+        >/dev/null
+    spec="$tmp/gen/fleet_mixed.json"
+fi
 
 same()
 {
@@ -38,24 +56,68 @@ same()
 
 case "$variant" in
   threads)
-    campaign --threads 1 -o "$tmp/t1.csv"
-    campaign --threads 8 -o "$tmp/t8.csv"
+    run_tool --threads 1 -o "$tmp/t1.csv"
+    run_tool --threads 8 -o "$tmp/t8.csv"
     same "$tmp/t1.csv" "$tmp/t8.csv"
     ;;
   campaign_study)
     PDNSPOT_THREADS=1 "$study" "$tmp/cpp.csv" >/dev/null
-    campaign --threads 8 -o "$tmp/spec8.csv"
+    run_tool --threads 8 -o "$tmp/spec8.csv"
     same "$tmp/cpp.csv" "$tmp/spec8.csv"
     PDNSPOT_THREADS=8 "$study" "$tmp/cpp8.csv" >/dev/null
-    campaign --threads 1 -o "$tmp/spec1.csv"
+    run_tool --threads 1 -o "$tmp/spec1.csv"
     same "$tmp/cpp8.csv" "$tmp/spec1.csv"
     ;;
   shard_concat)
-    campaign --threads 1 -o "$tmp/full.csv"
-    campaign --threads 8 --shard 1/2 -o "$tmp/shard1.csv"
-    campaign --threads 8 --shard 2/2 -o "$tmp/shard2.csv"
+    run_tool --threads 1 -o "$tmp/full.csv"
+    run_tool --threads 8 --shard 1/2 -o "$tmp/shard1.csv"
+    run_tool --threads 8 --shard 2/2 -o "$tmp/shard2.csv"
     cat "$tmp/shard1.csv" "$tmp/shard2.csv" >"$tmp/concat.csv"
     same "$tmp/full.csv" "$tmp/concat.csv"
+    ;;
+  fleet_threads)
+    threads="${4:-8}"
+    run_tool --threads 1 -o "$tmp/t1.csv" --summary 2>"$tmp/s1.txt"
+    run_tool --threads "$threads" -o "$tmp/tn.csv" --summary \
+        2>"$tmp/sn.txt"
+    same "$tmp/t1.csv" "$tmp/tn.csv"
+    same "$tmp/s1.txt" "$tmp/sn.txt"
+    population=$(python3 -c 'import json, sys
+cohorts = json.load(open(sys.argv[1]))["cohorts"]
+print("%d sessions in %d cohorts"
+      % (sum(c["count"] for c in cohorts), len(cohorts)))' "$spec")
+    grep -q "^fleet: $population," "$tmp/sn.txt" || {
+        echo "determinism: $(basename "$spec") $variant: summary" \
+            "does not read \"$population\"" >&2
+        exit 1
+    }
+    ;;
+  fleet_observers)
+    run_tool --threads 1 -o "$tmp/plain.csv"
+    for threads in 1 8; do
+        report="$tmp/report$threads.json"
+        trace="$tmp/trace$threads.json"
+        run_tool --threads $threads -o "$tmp/obs$threads.csv" \
+            --report "$report" --trace-events "$trace" --progress
+        same "$tmp/plain.csv" "$tmp/obs$threads.csv"
+        for want in '"schema": "pdnspot-report-1"' \
+            '"fleet.session_buckets"' '"fleet.ns_per_session_bucket"'; do
+            grep -q "$want" "$report" || {
+                echo "determinism: $variant: $threads-thread report" \
+                    "lacks $want" >&2
+                exit 1
+            }
+        done
+        begins=$(grep -c '"ph": "B"' "$trace" || true)
+        ends=$(grep -c '"ph": "E"' "$trace" || true)
+        if [ "$begins" -eq 0 ] || [ "$begins" -ne "$ends" ] ||
+            ! grep -q '"pdnspot_fleet"' "$trace"; then
+            echo "determinism: $variant: $threads-thread span trace" \
+                "has $begins begins and $ends ends, or does not name" \
+                "pdnspot_fleet" >&2
+            exit 1
+        fi
+    done
     ;;
   *)
     echo "determinism: unknown variant \"$variant\"" >&2

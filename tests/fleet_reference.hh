@@ -1,13 +1,13 @@
 /**
  * @file
- * Phase-by-phase reference walk for the fleet engine's bucket step.
+ * Phase-by-phase reference walk for the fleet engine.
  *
- * The engine steps a session across a bucket with binary searches on
- * its cohort's doubled-cycle prefix arrays. This reference does the
- * obvious thing instead: after jumping the whole cycles the charge
- * covers, it walks the rest one phase at a time, subtracting each
- * step's energy from the charge until the bucket ends or the battery
- * empties. It runs on the same nanosecond clock, profiles and session
+ * The engine solves each session's death once and sums each bucket
+ * in closed form over its cohort's prefix arrays. This reference does
+ * the obvious thing instead: it steps every session across every
+ * bucket and, after jumping the whole cycles the charge covers,
+ * walks the rest one phase at a time, subtracting each step's energy
+ * from the charge until the bucket ends or the battery empties. It runs on the same nanosecond clock, profiles and session
  * starts (fleet/cohort_profile.hh), so tests can pin the engine's
  * per-bucket counts exactly, and its energies to rounding, against an
  * independent loop.

@@ -5,9 +5,10 @@
  * aggregate conservation across the time series, the storm-detector
  * math, early exit once the whole fleet is dark, the drainTime /
  * BatteryModel::life equivalence, the histogramObserve-vs-registry
- * bucketing identity, the nanosecond bucket clock, a differential
- * test of the prefix-sum bucket step against the phase-by-phase
- * reference walk (fleet_reference.hh), and a golden run summary
+ * bucketing identity, the nanosecond bucket clock, the mean power
+ * over powered time, a differential test of the closed-form engine
+ * against the phase-by-phase reference walk (fleet_reference.hh),
+ * the death tie rule at a bucket edge, and a golden run summary
  * pinning the human-readable surface.
  */
 
@@ -35,8 +36,8 @@ namespace
 
 /**
  * Two heterogeneous cohorts over generated traces — hermetic, fast,
- * and large enough (3.5k sessions) to span several 1024-session
- * chunks so the canonical-order reduction actually merges partials.
+ * and large enough (3.5k sessions) that the per-session set-up runs
+ * in several chunks on a multi-thread pool.
  * Oracle mode keeps mode switches in play; the tablet cohort's tiny
  * battery guarantees deaths inside the horizon so both distribution
  * histograms are populated.
@@ -226,6 +227,34 @@ TEST(FleetEngineTest, UniformCohortDiesAsOne)
                      result.batteryLifeH.max);
 }
 
+TEST(FleetEngineTest, MeanPowerCountsOnlyPoweredTime)
+{
+    // An empty session draws nothing, so the mean per-session power
+    // divides the energy by the session-seconds each session had
+    // charge: until its death, or over the whole simulated span.
+    FleetSpec spec = testSpec();
+    FleetResult result = runAt(spec, 2);
+    ASSERT_GT(result.deaths, 0u);
+    double poweredS = 0.0;
+    for (double t : reference::fleetRun(spec).emptyAtS)
+        poweredS += t >= 0.0 ? t : result.simulatedS;
+    EXPECT_NEAR(result.meanPowerW(), result.totalEnergyJ / poweredS,
+                1e-12 * result.meanPowerW());
+
+    // A uniform cohort empties as one: each session drew its whole
+    // capacity over its battery life.
+    spec.cohorts.resize(1);
+    spec.cohorts[0].startJitter = seconds(0.0);
+    spec.cohorts[0].batterySpread = 0.0;
+    spec.horizon = seconds(60.0);
+    result = runAt(spec, 1);
+    ASSERT_EQ(result.deaths, result.sessions);
+    double capacityJ = spec.cohorts[0].batteryWh * 3600.0;
+    EXPECT_NEAR(result.meanPowerW(),
+                capacityJ / (result.batteryLifeH.max * 3600.0),
+                1e-12 * result.meanPowerW());
+}
+
 TEST(FleetEngineTest, ValidateRejectsUnrunnableSpecs)
 {
     FleetSpec spec = testSpec();
@@ -251,6 +280,15 @@ TEST(FleetEngineTest, ValidateRejectsUnrunnableSpecs)
 
     spec = testSpec();
     spec.stormK = 0.0;
+    EXPECT_THROW(spec.validate(), ConfigError);
+
+    // The engine indexes sessions in 32 bits: a larger population
+    // fails validation, so a dry run rejects it too.
+    spec = testSpec();
+    spec.cohorts[0].count =
+        maxFleetSessions - (spec.sessionCount() - spec.cohorts[0].count);
+    EXPECT_NO_THROW(spec.validate());
+    ++spec.cohorts[0].count;
     EXPECT_THROW(spec.validate(), ConfigError);
 }
 
@@ -422,7 +460,7 @@ tieCohort(std::string name, SimMode mode, double batteryWh)
 }
 
 /**
- * The engine's prefix-sum step against the reference walk: per
+ * The closed-form engine against the reference walk: per
  * bucket, sessions alive, deaths and mode switches exactly, energy
  * and power within 1e-11 relative, and the same deaths at the same
  * times to rounding.
@@ -464,7 +502,8 @@ TEST(FleetKernelTest, MatchesThePhaseWalkWithoutTies)
     // Jittered starts over random-mix durations: bucket ends fall
     // inside phases. Buckets span a fraction of a cycle, a few
     // cycles, and many cycles with a horizon-truncated last bucket;
-    // the tablets die throughout.
+    // the tablets die throughout. The two-session cohort has far
+    // fewer sessions than phases.
     FleetCohort pmu = testSpec().cohorts[1];
     pmu.name = "pmu";
     pmu.count = 300;
@@ -472,10 +511,14 @@ TEST(FleetKernelTest, MatchesThePhaseWalkWithoutTies)
     pmu.batteryWh = 0.004;
     pmu.batterySpread = 0.5;
     pmu.startJitter = seconds(3.0);
+    FleetCohort few = pmu;
+    few.name = "few";
+    few.count = 2;
     for (double bucketS : {0.037, 0.5, 2.9}) {
         SCOPED_TRACE("bucket " + std::to_string(bucketS) + " s");
         FleetSpec spec = testSpec();
         spec.cohorts.push_back(pmu);
+        spec.cohorts.push_back(few);
         spec.bucket = seconds(bucketS);
         spec.horizon = seconds(7.3);
         ASSERT_NE(std::fmod(7.3, bucketS), 0.0);
@@ -571,6 +614,48 @@ TEST(FleetKernelTest, DeathAfterChargeCappedWholeCycles)
     EXPECT_EQ(result.buckets[0].deaths, spec.cohorts[0].count);
     EXPECT_GT(result.batteryLifeH.min * 3600.0, 3.0 * cp.cycleS);
     expectEngineMatchesReference(spec);
+}
+
+TEST(FleetKernelTest, DeathTieAtABucketEdge)
+{
+    // Zero jitter and spread, and a capacity of exactly k whole
+    // cycles of energy: every session's charge runs out just as the
+    // k-th cycle ends, on a bucket edge, and the tie rule (the energy
+    // drawn by a bucket's end reaches the charge) puts the death in
+    // the bucket that ends there. A phase walk that drains the charge
+    // step by step can leave a rounding residue that carries the
+    // death just past the edge, into the next bucket; at k = 7 it
+    // does, in each bucket size below.
+    FleetSpec spec;
+    spec.cohorts = {tieCohort("oracle", SimMode::Oracle, 1.0)};
+    CohortProfile cp = buildProfile(spec.cohorts[0], spec.tick);
+    ASSERT_EQ(cp.cycleNs, 200000000);
+    const int k = 7;
+    double wh = k * cp.cycleEnergyJ / 3600.0;
+    ASSERT_EQ(wh * 3600.0, k * cp.cycleEnergyJ);
+    spec.cohorts[0].batteryWh = wh;
+    spec.horizon = seconds(4.0);
+    int64_t edgeNs = k * cp.cycleNs;
+    for (int64_t bucketNs : {edgeNs / 14, edgeNs / 7, edgeNs}) {
+        SCOPED_TRACE("bucket " + std::to_string(bucketNs) + " ns");
+        spec.bucket = seconds(clockSeconds(bucketNs));
+        FleetResult result = runAt(spec, 2);
+        uint64_t edge = static_cast<uint64_t>(edgeNs / bucketNs);
+        ASSERT_EQ(result.buckets.size(), edge);
+        for (const FleetBucketRow &row : result.buckets)
+            EXPECT_EQ(row.deaths, row.index + 1 == edge
+                                      ? spec.cohorts[0].count
+                                      : 0u);
+        EXPECT_EQ(result.buckets.back().alive, 0u);
+        EXPECT_EQ(result.buckets.back().tEndS, clockSeconds(edgeNs));
+        EXPECT_NEAR(result.batteryLifeH.min * 3600.0,
+                    clockSeconds(edgeNs), 1e-12);
+        EXPECT_NEAR(result.batteryLifeH.max * 3600.0,
+                    clockSeconds(edgeNs), 1e-12);
+        EXPECT_NEAR(result.totalEnergyJ,
+                    spec.cohorts[0].count * wh * 3600.0,
+                    1e-12 * result.totalEnergyJ);
+    }
 }
 
 TEST(FleetBatteryTest, DrainTimeMatchesBatteryModelLife)
