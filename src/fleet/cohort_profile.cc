@@ -139,14 +139,28 @@ CohortProfile::drawnJ(int64_t x) const
            energyAt(phaseAt(pos), pos);
 }
 
+double
+cycleFmod(double x, double y)
+{
+    // q is the true quotient's floor, or one above it when the
+    // division rounds up to an integer. While q < 2^52 the fma rounds
+    // once onto x - q × y; with the right q that is the remainder,
+    // which is representable, so exact; with q one too high it is
+    // negative.
+    double q = std::floor(x / y);
+    if (!(q < 0x1p52))
+        return std::fmod(x, y);
+    double r = std::fma(-q, y, x);
+    return r < 0.0 ? std::fma(-(q - 1.0), y, x) : r;
+}
+
 SessionStart
 sessionStart(const CohortProfile &cp, const HashNoise &noise,
              uint64_t g)
 {
     SessionStart start;
     if (cp.jitterS > 0.0) {
-        double pos =
-            std::fmod(noise.unit(2 * g) * cp.jitterS, cp.cycleS);
+        double pos = cycleFmod(noise.unit(2 * g) * cp.jitterS, cp.cycleS);
         if (pos >= 0.0 && pos < cp.cycleS)
             start.posNs = toClockNs(seconds(pos)) % cp.cycleNs;
     }

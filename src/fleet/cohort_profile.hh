@@ -91,6 +91,12 @@ struct SessionStart
 };
 
 /**
+ * std::fmod(x, y), bit for bit, for x >= 0 and y > 0, by one division
+ * and one fma where the quotient is below 2^52 (std::fmod above).
+ */
+double cycleFmod(double x, double y);
+
+/**
  * Session g's start, keyed by its global index g: the jittered
  * offset (mod the cycle) rounded onto the clock, and the capacity
  * drawn from the cohort's spread.

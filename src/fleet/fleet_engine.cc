@@ -1,10 +1,13 @@
 #include "fleet/fleet_engine.hh"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
+#include "common/logging.hh"
 #include "common/noise.hh"
 #include "fleet/cohort_profile.hh"
 #include "obs/span_trace.hh"
@@ -114,8 +117,9 @@ solveDeath(const CohortProfile &cp, const SessionStart &start,
     return death;
 }
 
-/** Live sessions below an offset: how many, and their offset sum. */
-struct Prefix
+/** Live sessions over a range of ranks: how many, and their offset
+ * sum (modulo 2^64). */
+struct Tally
 {
     uint32_t count = 0;
     uint64_t sum = 0;
@@ -129,13 +133,21 @@ struct Frame
     uint32_t wrapped = 0;
 };
 
+/** The fewest sessions a share of a cohort's offset sort takes. A
+ * share costs a count per value cell (about one per two sessions),
+ * zeroed and summed on one worker, so a cohort under 2^17 sessions
+ * sorts no faster split. */
+constexpr size_t minSortShare = size_t{1} << 16;
+
 /**
- * One cohort's live sessions by start offset: the offsets sorted
- * once, and a Fenwick tree over their ranks holding a count and an
- * offset sum. Queries cut at offset values, never inside a run of
- * equal offsets, so a removal may take any rank of its run. Counts
- * and sums wrap (modulo 2^32 and 2^64); every total read back lies
- * in range, so it comes back exact.
+ * One cohort's live sessions by start offset. The offsets are sorted
+ * once, ties by session, and each session keeps its rank. A bitmap
+ * over the ranks marks the live sessions, and each block of 64 ranks
+ * keeps their count and offset sum, so a death clears one bit and
+ * takes one offset off one block. The live sessions between two
+ * ranks are the whole blocks between them plus set bits of the two
+ * end blocks. Sums wrap modulo 2^64; every total read back lies in
+ * range, so it comes back exact.
  */
 class LiveCohort
 {
@@ -148,34 +160,24 @@ class LiveCohort
 
     LiveCohort() = default;
 
+    /**
+     * A cohort of the n offsets (which must outlive the build), to
+     * be sorted in up to `workers` shares of at least minSortShare
+     * sessions: a counting sort into value cells of 2^_shift ns, two
+     * to four offsets to a cell on average, then each cell sorted by
+     * (offset, session). A rank search runs within one cell too.
+     */
     LiveCohort(const CohortProfile &profile, const int64_t *offsets,
-               uint32_t n)
-        : cp(&profile), alive(n), _off(n), _count(n + 1, 0),
-          _sum(n + 1, 0)
+               uint32_t n, unsigned workers)
+        : cp(&profile), alive(n), _off(n), _rank(n), _blocks((n + 63) / 64),
+          _in(offsets), _session(n)
     {
-        // A counting sort into value cells of 2^_shift ns, two to four
-        // offsets to a cell on average, then a sort within each cell;
-        // a rank search runs within one cell too.
         while (static_cast<size_t>((cp->cycleNs - 1) >> _shift) > n / 2)
             ++_shift;
-        size_t cells = static_cast<size_t>((cp->cycleNs - 1) >> _shift) + 1;
-        _cellStart.assign(cells + 1, 0);
-        for (size_t i = 0; i < n; ++i)
-            ++_cellStart[(offsets[i] >> _shift) + 1];
-        for (size_t c = 0; c < cells; ++c)
-            _cellStart[c + 1] += _cellStart[c];
-        std::vector<uint32_t> fill(_cellStart);
-        for (size_t i = 0; i < n; ++i)
-            _off[fill[offsets[i] >> _shift]++] = offsets[i];
-        for (size_t c = 0; c < cells; ++c)
-            std::sort(_off.begin() + _cellStart[c],
-                      _off.begin() + _cellStart[c + 1]);
-        for (size_t i = 1; i <= n; ++i) {
-            _count[i] = static_cast<uint32_t>(i & -i);
-            _sum[i] += static_cast<uint64_t>(_off[i - 1]);
-            if (i + (i & -i) <= n)
-                _sum[i + (i & -i)] += _sum[i];
-        }
+        _cellStart.resize(static_cast<size_t>((cp->cycleNs - 1) >> _shift) +
+                          2);
+        _shares = std::clamp<size_t>(n / minSortShare, 1, workers);
+        _next.resize(_shares * cells());
         // Phases so long that count × length could pass 2^64 (the
         // exact-sum bound) are cut into segments.
         int64_t maxNs = static_cast<int64_t>(std::min<uint64_t>(
@@ -187,18 +189,97 @@ class LiveCohort
                 _segments.push_back({a, k});
         }
         _segments.push_back({cp->cycleNs, cp->phases()});
-        last = at(0);
     }
 
-    /** A session at offset off dies: it leaves the tree. */
+    size_t shares() const { return _shares; }
+
+    static constexpr int buildPasses = 5;
+
+    /**
+     * Share w's part of build pass `pass`. Each pass must run for
+     * every share, in any order and on any worker, before the next
+     * pass starts. Shares are contiguous runs of sessions, so a
+     * cell's sessions land in session order however many there are.
+     */
     void
-    remove(int64_t off)
+    build(int pass, size_t w)
     {
-        --alive;
-        for (size_t i = rank(off) + 1; i < _count.size(); i += i & -i) {
-            _count[i] -= 1;
-            _sum[i] -= static_cast<uint64_t>(off);
+        size_t n = _off.size(), cells = this->cells();
+        auto part = [&](size_t total) {
+            return std::pair(w * total / _shares, (w + 1) * total / _shares);
+        };
+        auto [begin, end] = part(n);
+        switch (pass) {
+        case 0: // count each cell's offsets
+            for (size_t i = begin; i < end; ++i)
+                ++_next[w * cells + (_in[i] >> _shift)];
+            break;
+        case 1: // where each share's run of each cell starts
+            if (w == 0) {
+                uint32_t rank = 0;
+                for (size_t c = 0; c < cells; ++c) {
+                    _cellStart[c] = rank;
+                    for (size_t s = 0; s < _shares; ++s)
+                        rank += std::exchange(_next[s * cells + c], rank);
+                }
+                _cellStart[cells] = rank;
+            }
+            break;
+        case 2: // scatter
+            for (size_t i = begin; i < end; ++i)
+                _session[_next[w * cells + (_in[i] >> _shift)]++] =
+                    static_cast<uint32_t>(i);
+            break;
+        case 3: { // sort this share's cells and rank their sessions
+            auto [lo, hi] = part(cells);
+            for (size_t c = lo; c < hi; ++c) {
+                auto first = _session.begin() + _cellStart[c],
+                     last = _session.begin() + _cellStart[c + 1];
+                std::sort(first, last, [in = _in](uint32_t a, uint32_t b) {
+                    return std::pair(in[a], a) < std::pair(in[b], b);
+                });
+                for (auto s = first; s != last; ++s) {
+                    size_t r = static_cast<size_t>(s - _session.begin());
+                    _off[r] = _in[*s];
+                    _rank[*s] = static_cast<uint32_t>(r);
+                }
+            }
+            break;
         }
+        case 4: { // this share's blocks; the sort's buffers go
+            auto [lo, hi] = part(_blocks.size());
+            for (size_t b = lo; b < hi; ++b) {
+                size_t bits = std::min<size_t>(n - b * 64, 64);
+                Block &block = _blocks[b];
+                block.live = ~uint64_t{0} >> (64 - bits);
+                block.count = static_cast<uint32_t>(bits);
+                for (size_t r = b * 64; r < b * 64 + bits; ++r)
+                    block.sum += static_cast<uint64_t>(_off[r]);
+            }
+            if (w == 0) {
+                std::vector<uint32_t>().swap(_next);
+                std::vector<uint32_t>().swap(_session);
+                _in = nullptr;
+            }
+            break;
+        }
+        }
+    }
+
+    /** The cohort's session i, at offset off, dies: its bit clears and
+     * its offset leaves its block's sum. */
+    void
+    die(uint32_t i, int64_t off)
+    {
+        uint32_t r = _rank[i];
+        Block &block = _blocks[r / 64];
+        uint64_t bit = uint64_t{1} << (r % 64);
+        if (!(block.live & bit))
+            panic("FleetEngine: a session died twice");
+        block.live &= ~bit;
+        block.sum -= static_cast<uint64_t>(off);
+        --block.count;
+        --alive;
     }
 
     /**
@@ -206,57 +287,86 @@ class LiveCohort
      * p = (offset + tau) mod cycle: the energy and switches from each
      * one's cycle start to p, and how many wrapped past the cycle's
      * end to get there. Unrolled, offset rank i stands at
-     * _off[i] - cycle and rank n + i at _off[i]; the sessions in
-     * segment [a, b) of phase k are those unrolled in [a - tau,
-     * b - tau), read as a prefix difference, and they add
-     * count × eJ[k] plus jPerNs[k] × (their exact position sum −
-     * count × tNs[k]). A segment holding no session, live or dead,
-     * costs one rank search.
+     * _off[i] - cycle and rank n + i at _off[i], and the ranks
+     * [lo, lo + n) unrolled in [-tau, cycle - tau) hold every session
+     * once. From each next live session, the segment [a, b) of phase
+     * k holding it takes the sessions unrolled in [a - tau, b - tau),
+     * and they add count × eJ[k] plus jPerNs[k] × (their exact
+     * position sum − count × tNs[k]). Segments holding no live
+     * session are passed over, so a frame costs one rank search per
+     * occupied segment plus a read of the bitmap.
      */
     Frame
     at(int64_t tau) const
     {
         size_t n = _off.size();
-        uint64_t cycle = static_cast<uint64_t>(cp->cycleNs);
-        Prefix all = prefix(n);
-        auto unrolledRank = [&](int64_t v) {
-            return v < 0 ? rank(v + cp->cycleNs) : n + rank(v);
-        };
-        auto unrolled = [&](size_t r) {
-            if (r <= n) {
-                Prefix p = prefix(r);
-                return Prefix{p.count, p.sum - p.count * cycle};
-            }
-            Prefix p = prefix(r - n);
-            return Prefix{all.count + p.count,
-                          all.sum - all.count * cycle + p.sum};
-        };
-        size_t loRank = unrolledRank(-tau);
-        Prefix lo = unrolled(loRank);
+        size_t lo = unrolledRank(-tau), end = lo + n;
         Frame f;
-        f.wrapped = all.count - lo.count;
-        for (size_t s = 0; s + 1 < _segments.size(); ++s) {
-            size_t hiRank = unrolledRank(_segments[s + 1].first - tau);
-            if (hiRank == loRank)
-                continue;
+        size_t s = 0;
+        Cut cut{lo / 64, lo % 64, below(lo / 64, lo % 64)};
+        for (size_t r = nextLive(lo, end); r < end; r = nextLive(r, end)) {
+            int64_t pos = (r < n ? _off[r] - cp->cycleNs : _off[r - n]) + tau;
+            if (pos >= _segments[s + 1].first)
+                s = segmentAt(pos, s + 1);
             auto [a, k] = _segments[s];
-            Prefix hi = unrolled(hiRank);
-            uint32_t m = hi.count - lo.count;
-            uint64_t inSeg =
-                hi.sum - lo.sum + m * static_cast<uint64_t>(tau - a);
+            size_t hi = unrolledRank(_segments[++s].first - tau);
+            Tally t = liveIn(r, hi, cut, f.wrapped);
+            uint32_t m = t.count;
+            uint64_t inSeg = t.sum + m * static_cast<uint64_t>(tau - a);
             f.energyJ += m * cp->eJ[k] +
                          cp->jPerNs[k] * (static_cast<double>(inSeg) +
                                           static_cast<double>(m) *
                                               static_cast<double>(
                                                   a - cp->tNs[k]));
             f.switches += m * cp->sw[k];
-            loRank = hiRank;
-            lo = hi;
+            r = hi;
         }
         return f;
     }
 
   private:
+    /** 64 ranks: which are live, how many, and their offsets' sum. */
+    struct Block
+    {
+        uint64_t live = 0;
+        uint64_t sum = 0;
+        uint32_t count = 0;
+    };
+
+    /** Where a frame's previous range ended: its block, numbered on
+     * past the last block once the ranks wrap, and the live sessions
+     * below the cut in that block. */
+    struct Cut
+    {
+        size_t block = 0;
+        size_t k = 0; ///< the cut's rank in the block
+        Tally below;
+    };
+
+    /** The value cells, of 2^_shift ns each. */
+    size_t cells() const { return _cellStart.size() - 1; }
+
+    /** The segment holding cycle position pos, at or after segment
+     * s: a doubling probe forward, then a binary search. */
+    size_t
+    segmentAt(int64_t pos, size_t s) const
+    {
+        size_t step = 1;
+        for (; s + step < _segments.size() &&
+               _segments[s + step].first <= pos;
+             step *= 2)
+            s += step;
+        return static_cast<size_t>(
+            std::upper_bound(_segments.begin() + s + 1,
+                             _segments.begin() +
+                                 std::min(s + step, _segments.size()),
+                             pos,
+                             [](int64_t v, const auto &seg) {
+                                 return v < seg.first;
+                             }) -
+            _segments.begin() - 1);
+    }
+
     /** How many offsets lie below v, for v in [0, cycleNs]. */
     size_t
     rank(int64_t v) const
@@ -273,24 +383,125 @@ class LiveCohort
                (len == 1 && *base < v);
     }
 
-    /** The live sessions among the r lowest offsets. */
-    Prefix
-    prefix(size_t r) const
+    /** How many unrolled offsets lie below v, for v in
+     * [-cycleNs, cycleNs]. */
+    size_t
+    unrolledRank(int64_t v) const
     {
-        Prefix p;
-        for (size_t i = r; i > 0; i -= i & -i) {
-            p.count += _count[i];
-            p.sum += _sum[i];
-        }
-        return p;
+        return v < 0 ? rank(v + cp->cycleNs) : _off.size() + rank(v);
     }
 
-    std::vector<int64_t> _off;
+    /** The first live unrolled rank at or after r, or end if none is
+     * below it (end <= 2n). */
+    size_t
+    nextLive(size_t r, size_t end) const
+    {
+        size_t n = _off.size();
+        for (; r < end; r = r < n ? n : end) {
+            size_t a = r < n ? r : r - n, w = a / 64;
+            uint64_t bits = _blocks[w].live & (~uint64_t{0} << (a % 64));
+            while (!bits && ++w < _blocks.size())
+                bits = _blocks[w].live;
+            if (bits)
+                return std::min(r - a + w * 64 + std::countr_zero(bits),
+                                end);
+        }
+        return end;
+    }
+
+    /**
+     * The live sessions at unrolled ranks [a, b), with their unrolled
+     * offset sum; those that wrapped (below rank n) also count into
+     * wrapped. Read on from the cut where the previous range ended,
+     * with no live session between the two.
+     */
+    Tally
+    liveIn(size_t a, size_t b, Cut &cut, uint32_t &wrapped) const
+    {
+        size_t n = _off.size();
+        Tally t;
+        if (a < n) {
+            t = readOn(a, std::min(b, n), 0, cut);
+            wrapped += t.count;
+            t.sum -= t.count * static_cast<uint64_t>(cp->cycleNs);
+        }
+        if (b > n) {
+            Tally u = readOn(std::max(a, n) - n, b - n, _blocks.size(), cut);
+            t.count += u.count;
+            t.sum += u.sum;
+        }
+        return t;
+    }
+
+    /** The live sessions at ranks [a, b), whose blocks are numbered
+     * from id in the cut. Near the cut in its block, the ranks between
+     * the two; otherwise the blocks from a's up to b's, less the cut's
+     * part of a's block, plus b's block below b. b becomes the cut. */
+    Tally
+    readOn(size_t a, size_t b, size_t id, Cut &cut) const
+    {
+        size_t wa = a / 64, wb = b / 64, k = b % 64;
+        if (cut.block == id + wb && k - cut.k <= 32) {
+            Tally t = within(wb, cut.k, k);
+            cut.k = k;
+            cut.below.count += t.count;
+            cut.below.sum += t.sum;
+            return t;
+        }
+        Tally t;
+        if (cut.block == id + wa)
+            t = {0u - cut.below.count, 0u - cut.below.sum};
+        for (size_t w = wa; w < wb; ++w) {
+            t.count += _blocks[w].count;
+            t.sum += _blocks[w].sum;
+        }
+        cut = {id + wb, k, below(wb, k)};
+        t.count += cut.below.count;
+        t.sum += cut.below.sum;
+        return t;
+    }
+
+    /** The live sessions of block w below its rank k < 64: those
+     * below it, or, past 32 ranks, the block's totals less those
+     * from it. */
+    Tally
+    below(size_t w, size_t k) const
+    {
+        if (k <= 32)
+            return within(w, 0, k);
+        Tally t = within(w, k, 64);
+        return {_blocks[w].count - t.count, _blocks[w].sum - t.sum};
+    }
+
+    /** The live sessions of block w at its ranks [lo, hi), fewer
+     * than 64 of them. */
+    Tally
+    within(size_t w, size_t lo, size_t hi) const
+    {
+        if (lo == hi)
+            return {};
+        uint64_t mask = ((uint64_t{1} << (hi - lo)) - 1) << lo;
+        const int64_t *off = _off.data() + w * 64;
+        Tally t;
+        for (uint64_t bits = _blocks[w].live & mask; bits;
+             bits &= bits - 1) {
+            ++t.count;
+            t.sum += static_cast<uint64_t>(off[std::countr_zero(bits)]);
+        }
+        return t;
+    }
+
+    std::vector<int64_t> _off;  ///< the offsets, sorted
+    std::vector<uint32_t> _rank; ///< each session's rank in _off
+    std::vector<Block> _blocks;
     int _shift = 0;
     std::vector<uint32_t> _cellStart;
-    std::vector<uint32_t> _count;
-    std::vector<uint64_t> _sum;
     std::vector<std::pair<int64_t, size_t>> _segments; ///< start, phase
+    // Only while it builds:
+    const int64_t *_in = nullptr; ///< the offsets, by session
+    std::vector<uint32_t> _session; ///< sessions by rank
+    std::vector<uint32_t> _next;    ///< [share][cell] counts, then slots
+    size_t _shares = 1;
 };
 
 } // namespace
@@ -420,11 +631,23 @@ FleetEngine::run(const FleetSpec &spec,
         }
         std::vector<double>().swap(owedJ);
         std::vector<uint64_t>().swap(owedSwitches);
-        _runner.forEach(profiles.size(), [&](size_t c) {
+        // Every cohort's offsets sort at once, pass by pass, in one
+        // flat loop over each cohort's shares.
+        std::vector<std::pair<size_t, size_t>> shares; // cohort, share
+        for (size_t c = 0; c < profiles.size(); ++c) {
             cohorts[c] = LiveCohort(
                 profiles[c], offsets.data() + cohortStart[c],
-                static_cast<uint32_t>(spec.cohorts[c].count));
-        });
+                static_cast<uint32_t>(spec.cohorts[c].count),
+                _runner.threadCount());
+            for (size_t w = 0; w < cohorts[c].shares(); ++w)
+                shares.emplace_back(c, w);
+        }
+        for (int pass = 0; pass < LiveCohort::buildPasses; ++pass)
+            _runner.forEach(shares.size(), [&](size_t i) {
+                cohorts[shares[i].first].build(pass, shares[i].second);
+            });
+        for (LiveCohort &cohort : cohorts)
+            cohort.last = cohort.at(0);
     }
 
     // Phase 3: the shared-clock bucket loop, serial and independent of
@@ -451,8 +674,11 @@ FleetEngine::run(const FleetSpec &spec,
             row.energyJ = deathJ[b];
             row.modeSwitches = deathSwitches[b];
             row.deaths = deathStart[b + 1] - deathStart[b];
-            for (uint32_t i = deathStart[b]; i < deathStart[b + 1]; ++i)
-                cohorts[cohortOf(byDeath[i])].remove(offsets[byDeath[i]]);
+            for (uint32_t i = deathStart[b]; i < deathStart[b + 1]; ++i) {
+                size_t g = byDeath[i], c = cohortOf(g);
+                cohorts[c].die(static_cast<uint32_t>(g - cohortStart[c]),
+                               offsets[g]);
+            }
         }
         for (LiveCohort &cohort : cohorts) {
             const CohortProfile &cp = *cohort.cp;

@@ -16,17 +16,19 @@
  * battery capacity, so what it draws up to any time is a difference
  * of the cohort's cumulative energy at two shifted positions. Each
  * session is solved once, at set-up: where its charge runs out, and
- * so the bucket it dies in. A bucket then costs
- * O(cohorts × phases × log n), plus O(log n) per session dying in
- * it: a Fenwick tree over each cohort's sorted live offsets gives,
- * per phase, how many sessions sit in it and their exact position
- * sum, and each dying session leaves the tree and adds what it is
+ * so the bucket it dies in. Each cohort's offsets are sorted once,
+ * and its live sessions are a bitmap over their ranks with an exact
+ * offset sum per 64 ranks: per phase, how many live sessions sit in
+ * it and their exact position sum are the blocks and bits between
+ * two ranks. A bucket then costs one rank search per phase a live
+ * session occupies, one pass over each cohort's bitmap, and O(1)
+ * per session dying in it, which clears its bit and adds what it is
  * owed up to its death.
  *
  * Set-up runs on the runner: sessions in chunks, each one pure, and
- * one offset sort per cohort. The bucket loop and every reduction
- * are serial in a fixed order, so the aggregate CSV is
- * byte-identical at any thread count.
+ * every cohort's offset sort at once, a big one in per-worker
+ * shares. The bucket loop and every reduction are serial in a fixed
+ * order, so the aggregate CSV is byte-identical at any thread count.
  */
 
 #ifndef PDNSPOT_FLEET_FLEET_ENGINE_HH

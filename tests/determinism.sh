@@ -13,7 +13,10 @@
 #                   vs the unsharded serial run
 #
 # pdnspot_fleet variants (a spec named gen.py is perfbench's
-# generator: the row runs its seed-1 fleet_mixed spec):
+# generator: the row runs its seed-1 fleet_mixed spec; a spec path
+# ending in +zero_jitter runs that spec with every cohort's start
+# jitter zeroed, so each cohort's sessions share one offset and tie
+# in rank):
 #
 #   fleet_threads   the spec at --threads 1 vs --threads N (default
 #                   8): CSVs and --summary byte-identical, and the
@@ -43,6 +46,19 @@ if [[ "$spec" == */gen.py ]]; then
     python3 "$spec" --seed 1 --workload fleet_mixed --out "$tmp/gen" \
         >/dev/null
     spec="$tmp/gen/fleet_mixed.json"
+fi
+
+if [[ "$spec" == *+zero_jitter ]]; then
+    python3 - "${spec%+zero_jitter}" "$tmp/zero_jitter.json" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    spec = json.load(f)
+for cohort in spec["cohorts"]:
+    cohort["start_jitter_ms"] = 0.0
+with open(sys.argv[2], "w") as f:
+    json.dump(spec, f, indent=1)
+PY
+    spec="$tmp/zero_jitter.json"
 fi
 
 same()

@@ -8,11 +8,15 @@
  * bucketing identity, the nanosecond bucket clock, the mean power
  * over powered time, a differential test of the closed-form engine
  * against the phase-by-phase reference walk (fleet_reference.hh),
- * the death tie rule at a bucket edge, and a golden run summary
- * pinning the human-readable surface.
+ * including rank ties and live-bitmap block edges, the death tie
+ * rule at a bucket edge, the session-start remainder against
+ * std::fmod, and a golden run summary pinning the human-readable
+ * surface.
  */
 
+#include <bit>
 #include <cmath>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -118,6 +122,21 @@ TEST(FleetEngineTest, ByteIdenticalAcrossThreadCounts)
     EXPECT_EQ(serial.buckets, eight.buckets);
     EXPECT_EQ(serial.batteryLifeH, eight.batteryLifeH);
     EXPECT_EQ(serial.timeToEmptyH, eight.timeToEmptyH);
+}
+
+TEST(FleetEngineTest, OneLargeCohortSortsAcrossWorkers)
+{
+    // One cohort large enough that its offset sort splits across the
+    // workers (counted, scattered and sorted in shares); the run is
+    // still byte-identical to the serial one.
+    FleetSpec spec = testSpec();
+    spec.cohorts.resize(1);
+    spec.cohorts[0].count = 200000;
+    spec.horizon = seconds(4.0);
+    FleetResult serial = runAt(spec, 1);
+    EXPECT_GT(serial.deaths, 0u);
+    EXPECT_EQ(csvOf(serial), csvOf(runAt(spec, 4)));
+    EXPECT_EQ(summaryOf(serial), summaryOf(runAt(spec, 4)));
 }
 
 TEST(FleetEngineTest, SeededJitterIsReproducible)
@@ -656,6 +675,100 @@ TEST(FleetKernelTest, DeathTieAtABucketEdge)
                     spec.cohorts[0].count * wh * 3600.0,
                     1e-12 * result.totalEnergyJ);
     }
+}
+
+TEST(FleetKernelTest, MatchesThePhaseWalkAtBlockEdges)
+{
+    // The live sessions are a bitmap in blocks of 64 ranks. Cohorts of
+    // one session, of one block exactly and of one rank past it (and
+    // the same at two blocks) put frame cuts and deaths on block
+    // edges; 1500 sessions span many blocks. Each cohort starts at one
+    // offset (no jitter: every session ties in offset and differs
+    // only in rank), crowded into one value cell (1 us), or spread
+    // (5 s). The tablets' small batteries and spread stagger their
+    // deaths across several buckets, next to laptops that outlive the
+    // run.
+    for (uint64_t count : {1, 63, 64, 65, 128, 129, 1500}) {
+        for (double jitterS : {0.0, 1e-6, 5.0}) {
+            SCOPED_TRACE(std::to_string(count) + " sessions, jitter " +
+                         std::to_string(jitterS) + " s");
+            FleetSpec spec = testSpec();
+            for (FleetCohort &cohort : spec.cohorts) {
+                cohort.count = count;
+                cohort.startJitter = seconds(jitterS);
+            }
+            FleetResult result = runAt(spec, 1);
+            EXPECT_EQ(result.deaths, count);
+            size_t dyingBuckets = 0;
+            for (const FleetBucketRow &row : result.buckets)
+                dyingBuckets += row.deaths > 0;
+            EXPECT_GT(dyingBuckets, count > 1 ? 1u : 0u);
+            expectEngineMatchesReference(spec);
+        }
+    }
+}
+
+TEST(FleetKernelTest, CycleFmodMatchesStdFmod)
+{
+    // cycleFmod against std::fmod, bit for bit: 2^20 seeded pairs
+    // with quotients from below 1 to 2^60 (past the fma's 2^52
+    // limit), then the edges.
+    uint64_t checked = 0, mismatches = 0;
+    std::string first;
+    auto check = [&](double x, double y) {
+        ++checked;
+        double want = std::fmod(x, y), got = cycleFmod(x, y);
+        if (std::bit_cast<uint64_t>(got) == std::bit_cast<uint64_t>(want))
+            return;
+        if (mismatches++ == 0) {
+            std::ostringstream os;
+            os << std::hexfloat << x << " mod " << y << ": " << got
+               << ", std::fmod " << want;
+            first = os.str();
+        }
+    };
+    std::mt19937_64 rng(24);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < 1 << 20; ++i) {
+        double y = std::ldexp(1.0 + unit(rng),
+                              static_cast<int>(rng() % 64) - 40);
+        check(y * std::ldexp(unit(rng), static_cast<int>(rng() % 62)), y);
+    }
+
+    // x < y; x an exact multiple of y (short mantissas, so the
+    // products are exact), where the remainder is +0, and the floats
+    // either side of it; and x = m × y rounded, which falls just below
+    // the multiple about half the time, so that x / y rounds up to m,
+    // one above the true quotient's floor.
+    uint64_t roundedUp = 0;
+    for (int i = 0; i < 1 << 16; ++i) {
+        int scale = static_cast<int>(rng() % 40) - 50;
+        double y = std::ldexp(static_cast<double>(rng() % (1 << 20) + 1),
+                              scale);
+        double m = static_cast<double>(rng() % (uint64_t{1} << 30) + 1);
+        check(unit(rng) * y, y);
+        check(m * y, y);
+        check(std::nextafter(m * y, 0.0), y);
+        check(std::nextafter(m * y, 2.0 * m * y), y);
+        double wide = std::ldexp(1.0 + unit(rng), scale);
+        double x = m * wide;
+        roundedUp += std::fma(-std::floor(x / wide), wide, x) < 0.0;
+        check(x, wide);
+    }
+    EXPECT_GT(roundedUp, 1000u);
+
+    // A 1 ns cycle under horizon-sized jitters: quotients near and
+    // past 2^52.
+    for (double jitterS : {3600.0, 14400.0, 4.5e6, 1e7, 1e9}) {
+        for (int i = 0; i < 1 << 14; ++i)
+            check(unit(rng) * jitterS, 1e-9);
+        check(jitterS, 1e-9);
+    }
+    check(0.0, 1e-9);
+    check(0x1p52 * 0.7, 0.7);
+    check(std::nextafter(0x1p52 * 0.7, 0.0), 0.7);
+    EXPECT_GE(checked, 1000000u);
+    EXPECT_EQ(mismatches, 0u) << first;
 }
 
 TEST(FleetBatteryTest, DrainTimeMatchesBatteryModelLife)
