@@ -3,9 +3,9 @@
 # ROADMAP.md): builds with warnings as errors (-Werror), runs every
 # registered test in parallel under two pool sizes (a serial default
 # pool and a 4-thread one; the "determinism" label holds the
-# campaign thread-count, campaign_study and shard rows and the fleet
-# thread-count and observability rows), drives the shipped binaries
-# end to end (observability, probe, launcher retry and archive
+# campaign thread-count, campaign_study, shard and probe rows and the
+# fleet thread-count and observability rows), drives the shipped
+# binaries end to end (observability, launcher retry and archive
 # smokes), then repeats the test suite under AddressSanitizer +
 # UBSan (the threaded campaign/sweep paths are sanitizer-gated).
 # Ready to drop into CI as-is.
@@ -38,9 +38,10 @@ for threads in 1 4; do
 done
 
 # The determinism contract's thread-count, campaign_study,
-# shard-concatenation and fleet rows run in the ctest passes above
-# (label "determinism", tests/determinism.sh). The C++-built acceptance
-# campaign is the reference the smokes below compare against.
+# shard-concatenation, probe and fleet rows run in the ctest passes
+# above (label "determinism", tests/determinism.sh). The C++-built
+# acceptance campaign is the reference the smokes below compare
+# against.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 "$build_dir"/examples/campaign_study "$smoke_dir/cpp.csv" >/dev/null
@@ -87,24 +88,14 @@ PY
 echo "check.sh: observability smoke green" \
     "($begins spans, report + trace in $build_dir)"
 
-# Probe smoke: waveform capture must not perturb the campaign either
-# — the CSV stays byte-identical with --probe-out on vs off — and the
-# waveform directory itself is deterministic, byte for byte, at 1 vs
-# 8 threads. The paper campaign's waveforms land in the build dir for
-# CI to upload next to the report and span trace.
-PDNSPOT_THREADS=1 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/paper_campaign.json -o "$smoke_dir/probe1.csv" \
-    --probe-out "$smoke_dir/probes1"
+# The paper campaign's probe waveforms land in the build dir for CI
+# to upload next to the report and span trace. The probe checks (CSV
+# unchanged with --probe-out, waveform dir at 1 vs 8 threads) run in
+# the ctest passes above (label "determinism").
 PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/paper_campaign.json -o "$smoke_dir/probe8.csv" \
+    examples/specs/paper_campaign.json -o /dev/null \
     --probe-out "$build_dir/paper_probes"
-cmp "$smoke_dir/cpp.csv" "$smoke_dir/probe1.csv"
-cmp "$smoke_dir/cpp.csv" "$smoke_dir/probe8.csv"
-diff -r "$smoke_dir/probes1" "$build_dir/paper_probes"
-waveforms=$(ls "$build_dir"/paper_probes/*.csv | wc -l)
-test "$waveforms" -gt 0
-echo "check.sh: probe smoke green" \
-    "($waveforms waveforms in $build_dir/paper_probes)"
+echo "check.sh: probe waveforms in $build_dir/paper_probes"
 
 # Launcher + archive smoke: pdnspot_launch fans the paper campaign
 # across 4 shard subprocesses with one injected shard failure; the

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/logging.hh"
@@ -169,8 +170,11 @@ class LiveCohort
      */
     LiveCohort(const CohortProfile &profile, const int64_t *offsets,
                uint32_t n, unsigned workers)
-        : cp(&profile), alive(n), _off(n), _rank(n), _blocks((n + 63) / 64),
-          _in(offsets), _session(n)
+        : cp(&profile), alive(n), _n(n),
+          _off(std::make_unique_for_overwrite<int64_t[]>(n)),
+          _rank(std::make_unique_for_overwrite<uint32_t[]>(n)),
+          _blocks((n + 63) / 64), _in(offsets),
+          _session(std::make_unique_for_overwrite<uint32_t[]>(n))
     {
         while (static_cast<size_t>((cp->cycleNs - 1) >> _shift) > n / 2)
             ++_shift;
@@ -204,7 +208,7 @@ class LiveCohort
     void
     build(int pass, size_t w)
     {
-        size_t n = _off.size(), cells = this->cells();
+        size_t n = _n, cells = this->cells();
         auto part = [&](size_t total) {
             return std::pair(w * total / _shares, (w + 1) * total / _shares);
         };
@@ -233,13 +237,13 @@ class LiveCohort
         case 3: { // sort this share's cells and rank their sessions
             auto [lo, hi] = part(cells);
             for (size_t c = lo; c < hi; ++c) {
-                auto first = _session.begin() + _cellStart[c],
-                     last = _session.begin() + _cellStart[c + 1];
+                uint32_t *first = _session.get() + _cellStart[c],
+                         *last = _session.get() + _cellStart[c + 1];
                 std::sort(first, last, [in = _in](uint32_t a, uint32_t b) {
                     return std::pair(in[a], a) < std::pair(in[b], b);
                 });
-                for (auto s = first; s != last; ++s) {
-                    size_t r = static_cast<size_t>(s - _session.begin());
+                for (uint32_t *s = first; s != last; ++s) {
+                    size_t r = static_cast<size_t>(s - _session.get());
                     _off[r] = _in[*s];
                     _rank[*s] = static_cast<uint32_t>(r);
                 }
@@ -258,7 +262,7 @@ class LiveCohort
             }
             if (w == 0) {
                 std::vector<uint32_t>().swap(_next);
-                std::vector<uint32_t>().swap(_session);
+                _session.reset();
                 _in = nullptr;
             }
             break;
@@ -299,7 +303,7 @@ class LiveCohort
     Frame
     at(int64_t tau) const
     {
-        size_t n = _off.size();
+        size_t n = _n;
         size_t lo = unrolledRank(-tau), end = lo + n;
         Frame f;
         size_t s = 0;
@@ -373,13 +377,13 @@ class LiveCohort
     {
         size_t c = static_cast<size_t>(v >> _shift);
         if (c + 1 >= _cellStart.size())
-            return _off.size();
+            return _n;
         // A branch-free lower_bound within the cell.
-        const int64_t *base = _off.data() + _cellStart[c];
+        const int64_t *base = _off.get() + _cellStart[c];
         size_t len = _cellStart[c + 1] - _cellStart[c];
         for (; len > 1; len -= len / 2)
             base = base[len / 2] < v ? base + len / 2 : base;
-        return static_cast<size_t>(base - _off.data()) +
+        return static_cast<size_t>(base - _off.get()) +
                (len == 1 && *base < v);
     }
 
@@ -388,7 +392,7 @@ class LiveCohort
     size_t
     unrolledRank(int64_t v) const
     {
-        return v < 0 ? rank(v + cp->cycleNs) : _off.size() + rank(v);
+        return v < 0 ? rank(v + cp->cycleNs) : _n + rank(v);
     }
 
     /** The first live unrolled rank at or after r, or end if none is
@@ -396,7 +400,7 @@ class LiveCohort
     size_t
     nextLive(size_t r, size_t end) const
     {
-        size_t n = _off.size();
+        size_t n = _n;
         for (; r < end; r = r < n ? n : end) {
             size_t a = r < n ? r : r - n, w = a / 64;
             uint64_t bits = _blocks[w].live & (~uint64_t{0} << (a % 64));
@@ -418,7 +422,7 @@ class LiveCohort
     Tally
     liveIn(size_t a, size_t b, Cut &cut, uint32_t &wrapped) const
     {
-        size_t n = _off.size();
+        size_t n = _n;
         Tally t;
         if (a < n) {
             t = readOn(a, std::min(b, n), 0, cut);
@@ -481,7 +485,7 @@ class LiveCohort
         if (lo == hi)
             return {};
         uint64_t mask = ((uint64_t{1} << (hi - lo)) - 1) << lo;
-        const int64_t *off = _off.data() + w * 64;
+        const int64_t *off = _off.get() + w * 64;
         Tally t;
         for (uint64_t bits = _blocks[w].live & mask; bits;
              bits &= bits - 1) {
@@ -491,16 +495,19 @@ class LiveCohort
         return t;
     }
 
-    std::vector<int64_t> _off;  ///< the offsets, sorted
-    std::vector<uint32_t> _rank; ///< each session's rank in _off
+    // _off, _rank and _session are allocated uninitialised: the build
+    // passes write every entry first, each on the worker of its share.
+    size_t _n = 0;                     ///< sessions in the cohort
+    std::unique_ptr<int64_t[]> _off;   ///< the offsets, sorted
+    std::unique_ptr<uint32_t[]> _rank; ///< each session's rank in _off
     std::vector<Block> _blocks;
     int _shift = 0;
     std::vector<uint32_t> _cellStart;
     std::vector<std::pair<int64_t, size_t>> _segments; ///< start, phase
     // Only while it builds:
     const int64_t *_in = nullptr; ///< the offsets, by session
-    std::vector<uint32_t> _session; ///< sessions by rank
-    std::vector<uint32_t> _next;    ///< [share][cell] counts, then slots
+    std::unique_ptr<uint32_t[]> _session; ///< sessions by rank
+    std::vector<uint32_t> _next; ///< [share][cell] counts, then slots
     size_t _shares = 1;
 };
 

@@ -1,7 +1,32 @@
 #include "flexwatts/flexwatts_pdn.hh"
 
+#include <span>
+
 namespace pdnspot
 {
+
+namespace
+{
+
+static_assert(ImbvrPdn::railCount + LdoPdn::railCount <=
+              PdnDemand::maxRails);
+
+/** IVR-Mode's rails in a FlexWatts demand. */
+auto
+ivrRails(auto &rails)
+{
+    return std::span(rails).template first<ImbvrPdn::railCount>();
+}
+
+/** LDO-Mode's rails in a FlexWatts demand, after IVR-Mode's. */
+auto
+ldoRails(auto &rails)
+{
+    return std::span(rails)
+        .template subspan<ImbvrPdn::railCount, LdoPdn::railCount>();
+}
+
+} // anonymous namespace
 
 FlexWattsPdn::FlexWattsPdn(PdnPlatformParams platform,
                            FlexWattsParams params)
@@ -17,6 +42,24 @@ FlexWattsPdn::FlexWattsPdn(PdnPlatformParams platform,
                                       .rllIo = params.rllIo})
 {}
 
+PdnDemand
+FlexWattsPdn::demand(const PlatformState &state) const
+{
+    PdnDemand d;
+    _ivrMode.demandInto(state, ivrRails(d.rails));
+    _ldoMode.demandInto(state, ldoRails(d.rails));
+    return d;
+}
+
+EteeResult
+FlexWattsPdn::deliver(const PdnDemand &d, double ar,
+                      HybridMode mode) const
+{
+    return mode == HybridMode::IvrMode
+               ? _ivrMode.deliverFrom(ivrRails(d.rails), ar)
+               : _ldoMode.deliverFrom(ldoRails(d.rails), ar);
+}
+
 EteeResult
 FlexWattsPdn::evaluate(const PlatformState &state, HybridMode mode) const
 {
@@ -25,11 +68,11 @@ FlexWattsPdn::evaluate(const PlatformState &state, HybridMode mode) const
 }
 
 HybridMode
-FlexWattsPdn::bestMode(const PlatformState &state,
+FlexWattsPdn::bestMode(const PdnDemand &d, double ar,
                        EteeResult *winner) const
 {
-    EteeResult ivr = _ivrMode.evaluate(state);
-    EteeResult ldo = _ldoMode.evaluate(state);
+    EteeResult ivr = deliver(d, ar, HybridMode::IvrMode);
+    EteeResult ldo = deliver(d, ar, HybridMode::LdoMode);
     // Tie-break toward IVR-Mode, mirroring Algorithm 1's ">=".
     bool ivr_wins = ivr.etee() >= ldo.etee();
     if (winner)
@@ -37,11 +80,18 @@ FlexWattsPdn::bestMode(const PlatformState &state,
     return ivr_wins ? HybridMode::IvrMode : HybridMode::LdoMode;
 }
 
+HybridMode
+FlexWattsPdn::bestMode(const PlatformState &state,
+                       EteeResult *winner) const
+{
+    return bestMode(demand(state), state.ar, winner);
+}
+
 EteeResult
-FlexWattsPdn::evaluate(const PlatformState &state) const
+FlexWattsPdn::deliver(const PdnDemand &d, double ar) const
 {
     EteeResult winner;
-    bestMode(state, &winner);
+    bestMode(d, ar, &winner);
     return winner;
 }
 

@@ -64,22 +64,36 @@ class FlexWattsPdn : public PdnModel
 
     PdnKind kind() const override { return PdnKind::FlexWatts; }
 
+    /** Both modes' rails: IVR-Mode's, then LDO-Mode's. */
+    PdnDemand demand(const PlatformState &state) const override;
+
     /**
-     * Oracle evaluation: the hybrid rail uses whichever mode yields
+     * Oracle delivery: the hybrid rail uses whichever mode yields
      * the higher ETEE at this operating point (what the paper's
      * evaluation assumes the predictor achieves at steady state).
+     * evaluate(state) delivers this way too.
      */
-    EteeResult evaluate(const PlatformState &state) const override;
+    EteeResult deliver(const PdnDemand &demand, double ar) const override;
 
-    /** Evaluation pinned to one mode. */
+    /** Delivery pinned to one mode. */
+    EteeResult deliver(const PdnDemand &demand, double ar,
+                       HybridMode mode) const;
+
+    using PdnModel::evaluate;
+
+    /** Evaluation pinned to one mode (that mode's demand only). */
     EteeResult evaluate(const PlatformState &state,
                         HybridMode mode) const;
 
     /**
-     * The oracle-best mode at this operating point. Evaluates each
-     * mode once; when `winner` is given it receives the chosen mode's
-     * evaluation.
+     * The oracle-best mode of a demand delivered at `ar`. Delivers
+     * each mode once; when `winner` is given it receives the chosen
+     * mode's evaluation.
      */
+    HybridMode bestMode(const PdnDemand &demand, double ar,
+                        EteeResult *winner = nullptr) const;
+
+    /** The oracle-best mode at this operating point. */
     HybridMode bestMode(const PlatformState &state,
                         EteeResult *winner = nullptr) const;
 

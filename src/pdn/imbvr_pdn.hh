@@ -11,6 +11,7 @@
 #ifndef PDNSPOT_PDN_IMBVR_PDN_HH
 #define PDNSPOT_PDN_IMBVR_PDN_HH
 
+#include <span>
 #include <vector>
 
 #include "pdn/load_line.hh"
@@ -39,7 +40,19 @@ class ImbvrPdn : public PdnModel
 
     PdnKind kind() const override { return PdnKind::IplusMBVR; }
 
-    EteeResult evaluate(const PlatformState &state) const override;
+    PdnDemand demand(const PlatformState &state) const override;
+    EteeResult deliver(const PdnDemand &demand, double ar) const override;
+
+    /** Rails of this topology's demand: compute, V_SA, V_IO. */
+    static constexpr size_t railCount = 3;
+
+    /** demand() into a caller's rails (FlexWatts holds two PDNs'). */
+    void demandInto(const PlatformState &state,
+                    std::span<RailDemand, railCount> rails) const;
+
+    /** deliver() from a caller's rails. */
+    EteeResult deliverFrom(std::span<const RailDemand, railCount> rails,
+                           double ar) const;
 
     std::vector<OffChipRail>
     offChipRails(const PlatformState &peak) const override;

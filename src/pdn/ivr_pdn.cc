@@ -13,16 +13,24 @@ IvrPdn::IvrPdn(PdnPlatformParams platform, IvrPdnParams params)
       _llIn(params.rllIn)
 {}
 
+PdnDemand
+IvrPdn::demand(const PlatformState &state) const
+{
+    ChainContext ctx{_platform, _guardband};
+    PdnDemand d;
+    d.rails[0] = demandIvrChain(ctx, state, allDomains, _ivr, _params.tob);
+    return d;
+}
+
 EteeResult
-IvrPdn::evaluate(const PlatformState &state) const
+IvrPdn::deliver(const PdnDemand &d, double ar) const
 {
     ChainContext ctx{_platform, _guardband};
 
     // All six domains hang off the single V_IN chain; the input
     // load-line conduction loss is attributed to compute vs uncore
     // by each subset's share of the chain load (Fig. 5 categories).
-    ChainResult chain = evalIvrChain(ctx, state, allDomains, _ivr,
-                                     _vrIn, _params.tob, _llIn);
+    ChainResult chain = deliverRail(ctx, d.rails[0], _vrIn, _llIn, ar);
     double compute_share = chain.computeShare();
 
     EteeResult r;

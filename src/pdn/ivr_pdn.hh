@@ -37,7 +37,8 @@ class IvrPdn : public PdnModel
 
     PdnKind kind() const override { return PdnKind::IVR; }
 
-    EteeResult evaluate(const PlatformState &state) const override;
+    PdnDemand demand(const PlatformState &state) const override;
+    EteeResult deliver(const PdnDemand &demand, double ar) const override;
 
     std::vector<OffChipRail>
     offChipRails(const PlatformState &peak) const override;

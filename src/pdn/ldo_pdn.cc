@@ -25,30 +25,42 @@ LdoPdn::LdoPdn(PdnPlatformParams platform, LdoPdnParams params)
       _llIo(params.rllIo)
 {}
 
+PdnDemand
+LdoPdn::demand(const PlatformState &state) const
+{
+    PdnDemand d;
+    demandInto(state, std::span(d.rails).first<railCount>());
+    return d;
+}
+
 EteeResult
-LdoPdn::evaluate(const PlatformState &state) const
+LdoPdn::deliver(const PdnDemand &d, double ar) const
+{
+    return deliverFrom(std::span(d.rails).first<railCount>(), ar);
+}
+
+void
+LdoPdn::demandInto(const PlatformState &state,
+                   std::span<RailDemand, railCount> rails) const
 {
     ChainContext ctx{_platform, _guardband};
+    rails[0] = demandLdoChain(ctx, state, computeDomains, _ldo,
+                              _params.tob);
+    rails[1] = demandSharedBoardRail(ctx, state, saRailDomains,
+                                     _params.tob, true);
+    rails[2] = demandSharedBoardRail(ctx, state, ioRailDomains,
+                                     _params.tob, true);
+}
 
-    ChainResult compute = evalLdoChain(ctx, state, computeDomains, _ldo,
-                                       _vrIn, _params.tob, _llIn);
-    ChainResult sa = evalSharedBoardRail(
-        ctx, state, saRailDomains, _vrSa, _params.tob, _llSa, true);
-    ChainResult io = evalSharedBoardRail(
-        ctx, state, ioRailDomains, _vrIo, _params.tob, _llIo, true);
-    ChainResult uncore = sa;
-    uncore.accumulate(io);
-
-    EteeResult r;
-    r.nominalPower = compute.nominalPower + uncore.nominalPower;
-    r.inputPower = compute.inputPower + uncore.inputPower;
-    r.loss.vrLoss = compute.vrLoss + uncore.vrLoss;
-    r.loss.conductionCompute = compute.conduction;
-    r.loss.conductionUncore = uncore.conduction;
-    r.loss.other = compute.guardExcess + uncore.guardExcess;
-    r.chipInputCurrent = compute.chipCurrent + uncore.chipCurrent;
-    r.computeLoadLine = _params.rllIn;
-    return r;
+EteeResult
+LdoPdn::deliverFrom(std::span<const RailDemand, railCount> rails,
+                    double ar) const
+{
+    ChainContext ctx{_platform, _guardband};
+    ChainResult compute = deliverRail(ctx, rails[0], _vrIn, _llIn, ar);
+    ChainResult uncore = deliverRail(ctx, rails[1], _vrSa, _llSa, ar);
+    uncore.accumulate(deliverRail(ctx, rails[2], _vrIo, _llIo, ar));
+    return groupResult(compute, uncore, _params.rllIn);
 }
 
 std::vector<OffChipRail>

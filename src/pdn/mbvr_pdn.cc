@@ -30,36 +30,32 @@ MbvrPdn::MbvrPdn(PdnPlatformParams platform, MbvrParams params)
       _llIo(params.rllIo)
 {}
 
-EteeResult
-MbvrPdn::evaluate(const PlatformState &state) const
+PdnDemand
+MbvrPdn::demand(const PlatformState &state) const
 {
     ChainContext ctx{_platform, _guardband};
+    PdnDemand d;
+    d.rails[0] = demandSharedBoardRail(ctx, state, coresRailDomains,
+                                       _params.tob, true);
+    d.rails[1] = demandSharedBoardRail(ctx, state, gfxRailDomains,
+                                       _params.tob, true);
+    d.rails[2] = demandSharedBoardRail(ctx, state, saRailDomains,
+                                       _params.tob, true);
+    d.rails[3] = demandSharedBoardRail(ctx, state, ioRailDomains,
+                                       _params.tob, true);
+    return d;
+}
 
-    ChainResult cores = evalSharedBoardRail(
-        ctx, state, coresRailDomains, _vrCores, _params.tob, _llCores,
-        true);
-    ChainResult gfx = evalSharedBoardRail(
-        ctx, state, gfxRailDomains, _vrGfx, _params.tob, _llGfx, true);
-    ChainResult sa = evalSharedBoardRail(
-        ctx, state, saRailDomains, _vrSa, _params.tob, _llSa, true);
-    ChainResult io = evalSharedBoardRail(
-        ctx, state, ioRailDomains, _vrIo, _params.tob, _llIo, true);
-
-    EteeResult r;
-    ChainResult compute = cores;
-    compute.accumulate(gfx);
-    ChainResult uncore = sa;
-    uncore.accumulate(io);
-
-    r.nominalPower = compute.nominalPower + uncore.nominalPower;
-    r.inputPower = compute.inputPower + uncore.inputPower;
-    r.loss.vrLoss = compute.vrLoss + uncore.vrLoss;
-    r.loss.conductionCompute = compute.conduction;
-    r.loss.conductionUncore = uncore.conduction;
-    r.loss.other = compute.guardExcess + uncore.guardExcess;
-    r.chipInputCurrent = compute.chipCurrent + uncore.chipCurrent;
-    r.computeLoadLine = _params.rllCores;
-    return r;
+EteeResult
+MbvrPdn::deliver(const PdnDemand &d, double ar) const
+{
+    ChainContext ctx{_platform, _guardband};
+    ChainResult compute = deliverRail(ctx, d.rails[0], _vrCores,
+                                      _llCores, ar);
+    compute.accumulate(deliverRail(ctx, d.rails[1], _vrGfx, _llGfx, ar));
+    ChainResult uncore = deliverRail(ctx, d.rails[2], _vrSa, _llSa, ar);
+    uncore.accumulate(deliverRail(ctx, d.rails[3], _vrIo, _llIo, ar));
+    return groupResult(compute, uncore, _params.rllCores);
 }
 
 std::vector<OffChipRail>

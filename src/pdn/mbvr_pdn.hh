@@ -38,7 +38,8 @@ class MbvrPdn : public PdnModel
 
     PdnKind kind() const override { return PdnKind::MBVR; }
 
-    EteeResult evaluate(const PlatformState &state) const override;
+    PdnDemand demand(const PlatformState &state) const override;
+    EteeResult deliver(const PdnDemand &demand, double ar) const override;
 
     std::vector<OffChipRail>
     offChipRails(const PlatformState &peak) const override;

@@ -5,14 +5,23 @@
  * Every concrete topology (MBVR, IVR, LDO, I+MBVR, FlexWatts) maps a
  * PlatformState to an EteeResult by walking the paper's Sec. 3.1
  * pipeline: nominal power -> tolerance-band guardband (Eq. 2) ->
- * power-gate drop -> load-line (Eq. 3/4) -> VR conversion losses ->
- * supply power. The shared pipeline lives in pdn/rail_chains.hh.
+ * power-gate drop -> on-die VR -> load-line (Eq. 3/4) -> board VR
+ * conversion losses -> supply power. The shared pipeline lives in
+ * pdn/rail_chains.hh.
+ *
+ * The pipeline splits at the load-line. Everything before it is the
+ * AR-free demand (PdnModel::demand); the load-line and the board VRs
+ * are the delivery (PdnModel::deliver), and the activity ratio
+ * reaches a PDN only as deliver's argument (Eq. 3: Ppeak = PD / AR).
+ * Operating points that differ only in their AR therefore share one
+ * demand.
  */
 
 #ifndef PDNSPOT_PDN_PDN_MODEL_HH
 #define PDNSPOT_PDN_PDN_MODEL_HH
 
 #include <array>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -74,6 +83,71 @@ struct PdnPlatformParams
     Power gateOffLeakage = milliwatts(1.0); ///< per gated-off domain
 };
 
+/** Aggregate outcome of one delivery chain. */
+struct ChainResult
+{
+    Power nominalPower;    ///< sum of served domains' PNOM
+    Power inputPower;      ///< power drawn from PSU for this chain
+    Power vrLoss;          ///< on-chip + off-chip conversion loss
+    Power conduction;      ///< load-line (I^2*R guardband) excess
+    Power guardExcess;     ///< TOB + gate drop + rail over-volt + leaks
+    Current chipCurrent;   ///< current entering the package
+    bool railOn = false;   ///< false if every served domain was gated
+
+    /** Power each domain pulled from this chain's rail. */
+    std::array<Power, numDomains> domainShare{};
+
+    void
+    accumulate(const ChainResult &other)
+    {
+        nominalPower += other.nominalPower;
+        inputPower += other.inputPower;
+        vrLoss += other.vrLoss;
+        conduction += other.conduction;
+        guardExcess += other.guardExcess;
+        chipCurrent += other.chipCurrent;
+        railOn = railOn || other.railOn;
+        for (size_t i = 0; i < numDomains; ++i)
+            domainShare[i] += other.domainShare[i];
+    }
+
+    /** Fraction of the rail load drawn by the compute domains. */
+    double
+    computeShare() const
+    {
+        Power total, comp;
+        for (size_t i = 0; i < numDomains; ++i) {
+            total += domainShare[i];
+            if (isComputeDomain(static_cast<DomainId>(i)))
+                comp += domainShare[i];
+        }
+        return total > watts(0.0) ? comp / total : 0.0;
+    }
+};
+
+/**
+ * One rail's AR-free half: the chain result up to its load-line (no
+ * conduction, input power or board-VR loss yet) and what the
+ * load-line is applied to.
+ */
+struct RailDemand
+{
+    ChainResult partial;
+    Voltage loadLineVoltage; ///< rail (or V_IN) voltage at the load-line
+    Power loadLinePower;     ///< power the load-line carries
+};
+
+/**
+ * A whole PDN's AR-free demand: one RailDemand per rail, in the
+ * topology's own order. Fixed size and heap-free; FlexWatts holds
+ * both modes' rails.
+ */
+struct PdnDemand
+{
+    static constexpr size_t maxRails = 6;
+    std::array<RailDemand, maxRails> rails{};
+};
+
 /** Base class for all PDN topologies. */
 class PdnModel
 {
@@ -90,7 +164,25 @@ class PdnModel
     std::string name() const { return nameOf(kind()); }
 
     /** Evaluate ETEE and the loss breakdown at one operating point. */
-    virtual EteeResult evaluate(const PlatformState &state) const = 0;
+    EteeResult
+    evaluate(const PlatformState &state) const
+    {
+        return deliver(demand(state), state.ar);
+    }
+
+    /**
+     * Everything the state asks of the rails before their
+     * load-lines: guardbands, power-gate drops and on-die VRs. Reads
+     * no AR, so states that differ only in their AR share it.
+     */
+    virtual PdnDemand demand(const PlatformState &state) const = 0;
+
+    /**
+     * The load-lines (Eq. 3/4) and board VRs of a demand at
+     * application ratio `ar`: the full evaluation.
+     */
+    virtual EteeResult deliver(const PdnDemand &demand,
+                               double ar) const = 0;
 
     /**
      * The off-chip rails this topology needs, sized for the given

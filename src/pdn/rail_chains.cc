@@ -1,6 +1,7 @@
 #include "pdn/rail_chains.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -22,6 +23,27 @@ overvoltToRail(const ChainContext &ctx, const DomainState &d,
                                rail_voltage - domain_supply,
                                d.leakageFraction);
 }
+
+/** A rail's active domains and their draws, in rail order. */
+class ActiveDraws
+{
+  public:
+    void
+    push(DomainId id, const DomainDraw &draw)
+    {
+        if (_count == _items.size())
+            panic("ActiveDraws: a rail lists a domain twice");
+        _items[_count++] = {id, draw};
+    }
+
+    bool empty() const { return _count == 0; }
+    auto begin() const { return _items.begin(); }
+    auto end() const { return _items.begin() + _count; }
+
+  private:
+    std::array<std::pair<DomainId, DomainDraw>, numDomains> _items;
+    size_t _count = 0;
+};
 
 } // anonymous namespace
 
@@ -53,18 +75,18 @@ guardbandedDraw(const ChainContext &ctx, const DomainState &d,
     return draw;
 }
 
-ChainResult
-evalSharedBoardRail(const ChainContext &ctx, const PlatformState &state,
-                    std::span<const DomainId> domains,
-                    const BuckVr &board, Voltage tob,
-                    const LoadLine &rail_ll, bool gated)
+RailDemand
+demandSharedBoardRail(const ChainContext &ctx, const PlatformState &state,
+                      std::span<const DomainId> domains, Voltage tob,
+                      bool gated)
 {
-    ChainResult r;
+    RailDemand rd;
+    ChainResult &r = rd.partial;
 
     // Rail voltage: the highest guardbanded demand among the active
     // domains; the whole rail powers down if nothing is active.
     Voltage rail_v;
-    std::vector<std::pair<DomainId, DomainDraw>> active;
+    ActiveDraws active;
     size_t inactive_count = 0;
     for (DomainId id : domains) {
         const DomainState &d = state.domain(id);
@@ -74,10 +96,10 @@ evalSharedBoardRail(const ChainContext &ctx, const PlatformState &state,
         }
         DomainDraw draw = guardbandedDraw(ctx, d, tob, gated);
         rail_v = std::max(rail_v, draw.supplyVoltage);
-        active.emplace_back(id, draw);
+        active.push(id, draw);
     }
     if (active.empty())
-        return r;
+        return rd;
     r.railOn = true;
 
     // Domains sharing a rail set above their own requirement pay the
@@ -101,23 +123,20 @@ evalSharedBoardRail(const ChainContext &ctx, const PlatformState &state,
         r.guardExcess += leak;
     }
 
-    // Eq. 3/4 at the rail, then the off-chip VR (Eq. 5 term).
-    LoadLine::Result ll = rail_ll.apply(rail_v, pd, state.ar);
-    r.conduction = ll.conductionExcess;
-    Power input = board.inputPower(ctx.platform.supplyVoltage, ll.vLL,
-                                   ll.pLL);
-    r.vrLoss = input - ll.pLL;
-    r.inputPower = input;
+    // Eq. 3/4 apply at the rail, behind the off-chip VR (Eq. 5 term).
+    rd.loadLineVoltage = rail_v;
+    rd.loadLinePower = pd;
     r.chipCurrent = pd / rail_v;
-    return r;
+    return rd;
 }
 
-ChainResult
-evalIvrChain(const ChainContext &ctx, const PlatformState &state,
-             std::span<const DomainId> domains, const Ivr &ivr,
-             const BuckVr &board, Voltage tob, const LoadLine &input_ll)
+RailDemand
+demandIvrChain(const ChainContext &ctx, const PlatformState &state,
+               std::span<const DomainId> domains, const Ivr &ivr,
+               Voltage tob)
 {
-    ChainResult r;
+    RailDemand rd;
+    ChainResult &r = rd.partial;
     Voltage vin = ctx.platform.ivrInputVoltage;
 
     // Eq. 2 then Eq. 6 per active domain; idle domains' IVRs are off.
@@ -136,30 +155,27 @@ evalIvrChain(const ChainContext &ctx, const PlatformState &state,
         r.vrLoss += p_ivr_d - draw.power;
     }
     if (pin <= watts(0.0))
-        return r;
+        return rd;
     r.railOn = true;
 
-    // Eq. 7/8 at the chip input, then the V_IN VR (Eq. 9).
-    LoadLine::Result ll = input_ll.apply(vin, pin, state.ar);
-    r.conduction = ll.conductionExcess;
-    Power input = board.inputPower(ctx.platform.supplyVoltage, ll.vLL,
-                                   ll.pLL);
-    r.vrLoss += input - ll.pLL;
-    r.inputPower = input;
+    // Eq. 7/8 apply at the chip input, behind the V_IN VR (Eq. 9).
+    rd.loadLineVoltage = vin;
+    rd.loadLinePower = pin;
     r.chipCurrent = pin / vin;
-    return r;
+    return rd;
 }
 
-ChainResult
-evalLdoChain(const ChainContext &ctx, const PlatformState &state,
-             std::span<const DomainId> domains, const LdoVr &ldo,
-             const BuckVr &board, Voltage tob, const LoadLine &input_ll)
+RailDemand
+demandLdoChain(const ChainContext &ctx, const PlatformState &state,
+               std::span<const DomainId> domains, const LdoVr &ldo,
+               Voltage tob)
 {
-    ChainResult r;
+    RailDemand rd;
+    ChainResult &r = rd.partial;
 
     // V_IN is set to the maximum guardbanded voltage among the active
     // LDO domains (Sec. 2.3); that domain's LDO runs in bypass.
-    std::vector<std::pair<DomainId, DomainDraw>> active;
+    ActiveDraws active;
     size_t inactive_count = 0;
     Voltage vin;
     for (DomainId id : domains) {
@@ -170,10 +186,10 @@ evalLdoChain(const ChainContext &ctx, const PlatformState &state,
         }
         DomainDraw draw = guardbandedDraw(ctx, d, tob, false);
         vin = std::max(vin, draw.supplyVoltage);
-        active.emplace_back(id, draw);
+        active.push(id, draw);
     }
     if (active.empty())
-        return r;
+        return rd;
     r.railOn = true;
 
     // Eq. 10/11 per domain.
@@ -197,15 +213,44 @@ evalLdoChain(const ChainContext &ctx, const PlatformState &state,
         r.guardExcess += leak;
     }
 
-    // Input load-line at the (low) V_IN voltage, then the V_IN VR
-    // (first term of Eq. 12).
-    LoadLine::Result ll = input_ll.apply(vin, pin, state.ar);
+    // The input load-line applies at the (low) V_IN voltage, behind
+    // the V_IN VR (first term of Eq. 12).
+    rd.loadLineVoltage = vin;
+    rd.loadLinePower = pin;
+    r.chipCurrent = pin / vin;
+    return rd;
+}
+
+ChainResult
+deliverRail(const ChainContext &ctx, const RailDemand &demand,
+            const BuckVr &board, const LoadLine &load_line, double ar)
+{
+    ChainResult r = demand.partial;
+    if (!r.railOn)
+        return r;
+    LoadLine::Result ll =
+        load_line.apply(demand.loadLineVoltage, demand.loadLinePower, ar);
     r.conduction = ll.conductionExcess;
     Power input = board.inputPower(ctx.platform.supplyVoltage, ll.vLL,
                                    ll.pLL);
     r.vrLoss += input - ll.pLL;
     r.inputPower = input;
-    r.chipCurrent = pin / vin;
+    return r;
+}
+
+EteeResult
+groupResult(const ChainResult &compute, const ChainResult &uncore,
+            Resistance compute_load_line)
+{
+    EteeResult r;
+    r.nominalPower = compute.nominalPower + uncore.nominalPower;
+    r.inputPower = compute.inputPower + uncore.inputPower;
+    r.loss.vrLoss = compute.vrLoss + uncore.vrLoss;
+    r.loss.conductionCompute = compute.conduction;
+    r.loss.conductionUncore = uncore.conduction;
+    r.loss.other = compute.guardExcess + uncore.guardExcess;
+    r.chipInputCurrent = compute.chipCurrent + uncore.chipCurrent;
+    r.computeLoadLine = compute_load_line;
     return r;
 }
 
@@ -259,14 +304,14 @@ sizeLdoInputRail(const ChainContext &ctx, const PlatformState &peak,
                  const std::string &name, Voltage tob)
 {
     Voltage vin;
-    std::vector<std::pair<DomainId, DomainDraw>> active;
+    ActiveDraws active;
     for (DomainId id : domains) {
         const DomainState &d = peak.domain(id);
         if (!d.active)
             continue;
         DomainDraw draw = guardbandedDraw(ctx, d, tob, false);
         vin = std::max(vin, draw.supplyVoltage);
-        active.emplace_back(id, draw);
+        active.push(id, draw);
     }
     Power pin;
     for (const auto &[id, draw] : active)

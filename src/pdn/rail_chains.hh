@@ -16,6 +16,12 @@
  * The evaluators implement the paper's Eq. 2-12 pipeline once so all
  * topologies share it. FlexWatts calls none of them directly: it is
  * an I+MBVR model (IVR-Mode) and an LDO model (LDO-Mode).
+ *
+ * Each chain is evaluated in two halves. demand*() runs the AR-free
+ * stages — Eq. 2 guardbands, power-gate drops, rail over-volt and the
+ * on-die VRs — and reads no AR. deliverRail() applies the load-line
+ * (Eq. 3/4) and the board VR at the activity ratio it is given; that
+ * argument is the only way the AR reaches a rail.
  */
 
 #ifndef PDNSPOT_PDN_RAIL_CHAINS_HH
@@ -37,48 +43,6 @@
 
 namespace pdnspot
 {
-
-/** Aggregate outcome of one delivery chain. */
-struct ChainResult
-{
-    Power nominalPower;    ///< sum of served domains' PNOM
-    Power inputPower;      ///< power drawn from PSU for this chain
-    Power vrLoss;          ///< on-chip + off-chip conversion loss
-    Power conduction;      ///< load-line (I^2*R guardband) excess
-    Power guardExcess;     ///< TOB + gate drop + rail over-volt + leaks
-    Current chipCurrent;   ///< current entering the package
-    bool railOn = false;   ///< false if every served domain was gated
-
-    /** Power each domain pulled from this chain's rail. */
-    std::array<Power, numDomains> domainShare{};
-
-    void
-    accumulate(const ChainResult &other)
-    {
-        nominalPower += other.nominalPower;
-        inputPower += other.inputPower;
-        vrLoss += other.vrLoss;
-        conduction += other.conduction;
-        guardExcess += other.guardExcess;
-        chipCurrent += other.chipCurrent;
-        railOn = railOn || other.railOn;
-        for (size_t i = 0; i < numDomains; ++i)
-            domainShare[i] += other.domainShare[i];
-    }
-
-    /** Fraction of the rail load drawn by the compute domains. */
-    double
-    computeShare() const
-    {
-        Power total, comp;
-        for (size_t i = 0; i < numDomains; ++i) {
-            total += domainShare[i];
-            if (isComputeDomain(static_cast<DomainId>(i)))
-                comp += domainShare[i];
-        }
-        return total > watts(0.0) ? comp / total : 0.0;
-    }
-};
 
 /** Context shared by the chain evaluators. */
 struct ChainContext
@@ -102,40 +66,57 @@ DomainDraw guardbandedDraw(const ChainContext &ctx, const DomainState &d,
                            Voltage tob, bool through_gate);
 
 /**
- * A shared motherboard rail: one off-chip buck, one load-line, one or
- * more domains at the rail's common voltage.
+ * The demand of a shared motherboard rail: one off-chip buck, one
+ * load-line, one or more domains at the rail's common voltage.
  *
  * @param gated true if domains sit behind on-chip power gates; gated
  *              domains that are inactive leak gateOffLeakage from the
  *              rail while any sibling keeps the rail on.
  */
-ChainResult evalSharedBoardRail(const ChainContext &ctx,
-                                const PlatformState &state,
-                                std::span<const DomainId> domains,
-                                const BuckVr &board, Voltage tob,
-                                const LoadLine &rail_ll, bool gated);
+RailDemand demandSharedBoardRail(const ChainContext &ctx,
+                                 const PlatformState &state,
+                                 std::span<const DomainId> domains,
+                                 Voltage tob, bool gated);
 
 /**
- * The IVR chain: V_IN at ivrInputVoltage feeding one integrated buck
- * per active domain; the input load-line is applied at V_IN (Eq. 7/8).
+ * The demand of the IVR chain: V_IN at ivrInputVoltage feeding one
+ * integrated buck per active domain; the input load-line is applied
+ * at V_IN (Eq. 7/8).
  */
-ChainResult evalIvrChain(const ChainContext &ctx,
-                         const PlatformState &state,
-                         std::span<const DomainId> domains,
-                         const Ivr &ivr, const BuckVr &board,
-                         Voltage tob, const LoadLine &input_ll);
+RailDemand demandIvrChain(const ChainContext &ctx,
+                          const PlatformState &state,
+                          std::span<const DomainId> domains,
+                          const Ivr &ivr, Voltage tob);
 
 /**
- * The LDO chain: V_IN set to the maximum guardbanded domain voltage;
- * the domain(s) at that voltage run in bypass, the rest regulate down
- * at eta = (Vout/Vin) * Ie (Eq. 10/11); inactive domains' LDOs act as
- * power gates leaking gateOffLeakage while the rail is on.
+ * The demand of the LDO chain: V_IN set to the maximum guardbanded
+ * domain voltage; the domain(s) at that voltage run in bypass, the
+ * rest regulate down at eta = (Vout/Vin) * Ie (Eq. 10/11); inactive
+ * domains' LDOs act as power gates leaking gateOffLeakage while the
+ * rail is on.
  */
-ChainResult evalLdoChain(const ChainContext &ctx,
-                         const PlatformState &state,
-                         std::span<const DomainId> domains,
-                         const LdoVr &ldo, const BuckVr &board,
-                         Voltage tob, const LoadLine &input_ll);
+RailDemand demandLdoChain(const ChainContext &ctx,
+                          const PlatformState &state,
+                          std::span<const DomainId> domains,
+                          const LdoVr &ldo, Voltage tob);
+
+/**
+ * A rail demand delivered at activity ratio `ar`: the load-line
+ * (Eq. 3/4, or 7/8 at V_IN) and the board VR feeding it (Eq. 5/9 and
+ * the first term of Eq. 12). A rail that is off passes through.
+ */
+ChainResult deliverRail(const ChainContext &ctx, const RailDemand &demand,
+                        const BuckVr &board, const LoadLine &load_line,
+                        double ar);
+
+/**
+ * The EteeResult of a PDN whose rails split into a compute group and
+ * an uncore group: each group's conduction goes to its Fig. 5
+ * category.
+ */
+EteeResult groupResult(const ChainResult &compute,
+                       const ChainResult &uncore,
+                       Resistance compute_load_line);
 
 /** Worst-case rail sizing for the BOM/area models. */
 OffChipRail sizeSharedBoardRail(const ChainContext &ctx,

@@ -76,6 +76,8 @@ isComputeDomain(DomainId id)
  * Electrical operating point of one domain at one instant: the inputs
  * each PDN model consumes (paper Sec. 3.1: a load's nominal power is a
  * function of power state, activity, frequency, voltage, temperature).
+ * There is no per-domain AR: the activity ratio is platform-wide
+ * (PlatformState::ar) and enters a PDN only at its load-lines.
  */
 struct DomainState
 {
@@ -83,7 +85,6 @@ struct DomainState
     Voltage voltage;               ///< nominal supply voltage VNOM
     Power nominalPower;            ///< PNOM at this operating point
     double leakageFraction = 0.22; ///< FL: leakage share of PNOM
-    double ar = 1.0;               ///< domain application ratio
     Frequency frequency;           ///< clock (zero for fixed-freq doms)
 };
 

@@ -21,7 +21,6 @@ constexpr double saVoltageV = 0.85;
 constexpr double ioVoltageV = 1.05;
 constexpr double saActivePowerW = 0.55;
 constexpr double ioActivePowerW = 0.45;
-constexpr double uncoreAr = 0.8;
 
 // Share of the multi-thread cores budget a single-thread workload
 // burns (one core at turbo frequency, the sibling gated).
@@ -145,14 +144,12 @@ OperatingPointModel::gfxNominal(Power tdp) const
 
 DomainState
 OperatingPointModel::makeDomain(Power base_power, Voltage voltage,
-                                double leak_fraction, double ar,
-                                double thermal_scale,
+                                double leak_fraction, double thermal_scale,
                                 Frequency freq) const
 {
     DomainState d;
     d.active = true;
     d.voltage = voltage;
-    d.ar = ar;
     d.frequency = freq;
 
     // The power-budget governor keeps a domain near its TDP-anchored
@@ -190,8 +187,8 @@ OperatingPointModel::scaleFrequency(DomainState &d, const VfCurve &vf,
     d.frequency = f1;
 }
 
-PlatformState
-OperatingPointModel::build(const Query &q) const
+void
+OperatingPointModel::validate(const Query &q) const
 {
     if (q.tdp < minTdp() || q.tdp > maxTdp()) {
         fatal(strprintf("OperatingPointModel: TDP %.1fW outside the "
@@ -207,9 +204,14 @@ OperatingPointModel::build(const Query &q) const
         // exact 0.
         if (q.ar <= 0.0 || q.ar > 1.0)
             fatal("OperatingPointModel: AR must be in (0, 1]");
-        return buildActive(q);
     }
-    return buildCState(q);
+}
+
+PlatformState
+OperatingPointModel::build(const Query &q) const
+{
+    validate(q);
+    return q.cstate == PackageCState::C0 ? buildActive(q) : buildCState(q);
 }
 
 PlatformState
@@ -235,24 +237,24 @@ OperatingPointModel::buildActive(const Query &q) const
         Frequency f = _coreVf.clamp(fcore * singleThreadTurbo);
         Voltage v = _coreVf.voltageAt(f);
         s.domain(DomainId::Core0) =
-            makeDomain(cores_nom * singleThreadShare, v, flOther, q.ar,
+            makeDomain(cores_nom * singleThreadShare, v, flOther,
                        thermal, f);
         s.domain(DomainId::Core1).active = false;
         s.domain(DomainId::LLC) =
-            makeDomain(llc_nom, v, flOther, q.ar, thermal, Frequency());
+            makeDomain(llc_nom, v, flOther, thermal, Frequency());
         s.domain(DomainId::GFX).active = false;
         break;
       }
       case WorkloadType::MultiThread:
       case WorkloadType::BatteryLife: {
         s.domain(DomainId::Core0) =
-            makeDomain(cores_nom * 0.5, vcore, flOther, q.ar, thermal,
+            makeDomain(cores_nom * 0.5, vcore, flOther, thermal,
                        fcore);
         s.domain(DomainId::Core1) =
-            makeDomain(cores_nom * 0.5, vcore, flOther, q.ar, thermal,
+            makeDomain(cores_nom * 0.5, vcore, flOther, thermal,
                        fcore);
         s.domain(DomainId::LLC) =
-            makeDomain(llc_nom, vcore, flOther, q.ar, thermal,
+            makeDomain(llc_nom, vcore, flOther, thermal,
                        Frequency());
         s.domain(DomainId::GFX).active = false;
         break;
@@ -262,20 +264,20 @@ OperatingPointModel::buildActive(const Query &q) const
         Voltage vcore_gfx = _coreVf.voltageAt(fcore_gfx);
         Power core_part = cores_nom * graphicsCoreShare;
         s.domain(DomainId::Core0) =
-            makeDomain(core_part * 0.5, vcore_gfx, flOther, q.ar,
+            makeDomain(core_part * 0.5, vcore_gfx, flOther,
                        thermal, fcore_gfx);
         s.domain(DomainId::Core1) =
-            makeDomain(core_part * 0.5, vcore_gfx, flOther, q.ar,
+            makeDomain(core_part * 0.5, vcore_gfx, flOther,
                        thermal, fcore_gfx);
         Frequency fgfx = gfxBaseFrequency(q.tdp);
         Voltage vgfx = _gfxVf.voltageAt(fgfx);
         Voltage vllc =
             std::max(vcore_gfx, vgfx * graphicsLlcGfxVoltageRatio);
         s.domain(DomainId::LLC) =
-            makeDomain(llc_nom, vllc, flOther, q.ar, thermal,
+            makeDomain(llc_nom, vllc, flOther, thermal,
                        Frequency());
         s.domain(DomainId::GFX) =
-            makeDomain(gfxNominal(q.tdp), vgfx, flGfx, q.ar, thermal,
+            makeDomain(gfxNominal(q.tdp), vgfx, flGfx, thermal,
                        fgfx);
         break;
       }
@@ -283,12 +285,11 @@ OperatingPointModel::buildActive(const Query &q) const
 
     s.domain(DomainId::SA) =
         makeDomain(watts(saActivePowerW), volts(saVoltageV), flOther,
-                   uncoreAr, thermal, Frequency());
+                   thermal, Frequency());
     s.domain(DomainId::IO) =
         makeDomain(watts(ioActivePowerW), volts(ioVoltageV), flOther,
-                   uncoreAr, thermal, Frequency());
-    // SA/IO power does not scale with the workload's AR (Sec. 6);
-    // makeDomain already used the fixed uncore AR.
+                   thermal, Frequency());
+    // SA/IO power does not scale with the workload's AR (Sec. 6).
 
     if (q.freqMultiplier != 1.0) {
         if (q.type == WorkloadType::Graphics) {
@@ -344,8 +345,7 @@ OperatingPointModel::buildCState(const Query &q) const
             s.domain(id).active = false;
             return;
         }
-        s.domain(id) = makeDomain(watts(power_w), v, fl, cstateAr,
-                                  thermal, f);
+        s.domain(id) = makeDomain(watts(power_w), v, fl, thermal, f);
     };
 
     fill(DomainId::Core0, loads.coresW * 0.5, vcore_min, flOther, fmin);

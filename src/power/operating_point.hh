@@ -62,6 +62,13 @@ class OperatingPointModel
     /** Construct the full platform snapshot for a query. */
     PlatformState build(const Query &q) const;
 
+    /**
+     * The checks build() runs before it builds: TDP range, frequency
+     * multiplier and, for C0, the AR. A caller that reuses one built
+     * state for queries differing only in AR still checks each.
+     */
+    void validate(const Query &q) const;
+
     /** Baseline core frequency sustained at this TDP (CPU loads). */
     Frequency coreBaseFrequency(Power tdp) const;
 
@@ -89,10 +96,10 @@ class OperatingPointModel
     static Power maxTdp() { return watts(50.0); }
 
   private:
-    /** Fill one compute-domain state with AR/temperature scaling. */
+    /** Fill one domain state with temperature scaling. */
     DomainState makeDomain(Power base_power, Voltage voltage,
-                           double leak_fraction, double ar,
-                           double thermal_scale, Frequency freq) const;
+                           double leak_fraction, double thermal_scale,
+                           Frequency freq) const;
 
     /** Rescale a domain for a compute-clock multiplier. */
     void scaleFrequency(DomainState &d, const VfCurve &vf,

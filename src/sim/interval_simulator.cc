@@ -28,6 +28,77 @@ probePhase(SignalProbe *probe, uint64_t phase, Time start,
     probe->samplePhase(f);
 }
 
+constexpr size_t workloadTypes = nameTable<WorkloadType>.rows.size();
+
+/** Classes of stateFor queries that differ only in AR: one per
+ * workload type in C0, then one per other C-state. */
+constexpr size_t demandClasses =
+    workloadTypes + nameTable<PackageCState>.rows.size() - 1;
+
+/** A query's class (C-states ignore the workload type). */
+size_t
+demandClass(const OperatingPointModel::Query &q)
+{
+    return q.cstate == PackageCState::C0
+               ? static_cast<size_t>(q.type)
+               : workloadTypes + static_cast<size_t>(q.cstate) - 1;
+}
+
+/**
+ * One run's rail demands, one per class of its stateFor queries. A
+ * query's platform state differs from its class's only in the AR
+ * (C-states ignore the workload type and pin their own AR), and the
+ * AR reaches a PDN only at delivery, so each class builds one state
+ * and one demand on first use, and each unique state delivers that
+ * demand at its own AR.
+ */
+class DemandTable
+{
+  public:
+    /** A unique state's class demand and the AR it delivers at. */
+    struct Delivery
+    {
+        const PdnDemand *demand = nullptr;
+        double ar = 0.0;
+    };
+
+    DemandTable(const OperatingPointModel &opm, const PdnModel &pdn)
+        : _opm(opm), _pdn(pdn)
+    {}
+
+    /**
+     * The delivery of one query. It runs build()'s checks first, so
+     * every unique state is checked — its C0 AR too — as if it were
+     * built.
+     */
+    Delivery
+    lookup(const OperatingPointModel::Query &q)
+    {
+        _opm.validate(q);
+        Class &c = _classes[demandClass(q)];
+        if (!c.built) {
+            PlatformState state = _opm.build(q);
+            c.demand = _pdn.demand(state);
+            c.pinnedAr = state.ar;
+            c.built = true;
+        }
+        return {&c.demand,
+                q.cstate == PackageCState::C0 ? q.ar : c.pinnedAr};
+    }
+
+  private:
+    struct Class
+    {
+        bool built = false;
+        double pinnedAr = 0.0; ///< a C-state's own AR
+        PdnDemand demand;
+    };
+
+    const OperatingPointModel &_opm;
+    const PdnModel &_pdn;
+    std::array<Class, demandClasses> _classes{};
+};
+
 } // namespace
 
 IntervalSimulator::IntervalSimulator(const OperatingPointModel &opm,
@@ -38,15 +109,21 @@ IntervalSimulator::IntervalSimulator(const OperatingPointModel &opm,
         fatal("IntervalSimulator: non-positive tick");
 }
 
-PlatformState
-IntervalSimulator::stateFor(const TracePhase &phase) const
+OperatingPointModel::Query
+IntervalSimulator::queryFor(const TracePhase &phase) const
 {
     OperatingPointModel::Query q;
     q.tdp = _tdp;
     q.cstate = phase.cstate;
     q.type = phase.type;
     q.ar = canonicalActivityRatio(phase.ar);
-    return _opm.build(q);
+    return q;
+}
+
+PlatformState
+IntervalSimulator::stateFor(const TracePhase &phase) const
+{
+    return _opm.build(queryFor(phase));
 }
 
 SimResult
@@ -55,12 +132,14 @@ IntervalSimulator::run(const PhaseSoA &soa, const PdnModel &pdn,
 {
     metricAdd(Metric::SimRunsStatic);
 
-    // One pass of operating-point + ETEE math over the unique
-    // states.
+    // One delivery per unique state, from its class's demand.
     const std::vector<TracePhase> &unique = soa.uniquePhases();
     std::vector<EteeResult> etee(unique.size());
-    for (size_t u = 0; u < unique.size(); ++u)
-        etee[u] = pdn.evaluate(stateFor(unique[u]));
+    DemandTable demands(_opm, pdn);
+    for (size_t u = 0; u < unique.size(); ++u) {
+        DemandTable::Delivery d = demands.lookup(queryFor(unique[u]));
+        etee[u] = pdn.deliver(*d.demand, d.ar);
+    }
 
     // Dense accumulation over the per-phase arrays, in trace order.
     SimResult result;
@@ -88,8 +167,11 @@ IntervalSimulator::runOracle(const PhaseSoA &soa,
     const std::vector<TracePhase> &unique = soa.uniquePhases();
     std::vector<HybridMode> modes(unique.size());
     std::vector<EteeResult> etee(unique.size());
-    for (size_t u = 0; u < unique.size(); ++u)
-        modes[u] = pdn.bestMode(stateFor(unique[u]), &etee[u]);
+    DemandTable demands(_opm, pdn);
+    for (size_t u = 0; u < unique.size(); ++u) {
+        DemandTable::Delivery d = demands.lookup(queryFor(unique[u]));
+        modes[u] = pdn.bestMode(*d.demand, d.ar, &etee[u]);
+    }
 
     SimResult result;
     const std::vector<Time> &durations = soa.durations();
@@ -135,11 +217,12 @@ IntervalSimulator::run(const PhaseSoA &soa, const FlexWattsPdn &pdn,
 
     // Per-(unique state, mode) evaluation cache: every phase of a
     // unique state runs in the same platform state, so at most 2
-    // evaluations per unique state are ever needed regardless of
+    // deliveries per unique state are ever needed regardless of
     // tick resolution or how often the trace revisits the state.
+    // A state is looked up (and checked) on its first evaluation.
     struct StateEval
     {
-        PlatformState state;
+        DemandTable::Delivery delivery;
         std::array<bool, 2> valid{};
         std::array<EteeResult, 2> etee;
     };
@@ -147,6 +230,7 @@ IntervalSimulator::run(const PhaseSoA &soa, const FlexWattsPdn &pdn,
     const std::vector<Time> &durations = soa.durations();
     const std::vector<uint32_t> &index = soa.uniqueIndex();
     std::vector<StateEval> cache(unique.size());
+    DemandTable demands(_opm, pdn);
 
     auto evaluate = [&](uint32_t u, HybridMode mode)
         -> const EteeResult & {
@@ -154,8 +238,9 @@ IntervalSimulator::run(const PhaseSoA &soa, const FlexWattsPdn &pdn,
         size_t m = static_cast<size_t>(mode);
         if (!se.valid[m]) {
             if (!se.valid[0] && !se.valid[1])
-                se.state = stateFor(unique[u]);
-            se.etee[m] = pdn.evaluate(se.state, mode);
+                se.delivery = demands.lookup(queryFor(unique[u]));
+            se.etee[m] = pdn.deliver(*se.delivery.demand,
+                                     se.delivery.ar, mode);
             se.valid[m] = true;
         }
         return se.etee[m];

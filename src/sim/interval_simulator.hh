@@ -33,8 +33,12 @@ class SignalProbe;
  *
  * One kernel per simulation mode — static, oracle, PMU — and every
  * one takes a PhaseSoA (workload/phase_soa.hh); a PhaseTrace
- * converts implicitly. PDN evaluations happen once per unique state
- * (and mode), never once per phase, and energy accumulates over the
+ * converts implicitly. A PDN evaluation splits into an AR-free
+ * demand and an AR-dependent delivery (pdn/pdn_model.hh). Each
+ * kernel builds one platform state and one demand per class of
+ * phases that differ only in AR — (C-state, workload type) for C0,
+ * the C-state alone otherwise — and delivers once per unique state
+ * (and mode), never once per phase. Energy accumulates over the
  * SoA's dense per-phase arrays. campaign/campaign_engine.hh's
  * simulateCell() is the one place that picks the kernel a (PDN,
  * mode) pair runs.
@@ -86,11 +90,16 @@ class IntervalSimulator
      * built from the phase's canonical AR (canonicalActivityRatio)
      * so -0.0/+0.0 and NaN-payload variants of one phase evaluate
      * identically. Every run method resolves phases through this
-     * one helper.
+     * helper's query: a run builds the state of one phase per
+     * (C-state, workload type) class and delivers each phase's
+     * class demand at the phase's own AR, which matches this state
+     * bit for bit.
      */
     PlatformState stateFor(const TracePhase &phase) const;
 
   private:
+    /** The operating-point query stateFor builds. */
+    OperatingPointModel::Query queryFor(const TracePhase &phase) const;
 
     const OperatingPointModel &_opm;
     Power _tdp;

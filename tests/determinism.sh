@@ -11,6 +11,11 @@
 #                   threads)
 #   shard_concat    --shard 1/2 and 2/2 at 8 threads, concatenated,
 #                   vs the unsharded serial run
+#   probe_csv       --probe-out leaves the CSV unchanged: the serial
+#                   run without it vs runs with it at 1 and 8 threads
+#   probe_threads   the --probe-out waveform directory at 1 vs 8
+#                   threads, file for file and byte for byte, and
+#                   holding at least one waveform CSV
 #
 # pdnspot_fleet variants (a spec named gen.py is perfbench's
 # generator: the row runs its seed-1 fleet_mixed spec; a spec path
@@ -90,6 +95,30 @@ case "$variant" in
     run_tool --threads 8 --shard 2/2 -o "$tmp/shard2.csv"
     cat "$tmp/shard1.csv" "$tmp/shard2.csv" >"$tmp/concat.csv"
     same "$tmp/full.csv" "$tmp/concat.csv"
+    ;;
+  probe_csv)
+    run_tool --threads 1 -o "$tmp/plain.csv"
+    for threads in 1 8; do
+        run_tool --threads $threads -o "$tmp/probed$threads.csv" \
+            --probe-out "$tmp/probes$threads"
+        same "$tmp/plain.csv" "$tmp/probed$threads.csv"
+    done
+    ;;
+  probe_threads)
+    for threads in 1 8; do
+        run_tool --threads $threads -o /dev/null \
+            --probe-out "$tmp/probes$threads"
+    done
+    diff -rq "$tmp/probes1" "$tmp/probes8" >&2 || {
+        echo "determinism: $(basename "$spec") $variant: waveform" \
+            "directories differ at 1 vs 8 threads" >&2
+        exit 1
+    }
+    if ! ls "$tmp/probes1"/*.csv >/dev/null 2>&1; then
+        echo "determinism: $(basename "$spec") $variant: no waveform" \
+            "CSV written" >&2
+        exit 1
+    fi
     ;;
   fleet_threads)
     threads="${4:-8}"

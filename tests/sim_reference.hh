@@ -1,22 +1,28 @@
 /**
  * @file
- * Phase-by-phase reference loops for the static and oracle
+ * Phase-by-phase reference loops for the static, oracle and PMU
  * IntervalSimulator kernels.
  *
- * The kernels evaluate each unique state of a PhaseSoA once and
+ * The kernels build one rail demand per (C-state, workload type)
+ * class, deliver it once per unique state of a PhaseSoA and
  * accumulate over its per-phase arrays. These references do the
- * obvious thing instead — resolve and evaluate every phase of the
- * PhaseTrace in turn — and feed the probe the same frames, so tests
- * can pin the kernels' results and waveforms bit for bit against an
- * independent loop.
+ * obvious thing instead — build and evaluate the full platform state
+ * of every phase (every tick, on the PMU path) of the PhaseTrace in
+ * turn — and feed the probe the same frames, so tests can pin the
+ * kernels' results and waveforms bit for bit against an independent
+ * loop.
  */
 
 #ifndef PDNSPOT_TESTS_SIM_REFERENCE_HH
 #define PDNSPOT_TESTS_SIM_REFERENCE_HH
 
+#include <algorithm>
+#include <cstdint>
+
 #include "flexwatts/flexwatts_pdn.hh"
 #include "obs/probe.hh"
 #include "pdn/pdn_model.hh"
+#include "pmu/pmu.hh"
 #include "sim/interval_simulator.hh"
 #include "sim/sim_stats.hh"
 #include "workload/trace.hh"
@@ -81,6 +87,55 @@ oracleRun(const IntervalSimulator &sim, const PhaseTrace &trace,
         result.modeResidency[static_cast<size_t>(mode)] +=
             phase.duration;
     }
+    return result;
+}
+
+/**
+ * PMU run at tick `tick` (the simulator's own): the kernel's tick
+ * loop, with the platform state built and the PDN evaluated afresh
+ * on every tick that draws workload power. The PMU sees each phase
+ * with its canonical AR, as the kernel's unique-state representative
+ * shows it.
+ */
+inline SimResult
+pmuRun(const IntervalSimulator &sim, const PhaseTrace &trace,
+       const FlexWattsPdn &pdn, Pmu &pmu, Time tick)
+{
+    SimResult result;
+    Time now;
+    for (const TracePhase &raw : trace.phases()) {
+        TracePhase phase = raw;
+        phase.ar = canonicalActivityRatio(raw.ar);
+        Time phase_start = now;
+        Time phase_end = now + raw.duration;
+        for (uint64_t k = 0; now < phase_end; ++k) {
+            Time next = std::min(
+                phase_start + tick * static_cast<double>(k + 1),
+                phase_end);
+            Time step = next - now;
+            pmu.advanceTo(now, phase);
+            HybridMode mode = pmu.configuredMode();
+            Time work = step;
+            if (pmu.switching(now)) {
+                Time overlap = std::min(
+                    step, pmu.switchFlow().busyUntil() - now);
+                result.supplyEnergy +=
+                    pmu.switchFlow().params().flowPower * overlap;
+                work = step - overlap;
+            }
+            if (work > seconds(0.0)) {
+                EteeResult e = pdn.evaluate(sim.stateFor(raw), mode);
+                result.supplyEnergy += e.inputPower * work;
+                result.nominalEnergy += e.nominalPower * work;
+            }
+            result.modeResidency[static_cast<size_t>(mode)] += step;
+            now = next;
+        }
+    }
+    result.duration = now;
+    result.modeSwitches = pmu.switchFlow().switchCount();
+    result.switchOverheadTime = pmu.switchFlow().totalOverheadTime();
+    result.switchOverheadEnergy = pmu.switchFlow().totalOverheadEnergy();
     return result;
 }
 

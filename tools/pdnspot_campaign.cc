@@ -55,10 +55,10 @@
  *
  * None of the observability flags perturb results: the campaign CSV
  * is byte-identical with and without --report/--trace-events/
- * --progress/--probe-out (check.sh verifies this at 1 and 8
- * threads), and the probe outputs themselves are byte-identical at
- * any thread count (cells are delivered in canonical order and all
- * probe timestamps are simulated time).
+ * --progress/--probe-out (check.sh and the determinism ctest rows
+ * verify this at 1 and 8 threads), and the probe outputs themselves
+ * are byte-identical at any thread count (cells are delivered in
+ * canonical order and all probe timestamps are simulated time).
  */
 
 #include <filesystem>
