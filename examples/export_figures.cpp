@@ -1,11 +1,14 @@
 /**
  * @file
- * Export the paper's figure data as CSV files for plotting.
+ * Export the paper's tables and figure data.
  *
- * Writes one CSV per figure panel into the given directory (default
- * "figures/"): ETEE-vs-AR panels (Fig. 4a-i axes), ETEE-vs-TDP
- * crossover curves, the C-state ladder (Fig. 4j), and the normalized
- * BOM/area series (Fig. 8d/8e).
+ * Writes into the given directory (default "figures/") one CSV per
+ * figure panel for plotting: ETEE-vs-AR panels (Fig. 4a-i axes),
+ * ETEE-vs-TDP crossover curves, the C-state ladder (Fig. 4j), and
+ * the normalized BOM/area series (Fig. 8d/8e). Next to them, every
+ * table of pdnspot/figures.hh (Tables 1-2, Figs. 2-8, Sec. 6 and the
+ * extension studies) as <name>.txt, the text tests/golden/figures/
+ * pins.
  *
  * Usage: export_figures [output_dir]
  */
@@ -16,6 +19,7 @@
 #include <string>
 
 #include "pdnspot/experiments.hh"
+#include "pdnspot/figures.hh"
 #include "pdnspot/sweep.hh"
 
 using namespace pdnspot;
@@ -23,14 +27,22 @@ using namespace pdnspot;
 namespace
 {
 
+/** Write one output file through `write`, then report it. */
+template <class Write>
 void
-writeFile(const std::filesystem::path &path, const SweepResult &r)
+writeFile(const std::filesystem::path &path, Write write)
 {
     std::ofstream os(path);
     if (!os)
         throw std::runtime_error("cannot open " + path.string());
-    r.writeCsv(os);
+    write(os);
     std::cout << "wrote " << path.string() << "\n";
+}
+
+void
+writeFile(const std::filesystem::path &path, const SweepResult &r)
+{
+    writeFile(path, [&](std::ostream &os) { r.writeCsv(os); });
 }
 
 } // anonymous namespace
@@ -84,6 +96,14 @@ main(int argc, char **argv)
               engine.bomVsTdp(eval_tdps, all));
     writeFile(dir / "fig8e_area_vs_tdp.csv",
               engine.areaVsTdp(eval_tdps, all));
+
+    // Tables 1-2, Figs. 2-8, Sec. 6 and the extension studies as text.
+    for (const Figure &figure : paperFigures()) {
+        writeFile(dir / (std::string(figure.name) + ".txt"),
+                  [&](std::ostream &os) {
+                      figure.print(os, platform, pool);
+                  });
+    }
 
     std::cout << "done.\n";
     return 0;

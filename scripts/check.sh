@@ -136,16 +136,13 @@ echo "check.sh: launcher + archive smoke green" \
     2>"$build_dir/fleet_summary.txt"
 echo "check.sh: fleet summary + aggregates in $build_dir"
 
-# Second pass: the whole test suite under ASan+UBSan. The bench
-# binaries' figure-only tests already ran above, so skip them here to
-# halve the sanitized build.
+# Second pass: the whole test suite under ASan+UBSan.
 asan_dir="${build_dir}-asan"
 
 cmake -B "$asan_dir" -S . "${generator[@]}" \
     -DPDNSPOT_WARNINGS=ON \
     -DPDNSPOT_WERROR=ON \
-    -DPDNSPOT_SANITIZE=ON \
-    -DPDNSPOT_BUILD_BENCH=OFF
+    -DPDNSPOT_SANITIZE=ON
 
 cmake --build "$asan_dir" -j "$(nproc)"
 

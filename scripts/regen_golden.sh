@@ -2,7 +2,8 @@
 # Regenerate the golden files under tests/golden/ from the current
 # build's output. Run this when an intentional change moves one of
 # the byte-stable surfaces (campaign CSV export, trace CSV write,
-# summary tables, run report, probe waveforms), then review the diff
+# summary tables, run report, probe waveforms, the paper figure
+# tables under tests/golden/figures/), then review the diff
 # before committing — a golden update is a contract change for
 # downstream tooling.
 #

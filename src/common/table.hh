@@ -1,10 +1,10 @@
 /**
  * @file
- * Plain-text table and CSV emitters for benchmark/report output.
+ * Plain-text table and CSV emitters for figure/report output.
  *
- * Every bench binary in this repo regenerates one of the paper's tables
- * or figures as rows of numbers; AsciiTable renders them aligned for the
- * console and CsvWriter dumps the same rows for plotting.
+ * Each paper figure (pdnspot/figures.hh) is rows of numbers;
+ * AsciiTable renders them aligned as text and CsvWriter dumps the
+ * same rows for plotting.
  */
 
 #ifndef PDNSPOT_COMMON_TABLE_HH

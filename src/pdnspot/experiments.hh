@@ -2,8 +2,9 @@
  * @file
  * Canned experiment computations behind the paper's tables/figures.
  *
- * Shared by the bench binaries and the integration tests so the
- * numbers reported and the numbers asserted are the same code path.
+ * Shared by the paper figures (pdnspot/figures.hh) and the
+ * integration tests so the numbers reported and the numbers asserted
+ * are the same code path.
  */
 
 #ifndef PDNSPOT_PDNSPOT_EXPERIMENTS_HH

@@ -5,9 +5,9 @@
  *
  * Produces named series of ETEE (or any per-PDN metric) against a
  * swept axis (AR, TDP, or package power state) for any subset of the
- * PDN architectures, and exports them as CSV for plotting. The bench
- * binaries print tables; this API is for downstream users who want
- * the raw series.
+ * PDN architectures, and exports them as CSV for plotting. The paper
+ * figures (pdnspot/figures.hh) print tables; this API is for
+ * downstream users who want the raw series.
  */
 
 #ifndef PDNSPOT_PDNSPOT_SWEEP_HH

@@ -6,9 +6,9 @@
  * the TDP baseline. This solver answers the exact question instead:
  * the highest compute clock a PDN can sustain such that the total
  * supply power stays within the TDP (the paper's Sec. 3.4 assumption
- * that processor and off-chip VRs share one thermal budget). It is
- * used by the ablation bench to quantify how much the linearization
- * flatters or understates each PDN.
+ * that processor and off-chip VRs share one thermal budget). The
+ * ablation figure (pdnspot/figures.hh) uses it to quantify how much
+ * the linearization flatters or understates each PDN.
  */
 
 #ifndef PDNSPOT_PERF_BUDGET_SOLVER_HH

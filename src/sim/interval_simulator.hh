@@ -80,7 +80,7 @@ class IntervalSimulator
     /**
      * Simulate FlexWatts with an oracle that knows each phase's best
      * mode instantly and switches for free. Upper bound used by the
-     * predictor-ablation bench.
+     * predictor-ablation figure.
      */
     SimResult runOracle(const PhaseSoA &soa, const FlexWattsPdn &pdn,
                         SignalProbe *probe = nullptr) const;

@@ -6,7 +6,7 @@
  * traces fed into one campaign must carry unique, CSV-safe names.
  * TraceLibrary enforces that at insertion time; standardCampaignTraces
  * packages the synthetic corpus (generator traces + the four
- * battery-life profiles) used by the example studies and benches.
+ * battery-life profiles) used by the example studies.
  */
 
 #ifndef PDNSPOT_WORKLOAD_TRACE_LIBRARY_HH

@@ -236,24 +236,18 @@ EOF
     ;;
   probe_out_waveforms)
     # --probe-out exports one waveform CSV per probed cell plus the
-    # Perfetto counter-track document, byte-identical at 1 and 8
-    # threads, without perturbing the campaign CSV.
-    run 0 "$spec_dir/paper_campaign.json" -o "$tmp/a.csv" \
-        --threads 1 --probe-out "$tmp/probes1"
+    # Perfetto counter-track document. The determinism rows
+    # paper_campaign.probe_csv and .probe_threads check that it leaves
+    # the CSV unchanged and writes the same bytes at 1 and 8 threads.
+    run 0 "$spec_dir/paper_campaign.json" -o /dev/null \
+        --threads 1 --probe-out "$tmp/probes"
     expect_err "wrote 4 waveforms"
-    run 0 "$spec_dir/paper_campaign.json" -o "$tmp/b.csv" \
-        --threads 8 --probe-out "$tmp/probes8"
-    ls "$tmp/probes1"/*.csv >/dev/null 2>&1 \
+    ls "$tmp/probes"/*.csv >/dev/null 2>&1 \
         || fail "--probe-out produced no waveform CSVs"
-    [ -s "$tmp/probes1/counters.json" ] \
+    [ -s "$tmp/probes/counters.json" ] \
         || fail "--probe-out produced no counters.json"
-    grep -qF '"ph": "C"' "$tmp/probes1/counters.json" \
+    grep -qF '"ph": "C"' "$tmp/probes/counters.json" \
         || fail "counters.json carries no counter events"
-    diff -r "$tmp/probes1" "$tmp/probes8" >/dev/null \
-        || fail "probe outputs differ between 1 and 8 threads"
-    run 0 "$spec_dir/paper_campaign.json" -o "$tmp/c.csv"
-    cmp -s "$tmp/a.csv" "$tmp/c.csv" \
-        || fail "--probe-out perturbed the campaign CSV"
     ;;
   probe_out_no_probes)
     # A spec with no probes section gets a warning, not an error.

@@ -1,7 +1,8 @@
 /**
  * @file
  * The golden-file check shared by every suite that pins a byte-stable
- * surface against tests/golden/ (test_golden, test_fleet).
+ * surface against tests/golden/ (test_golden, test_fleet,
+ * test_figures).
  *
  * Running with PDNSPOT_REGEN_GOLDEN=1 in the environment rewrites
  * the golden files from the current output instead of comparing

@@ -251,6 +251,17 @@ TEST_F(ProbeSimTest, ProbeNeverPerturbsResults)
     EXPECT_EQ(sim.run(trace, platform.pdn(PdnKind::MBVR)),
               sim.run(trace, platform.pdn(PdnKind::MBVR), &staticProbe));
 
+    // A random mix on the static IVR PDN, entered both as a
+    // PhaseTrace and as a prebuilt PhaseSoA.
+    PhaseTrace mix = TraceGenerator(7).randomMix(64, milliseconds(5.0));
+    PhaseSoA soa(mix);
+    const PdnModel &ivr = platform.pdn(PdnKind::IVR);
+    SignalProbe traceProbe(spec, watts(15.0));
+    EXPECT_EQ(sim.run(mix, ivr), sim.run(mix, ivr, &traceProbe));
+    SignalProbe soaProbe(spec, watts(15.0));
+    EXPECT_EQ(sim.run(soa, ivr), sim.run(soa, ivr, &soaProbe));
+    EXPECT_EQ(traceProbe.take().rows.size(), mix.phases().size());
+
     PmuConfig cfg;
     cfg.tdp = watts(15.0);
     Pmu bare(cfg, platform.predictor());
