@@ -1,29 +1,21 @@
 #include "flexwatts/flexwatts_pdn.hh"
 
-#include <span>
-
 namespace pdnspot
 {
 
 namespace
 {
 
-static_assert(ImbvrPdn::railCount + LdoPdn::railCount <=
-              PdnDemand::maxRails);
-
-/** IVR-Mode's rails in a FlexWatts demand. */
-auto
-ivrRails(auto &rails)
+/** LDO-Mode's table, its rails after IVR-Mode's in a demand. */
+RailTable
+ldoModeTable(const FlexWattsParams &p)
 {
-    return std::span(rails).template first<ImbvrPdn::railCount>();
-}
-
-/** LDO-Mode's rails in a FlexWatts demand, after IVR-Mode's. */
-auto
-ldoRails(auto &rails)
-{
-    return std::span(rails)
-        .template subspan<ImbvrPdn::railCount, LdoPdn::railCount>();
+    RailTable t = ldoRailTable({.tob = p.tobLdoMode,
+                                .rllIn = p.rllInLdoMode,
+                                .rllSa = p.rllSa,
+                                .rllIo = p.rllIo});
+    t.firstRail = 3; // after IVR-Mode's V_IN, V_SA and V_IO
+    return t;
 }
 
 } // anonymous namespace
@@ -32,22 +24,20 @@ FlexWattsPdn::FlexWattsPdn(PdnPlatformParams platform,
                            FlexWattsParams params)
     : PdnModel(platform),
       _params(params),
-      _ivrMode(platform, ImbvrParams{.tob = params.tobIvrMode,
-                                     .rllIn = params.rllInIvrMode,
-                                     .rllSa = params.rllSa,
-                                     .rllIo = params.rllIo}),
-      _ldoMode(platform, LdoPdnParams{.tob = params.tobLdoMode,
-                                      .rllIn = params.rllInLdoMode,
-                                      .rllSa = params.rllSa,
-                                      .rllIo = params.rllIo})
+      _ivrMode(imbvrRailTable({.tob = params.tobIvrMode,
+                               .rllIn = params.rllInIvrMode,
+                               .rllSa = params.rllSa,
+                               .rllIo = params.rllIo}),
+               platform),
+      _ldoMode(ldoModeTable(params), platform)
 {}
 
 PdnDemand
 FlexWattsPdn::demand(const PlatformState &state) const
 {
     PdnDemand d;
-    _ivrMode.demandInto(state, ivrRails(d.rails));
-    _ldoMode.demandInto(state, ldoRails(d.rails));
+    _ivrMode.demand(state, d);
+    _ldoMode.demand(state, d);
     return d;
 }
 
@@ -55,9 +45,8 @@ EteeResult
 FlexWattsPdn::deliver(const PdnDemand &d, double ar,
                       HybridMode mode) const
 {
-    return mode == HybridMode::IvrMode
-               ? _ivrMode.deliverFrom(ivrRails(d.rails), ar)
-               : _ldoMode.deliverFrom(ldoRails(d.rails), ar);
+    return mode == HybridMode::IvrMode ? _ivrMode.deliver(d, ar)
+                                       : _ldoMode.deliver(d, ar);
 }
 
 EteeResult

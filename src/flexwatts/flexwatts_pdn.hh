@@ -7,9 +7,10 @@
  * buck second stage) or as an LDO chain (V_IN at the max compute
  * voltage, on-die LDO second stage); SA and IO get dedicated one-stage
  * off-chip VRs behind power gates. In each mode the whole PDN is
- * therefore an existing topology: IVR-Mode is the I+MBVR PDN and
- * LDO-Mode the LDO PDN. FlexWattsPdn composes one of each and adds
- * the mode choice. Resource sharing between the two modes slightly
+ * therefore an existing topology, so FlexWattsPdn is two rail tables
+ * (pdn/rail_table.hh) plus the mode choice: IVR-Mode runs the I+MBVR
+ * table over rails 0-2 of its PdnDemand and LDO-Mode the LDO table
+ * over rails 3-5. Resource sharing between the two modes slightly
  * raises the compute load-line relative to the pure IVR (1.1 vs
  * 1.0 mOhm) and pure LDO (1.4 vs 1.25 mOhm) PDNs, which is why
  * FlexWatts trails the per-TDP best static PDN by <1% (Sec. 7).
@@ -26,9 +27,8 @@
 #include <vector>
 
 #include "flexwatts/hybrid_mode.hh"
-#include "pdn/imbvr_pdn.hh"
-#include "pdn/ldo_pdn.hh"
 #include "pdn/pdn_model.hh"
+#include "pdn/rail_table.hh"
 
 namespace pdnspot
 {
@@ -45,9 +45,9 @@ struct FlexWattsParams
 };
 
 /**
- * The hybrid adaptive PDN: an I+MBVR model for IVR-Mode and an LDO
- * model for LDO-Mode, both at FlexWatts' shared-resource TOBs and
- * load-lines, plus the choice between them.
+ * The hybrid adaptive PDN: an I+MBVR rail table for IVR-Mode and an
+ * LDO rail table for LDO-Mode, both at FlexWatts' shared-resource TOBs
+ * and load-lines, plus the choice between them.
  */
 class FlexWattsPdn : public PdnModel
 {
@@ -104,8 +104,8 @@ class FlexWattsPdn : public PdnModel
 
   private:
     FlexWattsParams _params;
-    ImbvrPdn _ivrMode;
-    LdoPdn _ldoMode;
+    RailTablePdn _ivrMode; ///< rails 0-2 of a FlexWatts demand
+    RailTablePdn _ldoMode; ///< rails 3-5
 };
 
 } // namespace pdnspot

@@ -2,10 +2,7 @@
 
 #include "common/logging.hh"
 #include "flexwatts/flexwatts_pdn.hh"
-#include "pdn/imbvr_pdn.hh"
-#include "pdn/ivr_pdn.hh"
-#include "pdn/ldo_pdn.hh"
-#include "pdn/mbvr_pdn.hh"
+#include "pdn/rail_table.hh"
 
 namespace pdnspot
 {
@@ -15,13 +12,13 @@ makePdn(PdnKind kind, PdnPlatformParams platform)
 {
     switch (kind) {
       case PdnKind::IVR:
-        return std::make_unique<IvrPdn>(platform);
+        return std::make_unique<RailTablePdn>(ivrRailTable(), platform);
       case PdnKind::MBVR:
-        return std::make_unique<MbvrPdn>(platform);
+        return std::make_unique<RailTablePdn>(mbvrRailTable(), platform);
       case PdnKind::LDO:
-        return std::make_unique<LdoPdn>(platform);
+        return std::make_unique<RailTablePdn>(ldoRailTable(), platform);
       case PdnKind::IplusMBVR:
-        return std::make_unique<ImbvrPdn>(platform);
+        return std::make_unique<RailTablePdn>(imbvrRailTable(), platform);
       case PdnKind::FlexWatts:
         return std::make_unique<FlexWattsPdn>(platform);
     }

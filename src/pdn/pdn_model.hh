@@ -6,8 +6,9 @@
  * PlatformState to an EteeResult by walking the paper's Sec. 3.1
  * pipeline: nominal power -> tolerance-band guardband (Eq. 2) ->
  * power-gate drop -> on-die VR -> load-line (Eq. 3/4) -> board VR
- * conversion losses -> supply power. The shared pipeline lives in
- * pdn/rail_chains.hh.
+ * conversion losses -> supply power. The pipeline's stages live in
+ * pdn/rail_chains.hh; the static topologies are rail tables run by
+ * RailTablePdn (pdn/rail_table.hh).
  *
  * The pipeline splits at the load-line. Everything before it is the
  * AR-free demand (PdnModel::demand); the load-line and the board VRs

@@ -77,8 +77,7 @@ guardbandedDraw(const ChainContext &ctx, const DomainState &d,
 
 RailDemand
 demandSharedBoardRail(const ChainContext &ctx, const PlatformState &state,
-                      std::span<const DomainId> domains, Voltage tob,
-                      bool gated)
+                      std::span<const DomainId> domains, Voltage tob)
 {
     RailDemand rd;
     ChainResult &r = rd.partial;
@@ -94,7 +93,7 @@ demandSharedBoardRail(const ChainContext &ctx, const PlatformState &state,
             ++inactive_count;
             continue;
         }
-        DomainDraw draw = guardbandedDraw(ctx, d, tob, gated);
+        DomainDraw draw = guardbandedDraw(ctx, d, tob, true);
         rail_v = std::max(rail_v, draw.supplyVoltage);
         active.push(id, draw);
     }
@@ -116,7 +115,7 @@ demandSharedBoardRail(const ChainContext &ctx, const PlatformState &state,
     }
 
     // Gated-off siblings leak through their gates while the rail is on.
-    if (gated && inactive_count > 0) {
+    if (inactive_count > 0) {
         Power leak = ctx.platform.gateOffLeakage *
                      static_cast<double>(inactive_count);
         pd += leak;
@@ -221,43 +220,10 @@ demandLdoChain(const ChainContext &ctx, const PlatformState &state,
     return rd;
 }
 
-ChainResult
-deliverRail(const ChainContext &ctx, const RailDemand &demand,
-            const BuckVr &board, const LoadLine &load_line, double ar)
-{
-    ChainResult r = demand.partial;
-    if (!r.railOn)
-        return r;
-    LoadLine::Result ll =
-        load_line.apply(demand.loadLineVoltage, demand.loadLinePower, ar);
-    r.conduction = ll.conductionExcess;
-    Power input = board.inputPower(ctx.platform.supplyVoltage, ll.vLL,
-                                   ll.pLL);
-    r.vrLoss += input - ll.pLL;
-    r.inputPower = input;
-    return r;
-}
-
-EteeResult
-groupResult(const ChainResult &compute, const ChainResult &uncore,
-            Resistance compute_load_line)
-{
-    EteeResult r;
-    r.nominalPower = compute.nominalPower + uncore.nominalPower;
-    r.inputPower = compute.inputPower + uncore.inputPower;
-    r.loss.vrLoss = compute.vrLoss + uncore.vrLoss;
-    r.loss.conductionCompute = compute.conduction;
-    r.loss.conductionUncore = uncore.conduction;
-    r.loss.other = compute.guardExcess + uncore.guardExcess;
-    r.chipInputCurrent = compute.chipCurrent + uncore.chipCurrent;
-    r.computeLoadLine = compute_load_line;
-    return r;
-}
-
 OffChipRail
 sizeSharedBoardRail(const ChainContext &ctx, const PlatformState &peak,
                     std::span<const DomainId> domains,
-                    const std::string &name, Voltage tob, bool gated)
+                    const std::string &name, Voltage tob)
 {
     Voltage rail_v;
     Power pd;
@@ -265,7 +231,7 @@ sizeSharedBoardRail(const ChainContext &ctx, const PlatformState &peak,
         const DomainState &d = peak.domain(id);
         if (!d.active)
             continue;
-        DomainDraw draw = guardbandedDraw(ctx, d, tob, gated);
+        DomainDraw draw = guardbandedDraw(ctx, d, tob, true);
         rail_v = std::max(rail_v, draw.supplyVoltage);
         pd += draw.power;
     }

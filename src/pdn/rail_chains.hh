@@ -1,21 +1,19 @@
 /**
  * @file
- * Reusable delivery-chain evaluators shared by the PDN topologies.
- *
- * Each of the paper's PDNs is a composition of three chain shapes:
+ * The per-stage functions every PDN topology is built from. Each
+ * row of a rail table (pdn/rail_table.hh) is one of three chain
+ * shapes, and RailTablePdn calls the matching function per row:
  *
  *  - a shared motherboard rail: one off-chip buck VR feeding one or
- *    more domains (possibly through power gates) at a common voltage
- *    (MBVR's V_Cores/V_GFX/V_SA/V_IO; the SA/IO rails of LDO and
- *    I+MBVR);
+ *    more domains through power gates at a common voltage (MBVR's
+ *    V_Cores/V_GFX/V_SA/V_IO; the SA/IO rails of LDO and I+MBVR);
  *  - an IVR chain: an off-chip V_IN VR at ~1.8 V feeding per-domain
  *    integrated buck converters (IVR PDN; compute side of I+MBVR);
  *  - an LDO chain: an off-chip V_IN VR at the maximum domain voltage
  *    feeding per-domain LDOs in bypass/regulation (LDO PDN).
  *
- * The evaluators implement the paper's Eq. 2-12 pipeline once so all
- * topologies share it. FlexWatts calls none of them directly: it is
- * an I+MBVR model (IVR-Mode) and an LDO model (LDO-Mode).
+ * FlexWatts runs two of the tables (I+MBVR in IVR-Mode, LDO in
+ * LDO-Mode), so it reaches these functions through them.
  *
  * Each chain is evaluated in two halves. demand*() runs the AR-free
  * stages — Eq. 2 guardbands, power-gate drops, rail over-volt and the
@@ -67,16 +65,14 @@ DomainDraw guardbandedDraw(const ChainContext &ctx, const DomainState &d,
 
 /**
  * The demand of a shared motherboard rail: one off-chip buck, one
- * load-line, one or more domains at the rail's common voltage.
- *
- * @param gated true if domains sit behind on-chip power gates; gated
- *              domains that are inactive leak gateOffLeakage from the
- *              rail while any sibling keeps the rail on.
+ * load-line, one or more domains at the rail's common voltage. Every
+ * domain sits behind an on-chip power gate; inactive domains leak
+ * gateOffLeakage from the rail while any sibling keeps the rail on.
  */
 RailDemand demandSharedBoardRail(const ChainContext &ctx,
                                  const PlatformState &state,
                                  std::span<const DomainId> domains,
-                                 Voltage tob, bool gated);
+                                 Voltage tob);
 
 /**
  * The demand of the IVR chain: V_IN at ivrInputVoltage feeding one
@@ -104,26 +100,35 @@ RailDemand demandLdoChain(const ChainContext &ctx,
  * A rail demand delivered at activity ratio `ar`: the load-line
  * (Eq. 3/4, or 7/8 at V_IN) and the board VR feeding it (Eq. 5/9 and
  * the first term of Eq. 12). A rail that is off passes through.
+ * Inline because every delivery runs it once per rail: the caller
+ * then keeps only the fields it sums instead of a copied result.
  */
-ChainResult deliverRail(const ChainContext &ctx, const RailDemand &demand,
-                        const BuckVr &board, const LoadLine &load_line,
-                        double ar);
+inline ChainResult
+deliverRail(const ChainContext &ctx, const RailDemand &demand,
+            const BuckVr &board, const LoadLine &load_line, double ar)
+{
+    ChainResult r = demand.partial;
+    if (!r.railOn)
+        return r;
+    LoadLine::Result ll =
+        load_line.apply(demand.loadLineVoltage, demand.loadLinePower, ar);
+    r.conduction = ll.conductionExcess;
+    Power input = board.inputPower(ctx.platform.supplyVoltage, ll.vLL,
+                                   ll.pLL);
+    r.vrLoss += input - ll.pLL;
+    r.inputPower = input;
+    return r;
+}
 
 /**
- * The EteeResult of a PDN whose rails split into a compute group and
- * an uncore group: each group's conduction goes to its Fig. 5
- * category.
+ * Worst-case rail sizing for the BOM/area models: the peak state's
+ * guardbanded draw at AR = 1. Unlike the demand it adds no rail
+ * over-volt and no gate leakage (Fig. 8(d)/(e) pin that).
  */
-EteeResult groupResult(const ChainResult &compute,
-                       const ChainResult &uncore,
-                       Resistance compute_load_line);
-
-/** Worst-case rail sizing for the BOM/area models. */
 OffChipRail sizeSharedBoardRail(const ChainContext &ctx,
                                 const PlatformState &peak,
                                 std::span<const DomainId> domains,
-                                const std::string &name, Voltage tob,
-                                bool gated);
+                                const std::string &name, Voltage tob);
 
 OffChipRail sizeIvrInputRail(const ChainContext &ctx,
                              const PlatformState &peak,

@@ -8,9 +8,7 @@
 #include "common/table.hh"
 #include "flexwatts/flexwatts_pdn.hh"
 #include "flexwatts/mode_switch.hh"
-#include "pdn/ivr_pdn.hh"
-#include "pdn/ldo_pdn.hh"
-#include "pdn/mbvr_pdn.hh"
+#include "pdn/rail_table.hh"
 #include "pdn/transient.hh"
 #include "pdnspot/experiments.hh"
 #include "pdnspot/validation.hh"

@@ -12,13 +12,14 @@ Platform::Platform(PlatformConfig config)
       _solver(_opm),
       _costs(_opm)
 {
-    for (size_t i = 0; i < allPdnKinds.size(); ++i)
-        _pdns[i] = makePdn(allPdnKinds[i], config.pdnParams);
-
-    _flexwatts = dynamic_cast<const FlexWattsPdn *>(
-        &pdn(PdnKind::FlexWatts));
-    if (!_flexwatts)
-        panic("Platform: FlexWatts factory returned the wrong type");
+    auto flexwatts = std::make_unique<FlexWattsPdn>(config.pdnParams);
+    _flexwatts = flexwatts.get();
+    for (size_t i = 0; i < allPdnKinds.size(); ++i) {
+        if (allPdnKinds[i] == PdnKind::FlexWatts)
+            _pdns[i] = std::move(flexwatts);
+        else
+            _pdns[i] = makePdn(allPdnKinds[i], config.pdnParams);
+    }
 
     _eteeTable = std::make_unique<EteeTable>(*_flexwatts, _opm);
     _predictor = std::make_unique<ModePredictor>(

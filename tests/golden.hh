@@ -2,7 +2,7 @@
  * @file
  * The golden-file check shared by every suite that pins a byte-stable
  * surface against tests/golden/ (test_golden, test_fleet,
- * test_figures).
+ * test_figures, test_pdn_topologies).
  *
  * Running with PDNSPOT_REGEN_GOLDEN=1 in the environment rewrites
  * the golden files from the current output instead of comparing

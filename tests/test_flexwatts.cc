@@ -11,10 +11,7 @@
 #include "flexwatts/flexwatts_pdn.hh"
 #include "flexwatts/mode_predictor.hh"
 #include "flexwatts/mode_switch.hh"
-#include "pdn/imbvr_pdn.hh"
-#include "pdn/ivr_pdn.hh"
-#include "pdn/ldo_pdn.hh"
-#include "pdn/mbvr_pdn.hh"
+#include "pdn/rail_table.hh"
 #include "pdnspot/platform.hh"
 #include "power/operating_point.hh"
 
@@ -67,9 +64,9 @@ TEST_F(FlexWattsTest, TrailsBestStaticPdnByLessThanOnePercent)
 {
     // Sec. 7: FlexWatts performs within ~1% of the best static PDN at
     // every TDP (the resource-sharing load-line penalty).
-    IvrPdn ivr;
-    MbvrPdn mbvr;
-    LdoPdn ldo;
+    RailTablePdn ivr(ivrRailTable());
+    RailTablePdn mbvr(mbvrRailTable());
+    RailTablePdn ldo(ldoRailTable());
     for (double tdp : {4.0, 8.0, 10.0, 18.0, 25.0, 36.0, 50.0}) {
         PlatformState s = state(tdp);
         double best_static = std::max({ivr.evaluate(s).etee(),
@@ -84,7 +81,7 @@ TEST_F(FlexWattsTest, BeatsIvrAcrossTheBoard)
 {
     // The headline: FlexWatts never does worse than the
     // state-of-the-art IVR PDN, and is far better at low TDP.
-    IvrPdn ivr;
+    RailTablePdn ivr(ivrRailTable());
     for (double tdp : {4.0, 8.0, 10.0, 18.0, 25.0, 36.0, 50.0}) {
         PlatformState s = state(tdp);
         EXPECT_GE(fw.evaluate(s).etee() + 0.005,
@@ -92,7 +89,7 @@ TEST_F(FlexWattsTest, BeatsIvrAcrossTheBoard)
             << tdp;
     }
     EXPECT_GT(fw.evaluate(state(4.0)).etee(),
-              IvrPdn().evaluate(state(4.0)).etee() + 0.05);
+              ivr.evaluate(state(4.0)).etee() + 0.05);
 }
 
 TEST_F(FlexWattsTest, HigherLoadLineThanPureTopologies)
@@ -114,7 +111,7 @@ TEST_F(FlexWattsTest, VinSizedForIvrMode)
     EXPECT_EQ(rails[0].name, "V_IN");
     EXPECT_NEAR(inVolts(rails[0].outputVoltage), 1.8, 1e-9);
 
-    LdoPdn ldo;
+    RailTablePdn ldo(ldoRailTable());
     auto ldo_rails = ldo.offChipRails(peak);
     EXPECT_LT(inAmps(rails[0].iccMax),
               0.75 * inAmps(ldo_rails[0].iccMax));
@@ -251,16 +248,16 @@ TEST_F(FlexWattsTest, ModesAreTheImbvrAndLdoTopologies)
     FlexWattsParams p;
     for (const PlatformConfig &preset : allPlatformPresets()) {
         FlexWattsPdn flex(preset.pdnParams, p);
-        ImbvrPdn imbvr(preset.pdnParams,
-                       ImbvrParams{.tob = p.tobIvrMode,
-                                   .rllIn = p.rllInIvrMode,
-                                   .rllSa = p.rllSa,
-                                   .rllIo = p.rllIo});
-        LdoPdn ldo(preset.pdnParams,
-                   LdoPdnParams{.tob = p.tobLdoMode,
-                                .rllIn = p.rllInLdoMode,
-                                .rllSa = p.rllSa,
-                                .rllIo = p.rllIo});
+        RailTablePdn imbvr(imbvrRailTable({.tob = p.tobIvrMode,
+                                           .rllIn = p.rllInIvrMode,
+                                           .rllSa = p.rllSa,
+                                           .rllIo = p.rllIo}),
+                           preset.pdnParams);
+        RailTablePdn ldo(ldoRailTable({.tob = p.tobLdoMode,
+                                       .rllIn = p.rllInLdoMode,
+                                       .rllSa = p.rllSa,
+                                       .rllIo = p.rllIo}),
+                         preset.pdnParams);
 
         std::vector<OperatingPointModel::Query> grid;
         OperatingPointModel::Query q;

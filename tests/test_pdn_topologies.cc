@@ -5,14 +5,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "flexwatts/flexwatts_pdn.hh"
 #include "flexwatts/pdn_factory.hh"
-#include "pdn/ivr_pdn.hh"
-#include "pdn/ldo_pdn.hh"
-#include "pdn/mbvr_pdn.hh"
+#include "golden.hh"
+#include "pdn/rail_table.hh"
 #include "power/operating_point.hh"
 
 namespace pdnspot
@@ -94,8 +96,8 @@ TEST_F(PdnTopologies, IvrReducesChipInputCurrent)
 {
     // Fig. 5: the MBVR PDN's chip input current is ~2x the IVR PDN's
     // because the IVR brings 1.8 V into the package.
-    IvrPdn ivr;
-    MbvrPdn mbvr;
+    RailTablePdn ivr(ivrRailTable());
+    RailTablePdn mbvr(mbvrRailTable());
     PlatformState s = state(18.0);
     double ratio = mbvr.evaluate(s).chipInputCurrent /
                    ivr.evaluate(s).chipInputCurrent;
@@ -105,9 +107,9 @@ TEST_F(PdnTopologies, IvrReducesChipInputCurrent)
 
 TEST_F(PdnTopologies, LoadLineImpedancesMatchTable2)
 {
-    IvrPdn ivr;
-    MbvrPdn mbvr;
-    LdoPdn ldo;
+    RailTablePdn ivr(ivrRailTable());
+    RailTablePdn mbvr(mbvrRailTable());
+    RailTablePdn ldo(ldoRailTable());
     PlatformState s = state(18.0);
     EXPECT_NEAR(inMilliohms(ivr.evaluate(s).computeLoadLine), 1.0,
                 1e-9);
@@ -121,9 +123,9 @@ TEST_F(PdnTopologies, Observation1LowTdpFavorsMbvrLdo)
 {
     // Sec. 5 Observation 1: at 4 W the IVR PDN trails MBVR and LDO;
     // at 50 W it leads both.
-    IvrPdn ivr;
-    MbvrPdn mbvr;
-    LdoPdn ldo;
+    RailTablePdn ivr(ivrRailTable());
+    RailTablePdn mbvr(mbvrRailTable());
+    RailTablePdn ldo(ldoRailTable());
 
     PlatformState low = state(4.0);
     EXPECT_LT(ivr.evaluate(low).etee() + 0.04, mbvr.evaluate(low).etee());
@@ -138,8 +140,8 @@ TEST_F(PdnTopologies, Observation1CrossoverBetween4And50)
 {
     // The IVR-vs-MBVR ETEE crossover falls inside the TDP range,
     // near 18 W for CPU workloads.
-    IvrPdn ivr;
-    MbvrPdn mbvr;
+    RailTablePdn ivr(ivrRailTable());
+    RailTablePdn mbvr(mbvrRailTable());
     double prev_gap = 0.0;
     bool crossed = false;
     for (double tdp = 4.0; tdp <= 50.0; tdp += 2.0) {
@@ -159,8 +161,8 @@ TEST_F(PdnTopologies, Observation2EteeRisesWithArForBoardPdns)
 {
     // Fig. 4: MBVR/LDO ETEE increases with AR (load-line guardband
     // shrinks); the effect is most pronounced at high TDP.
-    MbvrPdn mbvr;
-    LdoPdn ldo;
+    RailTablePdn mbvr(mbvrRailTable());
+    RailTablePdn ldo(ldoRailTable());
     for (double tdp : {18.0, 50.0}) {
         double m_lo = mbvr.evaluate(state(tdp, WorkloadType::MultiThread,
                                           0.4))
@@ -184,8 +186,8 @@ TEST_F(PdnTopologies, Observation2LdoSuffersOnGraphics)
     // Sec. 5 Observation 2: the LDO PDN loses efficiency on graphics
     // workloads (core LDOs regulate far below the GFX-driven V_IN),
     // falling below MBVR at mid/high TDPs.
-    MbvrPdn mbvr;
-    LdoPdn ldo;
+    RailTablePdn mbvr(mbvrRailTable());
+    RailTablePdn ldo(ldoRailTable());
     {
         PlatformState gfx = state(18.0, WorkloadType::Graphics);
         EXPECT_LT(ldo.evaluate(gfx).etee(), mbvr.evaluate(gfx).etee());
@@ -199,9 +201,9 @@ TEST_F(PdnTopologies, Observation3IvrCollapsesInIdleStates)
 {
     // Fig. 4j: in package C-states the IVR PDN's two-stage conversion
     // is far less efficient than MBVR/LDO.
-    IvrPdn ivr;
-    MbvrPdn mbvr;
-    LdoPdn ldo;
+    RailTablePdn ivr(ivrRailTable());
+    RailTablePdn mbvr(mbvrRailTable());
+    RailTablePdn ldo(ldoRailTable());
     for (PackageCState cs :
          {PackageCState::C2, PackageCState::C6, PackageCState::C8}) {
         PlatformState s = state(15.0, WorkloadType::BatteryLife, 0.3,
@@ -219,8 +221,8 @@ TEST_F(PdnTopologies, Fig5LossBreakdownShapes)
     // At 4 W, VR inefficiency dominates and the IVR PDN pays the
     // two-stage premium; at 50 W, MBVR's compute conduction loss
     // explodes while IVR's stays small.
-    IvrPdn ivr;
-    MbvrPdn mbvr;
+    RailTablePdn ivr(ivrRailTable());
+    RailTablePdn mbvr(mbvrRailTable());
 
     EteeResult ivr4 = ivr.evaluate(state(4.0));
     EteeResult mbvr4 = mbvr.evaluate(state(4.0));
@@ -266,6 +268,31 @@ TEST_F(PdnTopologies, OffChipRailCounts)
               3u);
 }
 
+TEST_F(PdnTopologies, RejectsTablesItCannotWalk)
+{
+    // deliver() sums the compute rails, then the uncore rails; a
+    // by-load-share rail must be the only one.
+    RailTable uncore_first = ldoRailTable();
+    std::swap(uncore_first.rows[0], uncore_first.rows[1]);
+    EXPECT_THROW(RailTablePdn{uncore_first}, ConfigError);
+
+    RailTable compute_only = mbvrRailTable();
+    compute_only.rows.resize(2);
+    EXPECT_THROW(RailTablePdn{compute_only}, ConfigError);
+
+    RailTable shared_plus_uncore = ivrRailTable();
+    shared_plus_uncore.rows.push_back(ldoRailTable().rows[1]);
+    EXPECT_THROW(RailTablePdn{shared_plus_uncore}, ConfigError);
+
+    RailTable past_the_demand = mbvrRailTable();
+    past_the_demand.firstRail = PdnDemand::maxRails - 3;
+    EXPECT_THROW(RailTablePdn{past_the_demand}, ConfigError);
+
+    RailTable empty = ivrRailTable();
+    empty.rows.clear();
+    EXPECT_THROW(RailTablePdn{empty}, ConfigError);
+}
+
 TEST_F(PdnTopologies, LdoInputRailCarriesMoreCurrentThanIvrs)
 {
     // The LDO V_IN runs at ~1 V instead of 1.8 V, so its Iccmax is
@@ -275,6 +302,83 @@ TEST_F(PdnTopologies, LdoInputRailCarriesMoreCurrentThanIvrs)
     auto ivr_rails = makePdn(PdnKind::IVR)->offChipRails(peak);
     EXPECT_GT(inAmps(ldo_rails[0].iccMax),
               1.3 * inAmps(ivr_rails[0].iccMax));
+}
+
+/** One golden line: every EteeResult field as a hex float. */
+std::string
+goldenLine(const std::string &label, const EteeResult &r)
+{
+    return strprintf("%s nominal=%a input=%a vr=%a cond_compute=%a "
+                     "cond_uncore=%a other=%a icc=%a rll=%a\n",
+                     label.c_str(), r.nominalPower.value(),
+                     r.inputPower.value(), r.loss.vrLoss.value(),
+                     r.loss.conductionCompute.value(),
+                     r.loss.conductionUncore.value(),
+                     r.loss.other.value(), r.chipInputCurrent.value(),
+                     r.computeLoadLine.value());
+}
+
+TEST_F(PdnTopologies, GridMatchesGolden)
+{
+    // Bit-exact pin of every topology's demand, delivery and rail
+    // sizing: a refactor of the PDN models must leave each hex float
+    // of tests/golden/pdn_grid.txt as it is.
+    std::vector<std::unique_ptr<PdnModel>> pdns;
+    for (PdnKind kind : allPdnKinds)
+        pdns.push_back(makePdn(kind));
+    FlexWattsPdn flex;
+
+    std::string out;
+    for (double tdp : {4.0, 8.0, 10.0, 15.0, 18.0, 25.0, 36.0, 45.0,
+                       50.0}) {
+        for (WorkloadType type : allWorkloadTypes) {
+            for (int ai = 1; ai <= 20; ++ai) {
+                double ar = ai / 20.0;
+                PlatformState s = state(tdp, type, ar);
+                std::string where = strprintf(
+                    "%gW %s ar=%a", tdp, toString(type).c_str(), ar);
+                for (const auto &pdn : pdns)
+                    out += goldenLine("evaluate " + pdn->name() + " " +
+                                          where,
+                                      pdn->evaluate(s));
+                PdnDemand d = flex.demand(s);
+                for (HybridMode m : allHybridModes)
+                    out += goldenLine("deliver FlexWatts/" +
+                                          toString(m) + " " + where,
+                                      flex.deliver(d, ar, m));
+            }
+        }
+    }
+
+    for (PackageCState cs : batteryLifeCStates) {
+        PlatformState s = state(15.0, WorkloadType::BatteryLife, 0.3, cs);
+        std::string where = "15W battery-life " + toString(cs);
+        for (const auto &pdn : pdns)
+            out += goldenLine("evaluate " + pdn->name() + " " + where,
+                              pdn->evaluate(s));
+        PdnDemand d = flex.demand(s);
+        for (HybridMode m : allHybridModes)
+            out += goldenLine("deliver FlexWatts/" + toString(m) + " " +
+                                  where,
+                              flex.deliver(d, s.ar, m));
+    }
+
+    for (double tdp : {4.0, 8.0, 10.0, 18.0, 25.0, 36.0, 50.0}) {
+        for (WorkloadType type :
+             {WorkloadType::SingleThread, WorkloadType::MultiThread,
+              WorkloadType::Graphics}) {
+            PlatformState peak = state(tdp, type, 1.0);
+            for (const auto &pdn : pdns)
+                for (const OffChipRail &rail : pdn->offChipRails(peak))
+                    out += strprintf(
+                        "rails %s %gW %s %s V=%a A=%a\n",
+                        pdn->name().c_str(), tdp,
+                        toString(type).c_str(), rail.name.c_str(),
+                        rail.outputVoltage.value(), rail.iccMax.value());
+        }
+    }
+
+    checkGolden("pdn_grid.txt", out);
 }
 
 /**
