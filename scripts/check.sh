@@ -3,12 +3,14 @@
 # ROADMAP.md): builds with warnings as errors (-Werror), runs every
 # registered test in parallel under two pool sizes (a serial default
 # pool and a 4-thread one; the "determinism" label holds the
-# campaign thread-count, campaign_study, shard and probe rows and the
-# fleet thread-count and observability rows), drives the shipped
-# binaries end to end (observability, launcher retry and archive
-# smokes), then repeats the test suite under AddressSanitizer +
-# UBSan (the threaded campaign/sweep paths are sanitizer-gated).
-# Ready to drop into CI as-is.
+# campaign thread-count, campaign_study, shard and probe rows, the
+# launcher retry + archive round-trip row and the fleet thread-count
+# and observability rows), drives the shipped binaries end to end
+# (the observability smoke) and leaves their reports, span trace,
+# probe waveforms, archive index and fleet summary in the build dir
+# for CI to upload, then repeats the test suite under
+# AddressSanitizer + UBSan (the threaded campaign/sweep paths are
+# sanitizer-gated). Ready to drop into CI as-is.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check; the
 # sanitizer pass uses <build-dir>-asan)
@@ -38,8 +40,9 @@ for threads in 1 4; do
 done
 
 # The determinism contract's thread-count, campaign_study,
-# shard-concatenation, probe and fleet rows run in the ctest passes
-# above (label "determinism", tests/determinism.sh). The C++-built
+# shard-concatenation, probe, launcher + archive and fleet rows run
+# in the ctest passes above (label "determinism",
+# tests/determinism.sh). The C++-built
 # acceptance campaign is the reference the smokes below compare
 # against.
 smoke_dir="$(mktemp -d)"
@@ -97,35 +100,16 @@ PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
     --probe-out "$build_dir/paper_probes"
 echo "check.sh: probe waveforms in $build_dir/paper_probes"
 
-# Launcher + archive smoke: pdnspot_launch fans the paper campaign
-# across 4 shard subprocesses with one injected shard failure; the
-# launcher must retry the sabotaged shard and still concatenate a
-# CSV byte-identical to the unsharded acceptance run. The shard
-# reports ingest into a result archive, which pdnspot_query must
-# resolve by the spec's content hash — listing all 4 shards and
-# reassembling the same bytes. The archive index lands in the build
-# dir for CI to upload next to the report and span trace.
+# The paper campaign launched as 4 shards into a result archive,
+# whose index lands in the build dir for CI to upload next to the
+# report and span trace. The launcher's retry and the archive round
+# trip (CSV byte-identical to the serial run, 4 runs listed by spec
+# hash, the same bytes reassembled by pdnspot_query) run in the
+# ctest passes above (determinism.paper_campaign.launch_archive).
 rm -rf "$build_dir/paper_archive"
-PDNSPOT_LAUNCH_INJECT=fail:2:1 "$build_dir"/tools/pdnspot_launch \
-    examples/specs/paper_campaign.json -n 4 --jobs 2 \
-    --backoff-ms 0 -o "$smoke_dir/launched.csv" \
-    --archive "$build_dir/paper_archive" \
-    2>"$smoke_dir/launch_err.txt"
-grep -q "shard 2/4 attempt 1/3 failed" "$smoke_dir/launch_err.txt"
-grep -q "retrying in 0 ms" "$smoke_dir/launch_err.txt"
-cmp "$smoke_dir/cpp.csv" "$smoke_dir/launched.csv"
-spec_hash=$("$build_dir"/tools/pdnspot_query hash \
-    examples/specs/paper_campaign.json)
-"$build_dir"/tools/pdnspot_query "$build_dir/paper_archive" list \
-    --spec-hash "$spec_hash" --format csv \
-    >"$smoke_dir/archive_list.csv"
-runs=$(grep -c "pdnspot_campaign" "$smoke_dir/archive_list.csv")
-test "$runs" -eq 4
-"$build_dir"/tools/pdnspot_query "$build_dir/paper_archive" csv \
-    --spec-hash "$spec_hash" -o "$smoke_dir/archived.csv"
-cmp "$smoke_dir/cpp.csv" "$smoke_dir/archived.csv"
-echo "check.sh: launcher + archive smoke green" \
-    "(retried 1 injected failure; index in $build_dir/paper_archive)"
+"$build_dir"/tools/pdnspot_launch examples/specs/paper_campaign.json \
+    -n 4 --jobs 2 -o /dev/null --archive "$build_dir/paper_archive"
+echo "check.sh: archive index in $build_dir/paper_archive"
 
 # The fleet study's summary and aggregate time series land in the
 # build dir for CI to upload next to the campaign report. The fleet

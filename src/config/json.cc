@@ -509,6 +509,17 @@ parseJsonFile(const std::string &path)
     return parseJson(text.str(), path);
 }
 
+std::string
+readFileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        fatal(strprintf("cannot read \"%s\"", path.c_str()));
+    std::ostringstream out;
+    out << in.rdbuf();
+    return std::move(out).str();
+}
+
 namespace
 {
 

@@ -155,6 +155,9 @@ JsonValue parseJson(const std::string &text,
 /** parseJson over a file's contents; fatal() if unreadable. */
 JsonValue parseJsonFile(const std::string &path);
 
+/** A whole file's bytes; fatal() naming `path` when unreadable. */
+std::string readFileBytes(const std::string &path);
+
 /**
  * Serialize a value as pretty-printed JSON (2-space indent, members
  * in stored order, numbers in shortest-round-trip form). The output

@@ -215,135 +215,6 @@ buildRunReport(const RunReportInputs &in)
 namespace
 {
 
-/** Typed member reads with defaults for absent/mistyped values. */
-std::string
-memberString(const JsonValue *obj, const char *key,
-             const std::string &fallback = "")
-{
-    if (!obj)
-        return fallback;
-    const JsonValue *v = obj->find(key);
-    if (!v || v->kind() != JsonValue::Kind::String)
-        return fallback;
-    return v->asString();
-}
-
-double
-memberNumber(const JsonValue *obj, const char *key,
-             double fallback = 0.0)
-{
-    if (!obj)
-        return fallback;
-    const JsonValue *v = obj->find(key);
-    if (!v || v->kind() != JsonValue::Kind::Number)
-        return fallback;
-    return v->asNumber();
-}
-
-uint64_t
-memberCount(const JsonValue *obj, const char *key,
-            uint64_t fallback = 0)
-{
-    double v = memberNumber(obj, key,
-                            static_cast<double>(fallback));
-    if (!(v >= 0.0))
-        return fallback;
-    return static_cast<uint64_t>(v);
-}
-
-} // namespace
-
-RunReportView
-viewRunReport(const JsonValue &report)
-{
-    if (report.kind() != JsonValue::Kind::Object)
-        fatal("run report is not a JSON object");
-    const JsonValue *schema = report.find("schema");
-    if (!schema || schema->kind() != JsonValue::Kind::String ||
-        schema->asString() != runReportSchema)
-        fatal(strprintf("not a %s document (schema member missing "
-                        "or mismatched)",
-                        runReportSchema));
-
-    RunReportView view;
-    const JsonValue *tool = report.find("tool");
-    view.tool = memberString(tool, "name");
-    view.version = memberString(tool, "version");
-    view.gitRev = memberString(tool, "git_rev");
-    view.host = memberString(&report, "host");
-    view.wallSeconds = memberNumber(&report, "wall_time_s");
-
-    const JsonValue *run = report.find("run");
-    view.threads = static_cast<unsigned>(
-        memberCount(run, "threads", 1));
-    view.shardIndex = memberCount(run, "shard_index", 1);
-    view.shardCount = memberCount(run, "shard_count", 1);
-    view.firstCell = memberCount(run, "first_cell");
-    view.endCell = memberCount(run, "end_cell");
-    view.rows = memberCount(run, "rows");
-
-    const JsonValue *spec = report.find("spec");
-    view.specPath = memberString(spec, "path");
-    view.specHash = memberString(spec, "content_hash");
-
-    if (const JsonValue *traces = report.find("traces");
-        traces && traces->kind() == JsonValue::Kind::Array) {
-        for (const JsonValue &t : traces->items()) {
-            if (t.kind() != JsonValue::Kind::Object)
-                continue;
-            view.traceNames.push_back(memberString(&t, "name"));
-            view.traceProvenance.push_back(
-                memberString(&t, "provenance"));
-        }
-    }
-
-    const JsonValue *echo = spec ? spec->find("echo") : nullptr;
-    const JsonValue *platforms =
-        echo && echo->kind() == JsonValue::Kind::Object
-            ? echo->find("platforms")
-            : nullptr;
-    if (platforms && platforms->kind() == JsonValue::Kind::Array) {
-        for (const JsonValue &p : platforms->items()) {
-            if (p.kind() == JsonValue::Kind::String)
-                view.platforms.push_back(p.asString());
-            else if (p.kind() == JsonValue::Kind::Object) {
-                std::string name = memberString(&p, "name");
-                if (name.empty())
-                    name = memberString(&p, "preset");
-                if (!name.empty())
-                    view.platforms.push_back(std::move(name));
-            }
-        }
-    }
-
-    if (const JsonValue *block = report.find("summaries");
-        block && block->kind() == JsonValue::Kind::Object) {
-        view.batteryWh = memberNumber(block, "battery_wh");
-        const JsonValue *per = block->find("per_pdn");
-        if (per && per->kind() == JsonValue::Kind::Array) {
-            for (const JsonValue &s : per->items()) {
-                if (s.kind() != JsonValue::Kind::Object)
-                    continue;
-                RunReportView::Summary row;
-                row.pdn = memberString(&s, "pdn");
-                row.cells = memberCount(&s, "cells");
-                row.supplyEnergyJ =
-                    memberNumber(&s, "supply_energy_j");
-                row.meanEtee = memberNumber(&s, "mean_etee");
-                row.modeSwitches = memberCount(&s, "mode_switches");
-                row.meanPowerW = memberNumber(&s, "mean_power_w");
-                row.batteryLifeHours =
-                    memberNumber(&s, "battery_life_h");
-                view.summaries.push_back(std::move(row));
-            }
-        }
-    }
-    return view;
-}
-
-namespace
-{
-
 /** Replace object member `key` (if present) with `value`. */
 JsonValue
 withMember(const JsonValue &object, const std::string &key,

@@ -7,10 +7,10 @@
  * hash, trace provenance, shard k/n, thread count),
  * with what build (tool version, git revision, host), what happened
  * (wall time, row count, the full metric snapshot from
- * obs/metrics.hh), and what came out (per-PDN summaries). This is
- * exactly the record the ROADMAP's indexed result archive ingests —
- * keying runs by provenance makes cross-study queries a lookup, not
- * a directory crawl.
+ * obs/metrics.hh), and what came out (per-PDN summaries). The
+ * result archive (store/result_archive.hh) reads its index entry
+ * straight from this document — keying runs by provenance makes
+ * cross-study queries a lookup, not a directory crawl.
  *
  * The schema is versioned: consumers check the "schema" member and
  * reject documents they do not understand. Histogram metrics serialize
@@ -96,65 +96,6 @@ struct RunReportInputs
 
 /** Assemble the pdnspot-report-1 document. */
 JsonValue buildRunReport(const RunReportInputs &inputs);
-
-/**
- * The archive-facing projection of one pdnspot-report-1 document:
- * every field the result archive (src/store/result_archive.hh) keys
- * or filters on, pulled out of the JSON with defaults for absent
- * optional members. This is the read-side contract of the schema —
- * the writer above and this view are maintained together.
- */
-struct RunReportView
-{
-    std::string tool;    ///< tool.name
-    std::string version; ///< tool.version
-    std::string gitRev;  ///< tool.git_rev
-    std::string host;
-    double wallSeconds = 0.0;
-
-    unsigned threads = 1;
-    size_t shardIndex = 1;
-    size_t shardCount = 1;
-    size_t firstCell = 0;
-    size_t endCell = 0;
-    size_t rows = 0;
-
-    std::string specPath;
-    std::string specHash; ///< "fnv1a64:<16 hex>" as stamped
-
-    /** Per-trace name + provenance description, in spec order. */
-    std::vector<std::string> traceNames;
-    std::vector<std::string> traceProvenance;
-
-    /**
-     * Platform names from the spec echo's "platforms" axis: preset
-     * strings verbatim, inline objects by their "name" (or "preset")
-     * member. Best-effort — echoes of hand-built specs may yield
-     * fewer names than platforms.
-     */
-    std::vector<std::string> platforms;
-
-    /** One per-PDN summary row (the report's "summaries.per_pdn"). */
-    struct Summary
-    {
-        std::string pdn;
-        uint64_t cells = 0;
-        double supplyEnergyJ = 0.0;
-        double meanEtee = 0.0;
-        uint64_t modeSwitches = 0;
-        double meanPowerW = 0.0;
-        double batteryLifeHours = 0.0;
-    };
-    std::vector<Summary> summaries;
-    double batteryWh = 0.0;
-};
-
-/**
- * Extract the archive-facing view. fatal() (ConfigError) when the
- * document is not a pdnspot-report-1 object — the schema member is
- * the consumer contract; everything else degrades to defaults.
- */
-RunReportView viewRunReport(const JsonValue &report);
 
 /**
  * The golden-file projection: tool.version -> "VERSION",

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <unordered_set>
 
 #include "common/logging.hh"
+#include "obs/run_report.hh"
 
 namespace fs = std::filesystem;
 
@@ -37,72 +39,103 @@ stringArray(const std::vector<std::string> &values)
     return JsonValue::makeArray(std::move(items));
 }
 
-std::string
-readFileOrFatal(const std::string &path)
+/** Member `key` of `obj`; null when `obj` is null or no object. */
+const JsonValue *
+member(const JsonValue *obj, const char *key)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal(strprintf("cannot read \"%s\"", path.c_str()));
-    std::ostringstream out;
-    out << in.rdbuf();
-    return std::move(out).str();
+    return obj ? obj->find(key) : nullptr;
 }
 
-/** Typed reads mirroring run_report.cc's tolerant accessors. */
+/**
+ * Lenient reads shared by the run report and the index line: an
+ * absent parent or member, or one of the wrong kind, reads as the
+ * default ("", 0, `fallback`, no items).
+ */
 std::string
-lineString(const JsonValue &obj, const char *key)
+memberString(const JsonValue *obj, const char *key)
 {
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind() != JsonValue::Kind::String)
-        return "";
-    return v->asString();
+    const JsonValue *v = member(obj, key);
+    return v && v->kind() == JsonValue::Kind::String ? v->asString()
+                                                     : "";
 }
 
 double
-lineNumber(const JsonValue &obj, const char *key)
+memberNumber(const JsonValue *obj, const char *key)
 {
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind() != JsonValue::Kind::Number)
-        return 0.0;
-    return v->asNumber();
+    const JsonValue *v = member(obj, key);
+    return v && v->kind() == JsonValue::Kind::Number ? v->asNumber()
+                                                     : 0.0;
 }
 
+/**
+ * A count below `bound`; a negative number, or one at or past
+ * `bound` (which would not fit the target type), reads as `fallback`.
+ */
 uint64_t
-lineCount(const JsonValue &obj, const char *key)
+memberCount(const JsonValue *obj, const char *key,
+            uint64_t fallback = 0, double bound = 0x1p64)
 {
-    double v = lineNumber(obj, key);
-    return v >= 0.0 ? static_cast<uint64_t>(v) : 0;
+    const JsonValue *v = member(obj, key);
+    if (!v || v->kind() != JsonValue::Kind::Number ||
+        !(v->asNumber() >= 0.0 && v->asNumber() < bound))
+        return fallback;
+    return static_cast<uint64_t>(v->asNumber());
+}
+
+/** `threads` as an unsigned count. */
+unsigned
+memberThreads(const JsonValue *obj, uint64_t fallback)
+{
+    return static_cast<unsigned>(memberCount(
+        obj, "threads", fallback,
+        std::numeric_limits<unsigned>::max() + 1.0));
+}
+
+const std::vector<JsonValue> &
+memberItems(const JsonValue *obj, const char *key)
+{
+    static const std::vector<JsonValue> none;
+    const JsonValue *v = member(obj, key);
+    return v && v->kind() == JsonValue::Kind::Array ? v->items()
+                                                    : none;
 }
 
 std::vector<std::string>
-lineStrings(const JsonValue &obj, const char *key)
+memberStrings(const JsonValue *obj, const char *key)
 {
     std::vector<std::string> out;
-    const JsonValue *v = obj.find(key);
-    if (!v || v->kind() != JsonValue::Kind::Array)
-        return out;
-    for (const JsonValue &item : v->items()) {
+    for (const JsonValue &item : memberItems(obj, key)) {
         if (item.kind() == JsonValue::Kind::String)
             out.push_back(item.asString());
     }
     return out;
 }
 
-} // namespace
-
-std::string
-traceChainHash(const RunReportView &view)
+/**
+ * The per-PDN rows of a report's "summaries.per_pdn" or an index
+ * line's "summaries": both use the same keys (a report row's
+ * nominal_energy_j is not indexed). Non-object items are skipped.
+ */
+std::vector<ArchivePdnSummary>
+summaryRows(const std::vector<JsonValue> &rows)
 {
-    std::string joined;
-    for (size_t i = 0; i < view.traceNames.size(); ++i) {
-        joined += view.traceNames[i];
-        joined += '=';
-        if (i < view.traceProvenance.size())
-            joined += view.traceProvenance[i];
-        joined += '\n';
+    std::vector<ArchivePdnSummary> out;
+    for (const JsonValue &s : rows) {
+        if (s.kind() != JsonValue::Kind::Object)
+            continue;
+        out.push_back(
+            {.pdn = memberString(&s, "pdn"),
+             .cells = memberCount(&s, "cells"),
+             .supplyEnergyJ = memberNumber(&s, "supply_energy_j"),
+             .meanEtee = memberNumber(&s, "mean_etee"),
+             .modeSwitches = memberCount(&s, "mode_switches"),
+             .meanPowerW = memberNumber(&s, "mean_power_w"),
+             .batteryLifeHours = memberNumber(&s, "battery_life_h")});
     }
-    return fnv1a64Hex(joined);
+    return out;
 }
+
+} // namespace
 
 std::vector<ArchiveEntry>
 orderShardSet(std::vector<ArchiveEntry> entries)
@@ -244,9 +277,11 @@ std::string
 ResultArchive::ingest(const std::string &reportText,
                       const std::string &csvBytes)
 {
-    JsonValue report = parseJson(reportText, "<report>");
-    viewRunReport(report); // schema check before any write
     std::string id = fnv1a64Hex(reportText);
+    // The projection is the schema check, so it runs before any
+    // write.
+    ArchiveEntry entry = entryFromReport(
+        parseJson(reportText, "<report>"), id, "");
 
     // Same report bytes => same run: the archive is append-only and
     // the first ingest wins (a differing payload on a re-ingest
@@ -256,17 +291,16 @@ ResultArchive::ingest(const std::string &reportText,
     if (fs::exists(reportPath(id)))
         return id;
 
-    std::string csvHash;
     if (!csvBytes.empty()) {
-        csvHash = fnv1a64Hex(csvBytes);
-        if (!fs::exists(payloadPath(csvHash)))
-            writeAtomically(payloadPath(csvHash), csvBytes);
-        writeAtomically(refPath(id), csvHash + "\n");
+        entry.csvHash = fnv1a64Hex(csvBytes);
+        if (!fs::exists(payloadPath(entry.csvHash)))
+            writeAtomically(payloadPath(entry.csvHash), csvBytes);
+        writeAtomically(refPath(id), entry.csvHash + "\n");
     }
     // The report lands last: a run is archived iff its report file
     // exists, and by then its payload + ref are already durable.
     writeAtomically(reportPath(id), reportText);
-    appendIndexLine(entryFromReport(report, id, csvHash));
+    appendIndexLine(entry);
     return id;
 }
 
@@ -274,6 +308,7 @@ std::vector<ArchiveEntry>
 ResultArchive::entries() const
 {
     std::vector<ArchiveEntry> out;
+    std::unordered_set<std::string> seen;
     std::ifstream in(indexPath(), std::ios::binary);
     if (!in)
         return out;
@@ -297,10 +332,7 @@ ResultArchive::entries() const
         }
         if (!entry)
             continue;
-        bool seen = false;
-        for (const ArchiveEntry &e : out)
-            seen = seen || e.id == entry->id;
-        if (!seen)
+        if (seen.insert(entry->id).second)
             out.push_back(std::move(*entry));
     }
     return out;
@@ -327,7 +359,7 @@ ResultArchive::readReport(const std::string &id) const
 std::string
 ResultArchive::readReportText(const std::string &id) const
 {
-    return readFileOrFatal(reportPath(id));
+    return readFileBytes(reportPath(id));
 }
 
 std::string
@@ -336,7 +368,7 @@ ResultArchive::readCsv(const ArchiveEntry &entry) const
     if (entry.csvHash.empty())
         fatal(strprintf("run %s carries no CSV payload",
                         entry.id.c_str()));
-    return readFileOrFatal(payloadPath(entry.csvHash));
+    return readFileBytes(payloadPath(entry.csvHash));
 }
 
 void
@@ -363,10 +395,10 @@ ResultArchive::rebuildIndex()
 
     std::string lines;
     for (const std::string &id : ids) {
-        std::string text = readFileOrFatal(reportPath(id));
+        std::string text = readFileBytes(reportPath(id));
         std::string csvHash;
         if (fs::exists(refPath(id))) {
-            csvHash = readFileOrFatal(refPath(id));
+            csvHash = readFileBytes(refPath(id));
             while (!csvHash.empty() &&
                    (csvHash.back() == '\n' ||
                     csvHash.back() == '\r'))
@@ -385,32 +417,57 @@ ResultArchive::entryFromReport(const JsonValue &report,
                                const std::string &id,
                                const std::string &csvHash)
 {
-    RunReportView view = viewRunReport(report);
+    if (report.kind() != JsonValue::Kind::Object)
+        fatal("run report is not a JSON object");
+    if (memberString(&report, "schema") != runReportSchema)
+        fatal(strprintf("not a %s document (schema member missing "
+                        "or mismatched)",
+                        runReportSchema));
+
+    const JsonValue *tool = report.find("tool");
+    const JsonValue *run = report.find("run");
+    const JsonValue *spec = report.find("spec");
     ArchiveEntry entry;
     entry.id = id;
-    entry.tool = view.tool;
-    entry.gitRev = view.gitRev;
-    entry.specHash = view.specHash;
-    entry.traceChain = traceChainHash(view);
-    entry.traces = view.traceNames;
-    entry.platforms = view.platforms;
-    entry.threads = view.threads;
-    entry.shardIndex = view.shardIndex;
-    entry.shardCount = view.shardCount;
-    entry.rows = view.rows;
-    entry.wallSeconds = view.wallSeconds;
-    entry.csvHash = csvHash;
-    for (const RunReportView::Summary &s : view.summaries) {
-        ArchivePdnSummary row;
-        row.pdn = s.pdn;
-        row.cells = s.cells;
-        row.supplyEnergyJ = s.supplyEnergyJ;
-        row.meanEtee = s.meanEtee;
-        row.modeSwitches = s.modeSwitches;
-        row.meanPowerW = s.meanPowerW;
-        row.batteryLifeHours = s.batteryLifeHours;
-        entry.summaries.push_back(std::move(row));
+    entry.tool = memberString(tool, "name");
+    entry.gitRev = memberString(tool, "git_rev");
+    entry.specHash = memberString(spec, "content_hash");
+
+    // Two runs share the trace chain digest iff they ran the same
+    // named traces through the same transform chains.
+    std::string chain;
+    for (const JsonValue &t : memberItems(&report, "traces")) {
+        if (t.kind() != JsonValue::Kind::Object)
+            continue;
+        entry.traces.push_back(memberString(&t, "name"));
+        chain += entry.traces.back() + '=' +
+                 memberString(&t, "provenance") + '\n';
     }
+    entry.traceChain = fnv1a64Hex(chain);
+
+    // Platform names from the spec echo: preset strings verbatim,
+    // inline objects by "name", else "preset", else skipped.
+    for (const JsonValue &p :
+         memberItems(member(spec, "echo"), "platforms")) {
+        if (p.kind() == JsonValue::Kind::String) {
+            entry.platforms.push_back(p.asString());
+            continue;
+        }
+        std::string name = memberString(&p, "name");
+        if (name.empty())
+            name = memberString(&p, "preset");
+        if (!name.empty())
+            entry.platforms.push_back(std::move(name));
+    }
+
+    entry.threads = memberThreads(run, 1);
+    entry.shardIndex = memberCount(run, "shard_index", 1);
+    entry.shardCount = memberCount(run, "shard_count", 1);
+    entry.rows = memberCount(run, "rows");
+    entry.wallSeconds = memberNumber(&report, "wall_time_s");
+    entry.csvHash = csvHash;
+    entry.summaries = summaryRows(
+        memberItems(report.find("summaries"), "per_pdn"));
     return entry;
 }
 
@@ -462,43 +519,23 @@ ResultArchive::entryToJson(const ArchiveEntry &entry)
 std::optional<ArchiveEntry>
 ResultArchive::entryFromJson(const JsonValue &value)
 {
-    if (value.kind() != JsonValue::Kind::Object)
-        return std::nullopt;
     ArchiveEntry entry;
-    entry.id = lineString(value, "id");
+    entry.id = memberString(&value, "id");
     if (entry.id.empty())
         return std::nullopt;
-    entry.tool = lineString(value, "tool");
-    entry.gitRev = lineString(value, "git_rev");
-    entry.specHash = lineString(value, "spec_hash");
-    entry.traceChain = lineString(value, "trace_chain");
-    entry.traces = lineStrings(value, "traces");
-    entry.platforms = lineStrings(value, "platforms");
-    entry.threads =
-        static_cast<unsigned>(lineCount(value, "threads"));
-    entry.shardIndex = lineCount(value, "shard_index");
-    entry.shardCount = lineCount(value, "shard_count");
-    entry.rows = lineCount(value, "rows");
-    entry.wallSeconds = lineNumber(value, "wall_time_s");
-    entry.csvHash = lineString(value, "csv");
-    if (const JsonValue *summaries = value.find("summaries");
-        summaries &&
-        summaries->kind() == JsonValue::Kind::Array) {
-        for (const JsonValue &s : summaries->items()) {
-            if (s.kind() != JsonValue::Kind::Object)
-                continue;
-            ArchivePdnSummary row;
-            row.pdn = lineString(s, "pdn");
-            row.cells = lineCount(s, "cells");
-            row.supplyEnergyJ = lineNumber(s, "supply_energy_j");
-            row.meanEtee = lineNumber(s, "mean_etee");
-            row.modeSwitches = lineCount(s, "mode_switches");
-            row.meanPowerW = lineNumber(s, "mean_power_w");
-            row.batteryLifeHours =
-                lineNumber(s, "battery_life_h");
-            entry.summaries.push_back(std::move(row));
-        }
-    }
+    entry.tool = memberString(&value, "tool");
+    entry.gitRev = memberString(&value, "git_rev");
+    entry.specHash = memberString(&value, "spec_hash");
+    entry.traceChain = memberString(&value, "trace_chain");
+    entry.traces = memberStrings(&value, "traces");
+    entry.platforms = memberStrings(&value, "platforms");
+    entry.threads = memberThreads(&value, 0);
+    entry.shardIndex = memberCount(&value, "shard_index");
+    entry.shardCount = memberCount(&value, "shard_count");
+    entry.rows = memberCount(&value, "rows");
+    entry.wallSeconds = memberNumber(&value, "wall_time_s");
+    entry.csvHash = memberString(&value, "csv");
+    entry.summaries = summaryRows(memberItems(&value, "summaries"));
     return entry;
 }
 

@@ -44,12 +44,14 @@
 #include <vector>
 
 #include "config/json.hh"
-#include "obs/run_report.hh"
 
 namespace pdnspot
 {
 
-/** One per-PDN summary row carried by an index entry. */
+/**
+ * One per-PDN summary row carried by an index entry, read from the
+ * report's "summaries.per_pdn" rows.
+ */
 struct ArchivePdnSummary
 {
     std::string pdn;
@@ -68,7 +70,12 @@ struct ArchiveEntry
     std::string tool;    ///< emitting binary ("pdnspot_campaign")
     std::string gitRev;
     std::string specHash;   ///< "fnv1a64:<16 hex>" spec content hash
-    std::string traceChain; ///< digest of the trace provenance chain
+    /**
+     * fnv1a64 digest of the "name=provenance" lines of the report's
+     * traces: two runs share it iff they ran the same named traces
+     * through the same transform chains.
+     */
+    std::string traceChain;
     std::vector<std::string> traces;    ///< trace names, spec order
     std::vector<std::string> platforms; ///< platform/preset names
     unsigned threads = 1;
@@ -79,13 +86,6 @@ struct ArchiveEntry
     std::string csvHash; ///< payload content hash; "" = no payload
     std::vector<ArchivePdnSummary> summaries;
 };
-
-/**
- * fnv1a64 digest of a run's trace provenance chain ("name=chain"
- * lines joined): two runs share it iff they ran the same named
- * traces through the same transform chains.
- */
-std::string traceChainHash(const RunReportView &view);
 
 /**
  * Order `entries` as one complete shard set: every entry must carry
@@ -163,7 +163,14 @@ class ResultArchive
     std::string reportPath(const std::string &id) const;
     std::string payloadPath(const std::string &hash) const;
 
-    /** The index projection of one report (+ payload hash). */
+    /**
+     * The index projection of one pdnspot-report-1 document (+ its
+     * payload hash), read straight from the JSON. fatal()
+     * (ConfigError) when the document is not a pdnspot-report-1
+     * object — the schema member is the consumer contract; every
+     * other member degrades to a default when absent or mistyped
+     * (threads and shard k/n to 1, everything else to empty/0).
+     */
     static ArchiveEntry entryFromReport(const JsonValue &report,
                                         const std::string &id,
                                         const std::string &csvHash);

@@ -48,6 +48,21 @@ BuckVr::BuckVr(BuckParams params)
     }
 }
 
+namespace
+{
+
+/** The loss decomposition of one state, without the range checks. */
+Power
+stateLoss(const BuckStateParams &s, Voltage vin, Current iout)
+{
+    Power switching = watts(s.switchingCoeff * inVolts(vin) * inAmps(iout));
+    Power conduction = watts(inAmps(iout) * inAmps(iout) *
+                             s.conduction.value());
+    return s.quiescent + switching + conduction;
+}
+
+} // namespace
+
 size_t
 BuckVr::index(VrPowerState ps)
 {
@@ -66,9 +81,8 @@ BuckVr::canConvert(Voltage vin, Voltage vout) const
     return vin >= vout + _params.minHeadroom;
 }
 
-Power
-BuckVr::loss(Voltage vin, Voltage vout, Current iout,
-             VrPowerState ps) const
+void
+BuckVr::checkHeadroom(Voltage vin, Voltage vout) const
 {
     if (!canConvert(vin, vout)) {
         fatal(strprintf("BuckVr %s: insufficient headroom "
@@ -76,6 +90,13 @@ BuckVr::loss(Voltage vin, Voltage vout, Current iout,
                         _params.name.c_str(), inVolts(vin), inVolts(vout),
                         inVolts(_params.minHeadroom)));
     }
+}
+
+Power
+BuckVr::loss(Voltage vin, Voltage vout, Current iout,
+             VrPowerState ps) const
+{
+    checkHeadroom(vin, vout);
     if (iout < amps(0.0)) {
         fatal(strprintf("BuckVr %s: negative load current",
                         _params.name.c_str()));
@@ -86,10 +107,7 @@ BuckVr::loss(Voltage vin, Voltage vout, Current iout,
                         _params.name.c_str(), inAmps(iout),
                         nameOf(ps), inAmps(s.maxCurrent)));
     }
-    Power switching = watts(s.switchingCoeff * inVolts(vin) * inAmps(iout));
-    Power conduction = watts(inAmps(iout) * inAmps(iout) *
-                             s.conduction.value());
-    return s.quiescent + switching + conduction;
+    return stateLoss(s, vin, iout);
 }
 
 double
@@ -124,13 +142,27 @@ BuckVr::efficiencyAuto(Voltage vin, Voltage vout, Current iout) const
 {
     if (iout <= amps(0.0))
         return 0.0;
-    auto ps = bestState(vin, vout, iout);
-    if (!ps) {
+    // bestState and efficiency() in one pass: the range checks once,
+    // then the least loss over the feasible states (the first minimum
+    // in state order, as bestState picks), then Eq. 1.
+    if (iout > stateParams(VrPowerState::PS0).maxCurrent) {
         fatal(strprintf("BuckVr %s: %.2fA exceeds the PS0 ceiling; "
                         "the rail is under-sized for this load",
                         _params.name.c_str(), inAmps(iout)));
     }
-    return efficiency(vin, vout, iout, *ps);
+    checkHeadroom(vin, vout);
+    std::optional<Power> best;
+    for (const BuckStateParams &s : _params.states) {
+        if (iout > s.maxCurrent)
+            continue;
+        Power l = stateLoss(s, vin, iout);
+        if (!best || l < *best)
+            best = l;
+    }
+    Power pout = vout * iout;
+    if (pout <= watts(0.0))
+        return 0.0;
+    return pout / (pout + *best);
 }
 
 Power

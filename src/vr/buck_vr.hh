@@ -106,6 +106,9 @@ class BuckVr
   private:
     static size_t index(VrPowerState ps);
 
+    /** fatal() unless canConvert(vin, vout). */
+    void checkHeadroom(Voltage vin, Voltage vout) const;
+
     BuckParams _params;
 };
 

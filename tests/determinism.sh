@@ -32,8 +32,18 @@
 #                   fleet.ns_per_session_bucket metrics, and each
 #                   span trace is balanced and names pdnspot_fleet
 #
+# The pdnspot_launch variant (the tool under test is the launcher;
+# the row passes the campaign and query binaries after the variant):
+#
+#   launch_archive  4 shards at --jobs 2 with shard 2's first attempt
+#                   failed by PDNSPOT_LAUNCH_INJECT: the launcher
+#                   retries it, concatenates a CSV byte-identical to
+#                   the unsharded serial run, and archives the shards;
+#                   pdnspot_query lists all 4 by the spec's content
+#                   hash and reassembles the same bytes from them
+#
 # Usage: determinism.sh <tool> <spec.json> <variant> \
-#            [campaign_study | N]
+#            [campaign_study | N | <pdnspot_campaign> <pdnspot_query>]
 
 set -euo pipefail
 
@@ -163,6 +173,35 @@ print("%d sessions in %d cohorts"
             exit 1
         fi
     done
+    ;;
+  launch_archive)
+    campaign="$4"
+    query="$5"
+    "$campaign" "$spec" --quiet --threads 1 -o "$tmp/serial.csv"
+    PDNSPOT_LAUNCH_INJECT=fail:2:1 "$tool" "$spec" -n 4 --jobs 2 \
+        --backoff-ms 0 --campaign-bin "$campaign" \
+        -o "$tmp/launched.csv" --archive "$tmp/archive" \
+        2>"$tmp/launch_err.txt"
+    for want in "shard 2/4 attempt 1/3 failed" "retrying in 0 ms"; do
+        grep -q "$want" "$tmp/launch_err.txt" || {
+            echo "determinism: $variant: launcher stderr lacks" \
+                "\"$want\"" >&2
+            exit 1
+        }
+    done
+    same "$tmp/serial.csv" "$tmp/launched.csv"
+    spec_hash=$("$query" hash "$spec")
+    "$query" "$tmp/archive" list --spec-hash "$spec_hash" \
+        --format csv >"$tmp/list.csv"
+    runs=$(grep -c "pdnspot_campaign" "$tmp/list.csv" || true)
+    if [ "$runs" -ne 4 ]; then
+        echo "determinism: $variant: the archive lists $runs" \
+            "pdnspot_campaign runs of the spec, not 4" >&2
+        exit 1
+    fi
+    "$query" "$tmp/archive" csv --spec-hash "$spec_hash" \
+        -o "$tmp/archived.csv"
+    same "$tmp/serial.csv" "$tmp/archived.csv"
     ;;
   *)
     echo "determinism: unknown variant \"$variant\"" >&2

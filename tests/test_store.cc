@@ -3,8 +3,8 @@
  * The indexed result archive (src/store/result_archive.hh): ingest
  * idempotence and crash-safe layout, index round trips, torn-line
  * tolerance, rebuildIndex() as the recovery path, shard-set
- * ordering, and the report view / trace-chain digests it is keyed
- * on.
+ * ordering, and the report projection / trace-chain digest it is
+ * keyed on (pinned by tests/golden/archive_index.jsonl).
  */
 
 #include <filesystem>
@@ -16,6 +16,7 @@
 
 #include "common/logging.hh"
 #include "config/json.hh"
+#include "golden.hh"
 #include "obs/run_report.hh"
 #include "store/result_archive.hh"
 
@@ -195,6 +196,7 @@ TEST_F(StoreTest, RejectsNonReportDocuments)
                  ConfigError);
     EXPECT_THROW(archive.ingest("not json at all", ""),
                  ConfigError);
+    EXPECT_THROW(archive.ingest("[1, 2]", ""), ConfigError);
     EXPECT_TRUE(archive.entries().empty());
 }
 
@@ -223,6 +225,27 @@ TEST_F(StoreTest, TornIndexLinesAreSkipped)
     std::vector<ArchiveEntry> entries = archive.entries();
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(entries[0].id, id);
+}
+
+TEST_F(StoreTest, DuplicateIndexLinesKeepTheFirst)
+{
+    // An index line repeated with another payload (say, a concurrent
+    // ingester's append) reads as one entry: the first one.
+    ResultArchive archive(root());
+    std::string id = archive.ingest(reportText(1, 1), "first\n");
+    ArchiveEntry dup = archive.entries().at(0);
+    dup.csvHash = fnv1a64Hex("second\n");
+    {
+        std::ofstream index(archive.indexPath(),
+                            std::ios::app | std::ios::binary);
+        index << writeJsonCompact(ResultArchive::entryToJson(dup))
+              << "\n";
+    }
+    std::vector<ArchiveEntry> entries = archive.entries();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].id, id);
+    EXPECT_EQ(entries[0].csvHash, fnv1a64Hex("first\n"));
+    EXPECT_EQ(archive.readCsv(entries[0]), "first\n");
 }
 
 TEST_F(StoreTest, RebuildIndexRecoversEverything)
@@ -288,26 +311,92 @@ TEST_F(StoreTest, OrderShardSetSortsAndValidates)
     EXPECT_THROW(orderShardSet({}), ConfigError);
 }
 
+TEST_F(StoreTest, ProjectionMatchesGolden)
+{
+    // The index projection of one report per line: the golden run
+    // report, the bare schema (every default), the platform-name
+    // rules, and wrong-kind members that must read as defaults.
+    // Cases alternate between carrying a payload hash and none.
+    std::vector<JsonValue> docs = {
+        parseJsonFile(std::string(PDNSPOT_GOLDEN_DIR) +
+                      "/run_report.json")};
+    for (const char *text : {
+             R"({"schema": "pdnspot-report-1"})",
+             R"({"schema": "pdnspot-report-1",
+                 "spec": {"echo": {"platforms": [
+                     "fanless-tablet-4w",
+                     {"preset": "ultraportable-15w", "name": "tweaked"},
+                     {"preset": "desktop-65w"},
+                     {"tdp_w": 9},
+                     7]}}})",
+             R"({"schema": "pdnspot-report-1", "tool": "pdnspot_campaign",
+                 "run": [2, 4], "wall_time_s": "fast",
+                 "spec": {"content_hash": 5, "echo": [1]},
+                 "traces": [3, "loose", {"name": "t", "provenance": 4},
+                            {"provenance": "p"}],
+                 "summaries": {"per_pdn": [
+                     1, "IVR",
+                     {"pdn": "IVR", "cells": -2, "supply_energy_j": "x",
+                      "mode_switches": 3.7, "mean_etee": null}]}})",
+             R"({"schema": "pdnspot-report-1",
+                 "tool": {"name": 7, "git_rev": ["abc"]},
+                 "run": {"threads": -3, "shard_index": "2",
+                         "shard_count": -1, "rows": true},
+                 "spec": {"echo": {"platforms": {"name": "x"}}},
+                 "traces": {"name": "t"},
+                 "summaries": [{"pdn": "IVR"}]})"})
+        docs.push_back(parseJson(text, "case"));
+    std::string lines;
+    for (size_t k = 0; k < docs.size(); ++k) {
+        lines += writeJsonCompact(ResultArchive::entryToJson(
+            ResultArchive::entryFromReport(
+                docs[k], strprintf("run%zu", k + 1),
+                k % 2 == 0 ? "00000000000000c5" : "")));
+        lines += '\n';
+    }
+    checkGolden("archive_index.jsonl", lines);
+}
+
+TEST_F(StoreTest, OutOfRangeCountsReadAsDefaults)
+{
+    // A count that does not fit its field reads as the default, in
+    // the report (1 or 0) and in the index line (0), not as a wrapped
+    // or undefined cast.
+    ArchiveEntry e = ResultArchive::entryFromReport(
+        parseJson(R"({"schema": "pdnspot-report-1",
+                      "run": {"rows": 1e30, "threads": 5e9,
+                              "shard_index": 18446744073709551616,
+                              "shard_count": 4294967296}})",
+                  "case"),
+        "run", "");
+    EXPECT_EQ(e.rows, 0u);
+    EXPECT_EQ(e.threads, 1u);
+    EXPECT_EQ(e.shardIndex, 1u);
+    EXPECT_EQ(e.shardCount, 4294967296u);
+
+    std::optional<ArchiveEntry> line = ResultArchive::entryFromJson(
+        parseJson(R"({"id": "run", "rows": 1e30, "threads": 4294967296,
+                      "shard_count": 4294967295})",
+                  "line"));
+    ASSERT_TRUE(line.has_value());
+    EXPECT_EQ(line->rows, 0u);
+    EXPECT_EQ(line->threads, 0u);
+    EXPECT_EQ(line->shardCount, 4294967295u);
+}
+
 TEST(TraceChainHash, KeyedOnNamesAndProvenance)
 {
-    auto view = [](const std::string &text) {
-        return viewRunReport(parseJson(text, "test"));
+    auto chain = [](const std::string &text) {
+        return ResultArchive::entryFromReport(parseJson(text, "test"),
+                                              "run", "")
+            .traceChain;
     };
     std::string a = reportText(1, 2);
     std::string b = reportText(2, 2); // same traces, other shard
     std::string c = reportText(1, 2, "fnv1a64:00000000000000aa",
                                "bursty-compute");
-    EXPECT_EQ(traceChainHash(view(a)), traceChainHash(view(b)));
-    EXPECT_NE(traceChainHash(view(a)), traceChainHash(view(c)));
-}
-
-TEST(RunReportView, RejectsWrongSchema)
-{
-    EXPECT_THROW(
-        viewRunReport(parseJson("{\"schema\": \"bogus\"}", "t")),
-        ConfigError);
-    EXPECT_THROW(viewRunReport(parseJson("[1, 2]", "t")),
-                 ConfigError);
+    EXPECT_EQ(chain(a), chain(b));
+    EXPECT_NE(chain(a), chain(c));
 }
 
 } // namespace

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
-#include <sstream>
 #include <unistd.h>
 
 #include "common/parallel.hh"
@@ -247,17 +246,6 @@ RunObservers::finish(TraceEventExport stamp,
         inform(strprintf("wrote run report to %s",
                          _report->path().c_str()));
     }
-}
-
-std::string
-readFileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        fatal(strprintf("cannot read \"%s\"", path.c_str()));
-    std::ostringstream out;
-    out << in.rdbuf();
-    return std::move(out).str();
 }
 
 ProgressMeter::ProgressMeter(const ToolInfo &tool, const char *unit,

@@ -260,9 +260,6 @@ class RunObservers
     double _wallSeconds = 0.0;
 };
 
-/** Read a file into a string; fatal() when unreadable. */
-std::string readFileBytes(const std::string &path);
-
 /**
  * The progress-heartbeat line body (no \r, no trailing pad):
  * "name: done/total unit (P%), R unit/s, ETA Es". A zero rate or an

@@ -670,7 +670,7 @@ runCli(const Options &opts, const char *argv0)
     // the canonical cell order.
     size_t bytes = 0;
     for (const ShardTask &s : shards) {
-        std::string csv = cli::readFileBytes(s.csvPath);
+        std::string csv = readFileBytes(s.csvPath);
         bytes += csv.size();
         out.stream() << csv;
     }
@@ -683,8 +683,7 @@ runCli(const Options &opts, const char *argv0)
         ResultArchive archive(opts.archiveDir);
         for (const ShardTask &s : shards) {
             std::string id = archive.ingest(
-                cli::readFileBytes(s.reportPath),
-                cli::readFileBytes(s.csvPath));
+                readFileBytes(s.reportPath), readFileBytes(s.csvPath));
             inform(strprintf("archived shard %zu/%zu as run %s",
                              s.index, plan.shards, id.c_str()));
         }

@@ -466,7 +466,7 @@ runCli(const Options &opts)
 {
     if (opts.command == Command::Hash) {
         std::cout << "fnv1a64:"
-                  << fnv1a64Hex(cli::readFileBytes(opts.operand))
+                  << fnv1a64Hex(readFileBytes(opts.operand))
                   << "\n";
         return 0;
     }
@@ -475,12 +475,10 @@ runCli(const Options &opts)
     // find one there, so a mistyped path fails instead of reading as
     // an empty archive.
     if (opts.command == Command::Ingest) {
-        std::string csv = opts.csvFile.empty()
-                              ? ""
-                              : cli::readFileBytes(opts.csvFile);
+        std::string csv =
+            opts.csvFile.empty() ? "" : readFileBytes(opts.csvFile);
         std::string id = ResultArchive(opts.archiveDir)
-                             .ingest(cli::readFileBytes(opts.operand),
-                                     csv);
+                             .ingest(readFileBytes(opts.operand), csv);
         std::cout << id << "\n";
         return 0;
     }
