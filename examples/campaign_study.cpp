@@ -25,7 +25,7 @@ int
 main(int argc, char **argv)
 {
     CampaignSpec spec;
-    spec.addTraces(standardCampaignTraces(42));
+    spec.traces = standardCampaignTraces(42);
     spec.platforms = allPlatformPresets();
     spec.pdns.assign(allPdnKinds.begin(), allPdnKinds.end());
     spec.mode = SimMode::Pmu;

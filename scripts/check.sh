@@ -3,10 +3,10 @@
 # ROADMAP.md): builds with warnings as errors (-Werror), runs every
 # registered test in parallel under two pool sizes (a serial default
 # pool and a 4-thread one; the "determinism" label holds the
-# campaign thread-count, campaign_study, shard and probe rows, the
-# launcher retry + archive round-trip row and the fleet thread-count
-# and observability rows), drives the shipped binaries end to end
-# (the observability smoke) and leaves their reports, span trace,
+# campaign thread-count, campaign_study, shard, probe and
+# observability rows, the launcher retry + archive round-trip row
+# and the fleet thread-count and observability rows), drives the
+# shipped binaries once more to leave their report, span trace,
 # probe waveforms, archive index and fleet summary in the build dir
 # for CI to upload, then repeats the test suite under
 # AddressSanitizer + UBSan (the threaded campaign/sweep paths are
@@ -40,56 +40,21 @@ for threads in 1 4; do
 done
 
 # The determinism contract's thread-count, campaign_study,
-# shard-concatenation, probe, launcher + archive and fleet rows run
-# in the ctest passes above (label "determinism",
-# tests/determinism.sh). The C++-built
-# acceptance campaign is the reference the smokes below compare
-# against.
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
-"$build_dir"/examples/campaign_study "$smoke_dir/cpp.csv" >/dev/null
+# shard-concatenation, probe, observability, launcher + archive and
+# fleet rows run in the ctest passes above (label "determinism",
+# tests/determinism.sh).
 
-# Observability smoke: the exporters must not perturb the campaign
-# — CSVs stay byte-identical with --report/--trace-events/--progress
-# at 1 and 8 threads — and the paper campaign's report + span trace
-# land in the build dir for CI to upload.
-PDNSPOT_THREADS=1 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/paper_campaign.json -o "$smoke_dir/obs1.csv" \
-    --report "$smoke_dir/obs1_report.json" \
-    --trace-events "$smoke_dir/obs1_trace.json" --progress
+# The paper campaign's 8-thread report + span trace land in the
+# build dir for CI to upload. The observability checks (CSV
+# unchanged with --report/--trace-events/--progress at 1 and 8
+# threads, balanced spans, thread-invariant report counters) run in
+# the ctest passes above (determinism.paper_campaign.observers and
+# .report_counters).
 PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
-    examples/specs/paper_campaign.json -o "$smoke_dir/obs8.csv" \
+    examples/specs/paper_campaign.json -o /dev/null \
     --report "$build_dir/paper_report.json" \
     --trace-events "$build_dir/paper_trace.json" --progress
-cmp "$smoke_dir/cpp.csv" "$smoke_dir/obs1.csv"
-cmp "$smoke_dir/cpp.csv" "$smoke_dir/obs8.csv"
-grep -q '"schema": "pdnspot-report-1"' "$build_dir/paper_report.json"
-begins=$(grep -c '"ph": "B"' "$build_dir/paper_trace.json")
-ends=$(grep -c '"ph": "E"' "$build_dir/paper_trace.json")
-test "$begins" -gt 0
-test "$begins" -eq "$ends"
-# The registry's counters are written concurrently by the 8-thread
-# run's workers; the thread-invariant ones must equal the serial
-# run's exactly.
-python3 - "$smoke_dir/obs1_report.json" \
-    "$build_dir/paper_report.json" <<'PY'
-import json, sys
-
-def invariant(path):
-    with open(path) as f:
-        metrics = json.load(f)["metrics"]
-    keep = ("campaign.cells", "campaign.phases",
-            "campaign.platform_builds", "trace.resolves")
-    return {m["name"]: m["count"] for m in metrics
-            if m["name"] in keep or m["name"].startswith("sim.runs_")}
-
-serial, threaded = invariant(sys.argv[1]), invariant(sys.argv[2])
-if len(serial) != 7 or serial != threaded:
-    sys.exit("report counters differ at 1 vs 8 threads: %s vs %s"
-             % (serial, threaded))
-PY
-echo "check.sh: observability smoke green" \
-    "($begins spans, report + trace in $build_dir)"
+echo "check.sh: report + span trace in $build_dir"
 
 # The paper campaign's probe waveforms land in the build dir for CI
 # to upload next to the report and span trace. The probe checks (CSV

@@ -2,9 +2,9 @@
 # Regenerate the golden files under tests/golden/ from the current
 # build's output. Run this when an intentional change moves one of
 # the byte-stable surfaces (campaign CSV export, trace CSV write,
-# summary tables, run report, probe waveforms, the paper figure
-# tables under tests/golden/figures/, the PDN model grid
-# pdn_grid.txt), then review the diff before committing — a golden
+# the standard trace corpus, summary tables, run report, probe
+# waveforms, the paper figure tables under tests/golden/figures/,
+# the PDN model grid pdn_grid.txt), then review the diff before committing — a golden
 # update is a contract change for downstream tooling.
 #
 # Every suite on tests/CMakeLists.txt's PDNSPOT_GOLDEN_SUITES list

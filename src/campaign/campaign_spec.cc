@@ -15,13 +15,6 @@ shardCellRange(size_t cells, size_t k, size_t n)
     return {cells * (k - 1) / n, cells * k / n};
 }
 
-void
-CampaignSpec::addTraces(const TraceLibrary &library)
-{
-    for (const PhaseTrace &t : library.traces())
-        traces.push_back(t);
-}
-
 namespace
 {
 

@@ -20,7 +20,6 @@
 #include "pdn/pdn_model.hh"
 #include "pdnspot/platform.hh"
 #include "workload/trace.hh"
-#include "workload/trace_library.hh"
 #include "workload/trace_source.hh"
 
 namespace pdnspot
@@ -89,9 +88,6 @@ struct CampaignSpec
      * instead.
      */
     Time tick = microseconds(50.0);
-
-    /** Wrap every trace of a library into the spec (inline kind). */
-    void addTraces(const TraceLibrary &library);
 
     /** Total number of (trace, platform, pdn) cells. */
     size_t

@@ -105,13 +105,15 @@ toString(E value)
     return nameOf(value);
 }
 
-/** A row's spelling: its `name` member, or the row itself. */
+/** A row's spelling: its `name` member or accessor, or the row itself. */
 template <typename Row>
 std::string_view
 rowName(const Row &row)
 {
     if constexpr (std::is_convertible_v<const Row &, std::string_view>)
         return row;
+    else if constexpr (requires { row.name(); })
+        return row.name();
     else
         return row.name;
 }

@@ -76,25 +76,19 @@ libraryTracesFromJson(const JsonValue &v)
                                 "only library is \"standard\")",
                                 lib->asString().c_str()));
     }
-    TraceLibrary library = standardCampaignTraces(seed);
+    std::vector<TraceSpec> corpus = standardCampaignTraces(seed);
+    const JsonValue *names = v.find("names");
+    if (!names)
+        return corpus;
 
     std::vector<TraceSpec> out;
-    const JsonValue *names = v.find("names");
-    if (!names) {
-        for (const std::string &name : library.names())
-            out.push_back(TraceSpec::library(name, seed));
-        return out;
-    }
-
     for (const JsonValue &item : names->items()) {
-        const std::string &name = item.asString();
-        nameFromJson(library.names(), item, "library trace");
-        for (const TraceSpec &seen : out) {
-            if (seen.name() == name)
-                item.fail(strprintf("trace \"%s\" selected twice",
-                                    name.c_str()));
-        }
-        out.push_back(TraceSpec::library(name, seed));
+        const TraceSpec &entry =
+            nameFromJson(corpus, item, "library trace");
+        if (findName(out, entry.name()))
+            item.fail(strprintf("trace \"%s\" selected twice",
+                                entry.name().c_str()));
+        out.push_back(entry);
     }
     if (out.empty())
         names->fail("\"names\" must select at least one trace");
@@ -374,7 +368,7 @@ traceSpecFromJson(const JsonValue &value, const std::string &traceDir)
         uint64_t seed = 42;
         if (const JsonValue *s = value.find("seed"))
             seed = seedFromJson(*s);
-        nameFromJson(standardCampaignTraces(seed).names(), *library,
+        nameFromJson(standardCampaignTraces(seed), *library,
                      "library trace");
         spec = TraceSpec::library(library->asString(), seed);
     } else if (generator) {

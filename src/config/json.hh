@@ -152,7 +152,11 @@ nameFromJson(const JsonValue &v)
 JsonValue parseJson(const std::string &text,
                     const std::string &sourceName);
 
-/** parseJson over a file's contents; fatal() if unreadable. */
+/**
+ * parseJson over a spec file's contents; fatal() naming the "spec
+ * file" if unreadable. Other readers use parseJson(readFileBytes(
+ * path), path).
+ */
 JsonValue parseJsonFile(const std::string &path);
 
 /** A whole file's bytes; fatal() naming `path` when unreadable. */

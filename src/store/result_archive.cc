@@ -353,7 +353,8 @@ ResultArchive::findRun(const std::string &idPrefix) const
 JsonValue
 ResultArchive::readReport(const std::string &id) const
 {
-    return parseJsonFile(reportPath(id));
+    std::string path = reportPath(id);
+    return parseJson(readFileBytes(path), path);
 }
 
 std::string

@@ -45,6 +45,17 @@ csvNumberAt(const std::string &field, const char *what,
     return v;
 }
 
+/** The trace file at `path`, open; fatal() naming it otherwise. */
+std::ifstream
+openTraceFile(const std::string &path)
+{
+    std::ifstream file(path, std::ios::binary);
+    if (!file)
+        fatal(strprintf("cannot open trace file \"%s\"",
+                        path.c_str()));
+    return file;
+}
+
 } // namespace
 
 PhaseTrace
@@ -96,10 +107,7 @@ readTraceCsv(std::istream &is, const std::string &name,
 PhaseTrace
 readTraceCsvFile(const std::string &path, const std::string &name)
 {
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
-        fatal(strprintf("cannot open trace file \"%s\"",
-                        path.c_str()));
+    std::ifstream file = openTraceFile(path);
     return readTraceCsv(file, name, path);
 }
 
@@ -196,7 +204,9 @@ traceFromJson(const JsonValue &root, const std::string &name)
 PhaseTrace
 readTraceJsonFile(const std::string &path, const std::string &name)
 {
-    return traceFromJson(parseJsonFile(path), name);
+    std::ostringstream text;
+    text << openTraceFile(path).rdbuf();
+    return traceFromJson(parseJson(text.str(), path), name);
 }
 
 PhaseTrace

@@ -76,7 +76,10 @@ void writeTraceCsv(std::ostream &os, const PhaseTrace &trace);
 PhaseTrace traceFromJson(const JsonValue &root,
                          const std::string &name);
 
-/** traceFromJson over a parsed file. */
+/**
+ * traceFromJson over a parsed file; fatal() naming the trace file
+ * when it cannot be opened.
+ */
 PhaseTrace readTraceJsonFile(const std::string &path,
                              const std::string &name);
 

@@ -9,10 +9,44 @@
 #include "workload/battery_profiles.hh"
 #include "workload/trace_generator.hh"
 #include "workload/trace_io.hh"
-#include "workload/trace_library.hh"
 
 namespace pdnspot
 {
+
+namespace
+{
+
+/** The standard corpus at `seed`: each entry's base spec, in order. */
+std::vector<TraceSpec>
+corpusBases(uint64_t seed)
+{
+    TraceGeneratorSpec params;
+    params.seed = seed;
+    params.kind = TraceGeneratorKind::BurstyCompute;
+    std::vector<TraceSpec> out = {TraceSpec::generator(params)};
+    params.kind = TraceGeneratorKind::DayInTheLife;
+    out.push_back(TraceSpec::generator(params));
+    // random-mix names carry their seed, keeping the three distinct.
+    params.kind = TraceGeneratorKind::RandomMix;
+    for (uint64_t s = 0; s < 3; ++s) {
+        params.seed = seed + s;
+        out.push_back(TraceSpec::generator(params));
+    }
+    for (const BatteryProfile &profile : batteryLifeWorkloads())
+        out.push_back(TraceSpec::profile(profile.name));
+    return out;
+}
+
+} // namespace
+
+std::vector<TraceSpec>
+standardCampaignTraces(uint64_t seed)
+{
+    std::vector<TraceSpec> out;
+    for (const TraceSpec &entry : corpusBases(seed))
+        out.push_back(TraceSpec::library(entry.name(), seed));
+    return out;
+}
 
 TraceSpec::TraceSpec(PhaseTrace trace)
     : _kind(Kind::Inline), _name(trace.name()),
@@ -97,40 +131,7 @@ TraceSpec::resolve() const
 
     validate();
 
-    PhaseTrace t;
-    switch (_kind) {
-      case Kind::Inline:
-        t = _inline;
-        break;
-      case Kind::Library:
-        t = standardCampaignTraces(_seed).get(_ref);
-        break;
-      case Kind::Generator: {
-        TraceGenerator gen(_params.seed);
-        switch (_params.kind) {
-          case TraceGeneratorKind::BurstyCompute:
-            t = gen.burstyCompute(_params.bursts, _params.burstLen,
-                                  _params.idleLen, _params.arMin,
-                                  _params.arMax);
-            break;
-          case TraceGeneratorKind::DayInTheLife:
-            t = gen.dayInTheLife();
-            break;
-          case TraceGeneratorKind::RandomMix:
-            t = gen.randomMix(_params.phases, _params.meanPhaseLen,
-                              _params.arMin, _params.arMax);
-            break;
-        }
-        break;
-      }
-      case Kind::Profile:
-        t = traceFromBatteryProfile(batteryProfileByName(_ref),
-                                    _framePeriod, _frames);
-        break;
-      case Kind::File:
-        t = readTraceFile(_path, _name);
-        break;
-    }
+    PhaseTrace t = base();
     for (const TraceTransform &step : _transforms)
         t = step.apply(t);
     // The resolved trace must answer to the declared cell address,
@@ -145,6 +146,40 @@ TraceSpec::resolve() const
         metricObserve(Metric::TraceResolveMicros, us.count());
     }
     return t;
+}
+
+PhaseTrace
+TraceSpec::base() const
+{
+    switch (_kind) {
+      case Kind::Inline:
+        return _inline;
+      case Kind::Library: {
+        std::vector<TraceSpec> corpus = corpusBases(_seed);
+        return parseName(corpus, _ref, "library trace").base();
+      }
+      case Kind::Generator: {
+        TraceGenerator gen(_params.seed);
+        switch (_params.kind) {
+          case TraceGeneratorKind::BurstyCompute:
+            return gen.burstyCompute(_params.bursts, _params.burstLen,
+                                     _params.idleLen, _params.arMin,
+                                     _params.arMax);
+          case TraceGeneratorKind::DayInTheLife:
+            return gen.dayInTheLife();
+          case TraceGeneratorKind::RandomMix:
+            return gen.randomMix(_params.phases, _params.meanPhaseLen,
+                                 _params.arMin, _params.arMax);
+        }
+        break;
+      }
+      case Kind::Profile:
+        return traceFromBatteryProfile(batteryProfileByName(_ref),
+                                       _framePeriod, _frames);
+      case Kind::File:
+        return readTraceFile(_path, _name);
+    }
+    panic("TraceSpec: unknown kind");
 }
 
 std::string

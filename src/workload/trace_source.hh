@@ -2,13 +2,11 @@
  * @file
  * Declarative trace provenance: where a campaign trace comes from.
  *
- * The campaign API (src/campaign/) used to consume eagerly-built
- * PhaseTrace lists, which made trace provenance invisible to spec
- * files, shards and caches. A TraceSpec is a small value object that
- * *describes* a trace instead — a library reference, generator
- * parameters, a battery-profile expansion, a trace file on disk, or
- * an inline PhaseTrace for compatibility — and resolve() materializes
- * the PhaseTrace on demand. Resolution is a pure function of the
+ * A TraceSpec is a small value object that *describes* a campaign
+ * trace — a standard-corpus reference, generator parameters, a
+ * battery-profile expansion, a trace file on disk, or an inline
+ * PhaseTrace for compatibility — and resolve() materializes the
+ * PhaseTrace on demand. Resolution is a pure function of the
  * spec (plus, for file-backed traces, the file contents), so a
  * campaign resolves each trace once per run and stays bit-identical
  * at any thread count.
@@ -33,8 +31,9 @@ namespace pdnspot
 /**
  * Parameters for one synthetic-generator trace
  * (workload/trace_generator.hh). `kind` selects the generator; the
- * other fields parameterize the kinds that take them and default to
- * the standard-corpus values.
+ * other fields parameterize the kinds that take them. The standard
+ * corpus (standardCampaignTraces) runs every generator at these
+ * defaults.
  */
 struct TraceGeneratorSpec
 {
@@ -68,7 +67,7 @@ class TraceSpec
     enum class Kind
     {
         Inline,    ///< wraps a materialized PhaseTrace
-        Library,   ///< standardCampaignTraces(seed) entry by name
+        Library,   ///< standard-corpus entry by name and seed
         Generator, ///< synthesized from TraceGeneratorSpec
         Profile,   ///< battery-profile frame expansion
         File,      ///< CSV/JSON trace file (workload/trace_io.hh)
@@ -82,7 +81,11 @@ class TraceSpec
      */
     TraceSpec(PhaseTrace trace);
 
-    /** A standardCampaignTraces(seed) trace, referenced by name. */
+    /**
+     * An entry of the standard corpus at `seed`, referenced by name
+     * (see standardCampaignTraces). It resolves to that one entry's
+     * base spec.
+     */
     static TraceSpec library(std::string traceName,
                              uint64_t seed = 42);
 
@@ -167,6 +170,9 @@ class TraceSpec
     bool operator==(const TraceSpec &) const = default;
 
   private:
+    /** The base trace, before the transform chain and rename. */
+    PhaseTrace base() const;
+
     Kind _kind = Kind::Inline;
     std::string _name;
 
@@ -181,6 +187,16 @@ class TraceSpec
     std::vector<TraceTransform> _transforms;
     std::optional<Time> _tick;
 };
+
+/**
+ * The standard nine-trace campaign corpus at `seed`, as
+ * TraceSpec::library references (what the spec file's {"library":
+ * "standard", "seed": seed} binds): bursty-compute and
+ * day-in-the-life at `seed`, three random mixes at seed, seed+1 and
+ * seed+2 (all at the TraceGeneratorSpec defaults), and the four
+ * battery-life profiles at the TraceSpec::profile defaults.
+ */
+std::vector<TraceSpec> standardCampaignTraces(uint64_t seed);
 
 } // namespace pdnspot
 

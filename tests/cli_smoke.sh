@@ -5,7 +5,8 @@
 # the exit code and the relevant stdout/stderr fragment for a CLI
 # surface the GoogleTest suites cannot reach: argv parsing, usage
 # errors, spec-error reporting, the listing commands, --dry-run
-# provenance, and the launcher's retry/archive round trips. The
+# provenance, the launcher's retry/archive round trips and its kept
+# outputs (--report-dir, --keep-work). The
 # fleet_* cases expect the pdnspot_fleet binary as the tool under
 # test, launch_* pdnspot_launch and query_* pdnspot_query;
 # everything else expects pdnspot_campaign. The optional fourth
@@ -416,6 +417,37 @@ EOF
     if [ -e "$tmp/work" ] && [ -n "$(ls -A "$tmp/work")" ]; then
         fail "the failed launch wrote into --work-dir"
     fi
+    ;;
+  launch_report_dir)
+    # --report-dir keeps every shard's run report, each carrying the
+    # report schema and its own shard index.
+    run 0 "$spec_dir/measured_campaign.json" -n 3 --jobs 2 \
+        -o /dev/null --campaign-bin "$extra_bin" \
+        --report-dir "$tmp/reports"
+    [ "$(ls "$tmp/reports" | wc -l)" -eq 3 ] \
+        || fail "--report-dir does not hold exactly 3 files"
+    for k in 1 2 3; do
+        report="$tmp/reports/shard_$k.report.json"
+        [ -f "$report" ] || fail "no shard_$k.report.json"
+        grep -qF '"schema": "pdnspot-report-1"' "$report" \
+            || fail "shard_$k.report.json lacks the report schema"
+        grep -qF "\"shard_index\": $k," "$report" \
+            || fail "shard_$k.report.json is not shard $k's report"
+    done
+    ;;
+  launch_keep_work)
+    # --keep-work leaves the launcher's own temp work dir behind,
+    # names it on stderr, and it holds the shard CSVs -o joined.
+    TMPDIR="$tmp" run 0 "$spec_dir/measured_campaign.json" -n 2 \
+        -o "$tmp/out.csv" --campaign-bin "$extra_bin" --keep-work
+    work=$(sed -n 's/.*shard outputs kept in //p' "$tmp/err")
+    case "$work" in
+      "$tmp"/pdnspot_launch.*) ;;
+      *) fail "no kept temp work dir named under \$TMPDIR" ;;
+    esac
+    cat "$work/shard_1.csv" "$work/shard_2.csv" \
+        | cmp -s - "$tmp/out.csv" \
+        || fail "the kept shard CSVs do not make up the -o CSV"
     ;;
   query_usage)
     run 2

@@ -16,6 +16,14 @@
 #   probe_threads   the --probe-out waveform directory at 1 vs 8
 #                   threads, file for file and byte for byte, and
 #                   holding at least one waveform CSV
+#   observers       --report/--trace-events/--progress at 1 and 8
+#                   threads leave the CSV unchanged; each report
+#                   carries the pdnspot-report-1 schema and each
+#                   span trace is balanced
+#   report_counters the thread-invariant report counters
+#                   (campaign.cells, campaign.phases,
+#                   campaign.platform_builds, trace.resolves and the
+#                   three sim.runs_*) are equal at 1 and 8 threads
 #
 # pdnspot_fleet variants (a spec named gen.py is perfbench's
 # generator: the row runs its seed-1 fleet_mixed spec; a spec path
@@ -129,6 +137,53 @@ case "$variant" in
             "CSV written" >&2
         exit 1
     fi
+    ;;
+  observers)
+    run_tool --threads 1 -o "$tmp/plain.csv"
+    for threads in 1 8; do
+        report="$tmp/report$threads.json"
+        trace="$tmp/trace$threads.json"
+        run_tool --threads $threads -o "$tmp/obs$threads.csv" \
+            --report "$report" --trace-events "$trace" --progress
+        same "$tmp/plain.csv" "$tmp/obs$threads.csv"
+        grep -q '"schema": "pdnspot-report-1"' "$report" || {
+            echo "determinism: $variant: $threads-thread report" \
+                "lacks the pdnspot-report-1 schema" >&2
+            exit 1
+        }
+        begins=$(grep -c '"ph": "B"' "$trace" || true)
+        ends=$(grep -c '"ph": "E"' "$trace" || true)
+        if [ "$begins" -eq 0 ] || [ "$begins" -ne "$ends" ]; then
+            echo "determinism: $variant: $threads-thread span trace" \
+                "has $begins begins and $ends ends" >&2
+            exit 1
+        fi
+    done
+    ;;
+  report_counters)
+    # The registry's counters are written concurrently by the
+    # 8-thread run's workers; the thread-invariant ones must equal
+    # the serial run's exactly.
+    for threads in 1 8; do
+        run_tool --threads $threads -o /dev/null \
+            --report "$tmp/report$threads.json"
+    done
+    python3 - "$tmp/report1.json" "$tmp/report8.json" <<'PY'
+import json, sys
+
+def invariant(path):
+    with open(path) as f:
+        metrics = json.load(f)["metrics"]
+    keep = ("campaign.cells", "campaign.phases",
+            "campaign.platform_builds", "trace.resolves")
+    return {m["name"]: m["count"] for m in metrics
+            if m["name"] in keep or m["name"].startswith("sim.runs_")}
+
+serial, threaded = invariant(sys.argv[1]), invariant(sys.argv[2])
+if len(serial) != 7 or serial != threaded:
+    sys.exit("determinism: report_counters: report counters differ"
+             " at 1 vs 8 threads: %s vs %s" % (serial, threaded))
+PY
     ;;
   fleet_threads)
     threads="${4:-8}"

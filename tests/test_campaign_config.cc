@@ -65,23 +65,13 @@ TEST(CampaignConfigTest, GoodSpecMatchesCppConstruction)
     CampaignSpec fromFile = load(goodSpec);
 
     CampaignSpec fromCpp;
-    fromCpp.addTraces(standardCampaignTraces(42));
+    fromCpp.traces = standardCampaignTraces(42);
     fromCpp.platforms = allPlatformPresets();
     fromCpp.pdns.assign(allPdnKinds.begin(), allPdnKinds.end());
     fromCpp.mode = SimMode::Pmu;
 
-    // The file binds declarative library references, the C++ spec
-    // wraps eager traces — different provenance, but they must
-    // address and resolve to the very same traces.
-    ASSERT_EQ(fromFile.traces.size(), fromCpp.traces.size());
-    for (size_t i = 0; i < fromFile.traces.size(); ++i) {
-        EXPECT_EQ(fromFile.traces[i].kind(),
-                  TraceSpec::Kind::Library);
-        EXPECT_EQ(fromFile.traces[i].name(),
-                  fromCpp.traces[i].name());
-        EXPECT_EQ(fromFile.traces[i].resolve(),
-                  fromCpp.traces[i].resolve());
-    }
+    // The file and the C++ spec bind the same library references.
+    EXPECT_EQ(fromFile.traces, fromCpp.traces);
     ASSERT_EQ(fromFile.platforms.size(), fromCpp.platforms.size());
     for (size_t i = 0; i < fromFile.platforms.size(); ++i) {
         EXPECT_EQ(fromFile.platforms[i].name,
@@ -105,11 +95,7 @@ TEST(CampaignConfigTest, DefaultsModeTickAndSeed)
     })");
     EXPECT_EQ(spec.mode, SimMode::Static);
     EXPECT_EQ(spec.tick, microseconds(50.0));
-    const std::vector<PhaseTrace> corpus =
-        standardCampaignTraces(42).traces();
-    ASSERT_EQ(spec.traces.size(), corpus.size());
-    for (size_t i = 0; i < corpus.size(); ++i)
-        EXPECT_EQ(spec.traces[i].resolve(), corpus[i]);
+    EXPECT_EQ(spec.traces, standardCampaignTraces(42));
 }
 
 TEST(CampaignConfigTest, SelectsTraceSubsetInListedOrder)
@@ -176,7 +162,8 @@ TEST(CampaignConfigTest, BindsDeclarativeTraceEntries)
     ASSERT_EQ(spec.traces.size(), 4u);
     EXPECT_EQ(spec.traces[0].kind(), TraceSpec::Kind::Library);
     EXPECT_EQ(spec.traces[0].resolve(),
-              standardCampaignTraces(7).get("bursty-compute"));
+              TraceGenerator(7).burstyCompute(6, milliseconds(20.0),
+                                              milliseconds(60.0)));
 
     EXPECT_EQ(spec.traces[1].kind(), TraceSpec::Kind::Generator);
     EXPECT_EQ(spec.traces[1].resolve(),

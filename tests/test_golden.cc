@@ -1,13 +1,13 @@
 /**
  * @file
  * Golden-file regression net over the repo's byte-stable text
- * surfaces: campaign CSV export, trace CSV write, the run report,
- * the per-PDN summary table, and the probe waveform CSV + Perfetto
- * counter-track documents. Each test renders a deterministic fixture and
- * compares it byte for byte against a checked-in file under
- * tests/golden/ — any formatting or numeric drift in the promised
- * surfaces fails loudly instead of silently changing downstream
- * tooling's inputs. checkGolden (golden.hh) rewrites the files
+ * surfaces: campaign CSV export, trace CSV write, the standard trace
+ * corpus, the run report, the per-PDN summary table, and the probe
+ * waveform CSV + Perfetto counter-track documents. Each test renders
+ * a deterministic fixture and compares it byte for byte against a
+ * checked-in file under tests/golden/ — any formatting or numeric
+ * drift in the promised surfaces fails loudly instead of silently
+ * changing downstream tooling's inputs. checkGolden (golden.hh) rewrites the files
  * instead when regenerating.
  */
 
@@ -84,6 +84,22 @@ TEST(GoldenFileTest, TraceCsvWrite)
     std::ostringstream csv;
     writeTraceCsv(csv, trace);
     checkGolden("trace_write.csv", csv.str());
+}
+
+/**
+ * The standard nine-trace corpus at two seeds, each trace resolved
+ * from its library reference and written as trace CSV.
+ */
+TEST(GoldenFileTest, StandardTraceCorpus)
+{
+    std::ostringstream out;
+    for (uint64_t seed : {42, 43}) {
+        for (const TraceSpec &spec : standardCampaignTraces(seed)) {
+            out << "# seed " << seed << ": " << spec.name() << "\n";
+            writeTraceCsv(out, spec.resolve());
+        }
+    }
+    checkGolden("standard_corpus.csv", out.str());
 }
 
 TEST(GoldenFileTest, RunReport)

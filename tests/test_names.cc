@@ -35,7 +35,7 @@
 #include "workload/battery_profiles.hh"
 #include "workload/trace_generator.hh"
 #include "workload/trace_io.hh"
-#include "workload/trace_library.hh"
+#include "workload/trace_source.hh"
 
 namespace pdnspot
 {
@@ -152,9 +152,9 @@ TEST(NameTableTest, CataloguesShareTheErrorForm)
     EXPECT_EQ(errorOf([] { batteryProfileByName("mining"); }),
               unknown("battery profile", "mining",
                       namesOf(batteryLifeWorkloads())));
-    TraceLibrary lib = standardCampaignTraces(42);
-    EXPECT_EQ(errorOf([&] { lib.get("no-such"); }),
-              unknown("library trace", "no-such", namesOf(lib.names())));
+    EXPECT_EQ(errorOf([] { TraceSpec::library("no-such").resolve(); }),
+              unknown("library trace", "no-such",
+                      namesOf(standardCampaignTraces(42))));
     for (const PlatformConfig &cfg : allPlatformPresets())
         EXPECT_EQ(platformPresetByName(cfg.name).name, cfg.name);
 }
@@ -200,9 +200,9 @@ TEST(NameTableTest, SpecBindersFailAtTheValuesPosition)
          R"("platforms": [{"preset": "bogus"}], "pdns": "all"})",
          "platform preset", presets},
         {"campaign", campaign(R"([{"library": "bogus"}])", ""),
-         "library trace", namesOf(standardCampaignTraces(42).names())},
+         "library trace", namesOf(standardCampaignTraces(42))},
         {"campaign", campaign(R"({"names": ["bogus"]})", ""),
-         "library trace", namesOf(standardCampaignTraces(42).names())},
+         "library trace", namesOf(standardCampaignTraces(42))},
         {"campaign", campaign(R"([{"generator": {"kind": "bogus"}}])", ""),
          "generator kind", namesOf(nameTable<TraceGeneratorKind>)},
         {"campaign", campaign(R"([{"profile": "bogus"}])", ""),

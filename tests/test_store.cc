@@ -141,6 +141,20 @@ TEST_F(StoreTest, IngestAndReadBack)
               "pdnspot-report-1");
 }
 
+TEST_F(StoreTest, MissingReportIsNamedByItsPath)
+{
+    ResultArchive archive(root());
+    std::string id = archive.ingest(reportText(1, 1), "header\n");
+    std::string path = root() + "/runs/" + id + ".report.json";
+    fs::remove(path);
+    try {
+        archive.readReport(id);
+        FAIL() << "no error for a deleted report";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.message(), "cannot read \"" + path + "\"");
+    }
+}
+
 TEST_F(StoreTest, OpenExistingRejectsAPathWithoutAnArchive)
 {
     // The read side must not mistake a typo for an empty archive,

@@ -239,6 +239,21 @@ TEST(TraceFileTest, DispatchesOnExtension)
                  ConfigError);
 }
 
+TEST(TraceFileTest, MissingFilesAreNamedAsTraceFiles)
+{
+    // Both formats word an unopenable file alike, as a trace file.
+    for (const char *ext : {".csv", ".json"}) {
+        std::string path = testing::TempDir() + "no_such_trace" + ext;
+        try {
+            readTraceFile(path, "t");
+            FAIL() << "no error for " << path;
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(e.message(),
+                      "cannot open trace file \"" + path + "\"");
+        }
+    }
+}
+
 TEST(TraceFileTest, FileStemDerivesDefaultNames)
 {
     EXPECT_EQ(traceFileStem("traces/office_burst.csv"),

@@ -11,9 +11,10 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "obs/metrics.hh"
+#include "obs/span_trace.hh"
 #include "workload/trace_generator.hh"
 #include "workload/trace_io.hh"
-#include "workload/trace_library.hh"
 #include "workload/trace_source.hh"
 
 namespace pdnspot
@@ -37,9 +38,26 @@ TEST(TraceSpecTest, LibraryResolvesToTheCorpusEntry)
     TraceSpec spec = TraceSpec::library("random-mix-43", 42);
     EXPECT_EQ(spec.name(), "random-mix-43");
     EXPECT_EQ(spec.resolve(),
-              standardCampaignTraces(42).get("random-mix-43"));
+              TraceGenerator(43).randomMix(24, milliseconds(15.0)));
+    EXPECT_EQ(TraceSpec::library("day-in-the-life", 7).resolve(),
+              TraceGenerator(7).dayInTheLife());
+    EXPECT_EQ(TraceSpec::library("light-gaming-trace", 7).resolve(),
+              TraceSpec::profile("light-gaming").resolve());
     EXPECT_THROW(TraceSpec::library("no-such-trace", 42).resolve(),
                  ConfigError);
+}
+
+TEST(TraceSpecTest, LibraryReferenceIsOneResolve)
+{
+    MetricsRegistry registry;
+    SpanRecorder recorder;
+    {
+        MetricsInstallation metrics(registry);
+        SpanInstallation spans(recorder);
+        TraceSpec::library("web-browsing-trace", 42).resolve();
+    }
+    EXPECT_EQ(registry.counterValue(Metric::TraceResolves), 1u);
+    EXPECT_EQ(recorder.eventCount(), 2u); // one trace.resolve B/E
 }
 
 TEST(TraceSpecTest, GeneratorResolvesToTheGeneratorOutput)
@@ -118,7 +136,8 @@ TEST(TraceSpecTest, RenameAndTickOverrideStick)
     EXPECT_EQ(spec.resolve().name(), "spiky");
     // Renaming changes only the cell address, not the phases.
     EXPECT_EQ(spec.resolve().phases(),
-              standardCampaignTraces(42).get("bursty-compute")
+              TraceSpec::library("bursty-compute", 42)
+                  .resolve()
                   .phases());
 
     EXPECT_FALSE(spec.tickOverride());
@@ -149,8 +168,8 @@ TEST(TraceSpecTest, EqualityComparesProvenanceNotPhases)
               TraceSpec::library("bursty-compute", 43));
     // Same resolved trace, different provenance: not equal specs.
     EXPECT_NE(TraceSpec::library("bursty-compute", 42),
-              TraceSpec(standardCampaignTraces(42)
-                            .get("bursty-compute")));
+              TraceSpec(TraceSpec::library("bursty-compute", 42)
+                            .resolve()));
 }
 
 TEST(TraceSpecTest, ValidateRejectsMalformedSpecs)

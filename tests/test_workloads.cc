@@ -13,7 +13,7 @@
 #include "workload/spec_cpu2006.hh"
 #include "workload/trace.hh"
 #include "workload/trace_generator.hh"
-#include "workload/trace_library.hh"
+#include "workload/trace_source.hh"
 #include "workload/workload.hh"
 
 namespace pdnspot
@@ -214,70 +214,49 @@ TEST(TraceGenerator, FixedSeedReproducesIdenticalTraces)
               TraceGenerator(21).randomMix(40, milliseconds(3.0)));
 }
 
-TEST(TraceLibrary, RejectsDuplicateAndBadNames)
-{
-    TraceLibrary lib;
-    TracePhase phase;
-    phase.duration = milliseconds(1.0);
-    lib.add(PhaseTrace("a-trace", {phase}));
-    EXPECT_THROW(lib.add(PhaseTrace("a-trace", {phase})),
-                 ConfigError);
-    EXPECT_THROW(lib.add(PhaseTrace("", {phase})), ConfigError);
-    EXPECT_THROW(lib.add(PhaseTrace("bad,name", {phase})),
-                 ConfigError);
-    EXPECT_EQ(lib.size(), 1u);
-}
-
-TEST(TraceLibrary, FindReturnsRegisteredTraces)
-{
-    TraceLibrary lib;
-    TracePhase phase;
-    phase.duration = milliseconds(1.0);
-    lib.add(PhaseTrace("one", {phase}));
-    ASSERT_NE(lib.find("one"), nullptr);
-    EXPECT_EQ(lib.find("one")->name(), "one");
-    EXPECT_EQ(lib.find("two"), nullptr);
-}
-
 TEST(TraceLibrary, GetNamesTheMissingTraceAndTheAlternatives)
 {
-    TraceLibrary lib;
-    TracePhase phase;
-    phase.duration = milliseconds(1.0);
-    lib.add(PhaseTrace("one", {phase}));
-    lib.add(PhaseTrace("two", {phase}));
-    EXPECT_EQ(lib.get("one").name(), "one");
-
+    EXPECT_EQ(TraceSpec::library("random-mix-44", 42).resolve().name(),
+              "random-mix-44");
     try {
-        lib.get("three");
-        FAIL() << "lookup of an unregistered trace must throw";
+        TraceSpec::library("three", 42).resolve();
+        FAIL() << "a reference to no corpus entry must throw";
     } catch (const ConfigError &e) {
         std::string what = e.what();
         EXPECT_NE(what.find("\"three\""), std::string::npos)
             << what;
-        EXPECT_NE(what.find("one, two"), std::string::npos) << what;
+        EXPECT_NE(what.find("bursty-compute, day-in-the-life, "
+                            "random-mix-42, random-mix-43, "
+                            "random-mix-44, video-playback-trace"),
+                  std::string::npos)
+            << what;
     }
-    EXPECT_THROW(TraceLibrary().get("any"), ConfigError);
+    // The corpus names follow the seed.
+    EXPECT_THROW(TraceSpec::library("random-mix-42", 43).resolve(),
+                 ConfigError);
 }
 
 TEST(TraceLibrary, StandardCampaignCorpusIsReproducible)
 {
-    TraceLibrary a = standardCampaignTraces(42);
-    TraceLibrary b = standardCampaignTraces(42);
+    std::vector<TraceSpec> a = standardCampaignTraces(42);
+    std::vector<TraceSpec> b = standardCampaignTraces(42);
 
-    // The acceptance campaign needs >= 8 uniquely-named traces.
-    EXPECT_GE(a.size(), 8u);
+    // Nine uniquely-named library references.
+    EXPECT_EQ(a.size(), 9u);
     std::set<std::string> names;
-    for (const std::string &n : a.names())
-        EXPECT_TRUE(names.insert(n).second) << "duplicate " << n;
+    for (const TraceSpec &spec : a) {
+        EXPECT_EQ(spec.kind(), TraceSpec::Kind::Library);
+        EXPECT_TRUE(names.insert(spec.name()).second)
+            << "duplicate " << spec.name();
+    }
 
-    ASSERT_EQ(a.size(), b.size());
+    ASSERT_EQ(a, b);
     for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a.traces()[i], b.traces()[i]);
+        EXPECT_EQ(a[i].resolve(), b[i].resolve());
 
     // A different seed must change the generator-derived traces.
-    TraceLibrary c = standardCampaignTraces(43);
-    EXPECT_NE(a.traces()[0], c.traces()[0]);
+    std::vector<TraceSpec> c = standardCampaignTraces(43);
+    EXPECT_NE(a[0].resolve(), c[0].resolve());
 }
 
 } // anonymous namespace

@@ -176,8 +176,8 @@ printTraceLibrary(uint64_t seed)
 {
     AsciiTable table(
         {"trace", "phases", "duration (ms)", "spec reference"});
-    TraceLibrary library = standardCampaignTraces(seed);
-    for (const PhaseTrace &t : library.traces()) {
+    for (const TraceSpec &spec : standardCampaignTraces(seed)) {
+        PhaseTrace t = spec.resolve();
         table.addRow({t.name(), std::to_string(t.phases().size()),
                       AsciiTable::num(
                           inMilliseconds(t.totalDuration()), 1),
