@@ -9,7 +9,7 @@
 # shipped binaries once more to leave their report, span trace,
 # probe waveforms, archive index and fleet summary in the build dir
 # for CI to upload, then repeats the test suite under
-# AddressSanitizer + UBSan (the threaded campaign/sweep paths are
+# AddressSanitizer + UBSan (the threaded campaign paths are
 # sanitizer-gated). Ready to drop into CI as-is.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check; the

@@ -3,9 +3,10 @@
 # build's output. Run this when an intentional change moves one of
 # the byte-stable surfaces (campaign CSV export, trace CSV write,
 # the standard trace corpus, summary tables, run report, probe
-# waveforms, the paper figure tables under tests/golden/figures/,
-# the PDN model grid pdn_grid.txt), then review the diff before committing — a golden
-# update is a contract change for downstream tooling.
+# waveforms, the paper figure tables and CSV series under
+# tests/golden/figures/, the PDN model grid pdn_grid.txt), then review
+# the diff before committing — a golden update is a contract change
+# for downstream tooling.
 #
 # Every suite on tests/CMakeLists.txt's PDNSPOT_GOLDEN_SUITES list
 # runs with PDNSPOT_REGEN_GOLDEN=1; the script fails if any file in

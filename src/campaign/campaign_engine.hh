@@ -60,7 +60,10 @@ class CampaignEngine
      */
     explicit CampaignEngine(const ParallelRunner &runner);
 
-    /** Binding a temporary runner would dangle; see SweepEngine. */
+    /**
+     * The engine keeps a reference to the runner; binding a
+     * temporary would dangle after the full expression.
+     */
     explicit CampaignEngine(const ParallelRunner &&runner) = delete;
 
     /**

@@ -39,6 +39,10 @@ CampaignSpec::validate() const
               "non-empty");
     if (tick <= seconds(0.0))
         fatal("CampaignSpec: non-positive tick");
+    if (tick < minTick)
+        fatal(strprintf("CampaignSpec: tick %g us is below the 1 ns "
+                        "minimum",
+                        inMicroseconds(tick)));
 
     for (size_t i = 0; i < traces.size(); ++i) {
         traces[i].validate();

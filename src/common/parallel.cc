@@ -190,17 +190,10 @@ ParallelRunner::forEachChunked(
         fatal("ParallelRunner: chunk grain must be positive");
     if (n == 0)
         return;
-    if (grain == 1) {
-        forEach(n, [&](size_t i) {
-            metricAdd(Metric::RunnerChunksClaimed);
-            fn(i, i + 1);
-        });
-        return;
-    }
 
     // Claim over the chunk index space; the per-index machinery
     // (ordering, reentrancy fallback, exception draining) carries
-    // over unchanged.
+    // over unchanged. A grain of 1 makes one chunk per index.
     size_t chunks = (n + grain - 1) / grain;
     forEach(chunks, [&](size_t c) {
         metricAdd(Metric::RunnerChunksClaimed);

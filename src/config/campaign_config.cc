@@ -25,6 +25,19 @@ rejectUnknownKeys(const JsonValue &obj, const char *what,
     }
 }
 
+Time
+tickFromJson(const JsonValue &v)
+{
+    double us = v.asNumber();
+    if (!(us > 0.0))
+        v.fail(strprintf("\"tick_us\" must be positive, got %g", us));
+    if (microseconds(us) < minTick)
+        v.fail(strprintf("\"tick_us\" must be at least %g (1 ns), "
+                         "got %g",
+                         inMicroseconds(minTick), us));
+    return microseconds(us);
+}
+
 namespace
 {
 
@@ -407,14 +420,8 @@ traceSpecFromJson(const JsonValue &value, const std::string &traceDir)
             name->fail("\"name\" must be non-empty");
         spec.rename(name->asString());
     }
-    if (const JsonValue *tick = value.find("tick_us")) {
-        double us = tick->asNumber();
-        if (!(us > 0.0))
-            tick->fail(strprintf("\"tick_us\" must be positive, got "
-                                 "%g",
-                                 us));
-        spec.tick(microseconds(us));
-    }
+    if (const JsonValue *tick = value.find("tick_us"))
+        spec.tick(tickFromJson(*tick));
     if (const JsonValue *chain = value.find("transforms")) {
         if (chain->items().empty())
             chain->fail("\"transforms\" must hold at least one "
@@ -530,14 +537,8 @@ campaignSpecFromJson(const JsonValue &root,
     spec.pdns = pdnsFromJson(*root.find("pdns"));
     if (const JsonValue *mode = root.find("mode"))
         spec.mode = nameFromJson<SimMode>(*mode);
-    if (const JsonValue *tick = root.find("tick_us")) {
-        double us = tick->asNumber();
-        if (!(us > 0.0))
-            tick->fail(strprintf("\"tick_us\" must be positive, got "
-                                 "%g",
-                                 us));
-        spec.tick = microseconds(us);
-    }
+    if (const JsonValue *tick = root.find("tick_us"))
+        spec.tick = tickFromJson(*tick);
     if (const JsonValue *probes = root.find("probes")) {
         if (probes->items().empty())
             probes->fail("\"probes\" must hold at least one probe "

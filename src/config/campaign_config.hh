@@ -147,6 +147,12 @@ PlatformConfig platformConfigFromJson(const JsonValue &value);
 void rejectUnknownKeys(const JsonValue &obj, const char *what,
                        std::initializer_list<const char *> valid);
 
+/**
+ * Bind a "tick_us" value: positive, and no finer than minTick (1 ns),
+ * below which the PMU kernel's clock cannot advance.
+ */
+Time tickFromJson(const JsonValue &v);
+
 } // namespace pdnspot
 
 #endif // PDNSPOT_CONFIG_CAMPAIGN_CONFIG_HH

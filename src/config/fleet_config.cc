@@ -100,7 +100,7 @@ fleetSpecFromJson(const JsonValue &root, const std::string &traceDir)
         spec.horizon =
             seconds(positiveNumber(*horizon, "horizon_s"));
     if (const JsonValue *tick = root.find("tick_us"))
-        spec.tick = microseconds(positiveNumber(*tick, "tick_us"));
+        spec.tick = tickFromJson(*tick);
     if (const JsonValue *seed = root.find("seed"))
         spec.seed = static_cast<uint64_t>(
             seed->asInteger("\"seed\"", 0, 1000000000L));

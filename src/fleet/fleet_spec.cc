@@ -64,6 +64,10 @@ FleetSpec::validate() const
         fatal("FleetSpec: horizon shorter than one bucket");
     if (tick <= seconds(0.0))
         fatal("FleetSpec: non-positive tick");
+    if (tick < minTick)
+        fatal(strprintf("FleetSpec: tick %g us is below the 1 ns "
+                        "minimum",
+                        inMicroseconds(tick)));
     if (!std::isfinite(stormK) || stormK <= 0.0)
         fatal("FleetSpec: storm_k must be positive and finite");
     if (bucketCount() > 10000000)

@@ -1,6 +1,8 @@
 #include "pdnspot/figures.hh"
 
 #include <array>
+#include <locale>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,116 @@ void
 banner(std::ostream &os, const std::string &what)
 {
     os << "\n=== PDNspot reproduction: " << what << " ===\n\n";
+}
+
+/** A PDN's ETEE at one operating point. */
+double
+eteeAt(const Platform &platform, PdnKind kind, Power tdp,
+       WorkloadType type, double ar,
+       PackageCState cstate = PackageCState::C0)
+{
+    OperatingPointModel::Query q;
+    q.tdp = tdp;
+    q.type = type;
+    q.ar = ar;
+    q.cstate = cstate;
+    return platform.pdn(kind)
+        .evaluate(platform.operatingPoints().build(q))
+        .etee();
+}
+
+/**
+ * A CSV figure: the header `xLabel,<PDN names>`, then one row per x
+ * holding eval(kind, x) for each kind. The kind × x evaluations fan
+ * out over the runner and land at their own index, and numbers print
+ * through a classic-locale buffer at the default precision, so the
+ * bytes depend on neither the pool size nor the caller's locale.
+ */
+template <class Eval>
+void
+printSeries(std::ostream &os, const ParallelRunner &runner,
+            const char *xLabel, std::span<const double> xs,
+            std::span<const PdnKind> kinds, Eval eval)
+{
+    size_t nx = xs.size();
+    size_t total = kinds.size() * nx;
+    std::vector<double> ys = runner.map<double>(
+        total,
+        [&](size_t t) { return eval(kinds[t / nx], xs[t % nx]); },
+        runner.suggestedGrain(total));
+
+    std::ostringstream buf;
+    buf.imbue(std::locale::classic());
+    buf << xLabel;
+    for (PdnKind kind : kinds)
+        buf << "," << toString(kind);
+    buf << "\n";
+    for (size_t i = 0; i < nx; ++i) {
+        buf << xs[i];
+        for (size_t k = 0; k < kinds.size(); ++k)
+            buf << "," << ys[k * nx + i];
+        buf << "\n";
+    }
+    os << buf.str();
+}
+
+/** Fig. 4(a-i) data: the classic PDNs' ETEE across the AR band. */
+template <WorkloadType Type, int TdpW>
+void
+fig4EteeVsAr(std::ostream &os, const Platform &platform,
+             const ParallelRunner &runner)
+{
+    static constexpr std::array<double, 9> ars = {
+        0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80};
+    printSeries(os, runner, "AR", ars, classicPdnKinds,
+                [&](PdnKind kind, double ar) {
+                    return eteeAt(platform, kind, watts(TdpW), Type,
+                                  ar);
+                });
+}
+
+/** The crossover view: all five PDNs' ETEE across TDP at AR 0.56. */
+template <WorkloadType Type>
+void
+eteeVsTdp(std::ostream &os, const Platform &platform,
+          const ParallelRunner &runner)
+{
+    static constexpr std::array<double, 12> tdps = {
+        4, 6, 8, 10, 14, 18, 22, 25, 30, 36, 42, 50};
+    printSeries(os, runner, "TDP_W", tdps, allPdnKinds,
+                [&](PdnKind kind, double tdp) {
+                    return eteeAt(platform, kind, watts(tdp), Type,
+                                  0.56);
+                });
+}
+
+/** Fig. 4(j) data: ETEE per battery-life C-state (by index), 15 W. */
+void
+fig4jEteeVsCState(std::ostream &os, const Platform &platform,
+                  const ParallelRunner &runner)
+{
+    std::array<double, batteryLifeCStates.size()> indices;
+    for (size_t i = 0; i < indices.size(); ++i)
+        indices[i] = static_cast<double>(i);
+    printSeries(os, runner, "cstate_index", indices, classicPdnKinds,
+                [&](PdnKind kind, double i) {
+                    return eteeAt(platform, kind, watts(15.0),
+                                  WorkloadType::BatteryLife, 0.3,
+                                  batteryLifeCStates[static_cast<
+                                      size_t>(i)]);
+                });
+}
+
+/** Fig. 8(d)/(e) data: a normalized board cost across TDP. */
+template <double (*Normalized)(const Platform &, PdnKind, Power)>
+void
+costVsTdp(std::ostream &os, const Platform &platform,
+          const ParallelRunner &runner)
+{
+    printSeries(os, runner, "TDP_W", evaluationTdpsW, allPdnKinds,
+                [&](PdnKind kind, double tdp) {
+                    return Normalized(platform, kind, watts(tdp));
+                });
 }
 
 /** Table 1 (platform architecture) and Table 2 (model parameters). */
@@ -677,14 +789,35 @@ transientNoise(std::ostream &os, const Platform &,
           "FlexWatts == IVR (shared decap, Sec. 6).\n\n";
 }
 
-constexpr std::array<Figure, 14> figures = {{
-    {"table2_params", table2Params},
-    {"fig2_perf_model", fig2PerfModel},
-    {"fig3_vr_efficiency", fig3VrEfficiency},
-    {"fig4_validation", fig4Validation},
-    {"fig5_loss_breakdown", fig5LossBreakdown},
-    {"fig7_spec_4w", fig7Spec4w},
-    {"fig8a_spec_tdp",
+constexpr std::array<Figure, 28> figures = {{
+    {"table2_params.txt", table2Params},
+    {"fig2_perf_model.txt", fig2PerfModel},
+    {"fig3_vr_efficiency.txt", fig3VrEfficiency},
+    {"fig4_validation.txt", fig4Validation},
+    {"fig4_etee_vs_ar_single-thread_4W.csv",
+     fig4EteeVsAr<WorkloadType::SingleThread, 4>},
+    {"fig4_etee_vs_ar_single-thread_18W.csv",
+     fig4EteeVsAr<WorkloadType::SingleThread, 18>},
+    {"fig4_etee_vs_ar_single-thread_50W.csv",
+     fig4EteeVsAr<WorkloadType::SingleThread, 50>},
+    {"fig4_etee_vs_ar_multi-thread_4W.csv",
+     fig4EteeVsAr<WorkloadType::MultiThread, 4>},
+    {"fig4_etee_vs_ar_multi-thread_18W.csv",
+     fig4EteeVsAr<WorkloadType::MultiThread, 18>},
+    {"fig4_etee_vs_ar_multi-thread_50W.csv",
+     fig4EteeVsAr<WorkloadType::MultiThread, 50>},
+    {"fig4_etee_vs_ar_graphics_4W.csv",
+     fig4EteeVsAr<WorkloadType::Graphics, 4>},
+    {"fig4_etee_vs_ar_graphics_18W.csv",
+     fig4EteeVsAr<WorkloadType::Graphics, 18>},
+    {"fig4_etee_vs_ar_graphics_50W.csv",
+     fig4EteeVsAr<WorkloadType::Graphics, 50>},
+    {"fig4j_etee_vs_cstate.csv", fig4jEteeVsCState},
+    {"etee_vs_tdp_cpu.csv", eteeVsTdp<WorkloadType::MultiThread>},
+    {"etee_vs_tdp_gfx.csv", eteeVsTdp<WorkloadType::Graphics>},
+    {"fig5_loss_breakdown.txt", fig5LossBreakdown},
+    {"fig7_spec_4w.txt", fig7Spec4w},
+    {"fig8a_spec_tdp.txt",
      [](std::ostream &os, const Platform &platform,
         const ParallelRunner &runner) {
          suitePerfVsTdp(os, platform, runner,
@@ -692,7 +825,7 @@ constexpr std::array<Figure, 14> figures = {{
                         "(IVR = 100%)",
                         specCpu2006());
      }},
-    {"fig8b_graphics",
+    {"fig8b_graphics.txt",
      [](std::ostream &os, const Platform &platform,
         const ParallelRunner &runner) {
          suitePerfVsTdp(
@@ -700,12 +833,14 @@ constexpr std::array<Figure, 14> figures = {{
              "Fig. 8(b) - 3DMark06 average performance (IVR = 100%)",
              gfx3dmark06());
      }},
-    {"fig8c_battery", fig8cBattery},
-    {"fig8d_bom", fig8dBom},
-    {"fig8e_area", fig8eArea},
-    {"mode_switching", modeSwitching},
-    {"ablation_predictor", ablationPredictor},
-    {"transient_noise", transientNoise},
+    {"fig8c_battery.txt", fig8cBattery},
+    {"fig8d_bom.txt", fig8dBom},
+    {"fig8d_bom_vs_tdp.csv", costVsTdp<normalizedBom>},
+    {"fig8e_area.txt", fig8eArea},
+    {"fig8e_area_vs_tdp.csv", costVsTdp<normalizedArea>},
+    {"mode_switching.txt", modeSwitching},
+    {"ablation_predictor.txt", ablationPredictor},
+    {"transient_noise.txt", transientNoise},
 }};
 
 } // anonymous namespace

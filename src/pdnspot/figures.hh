@@ -1,13 +1,16 @@
 /**
  * @file
- * The paper's tables and figures as text: one row per artifact.
+ * The paper's tables and figures: one row per artifact.
  *
- * Each figure renders Table 1/2, Figs. 2-5, Fig. 7, Fig. 8(a-e), the
- * Sec. 6 switch-flow budget or one of the extension studies as
- * aligned plain-text tables. The platform and the thread pool are
- * passed in; a figure prints the same bytes at any pool size.
- * examples/export_figures writes every figure to <name>.txt, and
- * tests/test_figures.cc pins each one against tests/golden/figures/.
+ * Each row renders one file. The text tables (Table 1/2, Figs. 2-5,
+ * Fig. 7, Fig. 8(a-e), the Sec. 6 switch-flow budget and the
+ * extension studies) print as aligned plain text (.txt); the plotting
+ * series (Fig. 4(a-j) ETEE vs AR and per C-state, the ETEE-vs-TDP
+ * crossover, Fig. 8(d)/(e) BOM and area vs TDP) print as CSV (.csv).
+ * The platform and the thread pool are passed in; a row prints the
+ * same bytes at any pool size. examples/export_figures writes every
+ * row to its file name, and tests/test_figures.cc pins each one
+ * against tests/golden/figures/.
  */
 
 #ifndef PDNSPOT_PDNSPOT_FIGURES_HH
@@ -22,7 +25,7 @@
 namespace pdnspot
 {
 
-/** One paper artifact: a file stem and the printer that renders it. */
+/** One paper artifact: its file name and the printer that renders it. */
 struct Figure
 {
     const char *name;

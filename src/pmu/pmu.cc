@@ -52,8 +52,9 @@ Pmu::advanceTo(Time now, const TracePhase &phase)
     // tick counts (one rounding each, never accumulated), so a
     // nanosecond of slack -- orders of magnitude above residual
     // drift, orders below the microsecond-scale cadences -- keeps
-    // tick processing independent of the caller's step size.
-    const Time slack = seconds(1e-9);
+    // tick processing independent of the caller's step size. It is
+    // also the finest tick a simulator accepts (minTick).
+    const Time slack = minTick;
     now += slack;
 
     // Sensor cadence: sample the AR proxy while the platform is

@@ -107,6 +107,10 @@ IntervalSimulator::IntervalSimulator(const OperatingPointModel &opm,
 {
     if (tick <= seconds(0.0))
         fatal("IntervalSimulator: non-positive tick");
+    if (tick < minTick)
+        fatal(strprintf("IntervalSimulator: tick %g us is below the "
+                        "1 ns minimum",
+                        inMicroseconds(tick)));
 }
 
 OperatingPointModel::Query

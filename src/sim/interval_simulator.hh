@@ -56,7 +56,8 @@ class IntervalSimulator
     /**
      * @param opm operating-point builder
      * @param tdp platform TDP
-     * @param tick simulation step (bounds switch-flow resolution)
+     * @param tick simulation step (bounds switch-flow resolution);
+     * at least minTick (1 ns)
      */
     IntervalSimulator(const OperatingPointModel &opm, Power tdp,
                       Time tick = microseconds(50.0));

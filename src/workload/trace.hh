@@ -25,6 +25,14 @@
 namespace pdnspot
 {
 
+/**
+ * The finest simulation tick any spec or simulator accepts: 1 ns,
+ * the cadence slack of Pmu::advanceTo. A finer tick can round away
+ * against a phase's start time, and the PMU kernel's clock would
+ * never advance.
+ */
+inline constexpr Time minTick = seconds(1e-9);
+
 /** One homogeneous stretch of execution. */
 struct TracePhase
 {

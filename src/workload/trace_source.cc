@@ -229,6 +229,10 @@ TraceSpec::validate() const
         fatal(strprintf("TraceSpec \"%s\": non-positive tick "
                         "override",
                         _name.c_str()));
+    if (_tick && *_tick < minTick)
+        fatal(strprintf("TraceSpec \"%s\": tick override %g us is "
+                        "below the 1 ns minimum",
+                        _name.c_str(), inMicroseconds(*_tick)));
 
     switch (_kind) {
       case Kind::Inline:

@@ -99,6 +99,15 @@ TEST(CampaignSpecTest, ValidateRejectsNonPositiveTick)
     EXPECT_THROW(spec.validate(), ConfigError);
 }
 
+TEST(CampaignSpecTest, ValidateRejectsSubNanosecondTick)
+{
+    CampaignSpec spec = smallSpec(SimMode::Pmu);
+    spec.tick = seconds(1e-300 * 1e-6);
+    EXPECT_THROW(spec.validate(), ConfigError);
+    spec.tick = minTick;
+    EXPECT_NO_THROW(spec.validate());
+}
+
 TEST(CampaignSpecTest, SimModeNamesRoundTrip)
 {
     for (SimMode mode :

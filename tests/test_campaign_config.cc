@@ -361,6 +361,31 @@ TEST(CampaignConfigTest, RejectsMissingTracesAndPresets)
                     "need a \"name\"");
 }
 
+TEST(CampaignConfigTest, RejectsSubNanosecondTick)
+{
+    // A tick below 1 ns rounds away against a phase start and would
+    // stall the PMU kernel; the error points at the value.
+    expectSpecError(R"({"traces": {}, "platforms": ["ultraportable-15w"],
+"pdns": ["IVR"], "tick_us": 1e-300})",
+                    "\"tick_us\" must be at least 0.001 (1 ns), got "
+                    "1e-300",
+                    "spec.json:2:29");
+    CampaignSpec spec = loadCampaignSpec(
+        R"({"traces": {}, "platforms": ["ultraportable-15w"],
+            "pdns": ["IVR"], "tick_us": 0.001})",
+        "spec.json");
+    EXPECT_EQ(spec.tick, minTick);
+}
+
+TEST(CampaignConfigTest, RejectsSubNanosecondTraceTick)
+{
+    expectSpecError(R"({"traces": [{"library": "bursty-compute",
+"tick_us": 1e-300}], "platforms": ["ultraportable-15w"], "pdns": ["IVR"]})",
+                    "\"tick_us\" must be at least 0.001 (1 ns), got "
+                    "1e-300",
+                    "spec.json:2:12");
+}
+
 TEST(CampaignConfigTest, RejectsBadScalars)
 {
     expectSpecError(R"({"traces": {"seed": 2.5},

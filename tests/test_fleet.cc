@@ -311,6 +311,15 @@ TEST(FleetEngineTest, ValidateRejectsUnrunnableSpecs)
     EXPECT_THROW(spec.validate(), ConfigError);
 }
 
+TEST(FleetSpecTest, ValidateRejectsSubNanosecondTick)
+{
+    FleetSpec spec = testSpec();
+    spec.tick = seconds(1e-300 * 1e-6);
+    EXPECT_THROW(spec.validate(), ConfigError);
+    spec.tick = minTick;
+    EXPECT_NO_THROW(spec.validate());
+}
+
 TEST(FleetEngineTest, ProgressReportsEveryBucketInOrder)
 {
     FleetSpec spec = testSpec();

@@ -227,6 +227,18 @@ TEST(FleetConfigTest, RejectsOutOfRangeValues)
                     "\"seed\"");
 }
 
+TEST(FleetConfigTest, RejectsSubNanosecondTick)
+{
+    expectSpecError("{\"cohorts\": [" + std::string(minimalCohort) +
+                        "],\n\"tick_us\": 1e-300}",
+                    "\"tick_us\" must be at least 0.001 (1 ns), got "
+                    "1e-300",
+                    "fleet.json:3:12");
+    expectSpecError("{\"cohorts\": [" + std::string(minimalCohort) +
+                        "], \"tick_us\": 0}",
+                    "\"tick_us\" must be positive");
+}
+
 TEST(FleetConfigTest, CrossFieldChecksFailAtTheRoot)
 {
     // Bucket longer than the horizon binds per-field but fails

@@ -7,8 +7,12 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,7 +20,7 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "pdnspot/experiments.hh"
-#include "pdnspot/sweep.hh"
+#include "pdnspot/figures.hh"
 #include "workload/spec_cpu2006.hh"
 
 namespace pdnspot
@@ -228,22 +232,42 @@ TEST(ParallelRunnerTest, DefaultsToAtLeastOneThread)
     EXPECT_GE(runner.threadCount(), 1u);
 }
 
-/** Sweep determinism: the satellite acceptance test of ISSUE 1. */
+/** Experiment sweeps return the same numbers at any pool size. */
 class SweepDeterminismTest : public ::testing::Test
 {
   protected:
-    static bool
-    identical(const SweepResult &a, const SweepResult &b)
+    using Eval = std::function<double(PdnKind, double)>;
+
+    /**
+     * Every PDN's eval(kind, x) across xs, fanned out over the runner
+     * the way the CSV figure rows fan out, at full precision.
+     */
+    static std::vector<double>
+    sweep(const ParallelRunner &runner, std::span<const double> xs,
+          const Eval &eval)
     {
-        if (a.xLabel != b.xLabel || a.yLabel != b.yLabel ||
-            a.series.size() != b.series.size())
-            return false;
-        for (size_t s = 0; s < a.series.size(); ++s) {
-            if (a.series[s].label != b.series[s].label ||
-                a.series[s].points != b.series[s].points)
-                return false;
-        }
-        return true;
+        size_t nx = xs.size();
+        size_t total = allPdnKinds.size() * nx;
+        return runner.map<double>(
+            total,
+            [&](size_t t) {
+                return eval(allPdnKinds[t / nx], xs[t % nx]);
+            },
+            runner.suggestedGrain(total));
+    }
+
+    double
+    eteeAt(PdnKind kind, Power tdp, WorkloadType type, double ar,
+           PackageCState cstate = PackageCState::C0) const
+    {
+        OperatingPointModel::Query q;
+        q.tdp = tdp;
+        q.type = type;
+        q.ar = ar;
+        q.cstate = cstate;
+        return platform.pdn(kind)
+            .evaluate(platform.operatingPoints().build(q))
+            .etee();
     }
 
     Platform platform;
@@ -251,41 +275,48 @@ class SweepDeterminismTest : public ::testing::Test
 
 TEST_F(SweepDeterminismTest, SweepsBitIdenticalAcrossThreadCounts)
 {
+    const std::vector<double> ars = {0.1, 0.3, 0.56, 0.8, 1.0};
+    std::vector<double> cstates(batteryLifeCStates.size());
+    for (size_t i = 0; i < cstates.size(); ++i)
+        cstates[i] = static_cast<double>(i);
+
+    const std::vector<std::pair<std::span<const double>, Eval>>
+        sweeps = {
+        {ars,
+         [&](PdnKind kind, double ar) {
+             return eteeAt(kind, watts(15.0), WorkloadType::MultiThread,
+                           ar);
+         }},
+        {evaluationTdpsW,
+         [&](PdnKind kind, double tdp) {
+             return eteeAt(kind, watts(tdp), WorkloadType::SingleThread,
+                           0.56);
+         }},
+        {cstates,
+         [&](PdnKind kind, double i) {
+             return eteeAt(kind, watts(15.0), WorkloadType::BatteryLife,
+                           0.3,
+                           batteryLifeCStates[static_cast<size_t>(i)]);
+         }},
+        {evaluationTdpsW,
+         [&](PdnKind kind, double tdp) {
+             return normalizedBom(platform, kind, watts(tdp));
+         }},
+        {evaluationTdpsW,
+         [&](PdnKind kind, double tdp) {
+             return normalizedArea(platform, kind, watts(tdp));
+         }},
+    };
+
     ParallelRunner serial(1);
-    SweepEngine reference(platform, serial);
-
-    std::vector<PdnKind> kinds(allPdnKinds.begin(), allPdnKinds.end());
-    std::vector<double> ars = {0.1, 0.3, 0.56, 0.8, 1.0};
-    std::vector<double> tdps(evaluationTdpsW.begin(),
-                             evaluationTdpsW.end());
-
-    SweepResult ar_ref = reference.eteeVsAr(
-        watts(15.0), WorkloadType::MultiThread, ars, kinds);
-    SweepResult tdp_ref = reference.eteeVsTdp(
-        WorkloadType::SingleThread, 0.56, tdps, kinds);
-    SweepResult cs_ref = reference.eteeVsCState(kinds);
-    SweepResult bom_ref = reference.bomVsTdp(tdps, kinds);
-    SweepResult area_ref = reference.areaVsTdp(tdps, kinds);
-
-    for (unsigned threads : {2u, 8u}) {
-        ParallelRunner pool(threads);
-        SweepEngine engine(platform, pool);
-        EXPECT_TRUE(identical(
-            ar_ref, engine.eteeVsAr(watts(15.0),
-                                    WorkloadType::MultiThread, ars,
-                                    kinds)))
-            << threads << " threads";
-        EXPECT_TRUE(identical(
-            tdp_ref, engine.eteeVsTdp(WorkloadType::SingleThread,
-                                      0.56, tdps, kinds)))
-            << threads << " threads";
-        EXPECT_TRUE(identical(cs_ref, engine.eteeVsCState(kinds)))
-            << threads << " threads";
-        EXPECT_TRUE(identical(bom_ref, engine.bomVsTdp(tdps, kinds)))
-            << threads << " threads";
-        EXPECT_TRUE(identical(area_ref,
-                              engine.areaVsTdp(tdps, kinds)))
-            << threads << " threads";
+    for (const auto &[xs, eval] : sweeps) {
+        std::vector<double> ref = sweep(serial, xs, eval);
+        ASSERT_EQ(ref.size(), allPdnKinds.size() * xs.size());
+        for (unsigned threads : {2u, 8u}) {
+            ParallelRunner pool(threads);
+            EXPECT_EQ(ref, sweep(pool, xs, eval))
+                << threads << " threads";
+        }
     }
 }
 
@@ -314,22 +345,23 @@ TEST_F(SweepDeterminismTest, SuitePerfBitIdenticalAcrossThreadCounts)
 
 TEST_F(SweepDeterminismTest, CsvExportIdenticalAcrossThreadCounts)
 {
-    std::vector<PdnKind> kinds(allPdnKinds.begin(), allPdnKinds.end());
-    std::vector<double> tdps(evaluationTdpsW.begin(),
-                             evaluationTdpsW.end());
-
-    auto csv = [&](unsigned threads) {
+    auto csv = [&](const Figure &figure, unsigned threads) {
         ParallelRunner pool(threads);
-        SweepEngine engine(platform, pool);
         std::ostringstream os;
-        engine.eteeVsTdp(WorkloadType::MultiThread, 0.56, tdps, kinds)
-            .writeCsv(os);
+        figure.print(os, platform, pool);
         return os.str();
     };
 
-    std::string ref = csv(1);
-    EXPECT_EQ(ref, csv(2));
-    EXPECT_EQ(ref, csv(8));
+    size_t rows = 0;
+    for (const Figure &figure : paperFigures()) {
+        if (!std::string(figure.name).ends_with(".csv"))
+            continue;
+        ++rows;
+        std::string ref = csv(figure, 1);
+        EXPECT_EQ(ref, csv(figure, 2)) << figure.name;
+        EXPECT_EQ(ref, csv(figure, 8)) << figure.name;
+    }
+    EXPECT_EQ(rows, 14u);
 }
 
 } // namespace

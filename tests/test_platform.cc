@@ -123,5 +123,75 @@ TEST_F(PlatformTest, EteeTableBakedIntoPlatformMatchesFreshTable)
     }
 }
 
+/** ETEE of one PDN at an active operating point (or a C-state). */
+double
+eteeAt(const Platform &platform, PdnKind kind, double tdpW,
+       WorkloadType type, double ar,
+       PackageCState cstate = PackageCState::C0)
+{
+    OperatingPointModel::Query q;
+    q.tdp = watts(tdpW);
+    q.type = type;
+    q.ar = ar;
+    q.cstate = cstate;
+    return platform.pdn(kind)
+        .evaluate(platform.operatingPoints().build(q))
+        .etee();
+}
+
+TEST_F(PlatformTest, MbvrEteeRisesWithAr)
+{
+    // The Fig. 4 panels' shape at 18 W, multi-thread: every classic
+    // PDN in a plausible band, MBVR rising with AR (Observation 2).
+    for (PdnKind kind : classicPdnKinds) {
+        for (double ar : {0.4, 0.5, 0.6, 0.7, 0.8}) {
+            double etee = eteeAt(platform, kind, 18.0,
+                                 WorkloadType::MultiThread, ar);
+            EXPECT_GT(etee, 0.5) << toString(kind) << " AR " << ar;
+            EXPECT_LT(etee, 1.0) << toString(kind) << " AR " << ar;
+        }
+    }
+    EXPECT_GT(eteeAt(platform, PdnKind::MBVR, 18.0,
+                     WorkloadType::MultiThread, 0.8),
+              eteeAt(platform, PdnKind::MBVR, 18.0,
+                     WorkloadType::MultiThread, 0.4));
+}
+
+TEST_F(PlatformTest, IvrMbvrCrossoverAcrossTdp)
+{
+    auto etee = [&](PdnKind kind, double tdp) {
+        return eteeAt(platform, kind, tdp, WorkloadType::MultiThread,
+                      0.56);
+    };
+    EXPECT_LT(etee(PdnKind::IVR, 4.0), etee(PdnKind::MBVR, 4.0));
+    EXPECT_GT(etee(PdnKind::IVR, 50.0), etee(PdnKind::MBVR, 50.0));
+}
+
+TEST_F(PlatformTest, MbvrAboveIvrInBatteryLifeCStates)
+{
+    // Fig. 4(j): MBVR above IVR in every idle state of the ladder.
+    for (size_t i = 1; i < batteryLifeCStates.size(); ++i) {
+        PackageCState cs = batteryLifeCStates[i];
+        EXPECT_GT(eteeAt(platform, PdnKind::MBVR, 15.0,
+                         WorkloadType::BatteryLife, 0.3, cs),
+                  eteeAt(platform, PdnKind::IVR, 15.0,
+                         WorkloadType::BatteryLife, 0.3, cs))
+            << toString(cs);
+    }
+}
+
+TEST_F(PlatformTest, BomAndAreaShapes)
+{
+    for (double tdp : {4.0, 18.0, 50.0}) {
+        EXPECT_GT(normalizedBom(platform, PdnKind::MBVR, watts(tdp)),
+                  1.5);
+        EXPECT_LT(
+            normalizedBom(platform, PdnKind::FlexWatts, watts(tdp)),
+            1.3);
+        EXPECT_GT(normalizedArea(platform, PdnKind::MBVR, watts(tdp)),
+                  1.5);
+    }
+}
+
 } // anonymous namespace
 } // namespace pdnspot

@@ -218,5 +218,33 @@ TEST_F(PmuTest, RejectsBadCadence)
     EXPECT_THROW(Pmu(cfg, platform.predictor()), ConfigError);
 }
 
+TEST_F(PmuTest, CtdpReconfiguration)
+{
+    // cTDP: reconfiguring the budget flips the mode decision at the
+    // next evaluation (4 W -> LDO-Mode, 50 W -> IVR-Mode for heavy
+    // multi-thread work).
+    PmuConfig cfg;
+    cfg.tdp = watts(4.0);
+    cfg.initialMode = HybridMode::LdoMode;
+    Pmu pmu(cfg, platform.predictor());
+
+    TracePhase heavy;
+    heavy.duration = milliseconds(200.0);
+    heavy.cstate = PackageCState::C0;
+    heavy.type = WorkloadType::MultiThread;
+    heavy.ar = 0.8;
+
+    for (double ms = 0.0; ms <= 50.0; ms += 1.0)
+        pmu.advanceTo(milliseconds(ms), heavy);
+    EXPECT_EQ(pmu.configuredMode(), HybridMode::LdoMode);
+
+    pmu.setTdp(watts(50.0)); // dock with active cooling
+    for (double ms = 51.0; ms <= 120.0; ms += 1.0)
+        pmu.advanceTo(milliseconds(ms), heavy);
+    EXPECT_EQ(pmu.configuredMode(), HybridMode::IvrMode);
+
+    EXPECT_THROW(pmu.setTdp(watts(0.0)), ConfigError);
+}
+
 } // anonymous namespace
 } // namespace pdnspot

@@ -115,6 +115,17 @@ TEST_F(SimTest, RejectsBadTick)
                  ConfigError);
 }
 
+TEST_F(SimTest, RejectsSubNanosecondTick)
+{
+    // Below 1 ns the PMU kernel's step can round to zero against a
+    // phase start and never reach the phase end.
+    EXPECT_THROW(IntervalSimulator(platform.operatingPoints(),
+                                   watts(15.0), minTick * 0.5),
+                 ConfigError);
+    EXPECT_NO_THROW(IntervalSimulator(platform.operatingPoints(),
+                                      watts(15.0), minTick));
+}
+
 TEST_F(SimTest, EmptyTraceYieldsZeroResult)
 {
     IntervalSimulator sim(platform.operatingPoints(), watts(15.0));

@@ -202,6 +202,16 @@ TEST(TraceSpecTest, ValidateRejectsMalformedSpecs)
                  ConfigError);
 }
 
+TEST(TraceSpecTest, ValidateRejectsSubNanosecondTickOverride)
+{
+    EXPECT_THROW(TraceSpec::library("fine", 42)
+                     .tick(minTick * 0.5)
+                     .validate(),
+                 ConfigError);
+    EXPECT_NO_THROW(
+        TraceSpec::library("fine", 42).tick(minTick).validate());
+}
+
 TEST(TraceSpecTest, DescribeNamesTheProvenance)
 {
     EXPECT_NE(TraceSpec::library("bursty-compute", 42)
