@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <memory>
 
 #include "common/logging.hh"
@@ -92,30 +93,58 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
     size_t cellsPerPlatform = spec.traces.size() * nPdns;
     size_t n = endCell - firstCell;
 
-    // The run's read-only inputs, built serially before any chunk:
-    // each platform and trace the cell range touches, exactly once.
-    // The range's platforms are contiguous; its traces are those of
-    // its first (at most) cellsPerPlatform cells.
+    // The run's read-only inputs: each platform and trace (resolve
+    // plus PhaseSoA) the cell range touches, built exactly once, all
+    // in one runner job that joins before any cell runs. The range's
+    // platforms are contiguous; its traces are those of its first (at
+    // most) cellsPerPlatform cells, in the order those cells touch
+    // them. Each input fills its own slot and a failed build leaves
+    // its exception in its own slot, so the error rethrown is the
+    // first in that order (platforms, then traces) at any thread
+    // count.
     std::vector<std::unique_ptr<const Platform>> platforms(
         spec.platforms.size());
     std::vector<std::unique_ptr<const PhaseSoA>> traces(
         spec.traces.size());
     if (n > 0) {
-        for (size_t p = firstCell / cellsPerPlatform;
-             p <= (endCell - 1) / cellsPerPlatform; ++p) {
-            SpanScope span("campaign.platform_build", "campaign");
-            platforms[p] =
-                std::make_unique<const Platform>(spec.platforms[p]);
-            metricAdd(Metric::CampaignPlatformBuilds);
-        }
+        size_t firstPlatform = firstCell / cellsPerPlatform;
+        size_t nPlatforms =
+            (endCell - 1) / cellsPerPlatform + 1 - firstPlatform;
+        std::vector<size_t> traceOrder;
+        std::vector<bool> touched(spec.traces.size());
         size_t traceEnd =
             std::min(endCell, firstCell + cellsPerPlatform);
         for (size_t cell = firstCell; cell < traceEnd; ++cell) {
             size_t t = cell % cellsPerPlatform / nPdns;
-            if (!traces[t])
-                traces[t] = std::make_unique<const PhaseSoA>(
-                    spec.traces[t].resolve());
+            if (!touched[t]) {
+                touched[t] = true;
+                traceOrder.push_back(t);
+            }
         }
+        std::vector<std::exception_ptr> errors(nPlatforms +
+                                               traceOrder.size());
+        _runner.forEach(errors.size(), [&](size_t i) {
+            try {
+                if (i < nPlatforms) {
+                    size_t p = firstPlatform + i;
+                    SpanScope span("campaign.platform_build",
+                                   "campaign");
+                    platforms[p] =
+                        std::make_unique<const Platform>(spec.platforms[p]);
+                    metricAdd(Metric::CampaignPlatformBuilds);
+                } else {
+                    size_t t = traceOrder[i - nPlatforms];
+                    SpanScope span("workload.resolve", "workload");
+                    traces[t] = std::make_unique<const PhaseSoA>(
+                        spec.traces[t].resolve());
+                }
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        });
+        for (const std::exception_ptr &error : errors)
+            if (error)
+                std::rethrow_exception(error);
     }
 
     // Cells run in waves: each wave is one runner job whose cells

@@ -3,11 +3,13 @@
  * CampaignEngine: executes a CampaignSpec's trace × platform × PDN
  * cross-product across the ParallelRunner thread pool.
  *
- * Cells are flattened platform-major. Before the first cell, the
- * calling thread builds every Platform (operating-point model, five
- * PDNs, ETEE characterization) and resolves every TraceSpec into
- * one PhaseSoA (workload/phase_soa.hh) that the run's cell range
- * touches, each exactly once. Workers share these inputs read-only;
+ * Cells are flattened platform-major. Before the first cell, one
+ * ParallelRunner job builds every Platform (operating-point model,
+ * five PDNs, ETEE characterization) and resolves every TraceSpec
+ * into one PhaseSoA (workload/phase_soa.hh) that the run's cell
+ * range touches, each exactly once and into its own slot; a failed
+ * build rethrows the first failure in platform-then-trace order,
+ * whatever the scheduling. Workers share these inputs read-only;
  * the models hold no mutable state. Each cell runs through
  * simulateCell(), which picks the one IntervalSimulator kernel for
  * its (PDN, mode) pair.

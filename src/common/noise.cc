@@ -3,15 +3,6 @@
 namespace pdnspot
 {
 
-uint64_t
-HashNoise::mix(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 double
 HashNoise::unit(uint64_t key) const
 {

@@ -34,8 +34,15 @@ class HashNoise
     /** Uniform value in [0, 1). */
     double unit(uint64_t key) const;
 
-    /** splitmix64 finalizer; exposed for tests. */
-    static uint64_t mix(uint64_t x);
+    /** splitmix64 finalizer; also the PhaseSoA dedupe hash. */
+    static uint64_t
+    mix(uint64_t x)
+    {
+        x += 0x9e3779b97f4a7c15ULL;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+        return x ^ (x >> 31);
+    }
 
   private:
     uint64_t _seed;

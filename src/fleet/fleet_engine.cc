@@ -66,10 +66,11 @@ struct Death
  * unrounded energy reaches the charge). The charge is gone at atNs
  * when the energy drawn by then reaches it, so a death on a bucket's
  * end belongs to that bucket. A death after the horizon is never.
+ * horizonCycles is the cohort's horizonNs / cp.cycleNs.
  */
 Death
 solveDeath(const CohortProfile &cp, const SessionStart &start,
-           int64_t horizonNs)
+           int64_t horizonNs, int64_t horizonCycles)
 {
     Death death;
     double cycleJ = cp.cycleEnergyJ;
@@ -78,7 +79,7 @@ solveDeath(const CohortProfile &cp, const SessionStart &start,
     double n = std::floor(start.socJ / cycleJ);
     while (n > 0.0 && n * cycleJ >= start.socJ)
         n -= 1.0;
-    if (n > static_cast<double>(horizonNs / cp.cycleNs))
+    if (n > static_cast<double>(horizonCycles))
         return death;
 
     // The rest runs out in phases cursor.. of this cycle, or in
@@ -570,45 +571,53 @@ FleetEngine::run(const FleetSpec &spec,
         std::vector<uint64_t> owedSwitches(nSessions);
         _runner.forEachChunked(nSessions, sessionChunk, [&](size_t begin,
                                                             size_t end) {
-            for (size_t g = begin; g < end; ++g) {
-                const CohortProfile &cp = profiles[cohortOf(g)];
-                SessionStart start = sessionStart(cp, noise, g);
-                Death death = solveDeath(cp, start, horizonNs);
-                double fromJ = cp.energyAt(start.cursor, start.posNs);
-                offsets[g] = start.posNs;
-                deathBucket[g] = survives;
-                if (death.atNs < 0) {
-                    // Survivors run to the horizon: the fleet is not
-                    // dark while one lives.
-                    double usedJ =
-                        cp.drawnJ(start.posNs + horizonNs) - fromJ;
-                    lifeS[g] = usedJ > 0.0
-                                   ? horizonS + inSeconds(drainTime(
-                                                    joules(start.socJ -
-                                                           usedJ),
-                                                    watts(usedJ /
-                                                          horizonS)))
-                                   : -1.0;
-                    continue;
+            // The chunk walks cohort by cohort, from the one holding
+            // its first session.
+            for (size_t c = cohortOf(begin); begin < end; ++c) {
+                const CohortProfile &cp = profiles[c];
+                const int64_t horizonCycles = horizonNs / cp.cycleNs;
+                const size_t cohortEnd = std::min(end, cohortStart[c + 1]);
+                for (size_t g = begin; g < cohortEnd; ++g) {
+                    SessionStart start = sessionStart(cp, noise, g);
+                    Death death =
+                        solveDeath(cp, start, horizonNs, horizonCycles);
+                    double fromJ = cp.energyAt(start.cursor, start.posNs);
+                    offsets[g] = start.posNs;
+                    deathBucket[g] = survives;
+                    if (death.atNs < 0) {
+                        // Survivors run to the horizon: the fleet is not
+                        // dark while one lives.
+                        double usedJ =
+                            cp.drawnJ(start.posNs + horizonNs) - fromJ;
+                        lifeS[g] = usedJ > 0.0
+                                       ? horizonS + inSeconds(drainTime(
+                                                        joules(start.socJ -
+                                                               usedJ),
+                                                        watts(usedJ /
+                                                              horizonS)))
+                                       : -1.0;
+                        continue;
+                    }
+                    uint32_t b = static_cast<uint32_t>(
+                        std::max<int64_t>(death.atNs - 1, 0) / bucketNs);
+                    deathBucket[g] = b;
+                    lifeS[g] = death.atS;
+                    // Its death bucket's start frame (the previous end
+                    // frame) still holds it, at its position then; the end
+                    // frame and the whole cycles do not. So the bucket owes
+                    // it that position's frame share plus its draw from
+                    // there to its death: together, its draw from its
+                    // cycle start to its death less the clock's whole
+                    // cycles before the bucket.
+                    int64_t whole =
+                        static_cast<int64_t>(b) * bucketNs / cp.cycleNs;
+                    owedJ[g] = start.socJ + fromJ -
+                               static_cast<double>(whole) * cp.cycleEnergyJ;
+                    owedSwitches[g] =
+                        death.switches -
+                        static_cast<uint64_t>(whole) * cp.cycleSwitches;
                 }
-                uint32_t b = static_cast<uint32_t>(
-                    std::max<int64_t>(death.atNs - 1, 0) / bucketNs);
-                deathBucket[g] = b;
-                lifeS[g] = death.atS;
-                // Its death bucket's start frame (the previous end
-                // frame) still holds it, at its position then; the end
-                // frame and the whole cycles do not. So the bucket owes
-                // it that position's frame share plus its draw from
-                // there to its death: together, its draw from its
-                // cycle start to its death less the clock's whole
-                // cycles before the bucket.
-                int64_t whole =
-                    static_cast<int64_t>(b) * bucketNs / cp.cycleNs;
-                owedJ[g] = start.socJ + fromJ -
-                           static_cast<double>(whole) * cp.cycleEnergyJ;
-                owedSwitches[g] =
-                    death.switches -
-                    static_cast<uint64_t>(whole) * cp.cycleSwitches;
+                begin = cohortEnd;
             }
         });
 

@@ -10,10 +10,13 @@
  * (a) the deduplicated list of distinct state inputs ("unique
  * phases", keyed on (cstate, type, canonical AR) and kept in
  * first-appearance order) and (b) dense per-phase arrays of
- * durations and unique-state indices. It is the one input form of
- * every IntervalSimulator kernel (static, oracle, PMU): each resolves
- * a unique state once and then accumulates over the per-phase
- * arrays, in trace order.
+ * durations and unique-state indices. The dedupe is one pass over
+ * the phases through an open-addressed hash table of unique indices
+ * (linear probing, a power of two of at least two slots per phase),
+ * each slot compared against its representative in uniquePhases().
+ * It is the one input form of every IntervalSimulator kernel
+ * (static, oracle, PMU): each resolves a unique state once and then
+ * accumulates over the per-phase arrays, in trace order.
  *
  * AR values are canonicalized (canonicalActivityRatio) both in the
  * key and in the stored representative phase, so -0.0/NaN inputs

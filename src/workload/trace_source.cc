@@ -131,13 +131,15 @@ TraceSpec::resolve() const
 
     validate();
 
-    PhaseTrace t = base();
-    for (const TraceTransform &step : _transforms)
-        t = step.apply(t);
     // The resolved trace must answer to the declared cell address,
-    // whatever name its source baked in.
+    // whatever name its source baked in. Renaming before the
+    // transforms (each keeps its input's name) also makes a phase a
+    // transform invalidates fail under that address.
+    PhaseTrace t = base();
     if (t.name() != _name)
         t = PhaseTrace(_name, t.phases());
+    for (const TraceTransform &step : _transforms)
+        t = step.apply(t);
 
     metricAdd(Metric::TraceResolves);
     if (timed) {

@@ -613,9 +613,9 @@ TEST(CampaignEngineTest, FirstWaveIsDeliveredBeforeLaterWavesRun)
 
 TEST(CampaignEngineTest, BuildsEachPlatformAndTraceOncePerRun)
 {
-    // Platforms and traces are built once per run on the calling
-    // thread and shared read-only by the workers, so the build
-    // counts equal the spec's axis sizes at any thread count.
+    // Platforms and traces are built once per run, in one runner job
+    // before any cell, and shared read-only by the workers, so the
+    // build counts equal the spec's axis sizes at any thread count.
     CampaignSpec spec = declarativeSpec(SimMode::Pmu);
     auto countBuilds = [&](unsigned threads, size_t first,
                            size_t end) {
@@ -651,6 +651,51 @@ TEST(CampaignEngineTest, BuildsEachPlatformAndTraceOncePerRun)
     // An empty range builds nothing.
     EXPECT_EQ(countBuilds(8, 3, 3), std::make_pair(uint64_t{0},
                                                    uint64_t{0}));
+}
+
+TEST(CampaignEngineTest, PreludeErrorIsTheFirstBadTraceAtAnyThreadCount)
+{
+    // Two traces whose time scale underflows every duration to 0 s:
+    // their builds fail in the same runner job as the platforms', and
+    // the error is always the first bad trace's, named as declared.
+    // The first is the longer, so on a pool the second tends to fail
+    // first.
+    struct Bad
+    {
+        const char *name;
+        uint64_t seed;
+        size_t phases;
+    };
+    const Bad bad[] = {{"bad-a", 4, 20000}, {"bad-b", 5, 24}};
+    CampaignSpec spec;
+    for (const auto &[name, seed, phases] : bad) {
+        TraceGeneratorSpec mix;
+        mix.kind = TraceGeneratorKind::RandomMix;
+        mix.seed = seed;
+        mix.phases = phases;
+        TraceSpec trace = TraceSpec::generator(mix).rename(name);
+        trace.transform(TraceTransform::timeScale(5e-324));
+        spec.traces.push_back(trace);
+    }
+    spec.platforms = allPlatformPresets();
+    spec.pdns = {PdnKind::IVR, PdnKind::FlexWatts};
+    spec.mode = SimMode::Oracle;
+
+    for (unsigned threads : {1u, 8u}) {
+        ParallelRunner runner(threads);
+        for (int run = 0; run < 20; ++run) {
+            std::string message;
+            try {
+                CampaignEngine(runner).run(spec);
+            } catch (const ConfigError &e) {
+                message = e.what();
+            }
+            EXPECT_NE(message.find("PhaseTrace \"bad-a\""),
+                      std::string::npos)
+                << threads << " threads, run " << run << ": "
+                << message;
+        }
+    }
 }
 
 TEST(CampaignResultTest, SummaryAggregatesMatchManualTotals)

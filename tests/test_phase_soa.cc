@@ -3,18 +3,24 @@
  * PhaseSoA tests: trace -> structure-of-arrays resolution (dedup
  * counts, order preservation), signed-zero/NaN canonicalization of
  * the dedup key, bit-identical batched simulation against the
- * phase-by-phase reference loops (sim_reference.hh), and signed-zero
- * AR phases simulating identically.
+ * phase-by-phase reference loops (sim_reference.hh), signed-zero
+ * AR phases simulating identically, and the hash dedupe against the
+ * ordered-map reference (phase_soa_reference.hh).
  */
 
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/noise.hh"
 #include "pdnspot/platform.hh"
+#include "phase_soa_reference.hh"
 #include "sim/interval_simulator.hh"
 #include "sim_reference.hh"
+#include "workload/battery_profiles.hh"
 #include "workload/phase_soa.hh"
 #include "workload/trace_generator.hh"
 
@@ -162,6 +168,147 @@ TEST(PhaseSoATest, SignedZeroArPhasesSimulateIdentically)
               reference::oracleRun(sim, posFirst, fw));
     EXPECT_EQ(reference::oracleRun(sim, negFirst, fw),
               sim.runOracle(posFirst, fw));
+}
+
+/**
+ * Expect a PhaseSoA to equal the ordered-map dedupe of its trace
+ * exactly: per-phase arrays, and every unique state field by field,
+ * the AR by bit pattern (so NaN representatives compare too).
+ */
+void
+expectMatchesMapDedupe(const PhaseTrace &trace)
+{
+    PhaseSoA soa(trace);
+    reference::PhaseSoAArrays ref = reference::mapDedupe(trace);
+    EXPECT_EQ(soa.durations(), ref.durations) << trace.name();
+    EXPECT_EQ(soa.uniqueIndex(), ref.uniqueIndex) << trace.name();
+    ASSERT_EQ(soa.uniqueCount(), ref.uniquePhases.size()) << trace.name();
+    for (size_t u = 0; u < ref.uniquePhases.size(); ++u) {
+        const TracePhase &got = soa.uniquePhases()[u];
+        const TracePhase &want = ref.uniquePhases[u];
+        EXPECT_EQ(got.duration, want.duration) << trace.name() << " " << u;
+        EXPECT_EQ(got.cstate, want.cstate) << trace.name() << " " << u;
+        EXPECT_EQ(got.type, want.type) << trace.name() << " " << u;
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.ar),
+                  std::bit_cast<uint64_t>(want.ar))
+            << trace.name() << " " << u;
+    }
+}
+
+TEST(PhaseSoATest, DedupeMatchesMapOnSeededRandomMixes)
+{
+    for (uint64_t seed : {1u, 2u, 3u, 17u, 99u}) {
+        TraceGenerator gen(seed);
+        expectMatchesMapDedupe(
+            gen.randomMix(4000, milliseconds(3.0), 0.05, 1.0));
+        expectMatchesMapDedupe(gen.burstyCompute(
+            50, milliseconds(5.0), milliseconds(15.0)));
+        expectMatchesMapDedupe(gen.dayInTheLife());
+    }
+    expectMatchesMapDedupe(traceFromBatteryProfile(
+        videoPlayback(), milliseconds(33.3), 64));
+}
+
+TEST(PhaseSoATest, DedupeMatchesMapOnManyArsInOneClass)
+{
+    // 10k distinct ARs of one (C0, type) class, adjacent doubles
+    // that differ only in their low mantissa bits, visited forwards
+    // and then backwards: every lookup probes one crowded class.
+    PhaseTrace trace("one-class", {});
+    double ar = 0.5;
+    std::vector<double> ars;
+    for (int i = 0; i < 10000; ++i) {
+        ars.push_back(ar);
+        ar = std::nextafter(ar, 1.0);
+    }
+    for (double a : ars)
+        trace.append({milliseconds(1.0), PackageCState::C0,
+                      WorkloadType::MultiThread, a});
+    for (auto it = ars.rbegin(); it != ars.rend(); ++it)
+        trace.append({milliseconds(2.0), PackageCState::C0,
+                      WorkloadType::MultiThread, *it});
+    PhaseSoA soa(trace);
+    EXPECT_EQ(soa.uniqueCount(), 10000u);
+    expectMatchesMapDedupe(trace);
+}
+
+TEST(PhaseSoATest, DedupeMatchesMapWhenEveryArIsInEveryClass)
+{
+    // Every AR in all 21 (C-state, type) classes: all phases are
+    // unique, so the table is at its fullest, and each key has
+    // siblings that differ only in C-state or only in type. Over 20
+    // seeds some probes pass a sibling's slot, which a key compare
+    // that skipped a field would take for a match.
+    const PackageCState cstates[] = {
+        PackageCState::C0, PackageCState::C0Min, PackageCState::C2,
+        PackageCState::C3, PackageCState::C6,    PackageCState::C7,
+        PackageCState::C8};
+    const WorkloadType types[] = {WorkloadType::SingleThread,
+                                  WorkloadType::MultiThread,
+                                  WorkloadType::Graphics};
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+        HashNoise noise(seed);
+        PhaseTrace trace("every-class", {});
+        for (uint64_t k = 0; k < 500; ++k)
+            for (PackageCState cstate : cstates)
+                for (WorkloadType type : types)
+                    trace.append({milliseconds(1.0), cstate, type,
+                                  noise.unit(k)});
+        PhaseSoA soa(trace);
+        EXPECT_EQ(soa.uniqueCount(), trace.phases().size()) << seed;
+        expectMatchesMapDedupe(trace);
+    }
+}
+
+TEST(PhaseSoATest, DedupeMatchesMapOnHeavilyRepeatedArs)
+{
+    // 30k phases over three ARs in every (C-state, type) pair.
+    const PackageCState cstates[] = {
+        PackageCState::C0, PackageCState::C0Min, PackageCState::C2,
+        PackageCState::C6, PackageCState::C8};
+    const WorkloadType types[] = {WorkloadType::SingleThread,
+                                  WorkloadType::MultiThread,
+                                  WorkloadType::Graphics};
+    const double ars[] = {0.25, 0.56, 0.8};
+    PhaseTrace trace("repeats", {});
+    for (size_t i = 0; i < 30000; ++i)
+        trace.append({milliseconds(1.0 + static_cast<double>(i % 7)),
+                      cstates[i % 5], types[i / 5 % 3],
+                      ars[i / 15 % 3]});
+    PhaseSoA soa(trace);
+    EXPECT_EQ(soa.uniqueCount(), 45u);
+    expectMatchesMapDedupe(trace);
+}
+
+TEST(PhaseSoATest, DedupeMatchesMapOnSignedZeroAndNanArs)
+{
+    // Appended phases skip the constructor's checks, so NaN ARs with
+    // different payloads and signs reach the dedupe: each collapses
+    // to one state per class, as do -0.0 and +0.0.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double ars[] = {
+        0.0, -0.0, nan, -nan,
+        std::bit_cast<double>(std::bit_cast<uint64_t>(nan) | 1u),
+        0.56};
+    PhaseTrace trace("zeros-and-nans", {});
+    for (int round = 0; round < 3; ++round)
+        for (PackageCState cstate :
+             {PackageCState::C0, PackageCState::C8})
+            for (double ar : ars)
+                trace.append({milliseconds(1.0), cstate,
+                              WorkloadType::Graphics, ar});
+    PhaseSoA soa(trace);
+    EXPECT_EQ(soa.uniqueCount(), 6u);
+    expectMatchesMapDedupe(trace);
+}
+
+TEST(PhaseSoATest, DedupeMatchesMapOnOnePhaseAndEmptyTraces)
+{
+    expectMatchesMapDedupe(PhaseTrace(
+        "one", {{milliseconds(4.0), PackageCState::C0,
+                 WorkloadType::SingleThread, 0.7}}));
+    expectMatchesMapDedupe(PhaseTrace("empty", {}));
+    EXPECT_EQ(PhaseSoA(PhaseTrace("empty", {})).uniqueCount(), 0u);
 }
 
 } // anonymous namespace

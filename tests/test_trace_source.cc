@@ -146,6 +146,43 @@ TEST(TraceSpecTest, RenameAndTickOverrideStick)
     EXPECT_EQ(*spec.tickOverride(), microseconds(25.0));
 }
 
+TEST(TraceSpecTest, ResolveErrorsNameTheDeclaredTrace)
+{
+    // A time scale that underflows every duration to 0 s fails in
+    // the transform; the error names the spec's declared name, not
+    // the one the generator baked in.
+    TraceGeneratorSpec mix;
+    mix.kind = TraceGeneratorKind::RandomMix;
+    mix.seed = 4;
+    TraceSpec bad = TraceSpec::generator(mix).rename("bad-a");
+    bad.transform(TraceTransform::timeScale(5e-324));
+    std::string message;
+    try {
+        bad.resolve();
+    } catch (const ConfigError &e) {
+        message = e.what();
+    }
+    EXPECT_NE(message.find("PhaseTrace \"bad-a\": phase duration "
+                           "must be positive"),
+              std::string::npos)
+        << message;
+    EXPECT_EQ(message.find("random-mix-4"), std::string::npos)
+        << message;
+
+    // A valid chain resolves to the same trace as before: the
+    // generator's phases through the transform, under the new name.
+    TraceSpec good = TraceSpec::generator(mix).rename("good");
+    good.transform(TraceTransform::timeScale(2.0));
+    PhaseTrace resolved = good.resolve();
+    EXPECT_EQ(resolved.name(), "good");
+    EXPECT_EQ(resolved.phases(),
+              TraceTransform::timeScale(2.0)
+                  .apply(TraceGenerator(4).randomMix(
+                      mix.phases, mix.meanPhaseLen, mix.arMin,
+                      mix.arMax))
+                  .phases());
+}
+
 TEST(TraceSpecTest, ResolutionIsDeterministic)
 {
     TraceGeneratorSpec mix;
