@@ -23,16 +23,22 @@ namespace pdnspot
 class HashNoise
 {
   public:
-    explicit HashNoise(uint64_t seed) : _seed(seed) {}
+    explicit HashNoise(uint64_t seed) : _seedMix(mix(seed)) {}
 
     /** Uniform value in [-1, 1] determined by (seed, key). */
-    double signedUnit(uint64_t key) const;
+    double signedUnit(uint64_t key) const { return 2.0 * unit(key) - 1.0; }
 
     /** Uniform value in [-1, 1] determined by (seed, hash(key)). */
     double signedUnit(const std::string &key) const;
 
     /** Uniform value in [0, 1). */
-    double unit(uint64_t key) const;
+    double
+    unit(uint64_t key) const
+    {
+        // 53 significant bits -> double in [0, 1)
+        return static_cast<double>(mix(_seedMix ^ key) >> 11) *
+               (1.0 / 9007199254740992.0);
+    }
 
     /** splitmix64 finalizer; also the PhaseSoA dedupe hash. */
     static uint64_t
@@ -45,7 +51,7 @@ class HashNoise
     }
 
   private:
-    uint64_t _seed;
+    uint64_t _seedMix; ///< mix(seed), shared by every key
 };
 
 } // namespace pdnspot

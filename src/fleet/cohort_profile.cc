@@ -1,5 +1,6 @@
 #include "fleet/cohort_profile.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "campaign/campaign_engine.hh"
@@ -114,21 +115,57 @@ buildProfile(const FleetCohort &cohort, Time tick)
     profile.cycleEnergyJ = profile.eJ[phases];
     profile.cycleSwitches = profile.sw[phases];
 
+    profile.indexSearches();
+
     profile.capacityJ = cohort.batteryWh * 3600.0;
     profile.spread = cohort.batterySpread;
     profile.jitterS = inSeconds(cohort.startJitter);
     return profile;
 }
 
-size_t
-CohortProfile::phaseAt(int64_t x) const
+namespace
 {
-    // A branch-free binary search for the last boundary at or before
-    // x; tNs[0] = 0 is one.
-    const int64_t *base = tNs.data();
-    for (size_t len = phases(); len > 1; len -= len / 2)
-        base = base[len / 2] <= x ? base + len / 2 : base;
-    return static_cast<size_t>(base - tNs.data());
+
+/** Per cell of `cells`, how many of the n entries fall in the cells
+ * below it (cellOf(i) is entry i's cell, monotone in i; entries at or
+ * past the last cell count in none): cells + 1 counts. */
+template <typename CellOf>
+std::vector<uint32_t>
+countBelow(size_t n, size_t cells, CellOf cellOf)
+{
+    std::vector<uint32_t> below(cells + 1, 0);
+    for (size_t i = 0; i < n; ++i) {
+        size_t c = cellOf(i);
+        if (c < cells)
+            ++below[c + 1];
+    }
+    for (size_t c = 0; c < cells; ++c)
+        below[c + 1] += below[c];
+    return below;
+}
+
+} // namespace
+
+void
+CohortProfile::indexSearches()
+{
+    // About four cells per phase in each table: tNs cells are the
+    // smallest power of two of ns that covers the cycle in that many.
+    size_t cells = 4 * phases();
+    tShift = 0;
+    while (static_cast<size_t>((cycleNs - 1) >> tShift) >= cells)
+        ++tShift;
+    tCells = countBelow(tNs.size(),
+                        static_cast<size_t>((cycleNs - 1) >> tShift) + 1,
+                        [&](size_t i) {
+                            return static_cast<size_t>(tNs[i] >> tShift);
+                        });
+    // A cohort that draws nothing puts every energy in cell 0.
+    eScale = cycleEnergyJ > 0.0 ? static_cast<double>(cells) / cycleEnergyJ
+                                : 0.0;
+    eLastCell = static_cast<double>(cells - 1);
+    eCells = countBelow(eJ.size(), cells,
+                        [&](size_t i) { return eCellOf(eJ[i]); });
 }
 
 double
@@ -154,20 +191,37 @@ cycleFmod(double x, double y)
     return r < 0.0 ? std::fma(-(q - 1.0), y, x) : r;
 }
 
-SessionStart
-sessionStart(const CohortProfile &cp, const HashNoise &noise,
-             uint64_t g)
+void
+sessionStarts(const CohortProfile &cp, const HashNoise &noise,
+              uint64_t g, size_t n, SessionStart *out)
 {
-    SessionStart start;
-    if (cp.jitterS > 0.0) {
-        double pos = cycleFmod(noise.unit(2 * g) * cp.jitterS, cp.cycleS);
-        if (pos >= 0.0 && pos < cp.cycleS)
-            start.posNs = toClockNs(seconds(pos)) % cp.cycleNs;
+    double pos[sessionBlock];
+    for (size_t b = 0; b < n; b += sessionBlock) {
+        size_t m = std::min(sessionBlock, n - b);
+        SessionStart *s = out + b;
+        uint64_t k = g + b;
+        for (size_t i = 0; i < m; ++i)
+            s[i].socJ = cp.capacityJ *
+                        (1.0 + cp.spread * noise.signedUnit(2 * (k + i) + 1));
+        for (size_t i = 0; i < m; ++i)
+            s[i].posNs = 0;
+        if (cp.jitterS > 0.0) {
+            for (size_t i = 0; i < m; ++i)
+                pos[i] = noise.unit(2 * (k + i)) * cp.jitterS;
+            for (size_t i = 0; i < m; ++i)
+                pos[i] = cycleFmod(pos[i], cp.cycleS);
+            // pos < cycleS rounds to at most cycleNs, the rounded
+            // cycleS, so the position mod the cycle is one compare.
+            for (size_t i = 0; i < m; ++i) {
+                if (pos[i] >= 0.0 && pos[i] < cp.cycleS) {
+                    int64_t ns = roundToInt64(pos[i] * 1e9);
+                    s[i].posNs = ns == cp.cycleNs ? 0 : ns;
+                }
+            }
+        }
+        for (size_t i = 0; i < m; ++i)
+            s[i].cursor = static_cast<uint32_t>(cp.phaseAt(s[i].posNs));
     }
-    start.cursor = static_cast<uint32_t>(cp.phaseAt(start.posNs));
-    start.socJ = cp.capacityJ *
-                 (1.0 + cp.spread * noise.signedUnit(2 * g + 1));
-    return start;
 }
 
 } // namespace pdnspot

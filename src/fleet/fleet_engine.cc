@@ -34,7 +34,10 @@ struct FleetMetrics
            stormBuckets = id("fleet.storm_buckets"),
            bucketUs = id("fleet.bucket_us", MetricKind::Histogram),
            nsPerSessionBucket =
-               id("fleet.ns_per_session_bucket", MetricKind::Gauge);
+               id("fleet.ns_per_session_bucket", MetricKind::Gauge),
+           setupMs = id("fleet.setup_ms", MetricKind::Gauge),
+           setupNsPerSession =
+               id("fleet.setup_ns_per_session", MetricKind::Gauge);
 
     size_t
     id(const char *name, MetricKind kind = MetricKind::Counter) const
@@ -60,7 +63,7 @@ struct Death
 /**
  * Solve one session's death once, from its start: the whole cycles
  * strictly below its charge in one division (each returns to the
- * start position), then a lower_bound on the prefix energies for the
+ * start position), then a search of the prefix energies for the
  * phase the rest runs out in, within one cycle of the start, and the
  * whole ns that phase takes to drain it (at most its rest, whose
  * unrounded energy reaches the charge). The charge is gone at atNs
@@ -92,11 +95,7 @@ solveDeath(const CohortProfile &cp, const SessionStart &start,
         targetJ -= cycleJ;
         n += 1.0;
     }
-    const double *e = cp.eJ.data();
-    size_t q = static_cast<size_t>(
-        std::lower_bound(e + (wraps ? 1 : start.cursor + 1),
-                         e + cp.phases() + 1, targetJ) -
-        e - 1);
+    size_t q = cp.energyReachedAt(targetJ, wraps ? 1 : start.cursor + 1) - 1;
     int64_t atNs = !wraps && q == start.cursor ? pos : cp.tNs[q];
     double leftJ = std::max(targetJ - cp.energyAt(q, atNs), 0.0);
     double drainNs = std::ceil(leftJ / cp.jPerNs[q]);
@@ -107,10 +106,12 @@ solveDeath(const CohortProfile &cp, const SessionStart &start,
                      (drainNs < static_cast<double>(restNs)
                           ? static_cast<int64_t>(drainNs)
                           : restNs);
-    if (tailNs > horizonNs ||
-        n > static_cast<double>((horizonNs - tailNs) / cp.cycleNs))
-        return death;
+    // n <= horizonCycles + 1, so wholeNs stays on the clock; it passes
+    // what the tail leaves of the horizon exactly when n passes the
+    // whole cycles that fit there.
     int64_t wholeNs = static_cast<int64_t>(n) * cp.cycleNs;
+    if (tailNs > horizonNs || wholeNs > horizonNs - tailNs)
+        return death;
     death.atNs = wholeNs + tailNs;
     death.atS = clockSeconds(wholeNs + atNs - pos) +
                 inSeconds(drainTime(joules(leftJ), watts(cp.powerW[q])));
@@ -572,13 +573,19 @@ FleetEngine::run(const FleetSpec &spec,
         _runner.forEachChunked(nSessions, sessionChunk, [&](size_t begin,
                                                             size_t end) {
             // The chunk walks cohort by cohort, from the one holding
-            // its first session.
+            // its first session, starting a block of sessions at once.
+            SessionStart starts[sessionBlock];
             for (size_t c = cohortOf(begin); begin < end; ++c) {
                 const CohortProfile &cp = profiles[c];
                 const int64_t horizonCycles = horizonNs / cp.cycleNs;
                 const size_t cohortEnd = std::min(end, cohortStart[c + 1]);
                 for (size_t g = begin; g < cohortEnd; ++g) {
-                    SessionStart start = sessionStart(cp, noise, g);
+                    size_t i = (g - begin) % sessionBlock;
+                    if (i == 0)
+                        sessionStarts(cp, noise, g,
+                                      std::min(sessionBlock, cohortEnd - g),
+                                      starts);
+                    const SessionStart &start = starts[i];
                     Death death =
                         solveDeath(cp, start, horizonNs, horizonCycles);
                     double fromJ = cp.energyAt(start.cursor, start.posNs);
@@ -664,6 +671,16 @@ FleetEngine::run(const FleetSpec &spec,
             });
         for (LiveCohort &cohort : cohorts)
             cohort.last = cohort.at(0);
+    }
+    if (metrics.r) {
+        // Everything from the profiles to the first bucket.
+        double setupNs = std::chrono::duration<double, std::nano>(
+                             Clock::now() - setupStart)
+                             .count();
+        metrics.r->set(metrics.setupMs, setupNs / 1e6);
+        if (nSessions > 0)
+            metrics.r->set(metrics.setupNsPerSession,
+                           setupNs / static_cast<double>(nSessions));
     }
 
     // Phase 3: the shared-clock bucket loop, serial and independent of

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -58,9 +59,11 @@ histogramBucketIndex(double value)
 {
     if (!(value >= 1.0))
         return 0;
-    int exp = std::ilogb(value);
-    return std::min(MetricsRegistry::histogramBuckets - 1,
-                    static_cast<size_t>(exp) + 1);
+    // Values from 1.0 up are normal (or +inf), so the biased exponent
+    // field, less 1023, is ilogb's result.
+    size_t exp = static_cast<size_t>(std::bit_cast<uint64_t>(value) >> 52) -
+                 1023;
+    return std::min(MetricsRegistry::histogramBuckets - 1, exp + 1);
 }
 
 void

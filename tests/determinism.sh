@@ -36,9 +36,10 @@
 #                   summary counts every session the spec declares
 #   fleet_observers --report/--trace-events/--progress at 1 and 8
 #                   threads leave the CSV unchanged; each report
-#                   names the fleet.session_buckets and
-#                   fleet.ns_per_session_bucket metrics, and each
-#                   span trace is balanced and names pdnspot_fleet
+#                   names the fleet.session_buckets,
+#                   fleet.ns_per_session_bucket and fleet.setup_ms
+#                   metrics, and each span trace is balanced and
+#                   names pdnspot_fleet
 #
 # The pdnspot_launch variant (the tool under test is the launcher;
 # the row passes the campaign and query binaries after the variant):
@@ -211,7 +212,8 @@ print("%d sessions in %d cohorts"
             --report "$report" --trace-events "$trace" --progress
         same "$tmp/plain.csv" "$tmp/obs$threads.csv"
         for want in '"schema": "pdnspot-report-1"' \
-            '"fleet.session_buckets"' '"fleet.ns_per_session_bucket"'; do
+            '"fleet.session_buckets"' '"fleet.ns_per_session_bucket"' \
+            '"fleet.setup_ms"'; do
             grep -q "$want" "$report" || {
                 echo "determinism: $variant: $threads-thread report" \
                     "lacks $want" >&2

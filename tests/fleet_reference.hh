@@ -7,10 +7,14 @@
  * the obvious thing instead: it steps every session across every
  * bucket and, after jumping the whole cycles the charge covers,
  * walks the rest one phase at a time, subtracting each step's energy
- * from the charge until the bucket ends or the battery empties. It runs on the same nanosecond clock, profiles and session
- * starts (fleet/cohort_profile.hh), so tests can pin the engine's
- * per-bucket counts exactly, and its energies to rounding, against an
- * independent loop.
+ * from the charge until the bucket ends or the battery empties. It
+ * runs on the same nanosecond clock and profiles
+ * (fleet/cohort_profile.hh), so tests can pin the engine's per-bucket
+ * counts exactly, and its energies to rounding, against an
+ * independent loop. Session starts come from its own per-session
+ * copy (sessionStart, over std::fmod, std::llround and a binary
+ * search of the boundaries), not the engine's block-staged,
+ * table-driven one.
  */
 
 #ifndef PDNSPOT_TESTS_FLEET_REFERENCE_HH
@@ -18,6 +22,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "fleet/cohort_profile.hh"
@@ -28,6 +33,47 @@ namespace pdnspot
 {
 namespace reference
 {
+
+/** The phase holding cycle position x in [0, cycleNs): the last
+ * boundary at or before it, by a binary search of all of them. */
+inline size_t
+phaseAt(const CohortProfile &cp, int64_t x)
+{
+    const int64_t *base = cp.tNs.data();
+    for (size_t len = cp.phases(); len > 1; len -= len / 2)
+        base = base[len / 2] <= x ? base + len / 2 : base;
+    return static_cast<size_t>(base - cp.tNs.data());
+}
+
+/** HashNoise(seed).unit(key), from the splitmix64 finalizer. */
+inline double
+noiseUnit(uint64_t seed, uint64_t key)
+{
+    uint64_t h = HashNoise::mix(HashNoise::mix(seed) ^ key);
+    return static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/**
+ * Session g's start, keyed by its global index g: the jittered
+ * offset (mod the cycle) rounded onto the clock, the phase holding
+ * it, and the capacity drawn from the cohort's spread.
+ */
+inline SessionStart
+sessionStart(const CohortProfile &cp, uint64_t seed, uint64_t g)
+{
+    SessionStart start;
+    if (cp.jitterS > 0.0) {
+        double pos = std::fmod(noiseUnit(seed, 2 * g) * cp.jitterS,
+                               cp.cycleS);
+        if (pos >= 0.0 && pos < cp.cycleS)
+            start.posNs = std::llround(pos * 1e9) % cp.cycleNs;
+    }
+    start.cursor = static_cast<uint32_t>(phaseAt(cp, start.posNs));
+    start.socJ = cp.capacityJ *
+                 (1.0 + cp.spread *
+                            (2.0 * noiseUnit(seed, 2 * g + 1) - 1.0));
+    return start;
+}
 
 /** One session of the reference walk. */
 struct FleetSession
@@ -141,8 +187,8 @@ struct FleetRun
 
 /**
  * Run the spec serially with the reference walk: the engine's
- * profiles, session starts and bucket clock, stopping once the fleet
- * is dark. Rows carry no storm verdict.
+ * profiles and bucket clock and the starts above, stopping once the
+ * fleet is dark. Rows carry no storm verdict.
  */
 inline FleetRun
 fleetRun(const FleetSpec &spec)
@@ -152,12 +198,12 @@ fleetRun(const FleetSpec &spec)
     for (const FleetCohort &cohort : spec.cohorts)
         profiles.push_back(buildProfile(cohort, spec.tick));
 
-    HashNoise noise(spec.seed);
     std::vector<FleetSession> sessions;
     for (size_t c = 0; c < spec.cohorts.size(); ++c) {
         const CohortProfile &cp = profiles[c];
         for (uint64_t i = 0; i < spec.cohorts[c].count; ++i) {
-            SessionStart start = sessionStart(cp, noise, sessions.size());
+            SessionStart start =
+                sessionStart(cp, spec.seed, sessions.size());
             FleetSession session;
             session.cohort = static_cast<uint32_t>(c);
             session.cursor = start.cursor;

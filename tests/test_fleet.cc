@@ -10,12 +10,17 @@
  * against the phase-by-phase reference walk (fleet_reference.hh),
  * including rank ties and live-bitmap block edges, the death tie
  * rule at a bucket edge, the session-start remainder against
- * std::fmod, and a golden run summary pinning the human-readable
- * surface.
+ * std::fmod, the table-driven phase and energy searches against
+ * std::upper_bound / std::lower_bound, the block-staged session
+ * starts against the reference's per-session ones (and their
+ * rounding against std::llround), and a golden run summary pinning
+ * the human-readable surface.
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -777,6 +782,276 @@ TEST(FleetKernelTest, CycleFmodMatchesStdFmod)
     check(0x1p52 * 0.7, 0.7);
     check(std::nextafter(0x1p52 * 0.7, 0.0), 0.7);
     EXPECT_GE(checked, 1000000u);
+    EXPECT_EQ(mismatches, 0u) << first;
+}
+
+/**
+ * A profile of the given phase lengths (ns, zero-length allowed) and
+ * powers (W, zero allowed): the boundaries and prefix energies the
+ * searches run over, indexed. The phase energies are power × length,
+ * so zero-power phases tie in eJ.
+ */
+CohortProfile
+searchProfile(const std::vector<int64_t> &lengthNs,
+              const std::vector<double> &powerW)
+{
+    CohortProfile cp;
+    size_t n = lengthNs.size();
+    cp.powerW = powerW;
+    cp.tNs.assign(n + 1, 0);
+    cp.eJ.assign(n + 1, 0.0);
+    for (size_t p = 0; p < n; ++p) {
+        cp.tNs[p + 1] = cp.tNs[p] + lengthNs[p];
+        cp.eJ[p + 1] =
+            cp.eJ[p] + powerW[p] * 1e-9 * static_cast<double>(lengthNs[p]);
+    }
+    cp.cycleNs = cp.tNs[n];
+    cp.cycleEnergyJ = cp.eJ[n];
+    cp.indexSearches();
+    return cp;
+}
+
+/**
+ * phaseAt against std::upper_bound over tNs, and energyReachedAt
+ * against std::lower_bound over eJ, index for index: positions at
+ * every boundary and 1 ns either side, and `draws` more; targets on
+ * every prefix energy and the doubles either side, below 0, past the
+ * cycle's energy, NaN and `draws` more, each from the first two and
+ * last two start indices and seeded ones between.
+ */
+void
+expectSearchesMatchStd(const CohortProfile &cp, std::mt19937_64 &rng,
+                       int draws)
+{
+    size_t n = cp.phases();
+    uint64_t checked = 0, mismatches = 0;
+    std::string first;
+    auto mismatch = [&](const std::string &what) {
+        if (mismatches++ == 0)
+            first = what;
+    };
+    auto checkPos = [&](int64_t x) {
+        if (x < 0 || x >= cp.cycleNs)
+            return;
+        ++checked;
+        size_t want = static_cast<size_t>(
+            std::upper_bound(cp.tNs.begin(), cp.tNs.end(), x) -
+            cp.tNs.begin() - 1);
+        if (cp.phaseAt(x) != want)
+            mismatch("phaseAt(" + std::to_string(x) + ")");
+    };
+    for (int64_t t : cp.tNs)
+        for (int64_t d : {-1, 0, 1})
+            checkPos(t + d);
+    for (int i = 0; i < draws; ++i)
+        checkPos(static_cast<int64_t>(rng() % static_cast<uint64_t>(
+                                                  cp.cycleNs)));
+
+    auto checkTarget = [&](double targetJ, size_t from) {
+        ++checked;
+        size_t want = static_cast<size_t>(
+            std::lower_bound(cp.eJ.begin() + static_cast<ptrdiff_t>(from),
+                             cp.eJ.end(), targetJ) -
+            cp.eJ.begin());
+        if (cp.energyReachedAt(targetJ, from) != want) {
+            std::ostringstream os;
+            os << std::hexfloat << "energyReachedAt(" << targetJ << ", "
+               << from << ")";
+            mismatch(os.str());
+        }
+    };
+    std::vector<double> targets = {-1.0, -0.0, 0.0, cp.cycleEnergyJ * 2.0,
+                                   std::numeric_limits<double>::infinity(),
+                                   std::nan("")};
+    for (double e : cp.eJ) {
+        targets.push_back(e);
+        targets.push_back(std::nextafter(e, -1.0));
+        targets.push_back(std::nextafter(e, 2.0 * e + 1.0));
+    }
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    for (int i = 0; i < draws; ++i)
+        targets.push_back(unit(rng) * cp.cycleEnergyJ);
+    for (double t : targets) {
+        for (size_t from = 0; from <= n + 1;
+             from += from < 2 || from + 2 > n ? 1 : 1 + rng() % (n / 4 + 1))
+            checkTarget(t, from);
+    }
+    EXPECT_GT(checked, 0u);
+    EXPECT_EQ(mismatches, 0u) << first;
+}
+
+TEST(FleetSearchTest, TablesMatchStdSearchesOnRandomProfiles)
+{
+    // Seeded profiles of 1 to 300 phases: lengths from 0 ns (a
+    // zero-length phase) to a second, spread over six decades so
+    // short phases crowd into a few cells; powers with a share of
+    // zeros (ties in eJ).
+    std::mt19937_64 rng(32);
+    for (int trial = 0; trial < 200; ++trial) {
+        size_t n = 1 + rng() % (trial < 100 ? 12 : 300);
+        std::vector<int64_t> lengthNs(n);
+        std::vector<double> powerW(n);
+        for (size_t p = 0; p < n; ++p) {
+            lengthNs[p] = rng() % 8 == 0
+                              ? 0
+                              : static_cast<int64_t>(
+                                    rng() % (uint64_t{1000}
+                                             << (3 * (rng() % 7))));
+            powerW[p] = rng() % 4 == 0
+                            ? 0.0
+                            : std::ldexp(1.0 + static_cast<double>(rng() % 1000),
+                                         static_cast<int>(rng() % 8) - 4);
+        }
+        lengthNs[rng() % n] += 1; // a cycle of at least 1 ns
+        SCOPED_TRACE("trial " + std::to_string(trial) + ", " +
+                     std::to_string(n) + " phases");
+        expectSearchesMatchStd(searchProfile(lengthNs, powerW), rng, 2000);
+    }
+}
+
+TEST(FleetSearchTest, TablesMatchStdSearchesOnEdgeProfiles)
+{
+    std::mt19937_64 rng(33);
+    struct Case
+    {
+        const char *name;
+        std::vector<int64_t> lengthNs;
+        std::vector<double> powerW;
+    };
+    std::vector<Case> cases = {
+        {"one phase", {1}, {3.0}},
+        {"one long phase", {int64_t{1} << 40}, {3.0}},
+        {"one idle phase", {1000}, {0.0}},
+        {"no energy", {5, 0, 7, 3}, {0.0, 0.0, 0.0, 0.0}},
+        {"leading and trailing zero-length", {0, 0, 4, 9, 0}, {1, 2, 3, 4, 5}},
+        {"zero-power runs", {10, 10, 10, 10, 10, 10}, {0, 0, 2, 0, 0, 2}},
+        {"one busy phase among idle", {50, 1, 1, 1, 1, 1, 1, 1, 1},
+         {9.0, 0, 0, 0, 0, 0, 0, 0, 0}},
+        {"a near-full clock", {maxClockNs / 3, 1, maxClockNs / 3},
+         {1.0, 5.0, 0.0}},
+    };
+    // Many short phases crowded after one that takes the cycle.
+    Case crowded{"crowded", {int64_t{1} << 36}, {0.5}};
+    for (int p = 0; p < 400; ++p) {
+        crowded.lengthNs.push_back(1 + p % 3);
+        crowded.powerW.push_back(p % 5 == 0 ? 0.0 : 7.0);
+    }
+    cases.push_back(crowded);
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        CohortProfile cp = searchProfile(c.lengthNs, c.powerW);
+        if (std::string(c.name) == "no energy") {
+            ASSERT_EQ(cp.cycleEnergyJ, 0.0);
+        }
+        expectSearchesMatchStd(cp, rng, 5000);
+    }
+}
+
+TEST(FleetSessionStartTest, BlocksMatchThePerSessionReference)
+{
+    // 2^20 sessions per jitter (2^18 on the other profiles), their
+    // starts taken in runs of 1 to 700 sessions (so the blocks start
+    // anywhere and end short), each bit for bit against the
+    // reference's per-session start: no jitter, jitter within one
+    // cycle, and jitter of 10^5 cycles. On a 3 ns cycle (a zero-length
+    // phase in it) a sixth of the offsets round up to the cycle's end
+    // and wrap to 0.
+    FleetCohort ties = tieCohort("ties", SimMode::Oracle, 2.0);
+    ties.batterySpread = 0.3;
+    CohortProfile tiny = searchProfile({1, 0, 2}, {4.0, 1.0, 2.0});
+    tiny.cycleS = 3e-9;
+    tiny.capacityJ = 1.0;
+    tiny.spread = 0.2;
+    Time tick = FleetSpec().tick;
+    std::vector<std::pair<std::string, CohortProfile>> profiles = {
+        {"random-mix", buildProfile(testSpec().cohorts[0], tick)},
+        {"ties", buildProfile(ties, tick)},
+        {"3 ns", tiny}};
+    ASSERT_EQ(tiny.cycleNs, 3);
+    for (auto &[name, cp] : profiles) {
+        for (double jitterS : {0.0, 0.37 * cp.cycleS, 1e5 * cp.cycleS}) {
+            SCOPED_TRACE(name + ", jitter " + std::to_string(jitterS));
+            cp.jitterS = jitterS;
+            uint64_t seed = 77, sessions = uint64_t{1} << 20;
+            if (name != "random-mix")
+                sessions >>= 2;
+            HashNoise noise(seed);
+            std::mt19937_64 rng(static_cast<uint64_t>(jitterS * 1e3));
+            std::vector<SessionStart> got(700);
+            uint64_t mismatches = 0, moved = 0;
+            for (uint64_t g = 0; g < sessions;) {
+                size_t n = std::min<uint64_t>(1 + rng() % 700, sessions - g);
+                sessionStarts(cp, noise, g, n, got.data());
+                for (size_t i = 0; i < n; ++i) {
+                    SessionStart want =
+                        reference::sessionStart(cp, seed, g + i);
+                    moved += got[i].posNs != 0;
+                    if (got[i].posNs != want.posNs ||
+                        got[i].cursor != want.cursor ||
+                        std::bit_cast<uint64_t>(got[i].socJ) !=
+                            std::bit_cast<uint64_t>(want.socJ)) {
+                        if (mismatches++ == 0)
+                            ADD_FAILURE()
+                                << "session " << g + i << ": ("
+                                << got[i].posNs << ", " << got[i].cursor
+                                << ", " << got[i].socJ << "), reference ("
+                                << want.posNs << ", " << want.cursor << ", "
+                                << want.socJ << ")";
+                    }
+                }
+                g += n;
+            }
+            EXPECT_EQ(mismatches, 0u);
+            EXPECT_EQ(moved == 0, jitterS == 0.0);
+        }
+    }
+}
+
+TEST(FleetSessionStartTest, RoundToInt64MatchesLlround)
+{
+    uint64_t checked = 0, mismatches = 0;
+    std::string first;
+    auto check = [&](double v) {
+        ++checked;
+        long long want = std::llround(v);
+        int64_t got = roundToInt64(v);
+        if (got == want)
+            return;
+        if (mismatches++ == 0) {
+            std::ostringstream os;
+            os << std::hexfloat << v << ": " << got << ", std::llround "
+               << want;
+            first = os.str();
+        }
+    };
+    // Seeded values at every magnitude below 2^63, both signs.
+    std::mt19937_64 rng(34);
+    std::uniform_real_distribution<double> unit(1.0, 2.0);
+    for (int i = 0; i < 1 << 20; ++i) {
+        double v = std::ldexp(unit(rng), static_cast<int>(rng() % 100) - 37);
+        check(v);
+        check(-v);
+    }
+    // Exact ties k + 1/2 up to 2^52 (above it every double is whole),
+    // the doubles either side of each, and whole numbers.
+    for (int i = 0; i < 1 << 16; ++i) {
+        double k = static_cast<double>(rng() >> (12 + rng() % 52));
+        for (double v : {k + 0.5, k, k + 1.0}) {
+            for (double w : {v, std::nextafter(v, -1e300),
+                             std::nextafter(v, 1e300)}) {
+                check(w);
+                check(-w);
+            }
+        }
+    }
+    for (double v : {0.0, -0.0, 0.5, 0.49999999999999994,
+                     0.50000000000000011, 1.5, 2.5, 0x1p52 - 0.5, 0x1p52,
+                     0x1p52 + 1.0, 0x1p53, std::nextafter(0x1p63, 0.0)}) {
+        check(v);
+        check(-v);
+    }
+    check(-0x1p63);
+    EXPECT_GT(checked, 2000000u);
     EXPECT_EQ(mismatches, 0u) << first;
 }
 

@@ -7,7 +7,10 @@
  * golden-file canonicalization).
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -120,6 +123,44 @@ TEST(MetricsRegistryTest, HistogramBucketsCountSumMinMax)
     EXPECT_EQ(h.buckets[2], 1u);
     EXPECT_EQ(h.buckets[10], 1u);
     EXPECT_EQ(h.buckets[5], 0u);
+}
+
+TEST(MetricsRegistryTest, HistogramBucketIndexMatchesIlogb)
+{
+    // The exponent-bit bucketing against the std::ilogb form it
+    // replaces, at the bucket edges and the values the form treats
+    // apart.
+    auto byIlogb = [](double v) -> size_t {
+        if (!(v >= 1.0))
+            return 0;
+        return std::min(MetricsRegistry::histogramBuckets - 1,
+                        static_cast<size_t>(std::ilogb(v)) + 1);
+    };
+    std::vector<double> values = {
+        1.0,
+        std::nextafter(1.0, 0.0),
+        0.0,
+        -0.0,
+        -1.0,
+        -std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN()};
+    for (int e = -1074; e <= 1023; ++e) {
+        double p = std::ldexp(1.0, e);
+        for (double v : {p, std::nextafter(p, 0.0),
+                         std::nextafter(p, 2.0 * p)}) {
+            values.push_back(v);
+            values.push_back(-v);
+        }
+    }
+    for (double v : values) {
+        EXPECT_EQ(histogramBucketIndex(v), byIlogb(v))
+            << std::hexfloat << v;
+    }
 }
 
 TEST(MetricsRegistryTest, ConcurrentWorkersLoseNoIncrements)
