@@ -40,23 +40,23 @@ class CollectSink : public CampaignSink
 SimResult
 simulateCell(const Platform &platform, const PhaseSoA &soa,
              PdnKind kind, SimMode mode, Time tick,
-             SignalProbe *probe)
+             PhaseRecord *record)
 {
     IntervalSimulator sim(platform.operatingPoints(),
                           platform.config().tdp, tick);
     if (kind == PdnKind::FlexWatts) {
         if (mode == SimMode::Oracle)
-            return sim.runOracle(soa, platform.flexWatts(), probe);
+            return sim.runOracle(soa, platform.flexWatts(), record);
         if (mode == SimMode::Pmu) {
             PmuConfig cfg;
             cfg.tdp = platform.config().tdp;
             Pmu pmu(cfg, platform.predictor());
-            return sim.run(soa, platform.flexWatts(), pmu, probe);
+            return sim.run(soa, platform.flexWatts(), pmu, record);
         }
     }
     // Non-hybrid PDNs have no mode logic: every mode simulates them
     // statically.
-    return sim.run(soa, platform.pdn(kind), probe);
+    return sim.run(soa, platform.pdn(kind), record);
 }
 
 CampaignEngine::CampaignEngine(const ParallelRunner &runner)
@@ -185,28 +185,28 @@ CampaignEngine::run(const CampaignSpec &spec, CampaignSink &sink,
                 c.platform = spec.platforms[p].name;
                 c.pdn = spec.pdns[rest % nPdns];
                 c.mode = spec.mode;
-                // Probe binding is per cell and worker-private; the
-                // empty-probes check keeps unprobed campaigns off the
-                // probe path entirely.
-                std::unique_ptr<SignalProbe> probe;
+                // The first matching probe asks for the cell's
+                // record; the empty-probes check keeps unprobed
+                // campaigns off the probe path entirely.
+                const ProbeSpec *probe = nullptr;
                 if (!spec.probes.empty()) {
                     std::string pdnName = toString(c.pdn);
                     std::string modeName = toString(c.mode);
                     for (const ProbeSpec &ps : spec.probes) {
                         if (ps.matches(c.trace, c.platform, pdnName,
                                        modeName)) {
-                            probe = std::make_unique<SignalProbe>(
-                                ps, spec.platforms[p].tdp);
+                            probe = &ps;
                             break;
                         }
                     }
                 }
+                PhaseRecord record;
                 c.sim = simulateCell(
                     *platforms[p], soa, c.pdn, c.mode,
                     traceSpec.tickOverride().value_or(spec.tick),
-                    probe.get());
+                    probe ? &record : nullptr);
                 if (probe) {
-                    Waveform w = probe->take();
+                    Waveform w = captureWaveform(*probe, record);
                     w.trace = c.trace;
                     w.platform = c.platform;
                     w.pdn = toString(c.pdn);

@@ -38,19 +38,18 @@
 namespace pdnspot
 {
 
-class SignalProbe;
-
 /**
  * Simulate one (platform, trace, pdn, mode) cell — the one place
  * that decides which IntervalSimulator kernel a (PDN, mode) pair
  * runs: FlexWatts runs the oracle kernel in oracle mode and the PMU
  * kernel (a fresh Pmu at the platform's TDP) in pmu mode; every
  * other pair runs the static kernel, since only FlexWatts has
- * modes. The fleet's cohort profiles call it too.
+ * modes. A probed cell and the fleet's cohort profiles pass a record
+ * for the kernel to fill.
  */
 SimResult simulateCell(const Platform &platform, const PhaseSoA &soa,
                        PdnKind kind, SimMode mode, Time tick,
-                       SignalProbe *probe = nullptr);
+                       PhaseRecord *record = nullptr);
 
 /** Runs campaigns; stateless apart from the pool binding. */
 class CampaignEngine

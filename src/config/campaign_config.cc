@@ -310,10 +310,8 @@ probeFromJson(const JsonValue &v)
             d->asInteger("\"decimate\"", 1, 1000000000L));
 
     if (const JsonValue *trigger = v.find("trigger")) {
-        rejectUnknownKeys(*trigger, "trigger", {"on", "window"});
+        rejectUnknownKeys(*trigger, "trigger", {"window"});
         ProbeTriggerSpec t;
-        if (const JsonValue *on = trigger->find("on"))
-            t.on = nameFromJson<ProbeTriggerSpec::On>(*on);
         const JsonValue *window = trigger->find("window");
         if (!window)
             trigger->fail("missing required trigger key \"window\"");

@@ -62,23 +62,22 @@
  *      "pdn": "FlexWatts", "mode": "pmu",
  *      "signals": ["supply_power_w", "etee", "mode"],
  *      "decimate": 4,
- *      "trigger": {"on": "mode_switch", "window": 16},
+ *      "trigger": {"window": 16},
  *      "battery_wh": 50.0}
  *
  *   Omitted selectors match every value on that axis (but non-empty
  *   selectors must name something the spec's axes carry); "signals"
  *   names nameTable<ProbeSignal> entries (omitted = all signals);
  *   "decimate" keeps every Nth phase; "trigger" bounds capture to
- *   ±window phases around each event its "on" names
- *   (nameTable<ProbeTriggerSpec::On>, default any). The
- *   first matching probe binds to a cell. Probes only produce
+ *   ±window phases around each mode switch. The first matching
+ *   probe binds to a cell. Probes only produce
  *   output through surfaces that ask for it (the CLI's
  *   --probe-out); see docs/observability.md for the full grammar.
  *
  * Every value a spec spells from a fixed vocabulary — generator
  * "kind" (nameTable<TraceGeneratorKind>), battery "profile"
  * (batteryLifeWorkloads()), platform preset (allPlatformPresets()),
- * PDN kind, mode, probe signal and trigger — is bound from that
+ * PDN kind, mode and probe signal — is bound from that
  * vocabulary's one name table (common/names.hh). Every binding error
  * — unknown key, unknown name, missing trace — is a single-line
  * ConfigError carrying the offending value's file:line:col position;

@@ -5,7 +5,6 @@
 
 #include "campaign/campaign_engine.hh"
 #include "common/logging.hh"
-#include "obs/probe.hh"
 #include "obs/span_trace.hh"
 #include "workload/phase_soa.hh"
 
@@ -27,60 +26,36 @@ buildProfile(const FleetCohort &cohort, Time tick)
                         cohort.name.c_str(),
                         cohort.trace.name().c_str()));
 
-    // Run the cohort trace once through the campaign's cell kernel
-    // with a probe capturing per-phase supply power and mode (plus
-    // mode-switch events); every session replays this waveform
+    // Run the cohort trace once through the campaign's cell kernel,
+    // recording each phase's supply power and mode (and, on the PMU
+    // kernel, each switch); every session replays this record
     // cyclically from its own offset.
-    ProbeSpec ps;
-    ps.signals = {ProbeSignal::SupplyPowerW, ProbeSignal::Mode};
-    SignalProbe probe(ps, platform.config().tdp);
+    PhaseRecord record;
     simulateCell(platform, soa, cohort.pdn, cohort.mode,
-                 cohort.trace.tickOverride().value_or(tick), &probe);
-    Waveform w = probe.take();
+                 cohort.trace.tickOverride().value_or(tick), &record);
 
-    size_t powerCol = 0, modeCol = 0;
-    for (size_t s = 0; s < w.signals.size(); ++s) {
-        if (w.signals[s] == ProbeSignal::SupplyPowerW)
-            powerCol = s;
-        if (w.signals[s] == ProbeSignal::Mode)
-            modeCol = s;
-    }
-    if (w.rows.size() != phases)
-        panic(strprintf("FleetEngine: cohort profile captured %zu "
-                        "rows for %zu phases",
-                        w.rows.size(), phases));
-
-    profile.powerW.resize(phases);
+    profile.powerW = std::move(record.supplyW);
     profile.durS.resize(phases);
     profile.switchesIn.assign(phases, 0);
-    for (size_t p = 0; p < phases; ++p) {
-        profile.powerW[p] = w.rows[p].values[powerCol];
+    for (size_t p = 0; p < phases; ++p)
         profile.durS[p] = inSeconds(soa.durations()[p]);
-    }
-    // Switches: the PMU kernel reports each one as it happens; the
+    // Switches: the PMU kernel records each one as it happens; the
     // oracle switches instantly wherever consecutive phases run in
-    // different modes (static rows all carry mode -1).
+    // different modes (static phases all carry mode -1).
+    const std::vector<int> &mode = record.mode;
     if (cohort.mode == SimMode::Pmu) {
-        for (const WaveformEvent &event : w.events) {
-            if (event.kind ==
-                    nameOf(ProbeTriggerSpec::On::ModeSwitch) &&
-                event.phase < phases)
-                ++profile.switchesIn[event.phase];
-        }
+        for (const PhaseRecord::Switch &s : record.switches)
+            ++profile.switchesIn[s.phase];
     } else {
-        for (size_t p = 1; p < phases; ++p) {
-            if (w.rows[p].values[modeCol] !=
-                w.rows[p - 1].values[modeCol])
+        for (size_t p = 1; p < phases; ++p)
+            if (mode[p] != mode[p - 1])
                 profile.switchesIn[p] = 1;
-        }
     }
-    // Cyclic wrap: replaying the waveform back-to-back incurs one
-    // more switch when it ends in the other mode than it began in.
-    double first = w.rows.front().values[modeCol];
-    double last = w.rows.back().values[modeCol];
-    if (phases > 1 && first != last)
+    // Cyclic wrap: replaying the record back-to-back incurs one more
+    // switch when it ends in the other mode than it began in.
+    if (phases > 1 && mode.front() != mode.back())
         ++profile.switchesIn[0];
-    profile.mode = first < 0.0 ? SimMode::Static : cohort.mode;
+    profile.mode = mode.front() < 0 ? SimMode::Static : cohort.mode;
 
     // Boundaries round once from the duration prefix sums.
     std::vector<double> prefixS(phases + 1, 0.0);

@@ -21,7 +21,7 @@ namespace pdnspot
 
 /**
  * One cohort's replay profile, built once through the full simulator
- * stack. Per-phase arrays hold the captured waveform; the prefix
+ * stack. Per-phase arrays hold the recorded run; the prefix
  * arrays (n+1 entries) give the energy and switches from the cycle
  * start to any position, and where a given energy is reached, by one
  * table-started search, without walking phases.
@@ -124,9 +124,10 @@ struct CohortProfile
 
 /**
  * Profile the cohort: run its trace once through the campaign's cell
- * kernel (simulateCell) with a probe capturing per-phase supply
- * power and mode, then build the arrays above. fatal() when the
- * trace resolves to no phases or its cycle is off the clock.
+ * kernel (simulateCell), read each phase's supply power and mode and
+ * the switches from the run's PhaseRecord, then build the arrays
+ * above. fatal() when the trace resolves to no phases or its cycle
+ * is off the clock.
  */
 CohortProfile buildProfile(const FleetCohort &cohort, Time tick);
 

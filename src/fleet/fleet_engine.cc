@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hh"
@@ -533,7 +534,11 @@ FleetEngine::run(const FleetSpec &spec,
     _runner.forEach(spec.cohorts.size(), [&](size_t c) {
         profiles[c] = buildProfile(spec.cohorts[c], spec.tick);
     });
+    // The fleet.setup span and the fleet.setup_ms gauge time the same
+    // interval: from here to the first bucket.
     Clock::time_point setupStart = Clock::now();
+    std::optional<SpanScope> setupSpan(std::in_place, "fleet.setup",
+                                       "fleet");
 
     size_t nSessions = static_cast<size_t>(spec.sessionCount());
     std::vector<size_t> cohortStart(spec.cohorts.size() + 1, 0);
@@ -567,7 +572,6 @@ FleetEngine::run(const FleetSpec &spec,
     std::vector<uint64_t> deathSwitches;
     std::vector<LiveCohort> cohorts(profiles.size());
     {
-        SpanScope setupSpan("fleet.setup", "fleet");
         std::vector<double> owedJ(nSessions);
         std::vector<uint64_t> owedSwitches(nSessions);
         _runner.forEachChunked(nSessions, sessionChunk, [&](size_t begin,
@@ -672,6 +676,7 @@ FleetEngine::run(const FleetSpec &spec,
         for (LiveCohort &cohort : cohorts)
             cohort.last = cohort.at(0);
     }
+    setupSpan.reset();
     if (metrics.r) {
         // Everything from the profiles to the first bucket.
         double setupNs = std::chrono::duration<double, std::nano>(

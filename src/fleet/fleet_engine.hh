@@ -7,12 +7,12 @@
  * shared virtual clock of whole nanoseconds in fixed time buckets.
  * The expensive physics runs once per *cohort*, not per session:
  * each cohort's trace is resolved into PhaseSoA form and profiled
- * into dense per-phase supply-power / mode-switch arrays by one
- * probed run of the campaign's cell kernel (simulateCell,
- * campaign/campaign_engine.hh) whose waveform the cohort replays
+ * into dense per-phase supply-power / mode-switch arrays from the
+ * PhaseRecord of one run of the campaign's cell kernel (simulateCell,
+ * campaign/campaign_engine.hh), which the cohort replays
  * (fleet/cohort_profile.hh).
  *
- * A session is that waveform from its own start offset with its own
+ * A session is that profile from its own start offset with its own
  * battery capacity, so what it draws up to any time is a difference
  * of the cohort's cumulative energy at two shifted positions. Each
  * session is solved once, at set-up: where its charge runs out, and

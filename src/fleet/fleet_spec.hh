@@ -49,7 +49,7 @@ struct FleetCohort
      * How the cohort's trace profile is built (campaign semantics):
      * Static evaluates every phase under the PDN's default mode
      * logic; Pmu runs the cohort trace once under realistic PMU
-     * control and sessions replay the captured waveform at their own
+     * control and sessions replay the recorded run at their own
      * offsets; Oracle picks each phase's best hybrid mode instantly.
      * Non-FlexWatts PDNs always profile statically.
      */

@@ -82,8 +82,9 @@ class ModeSwitchFlow
     /**
      * Observe accepted switches: called from requestSwitch's success
      * path with (start time, target mode). Strictly observational —
-     * the waveform probe (obs/probe.hh) hangs off this; pass an
-     * empty function to detach.
+     * the PMU kernel records switches for a PhaseRecord
+     * (sim/sim_stats.hh) through it; pass an empty function to
+     * detach.
      */
     void
     setObserver(std::function<void(Time, HybridMode)> observer)

@@ -1,8 +1,8 @@
 #include "obs/probe.hh"
 
 #include <algorithm>
+#include <deque>
 
-#include "common/csv.hh"
 #include "common/logging.hh"
 
 namespace pdnspot
@@ -64,151 +64,115 @@ Waveform::cellName() const
     return name;
 }
 
-SignalProbe::SignalProbe(const ProbeSpec &spec, Power tdp)
-    : _spec(spec), _signals(spec.selectedSignals()), _budget(tdp),
-      _capacity(wattHours(spec.batteryWh))
+namespace
 {
-    _spec.validate();
-}
 
-void
-SignalProbe::buildRow(const ProbeFrame &frame)
+/** One phase's value of each selected signal. */
+std::vector<double>
+signalValues(const std::vector<ProbeSignal> &signals,
+             const PhaseRecord &record, size_t p, double soc)
 {
-    WaveformRow row;
-    row.phase = frame.phase;
-    row.start = frame.start;
-    row.duration = frame.duration;
-    row.values.reserve(_signals.size());
-    for (ProbeSignal s : _signals) {
+    double supplyW = record.supplyW[p];
+    double nominalW = record.nominalW[p];
+    const std::optional<LossBreakdown> &loss = record.loss[p];
+    std::vector<double> values;
+    values.reserve(signals.size());
+    for (ProbeSignal s : signals) {
         double v = 0.0;
         switch (s) {
           case ProbeSignal::SupplyPowerW:
-            v = frame.supplyPowerW;
+            v = supplyW;
             break;
           case ProbeSignal::NominalPowerW:
-            v = frame.nominalPowerW;
+            v = nominalW;
             break;
           case ProbeSignal::Etee:
             // Same guarded ratio as EteeResult::etee().
-            v = frame.supplyPowerW <= 0.0
-                    ? 0.0
-                    : frame.nominalPowerW / frame.supplyPowerW;
+            v = supplyW <= 0.0 ? 0.0 : nominalW / supplyW;
             break;
           case ProbeSignal::Mode:
-            v = static_cast<double>(frame.mode);
+            v = static_cast<double>(record.mode[p]);
             break;
           case ProbeSignal::VrLossW:
-            v = frame.loss ? inWatts(frame.loss->vrLoss) : 0.0;
+            v = loss ? inWatts(loss->vrLoss) : 0.0;
             break;
           case ProbeSignal::ConductionComputeW:
-            v = frame.loss ? inWatts(frame.loss->conductionCompute)
-                           : 0.0;
+            v = loss ? inWatts(loss->conductionCompute) : 0.0;
             break;
           case ProbeSignal::ConductionUncoreW:
-            v = frame.loss ? inWatts(frame.loss->conductionUncore)
-                           : 0.0;
+            v = loss ? inWatts(loss->conductionUncore) : 0.0;
             break;
           case ProbeSignal::OtherLossW:
-            v = frame.loss ? inWatts(frame.loss->other) : 0.0;
-            break;
-          case ProbeSignal::BudgetAvgPowerW:
-            v = inWatts(_budget.averagePower());
-            break;
-          case ProbeSignal::BudgetMultiplier:
-            v = _budget.recommendedMultiplier();
+            v = loss ? inWatts(loss->other) : 0.0;
             break;
           case ProbeSignal::BatterySoc:
-            v = std::max(0.0, 1.0 - _consumed / _capacity);
+            v = soc;
             break;
         }
-        row.values.push_back(v);
+        values.push_back(v);
     }
-
-    if (!_spec.trigger) {
-        _rows.push_back(std::move(row));
-        return;
-    }
-    if (_triggered && frame.phase <= _admitThrough) {
-        _rows.push_back(std::move(row));
-        return;
-    }
-    // Candidate for a future trigger's lookback window: hold it in
-    // the ring, evicting everything already out of reach.
-    _ring.push_back(std::move(row));
-    uint64_t window = _spec.trigger->window;
-    while (!_ring.empty() &&
-           _ring.front().phase + window < frame.phase) {
-        _ring.pop_front();
-    }
+    return values;
 }
 
-void
-SignalProbe::fireTrigger(ProbeTriggerSpec::On cause, uint64_t phase)
-{
-    if (!_spec.trigger)
-        return;
-    ProbeTriggerSpec::On want = _spec.trigger->on;
-    if (want != ProbeTriggerSpec::On::Any && want != cause)
-        return;
-    uint64_t window = _spec.trigger->window;
-    uint64_t lo = phase >= window ? phase - window : 0;
-    while (!_ring.empty() && _ring.front().phase < lo)
-        _ring.pop_front();
-    for (WaveformRow &row : _ring)
-        _rows.push_back(std::move(row));
-    _ring.clear();
-    _triggered = true;
-    _admitThrough = std::max(_admitThrough, phase + window);
-}
-
-void
-SignalProbe::samplePhase(const ProbeFrame &frame)
-{
-    // Derived state advances on every phase regardless of decimation
-    // or trigger admission, so the shadow governor and battery see
-    // the full timeline.
-    _budget.observe(watts(frame.supplyPowerW), frame.duration);
-    _consumed += watts(frame.supplyPowerW) * frame.duration;
-
-    bool clamped = _budget.clamped();
-    if (clamped && !_wasClamped) {
-        WaveformEvent e;
-        e.kind = nameOf(ProbeTriggerSpec::On::BudgetClip);
-        e.phase = frame.phase;
-        e.t = frame.start + frame.duration;
-        e.detail = csvExactDouble(_budget.recommendedMultiplier());
-        _events.push_back(std::move(e));
-        fireTrigger(ProbeTriggerSpec::On::BudgetClip, frame.phase);
-    }
-    _wasClamped = clamped;
-
-    if (frame.phase % _spec.decimate != 0)
-        return;
-    buildRow(frame);
-}
-
-void
-SignalProbe::modeSwitch(uint64_t phase, Time t, HybridMode target)
-{
-    WaveformEvent e;
-    e.kind = nameOf(ProbeTriggerSpec::On::ModeSwitch);
-    e.phase = phase;
-    e.t = t;
-    e.detail = toString(target);
-    _events.push_back(std::move(e));
-    fireTrigger(ProbeTriggerSpec::On::ModeSwitch, phase);
-}
+} // namespace
 
 Waveform
-SignalProbe::take()
+captureWaveform(const ProbeSpec &spec, const PhaseRecord &record)
 {
+    spec.validate();
     Waveform w;
-    w.signals = _signals;
-    w.rows = std::move(_rows);
-    w.events = std::move(_events);
-    _rows.clear();
-    _events.clear();
-    _ring.clear();
+    w.signals = spec.selectedSignals();
+
+    // Under a trigger spec, a row waits in the ring until a switch
+    // admits it or it falls out of every later switch's lookback.
+    const uint64_t window = spec.trigger ? spec.trigger->window : 0;
+    bool triggered = false;    // a trigger window is armed
+    uint64_t admitThrough = 0; // last phase the window admits
+    std::deque<WaveformRow> ring;
+
+    // The battery sees every phase, whatever the probe keeps.
+    const Energy capacity = wattHours(spec.batteryWh);
+    Energy consumed;
+    Time start;
+    size_t nextSwitch = 0;
+    for (uint64_t p = 0; p < record.phases(); ++p) {
+        for (; nextSwitch < record.switches.size() &&
+               record.switches[nextSwitch].phase == p;
+             ++nextSwitch) {
+            const PhaseRecord::Switch &sw = record.switches[nextSwitch];
+            w.events.push_back({p, sw.t, toString(sw.target)});
+            if (!spec.trigger)
+                continue;
+            uint64_t lo = p >= window ? p - window : 0;
+            while (!ring.empty() && ring.front().phase < lo)
+                ring.pop_front();
+            for (WaveformRow &row : ring)
+                w.rows.push_back(std::move(row));
+            ring.clear();
+            triggered = true;
+            admitThrough = std::max(admitThrough, p + window);
+        }
+
+        Time duration = record.duration[p];
+        consumed += watts(record.supplyW[p]) * duration;
+        if (p % spec.decimate == 0) {
+            WaveformRow row;
+            row.phase = p;
+            row.start = start;
+            row.duration = duration;
+            row.values = signalValues(
+                w.signals, record, p,
+                std::max(0.0, 1.0 - consumed / capacity));
+            if (!spec.trigger || (triggered && p <= admitThrough)) {
+                w.rows.push_back(std::move(row));
+            } else {
+                ring.push_back(std::move(row));
+                while (ring.front().phase + window < p)
+                    ring.pop_front();
+            }
+        }
+        start += duration;
+    }
     return w;
 }
 

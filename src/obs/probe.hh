@@ -1,30 +1,25 @@
 /**
  * @file
- * SignalProbe: per-phase waveform capture of the *simulated* system.
+ * Waveform probes: per-phase capture of the *simulated* system.
  *
  * The metrics/span layer (obs/metrics.hh, obs/span_trace.hh) makes
  * the tool observable; this layer makes the simulation observable. A
- * SignalProbe is a passive sink the IntervalSimulator feeds with one
- * ProbeFrame per trace phase — supply and nominal power, loss
- * breakdown, the active hybrid mode — plus discrete events: hybrid
- * mode switches (flexwatts/mode_switch.hh) and power-budget clips
- * from a shadow PowerBudgetManager (pmu/power_budget.hh) the probe
- * drives with the sampled supply power. The probe derives ETEE,
- * budget state, and a battery state-of-charge from each frame, so
- * "what did the PDN look like around that mode switch?" is a
- * waveform query instead of printf archaeology.
- *
- * The probe is strictly observational: it never feeds anything back
- * into the simulation, so a probed run produces bit-identical
- * SimResults to an unprobed one. Simulator run methods take the
- * probe as an optional trailing pointer; the only cost when unbound
- * is one null check per phase.
+ * probed campaign cell runs its kernel with a PhaseRecord
+ * (sim/sim_stats.hh) — each phase's supply and nominal power, loss
+ * breakdown and hybrid mode, plus the mode switches — and
+ * captureWaveform turns the finished record into the waveform its
+ * ProbeSpec asks for: the selected signals, ETEE and a battery
+ * state-of-charge derived per phase, and one event per mode switch.
+ * So "what did the PDN look like around that mode switch?" is a
+ * waveform query instead of printf archaeology. The simulation never
+ * reads a record, so a probed run produces bit-identical SimResults
+ * to an unprobed one.
  *
  * Memory stays bounded on million-phase traces via decimation (keep
  * every Nth phase) and trigger windows ("±N phases around each mode
- * switch / budget clip"): candidate rows sit in a ring buffer until
- * a trigger fires, which admits the lookback window and arms a
- * lookahead window. Events are always recorded (they are sparse).
+ * switch"): candidate rows sit in a ring buffer until a switch fires
+ * the trigger, which admits the lookback window and arms a lookahead
+ * window. Events are always recorded (they are sparse).
  *
  * Serialization (columnar CSV, Perfetto counter tracks) lives in
  * obs/waveform_io.hh.
@@ -35,15 +30,13 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/names.hh"
 #include "common/units.hh"
-#include "flexwatts/hybrid_mode.hh"
-#include "pdn/etee_result.hh"
-#include "pmu/power_budget.hh"
+#include "sim/sim_stats.hh"
 
 namespace pdnspot
 {
@@ -62,12 +55,10 @@ enum class ProbeSignal
     ConductionComputeW,  ///< compute-rail conduction loss
     ConductionUncoreW,   ///< uncore-rail conduction loss
     OtherLossW,          ///< remaining loss terms
-    BudgetAvgPowerW,     ///< shadow RAPL governor's EWMA power
-    BudgetMultiplier,    ///< shadow governor's clock multiplier
     BatterySoc,          ///< 1.0 - supply energy / battery capacity
 };
 
-inline constexpr size_t probeSignalCount = 11;
+inline constexpr size_t probeSignalCount = 9;
 
 template <>
 inline constexpr NameTable<ProbeSignal, probeSignalCount>
@@ -81,8 +72,6 @@ inline constexpr NameTable<ProbeSignal, probeSignalCount>
           {ProbeSignal::ConductionComputeW, "conduction_compute_w"},
           {ProbeSignal::ConductionUncoreW, "conduction_uncore_w"},
           {ProbeSignal::OtherLossW, "other_loss_w"},
-          {ProbeSignal::BudgetAvgPowerW, "budget_avg_power_w"},
-          {ProbeSignal::BudgetMultiplier, "budget_multiplier"},
           {ProbeSignal::BatterySoc, "battery_soc"}}}};
 static_assert(inEnumOrder(nameTable<ProbeSignal>));
 
@@ -90,39 +79,16 @@ inline constexpr std::array<ProbeSignal, probeSignalCount> allProbeSignals =
     valuesOf(nameTable<ProbeSignal>);
 
 /**
- * Bounds capture to "±window phases around each trigger". Without a
- * trigger spec the probe keeps every (decimated) phase.
+ * Bounds capture to "±window phases around each mode switch".
+ * Without a trigger spec the probe keeps every (decimated) phase.
  */
 struct ProbeTriggerSpec
 {
-    /** Which discrete events arm the window. */
-    enum class On
-    {
-        ModeSwitch,
-        BudgetClip,
-        Any,
-    };
-
-    On on = On::Any;
-
-    /** Phases kept before and after each trigger. */
+    /** Phases kept before and after each switch. */
     uint64_t window = 8;
 
     bool operator==(const ProbeTriggerSpec &) const = default;
 };
-
-/**
- * Trigger spellings; ModeSwitch and BudgetClip double as the
- * WaveformEvent kinds.
- */
-template <>
-inline constexpr NameTable<ProbeTriggerSpec::On, 3>
-    nameTable<ProbeTriggerSpec::On>{
-        "trigger",
-        {{{ProbeTriggerSpec::On::ModeSwitch, "mode_switch"},
-          {ProbeTriggerSpec::On::BudgetClip, "budget_clip"},
-          {ProbeTriggerSpec::On::Any, "any"}}}};
-static_assert(inEnumOrder(nameTable<ProbeTriggerSpec::On>));
 
 /**
  * One declaratively-bound probe: which campaign cells it attaches to
@@ -161,13 +127,12 @@ struct ProbeSpec
     void validate() const;
 };
 
-/** One discrete event on a waveform timeline. */
+/** One mode switch on a waveform timeline. */
 struct WaveformEvent
 {
-    std::string kind;   ///< nameOf(On::ModeSwitch or On::BudgetClip)
-    uint64_t phase = 0; ///< trace phase index the event fell in
-    Time t;             ///< simulated time of the event
-    std::string detail; ///< target mode / clip multiplier
+    uint64_t phase = 0; ///< trace phase index the switch fell in
+    Time t;             ///< simulated start time of the switch
+    std::string detail; ///< target mode
 
     bool operator==(const WaveformEvent &) const = default;
 };
@@ -214,64 +179,14 @@ struct Waveform
 };
 
 /**
- * What the simulator hands the probe once per trace phase. Powers
- * are phase averages (the PMU path averages over its ticks); loss is
- * null when no PDN evaluation happened inside the phase (a phase
- * spent entirely inside a mode-switch C6 flow).
+ * One pass over a finished run's record: the waveform `spec` keeps
+ * of it. Each phase's switches replay before its sample, the order
+ * in which they happened. Rows a trigger spec holds back that no
+ * switch comes near are dropped. Cell identity fields are left for
+ * the caller to stamp. fatal() unless the spec is sane.
  */
-struct ProbeFrame
-{
-    uint64_t phase = 0;
-    Time start;
-    Time duration;
-    double supplyPowerW = 0.0;
-    double nominalPowerW = 0.0;
-    const LossBreakdown *loss = nullptr;
-    int mode = -1; ///< -1 none/static, else static_cast<HybridMode>
-};
-
-/**
- * The capture state machine for one (probe spec, cell) pair. Not
- * thread-safe; the campaign engine creates one per matching cell on
- * the worker simulating it.
- */
-class SignalProbe
-{
-  public:
-    /** @param tdp the probed platform's TDP (shadow budget governor) */
-    SignalProbe(const ProbeSpec &spec, Power tdp);
-
-    /** Ingest one phase sample (call once per phase, in order). */
-    void samplePhase(const ProbeFrame &frame);
-
-    /** Record a hybrid mode switch starting at `t` in `phase`. */
-    void modeSwitch(uint64_t phase, Time t, HybridMode target);
-
-    /**
-     * The captured waveform; rows still in the trigger ring (no
-     * trigger fired near them) are discarded. Cell identity fields
-     * are left for the caller to stamp.
-     */
-    Waveform take();
-
-  private:
-    void buildRow(const ProbeFrame &frame);
-    void fireTrigger(ProbeTriggerSpec::On cause, uint64_t phase);
-
-    ProbeSpec _spec;
-    std::vector<ProbeSignal> _signals;
-    PowerBudgetManager _budget;
-    bool _wasClamped = false;
-    Energy _capacity;
-    Energy _consumed;
-
-    bool _triggered = false;     ///< a trigger window is armed
-    uint64_t _admitThrough = 0;  ///< last phase the window admits
-    std::deque<WaveformRow> _ring;
-
-    std::vector<WaveformRow> _rows;
-    std::vector<WaveformEvent> _events;
-};
+Waveform captureWaveform(const ProbeSpec &spec,
+                         const PhaseRecord &record);
 
 } // namespace pdnspot
 

@@ -14,6 +14,10 @@ namespace
 
 constexpr size_t fixedColumns = 4; ///< record, phase, t_s, duration_s
 
+/** The record kind of an event row and the name of its instant
+ * trace event. */
+constexpr const char *modeSwitchRecord = "mode_switch";
+
 /** fatal() a "source:line: message" error. */
 [[noreturn]] void
 failAt(const std::string &source, size_t line,
@@ -56,7 +60,7 @@ writeWaveformCsv(const Waveform &waveform)
         buf += ",\n"; // empty detail
     }
     for (const WaveformEvent &e : waveform.events) {
-        buf += e.kind;
+        buf += modeSwitchRecord;
         buf += ",";
         buf += std::to_string(e.phase);
         buf += ",";
@@ -134,12 +138,9 @@ readWaveformCsv(std::istream &is, const std::string &sourceName)
                 failAt(sourceName, lineNo,
                        "sample row with a non-empty detail field");
             w.rows.push_back(std::move(row));
-        } else if (const auto *event =
-                       findName(nameTable<ProbeTriggerSpec::On>, f[0]);
-                   event && event->value != ProbeTriggerSpec::On::Any) {
+        } else if (f[0] == modeSwitchRecord) {
             sawEvent = true;
             WaveformEvent e;
-            e.kind = f[0];
             e.phase = phase;
             try {
                 e.t = seconds(csvToDouble(f[2]));
@@ -156,10 +157,8 @@ readWaveformCsv(std::istream &is, const std::string &sourceName)
         } else {
             failAt(sourceName, lineNo,
                    strprintf("unknown record kind \"%s\" (expected one "
-                             "of sample, %s, %s)",
-                             f[0].c_str(),
-                             nameOf(ProbeTriggerSpec::On::ModeSwitch),
-                             nameOf(ProbeTriggerSpec::On::BudgetClip)));
+                             "of sample, %s)",
+                             f[0].c_str(), modeSwitchRecord));
         }
     }
     return w;
@@ -189,7 +188,8 @@ waveformCounterEvents(const Waveform &waveform)
         args.emplace_back("detail",
                           JsonValue::makeString(e.detail));
         std::vector<JsonValue::Member> fields;
-        fields.emplace_back("name", JsonValue::makeString(e.kind));
+        fields.emplace_back("name",
+                            JsonValue::makeString(modeSwitchRecord));
         fields.emplace_back("ph", JsonValue::makeString("i"));
         fields.emplace_back("s", JsonValue::makeString("p"));
         fields.emplace_back(

@@ -11,8 +11,8 @@
  *   mode_switch,37,0.74,,,,...,LDO-Mode
  *
  * "sample" rows carry one value per signal column and an empty
- * detail; event rows ("mode_switch", "budget_clip") carry empty
- * signal/duration fields and the event detail. All samples precede
+ * detail; event rows ("mode_switch") carry empty signal/duration
+ * fields and the switch's target mode as the detail. All samples precede
  * all events. Numbers use csvExactDouble, so write -> read -> write
  * is byte-identical (the trace_io contract).
  *

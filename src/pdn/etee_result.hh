@@ -31,6 +31,8 @@ struct LossBreakdown
     {
         return vrLoss + conductionCompute + conductionUncore + other;
     }
+
+    bool operator==(const LossBreakdown &) const = default;
 };
 
 /** Result of evaluating one PDN at one platform operating point. */

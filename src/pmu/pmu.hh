@@ -64,7 +64,8 @@ class Pmu
 
     const ModeSwitchFlow &switchFlow() const { return _flow; }
 
-    /** Forward to ModeSwitchFlow::setObserver (waveform probes). */
+    /** Forward to ModeSwitchFlow::setObserver: the PMU kernel
+     * appends each switch to the run's PhaseRecord through it. */
     void
     setSwitchObserver(std::function<void(Time, HybridMode)> observer)
     {

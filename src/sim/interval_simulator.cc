@@ -4,29 +4,12 @@
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
-#include "obs/probe.hh"
 
 namespace pdnspot
 {
 
 namespace
 {
-
-/** Feed one static/oracle phase evaluation to the probe. */
-void
-probePhase(SignalProbe *probe, uint64_t phase, Time start,
-           Time duration, const EteeResult &e, int mode)
-{
-    ProbeFrame f;
-    f.phase = phase;
-    f.start = start;
-    f.duration = duration;
-    f.supplyPowerW = inWatts(e.inputPower);
-    f.nominalPowerW = inWatts(e.nominalPower);
-    f.loss = &e.loss;
-    f.mode = mode;
-    probe->samplePhase(f);
-}
 
 constexpr size_t workloadTypes = nameTable<WorkloadType>.rows.size();
 
@@ -132,7 +115,7 @@ IntervalSimulator::stateFor(const TracePhase &phase) const
 
 SimResult
 IntervalSimulator::run(const PhaseSoA &soa, const PdnModel &pdn,
-                       SignalProbe *probe) const
+                       PhaseRecord *record) const
 {
     metricAdd(Metric::SimRunsStatic);
 
@@ -149,11 +132,12 @@ IntervalSimulator::run(const PhaseSoA &soa, const PdnModel &pdn,
     SimResult result;
     const std::vector<Time> &durations = soa.durations();
     const std::vector<uint32_t> &index = soa.uniqueIndex();
+    if (record)
+        *record = PhaseRecord();
     for (size_t p = 0; p < durations.size(); ++p) {
         const EteeResult &e = etee[index[p]];
-        if (probe)
-            probePhase(probe, p, result.duration, durations[p], e,
-                       -1);
+        if (record)
+            record->push(durations[p], e, -1);
         result.duration += durations[p];
         result.supplyEnergy += e.inputPower * durations[p];
         result.nominalEnergy += e.nominalPower * durations[p];
@@ -164,7 +148,7 @@ IntervalSimulator::run(const PhaseSoA &soa, const PdnModel &pdn,
 SimResult
 IntervalSimulator::runOracle(const PhaseSoA &soa,
                              const FlexWattsPdn &pdn,
-                             SignalProbe *probe) const
+                             PhaseRecord *record) const
 {
     metricAdd(Metric::SimRunsOracle);
 
@@ -180,11 +164,13 @@ IntervalSimulator::runOracle(const PhaseSoA &soa,
     SimResult result;
     const std::vector<Time> &durations = soa.durations();
     const std::vector<uint32_t> &index = soa.uniqueIndex();
+    if (record)
+        *record = PhaseRecord();
     for (size_t p = 0; p < durations.size(); ++p) {
         const EteeResult &e = etee[index[p]];
-        if (probe)
-            probePhase(probe, p, result.duration, durations[p], e,
-                       static_cast<int>(modes[index[p]]));
+        if (record)
+            record->push(durations[p], e,
+                         static_cast<int>(modes[index[p]]));
         result.duration += durations[p];
         result.supplyEnergy += e.inputPower * durations[p];
         result.nominalEnergy += e.nominalPower * durations[p];
@@ -196,28 +182,10 @@ IntervalSimulator::runOracle(const PhaseSoA &soa,
 
 SimResult
 IntervalSimulator::run(const PhaseSoA &soa, const FlexWattsPdn &pdn,
-                       Pmu &pmu, SignalProbe *probe) const
+                       Pmu &pmu, PhaseRecord *record) const
 {
     metricAdd(Metric::SimRunsPmu);
     SimResult result;
-
-    // The probe's per-phase frame averages over the phase's ticks
-    // (supply/nominal energy deltas divided by the duration), keeps
-    // the loss breakdown of the phase's last PDN evaluation (absent
-    // if the whole phase sat inside a C6 switch flow), and reports
-    // the mode configured at phase end. Mode-switch events arrive
-    // through the switch-flow observer as they happen.
-    size_t pi = 0;
-    Energy phaseSupplyStart;
-    Energy phaseNominalStart;
-    EteeResult lastEval;
-    bool hasEval = false;
-    if (probe) {
-        pmu.setSwitchObserver(
-            [probe, &pi](Time t, HybridMode target) {
-                probe->modeSwitch(pi, t, target);
-            });
-    }
 
     // Per-(unique state, mode) evaluation cache: every phase of a
     // unique state runs in the same platform state, so at most 2
@@ -235,6 +203,21 @@ IntervalSimulator::run(const PhaseSoA &soa, const FlexWattsPdn &pdn,
     const std::vector<uint32_t> &index = soa.uniqueIndex();
     std::vector<StateEval> cache(unique.size());
     DemandTable demands(_opm, pdn);
+
+    // The record's phase powers average over the phase's ticks
+    // (supply/nominal energy deltas divided by the duration), its
+    // loss is the phase's last PDN evaluation (none if the whole
+    // phase sat inside a C6 switch flow) and its mode the one
+    // configured at phase end. Switches arrive through the
+    // switch-flow observer as they happen.
+    size_t pi = 0;
+    if (record) {
+        *record = PhaseRecord();
+        pmu.setSwitchObserver(
+            [record, &pi](Time t, HybridMode target) {
+                record->switches.push_back({pi, t, target});
+            });
+    }
 
     auto evaluate = [&](uint32_t u, HybridMode mode)
         -> const EteeResult & {
@@ -258,11 +241,11 @@ IntervalSimulator::run(const PhaseSoA &soa, const FlexWattsPdn &pdn,
         Time duration = durations[pi];
         Time phase_start = now;
         Time phase_end = now + duration;
-        if (probe) {
-            phaseSupplyStart = result.supplyEnergy;
-            phaseNominalStart = result.nominalEnergy;
-            hasEval = false;
-        }
+        Energy phaseSupplyStart = result.supplyEnergy;
+        Energy phaseNominalStart = result.nominalEnergy;
+        // Cache entries never move, so the last evaluation is a
+        // pointer into the cache.
+        const EteeResult *lastEval = nullptr;
 
         // Step times are derived from the phase start and an integer
         // tick count (one rounding each) rather than accumulated, so
@@ -292,41 +275,31 @@ IntervalSimulator::run(const PhaseSoA &soa, const FlexWattsPdn &pdn,
                     const EteeResult &e = evaluate(u, mode);
                     result.supplyEnergy += e.inputPower * rest;
                     result.nominalEnergy += e.nominalPower * rest;
-                    if (probe) {
-                        lastEval = e;
-                        hasEval = true;
-                    }
+                    lastEval = &e;
                 }
             } else {
                 const EteeResult &e = evaluate(u, mode);
                 result.supplyEnergy += e.inputPower * step;
                 result.nominalEnergy += e.nominalPower * step;
-                if (probe) {
-                    lastEval = e;
-                    hasEval = true;
-                }
+                lastEval = &e;
             }
             result.modeResidency[static_cast<size_t>(mode)] += step;
             now = next;
             ++tick_idx;
         }
-        if (probe) {
-            ProbeFrame f;
-            f.phase = pi;
-            f.start = phase_start;
-            f.duration = duration;
-            f.supplyPowerW = inWatts(
-                (result.supplyEnergy - phaseSupplyStart) /
-                duration);
-            f.nominalPowerW = inWatts(
-                (result.nominalEnergy - phaseNominalStart) /
-                duration);
-            f.loss = hasEval ? &lastEval.loss : nullptr;
-            f.mode = static_cast<int>(pmu.configuredMode());
-            probe->samplePhase(f);
+        if (record) {
+            record->duration.push_back(duration);
+            record->supplyW.push_back(inWatts(
+                (result.supplyEnergy - phaseSupplyStart) / duration));
+            record->nominalW.push_back(inWatts(
+                (result.nominalEnergy - phaseNominalStart) / duration));
+            record->loss.push_back(
+                lastEval ? std::optional(lastEval->loss) : std::nullopt);
+            record->mode.push_back(
+                static_cast<int>(pmu.configuredMode()));
         }
     }
-    if (probe)
+    if (record)
         pmu.setSwitchObserver({});
 
     result.duration = now;

@@ -26,8 +26,6 @@
 namespace pdnspot
 {
 
-class SignalProbe;
-
 /**
  * Steps traces through PDN models with configurable resolution.
  *
@@ -43,12 +41,14 @@ class SignalProbe;
  * simulateCell() is the one place that picks the kernel a (PDN,
  * mode) pair runs.
  *
- * Every run method takes an optional SignalProbe (obs/probe.hh)
- * fed one frame per trace phase — average supply/nominal power, the
- * loss breakdown, the active hybrid mode — plus mode-switch events
- * on the PMU path. The probe is strictly observational: results are
- * bit-identical probed and unprobed, and an unbound probe costs one
- * null check per phase.
+ * Every run method takes an optional PhaseRecord (sim/sim_stats.hh)
+ * and, when given one, fills it with each trace phase's average
+ * supply/nominal power, loss breakdown and hybrid mode, plus the
+ * mode switches on the PMU path; the waveform probe (obs/probe.hh)
+ * and the fleet's cohort profiles read it after the run. Recording
+ * never changes a result: SimResults are bit-identical with and
+ * without a record, and a run without one checks for it once per
+ * phase.
  */
 class IntervalSimulator
 {
@@ -64,7 +64,7 @@ class IntervalSimulator
 
     /** Simulate a static PDN (no mode logic). */
     SimResult run(const PhaseSoA &soa, const PdnModel &pdn,
-                  SignalProbe *probe = nullptr) const;
+                  PhaseRecord *record = nullptr) const;
 
     /**
      * Simulate FlexWatts under PMU control: the predictor sees the
@@ -76,7 +76,7 @@ class IntervalSimulator
      * sensor rejects a zero AR, and trace import refuses NaN.
      */
     SimResult run(const PhaseSoA &soa, const FlexWattsPdn &pdn,
-                  Pmu &pmu, SignalProbe *probe = nullptr) const;
+                  Pmu &pmu, PhaseRecord *record = nullptr) const;
 
     /**
      * Simulate FlexWatts with an oracle that knows each phase's best
@@ -84,7 +84,7 @@ class IntervalSimulator
      * predictor-ablation figure.
      */
     SimResult runOracle(const PhaseSoA &soa, const FlexWattsPdn &pdn,
-                        SignalProbe *probe = nullptr) const;
+                        PhaseRecord *record = nullptr) const;
 
     /**
      * The platform state a phase runs in at this simulator's TDP,

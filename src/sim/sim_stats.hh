@@ -1,6 +1,7 @@
 /**
  * @file
- * Aggregated statistics of one interval-simulation run.
+ * Aggregated statistics of one interval-simulation run, and the
+ * per-phase record a run fills when asked.
  */
 
 #ifndef PDNSPOT_SIM_SIM_STATS_HH
@@ -8,9 +9,12 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "common/units.hh"
 #include "flexwatts/hybrid_mode.hh"
+#include "pdn/etee_result.hh"
 
 namespace pdnspot
 {
@@ -58,6 +62,56 @@ struct SimResult
      * and CSV round-trip guarantees.
      */
     bool operator==(const SimResult &) const = default;
+};
+
+/**
+ * What one run saw in each trace phase, filled by a kernel only when
+ * the caller passes one (the waveform probe, obs/probe.hh, and the
+ * fleet's cohort profiles read it after the run). Powers are phase
+ * averages: the static and oracle kernels' delivered powers, the PMU
+ * kernel's energy deltas over the phase duration.
+ */
+struct PhaseRecord
+{
+    /** A hybrid mode switch, as the switch-flow observer reports it. */
+    struct Switch
+    {
+        uint64_t phase = 0; ///< trace phase the switch started in
+        Time t;             ///< simulated start time of the switch
+        HybridMode target = HybridMode::IvrMode;
+
+        bool operator==(const Switch &) const = default;
+    };
+
+    std::vector<Time> duration;   ///< phase durations
+    std::vector<double> supplyW;  ///< mean supply power per phase
+    std::vector<double> nominalW; ///< mean nominal power per phase
+
+    /** The loss breakdown of the phase's last PDN evaluation; none
+     * when the whole phase sat inside a mode-switch C6 flow. */
+    std::vector<std::optional<LossBreakdown>> loss;
+
+    /** The mode configured at phase end: -1 static, else a
+     * HybridMode. */
+    std::vector<int> mode;
+
+    /** Every switch of the run, in time order. */
+    std::vector<Switch> switches;
+
+    size_t phases() const { return duration.size(); }
+
+    /** Append a phase that ran at one evaluation's powers. */
+    void
+    push(Time phaseDuration, const EteeResult &e, int phaseMode)
+    {
+        duration.push_back(phaseDuration);
+        supplyW.push_back(inWatts(e.inputPower));
+        nominalW.push_back(inWatts(e.nominalPower));
+        loss.push_back(e.loss);
+        mode.push_back(phaseMode);
+    }
+
+    bool operator==(const PhaseRecord &) const = default;
 };
 
 } // namespace pdnspot

@@ -539,6 +539,38 @@ TEST(CampaignConfigTest, TransformErrorsCarryTheValuePosition)
                     "spec.json:4:36");
 }
 
+TEST(CampaignConfigTest, RejectsRetiredBudgetSignals)
+{
+    // Neither budget name is a probe signal: naming one fails at that
+    // array item, listing every valid signal.
+    for (const char *name : {"budget_multiplier", "budget_avg_power_w"}) {
+        expectSpecError(std::string(R"({
+  "traces": {"names": ["bursty-compute"]},
+  "platforms": ["ultraportable-15w"], "pdns": ["FlexWatts"],
+  "probes": [{"signals":
+      ["etee", ")") + name + R"("]}]})",
+                        std::string("unknown probe signal \"") + name +
+                            "\" (expected one of supply_power_w, "
+                            "nominal_power_w, etee, mode, vr_loss_w, "
+                            "conduction_compute_w, conduction_uncore_w, "
+                            "other_loss_w, battery_soc)",
+                        "spec.json:5:16");
+    }
+}
+
+TEST(CampaignConfigTest, RejectsTriggerOnKey)
+{
+    // A trigger is its window alone: "on" fails at that member (its
+    // value, as every unknown-key error does).
+    expectSpecError(R"({
+  "traces": {"names": ["bursty-compute"]},
+  "platforms": ["ultraportable-15w"], "pdns": ["FlexWatts"],
+  "probes": [{"trigger":
+      {"on": "any", "window": 8}}]})",
+                    "unknown trigger key \"on\" (valid keys: window)",
+                    "spec.json:5:14");
+}
+
 TEST(CampaignConfigTest, LoadedSpecRunsEndToEnd)
 {
     CampaignSpec spec = load(R"({

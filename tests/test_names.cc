@@ -122,9 +122,7 @@ TEST(NameTableTest, EveryVocabularyRoundTripsAndRejectsUnknownNames)
         "probe signal",
         "supply_power_w, nominal_power_w, etee, mode, vr_loss_w, "
         "conduction_compute_w, conduction_uncore_w, other_loss_w, "
-        "budget_avg_power_w, budget_multiplier, battery_soc");
-    expectVocabulary<ProbeTriggerSpec::On>(
-        "trigger", "mode_switch, budget_clip, any");
+        "battery_soc");
     expectVocabulary<MetricKind>("metric kind",
                                  "counter, gauge, histogram");
     expectVocabulary<LogLevel>("log level", "info, warn, silent");
@@ -214,10 +212,6 @@ TEST(NameTableTest, SpecBindersFailAtTheValuesPosition)
         {"campaign",
          campaign(lib, R"(, "probes": [{"signals": ["etee", "bogus"]}])"),
          "probe signal", namesOf(nameTable<ProbeSignal>)},
-        {"campaign",
-         campaign(lib, R"(, "probes": [{"trigger": {"on": "bogus", )"
-                       R"("window": 4}}])"),
-         "trigger", namesOf(nameTable<ProbeTriggerSpec::On>)},
         {"fleet",
          R"({"cohorts": [{"name": "a", "count": 1, )"
          R"("platform": "ultraportable-15w", "pdn": "bogus", )"

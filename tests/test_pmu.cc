@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the PMU: activity sensors, workload detection,
- * power-budget management, and the firmware loop.
+ * Unit tests for the PMU: activity sensors, workload detection and
+ * the firmware loop.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include "pdnspot/platform.hh"
 #include "pmu/activity_sensor.hh"
 #include "pmu/pmu.hh"
-#include "pmu/power_budget.hh"
 #include "pmu/workload_detector.hh"
 
 namespace pdnspot
@@ -92,35 +91,6 @@ TEST(WorkloadDetector, ClassifiesFromPlatformState)
     q.cstate = PackageCState::C8;
     EXPECT_EQ(detectWorkloadType(opm.build(q)),
               WorkloadType::BatteryLife);
-}
-
-TEST(PowerBudgetManager, ThrottlesWhenOverBudget)
-{
-    PowerBudgetManager m(watts(10.0));
-    for (int i = 0; i < 200; ++i)
-        m.observe(watts(14.0), milliseconds(1.0));
-    EXPECT_LT(m.recommendedMultiplier(), 1.0);
-    EXPECT_NEAR(inWatts(m.averagePower()), 14.0, 0.5);
-}
-
-TEST(PowerBudgetManager, ReleasesWhenUnderBudget)
-{
-    PowerBudgetManager m(watts(10.0));
-    for (int i = 0; i < 200; ++i)
-        m.observe(watts(6.0), milliseconds(1.0));
-    EXPECT_GT(m.recommendedMultiplier(), 1.0);
-    EXPECT_LE(m.recommendedMultiplier(), 2.0);
-}
-
-TEST(PowerBudgetManager, RejectsBadConfig)
-{
-    EXPECT_THROW(PowerBudgetManager(watts(0.0)), ConfigError);
-    EXPECT_THROW(PowerBudgetManager(watts(5.0), seconds(0.0)),
-                 ConfigError);
-    EXPECT_THROW(PowerBudgetManager(watts(5.0), seconds(1.0), 0.5),
-                 ConfigError);
-    PowerBudgetManager m(watts(10.0));
-    EXPECT_THROW(m.observe(watts(5.0), seconds(0.0)), ConfigError);
 }
 
 class PmuTest : public ::testing::Test

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the waveform probe layer (obs/probe.hh,
- * obs/waveform_io.hh): trigger-window admission and ring eviction,
- * decimation, the SoA-vs-per-phase and probed-vs-unprobed identity
- * contracts, campaign probe binding, and the waveform CSV fixpoint.
+ * obs/waveform_io.hh) and the kernels' phase records it reads:
+ * trigger-window admission and ring eviction, decimation, the
+ * kernel-vs-reference and recorded-vs-unrecorded identity contracts,
+ * campaign probe binding, and the waveform CSV fixpoint.
  */
 
 #include <sstream>
@@ -25,26 +26,20 @@ namespace pdnspot
 namespace
 {
 
-ProbeFrame
-frame(uint64_t phase, double startS, double durationS,
-      double supplyW, double nominalW)
+/** A hand-built record of `n` 10 ms phases at 5 W supply and 4 W
+ * nominal, on a static PDN. */
+PhaseRecord
+syntheticRecord(uint64_t n)
 {
-    ProbeFrame f;
-    f.phase = phase;
-    f.start = seconds(startS);
-    f.duration = seconds(durationS);
-    f.supplyPowerW = supplyW;
-    f.nominalPowerW = nominalW;
-    return f;
-}
-
-/** Feed `n` synthetic 10 ms / 5 W frames starting at `first`. */
-void
-feedFrames(SignalProbe &probe, uint64_t first, uint64_t n)
-{
-    for (uint64_t p = first; p < first + n; ++p)
-        probe.samplePhase(frame(
-            p, 0.01 * static_cast<double>(p), 0.01, 5.0, 4.0));
+    PhaseRecord record;
+    for (uint64_t p = 0; p < n; ++p) {
+        record.duration.push_back(seconds(0.01));
+        record.supplyW.push_back(5.0);
+        record.nominalW.push_back(4.0);
+        record.loss.push_back(std::nullopt);
+        record.mode.push_back(-1);
+    }
+    return record;
 }
 
 std::vector<uint64_t>
@@ -109,48 +104,26 @@ TEST(SignalProbeTest, DecimationKeepsEveryNth)
 {
     ProbeSpec spec;
     spec.decimate = 3;
-    SignalProbe probe(spec, watts(15.0));
-    feedFrames(probe, 0, 10);
-    EXPECT_EQ(rowPhases(probe.take()),
+    EXPECT_EQ(rowPhases(captureWaveform(spec, syntheticRecord(10))),
               (std::vector<uint64_t>{0, 3, 6, 9}));
 }
 
 TEST(SignalProbeTest, TriggerAdmitsWindowAroundModeSwitch)
 {
     ProbeSpec spec;
-    spec.trigger = ProbeTriggerSpec{ProbeTriggerSpec::On::ModeSwitch,
-                                    2};
-    SignalProbe probe(spec, watts(15.0));
-    feedFrames(probe, 0, 5);
-    probe.modeSwitch(5, seconds(0.05), HybridMode::LdoMode);
-    feedFrames(probe, 5, 5);
+    spec.trigger = ProbeTriggerSpec{2};
+    PhaseRecord record = syntheticRecord(10);
+    record.switches.push_back(
+        {5, seconds(0.05), HybridMode::LdoMode});
 
-    Waveform w = probe.take();
+    Waveform w = captureWaveform(spec, record);
     // Lookback 2 from the ring, the trigger phase, lookahead 2; the
     // rows parked in the ring when no later trigger fired are gone.
     EXPECT_EQ(rowPhases(w), (std::vector<uint64_t>{3, 4, 5, 6, 7}));
     ASSERT_EQ(w.events.size(), 1u);
-    EXPECT_EQ(w.events[0].kind, "mode_switch");
     EXPECT_EQ(w.events[0].phase, 5u);
+    EXPECT_EQ(w.events[0].t, seconds(0.05));
     EXPECT_EQ(w.events[0].detail, toString(HybridMode::LdoMode));
-}
-
-TEST(SignalProbeTest, TriggerCauseFilters)
-{
-    // A budget_clip-only trigger never arms on mode switches, but
-    // the switch event itself is still recorded (events are sparse).
-    ProbeSpec spec;
-    spec.trigger = ProbeTriggerSpec{ProbeTriggerSpec::On::BudgetClip,
-                                    2};
-    SignalProbe probe(spec, watts(15.0));
-    feedFrames(probe, 0, 5);
-    probe.modeSwitch(5, seconds(0.05), HybridMode::IvrMode);
-    feedFrames(probe, 5, 5);
-
-    Waveform w = probe.take();
-    EXPECT_TRUE(w.rows.empty());
-    ASSERT_EQ(w.events.size(), 1u);
-    EXPECT_EQ(w.events[0].kind, "mode_switch");
 }
 
 TEST(SignalProbeTest, RingEvictsBeyondLookback)
@@ -158,42 +131,20 @@ TEST(SignalProbeTest, RingEvictsBeyondLookback)
     // Only the lookback window survives a late trigger: phases far
     // behind it were evicted from the ring as newer rows arrived.
     ProbeSpec spec;
-    spec.trigger = ProbeTriggerSpec{ProbeTriggerSpec::On::ModeSwitch,
-                                    2};
-    SignalProbe probe(spec, watts(15.0));
-    feedFrames(probe, 0, 50);
-    probe.modeSwitch(50, seconds(0.5), HybridMode::LdoMode);
-    feedFrames(probe, 50, 1);
+    spec.trigger = ProbeTriggerSpec{2};
+    PhaseRecord record = syntheticRecord(51);
+    record.switches.push_back(
+        {50, seconds(0.5), HybridMode::LdoMode});
 
-    EXPECT_EQ(rowPhases(probe.take()),
+    EXPECT_EQ(rowPhases(captureWaveform(spec, record)),
               (std::vector<uint64_t>{48, 49, 50}));
-}
-
-TEST(SignalProbeTest, BudgetClipEventFires)
-{
-    // Sustained supply power far over the shadow governor's budget
-    // drives its multiplier into the clamp; the transition must
-    // surface as a budget_clip event.
-    ProbeSpec probeSpec;
-    SignalProbe probe(probeSpec, watts(5.0));
-    for (uint64_t p = 0; p < 40; ++p)
-        probe.samplePhase(frame(
-            p, 0.01 * static_cast<double>(p), 0.01, 40.0, 30.0));
-
-    Waveform w = probe.take();
-    bool sawClip = false;
-    for (const WaveformEvent &e : w.events)
-        sawClip = sawClip || e.kind == "budget_clip";
-    EXPECT_TRUE(sawClip);
 }
 
 TEST(SignalProbeTest, BatterySocDecreasesMonotonically)
 {
     ProbeSpec spec;
     spec.signals = {ProbeSignal::BatterySoc};
-    SignalProbe probe(spec, watts(15.0));
-    feedFrames(probe, 0, 10);
-    Waveform w = probe.take();
+    Waveform w = captureWaveform(spec, syntheticRecord(10));
     ASSERT_EQ(w.rows.size(), 10u);
     for (size_t i = 1; i < w.rows.size(); ++i)
         EXPECT_LT(w.rows[i].values[0], w.rows[i - 1].values[0]);
@@ -212,14 +163,13 @@ TEST_F(ProbeSimTest, StaticSoaFramesMatchPerPhase)
     TraceGenerator gen(7);
     PhaseTrace trace = gen.randomMix(30, milliseconds(5.0));
 
-    ProbeSpec spec;
-    SignalProbe perPhase(spec, watts(15.0));
-    SignalProbe batched(spec, watts(15.0));
+    PhaseRecord perPhase, batched;
     SimResult a = reference::staticRun(
         sim, trace, platform.pdn(PdnKind::IVR), &perPhase);
     SimResult b = sim.run(trace, platform.pdn(PdnKind::IVR), &batched);
     EXPECT_EQ(a, b);
-    EXPECT_EQ(perPhase.take(), batched.take());
+    EXPECT_EQ(perPhase, batched);
+    EXPECT_EQ(batched.phases(), trace.phases().size());
 }
 
 TEST_F(ProbeSimTest, OracleSoaFramesMatchPerPhase)
@@ -229,14 +179,12 @@ TEST_F(ProbeSimTest, OracleSoaFramesMatchPerPhase)
     PhaseTrace trace = gen.burstyCompute(8, milliseconds(20.0),
                                          milliseconds(40.0));
 
-    ProbeSpec spec;
-    SignalProbe perPhase(spec, watts(15.0));
-    SignalProbe batched(spec, watts(15.0));
+    PhaseRecord perPhase, batched;
     SimResult a = reference::oracleRun(sim, trace, platform.flexWatts(),
                                        &perPhase);
     SimResult b = sim.runOracle(trace, platform.flexWatts(), &batched);
     EXPECT_EQ(a, b);
-    EXPECT_EQ(perPhase.take(), batched.take());
+    EXPECT_EQ(perPhase, batched);
 }
 
 TEST_F(ProbeSimTest, ProbeNeverPerturbsResults)
@@ -246,32 +194,36 @@ TEST_F(ProbeSimTest, ProbeNeverPerturbsResults)
     PhaseTrace trace = gen.burstyCompute(6, milliseconds(60.0),
                                          milliseconds(80.0));
 
-    ProbeSpec spec;
-    SignalProbe staticProbe(spec, watts(15.0));
+    PhaseRecord staticRecord;
     EXPECT_EQ(sim.run(trace, platform.pdn(PdnKind::MBVR)),
-              sim.run(trace, platform.pdn(PdnKind::MBVR), &staticProbe));
+              sim.run(trace, platform.pdn(PdnKind::MBVR),
+                      &staticRecord));
 
     // A random mix on the static IVR PDN, entered both as a
     // PhaseTrace and as a prebuilt PhaseSoA.
     PhaseTrace mix = TraceGenerator(7).randomMix(64, milliseconds(5.0));
     PhaseSoA soa(mix);
     const PdnModel &ivr = platform.pdn(PdnKind::IVR);
-    SignalProbe traceProbe(spec, watts(15.0));
-    EXPECT_EQ(sim.run(mix, ivr), sim.run(mix, ivr, &traceProbe));
-    SignalProbe soaProbe(spec, watts(15.0));
-    EXPECT_EQ(sim.run(soa, ivr), sim.run(soa, ivr, &soaProbe));
-    EXPECT_EQ(traceProbe.take().rows.size(), mix.phases().size());
+    PhaseRecord traceRecord;
+    EXPECT_EQ(sim.run(mix, ivr), sim.run(mix, ivr, &traceRecord));
+    PhaseRecord soaRecord;
+    EXPECT_EQ(sim.run(soa, ivr), sim.run(soa, ivr, &soaRecord));
+    EXPECT_EQ(traceRecord.phases(), mix.phases().size());
+
+    PhaseRecord oracleRecord;
+    EXPECT_EQ(sim.runOracle(trace, platform.flexWatts()),
+              sim.runOracle(trace, platform.flexWatts(), &oracleRecord));
 
     PmuConfig cfg;
     cfg.tdp = watts(15.0);
     Pmu bare(cfg, platform.predictor());
-    SimResult unprobed = sim.run(trace, platform.flexWatts(), bare);
+    SimResult unrecorded = sim.run(trace, platform.flexWatts(), bare);
 
     Pmu observed(cfg, platform.predictor());
-    SignalProbe pmuProbe(spec, watts(15.0));
-    SimResult probed = sim.run(trace, platform.flexWatts(), observed,
-                               &pmuProbe);
-    EXPECT_EQ(unprobed, probed);
+    PhaseRecord pmuRecord;
+    SimResult recorded = sim.run(trace, platform.flexWatts(), observed,
+                                 &pmuRecord);
+    EXPECT_EQ(unrecorded, recorded);
 }
 
 TEST_F(ProbeSimTest, PmuRunRecordsEveryModeSwitch)
@@ -284,23 +236,17 @@ TEST_F(ProbeSimTest, PmuRunRecordsEveryModeSwitch)
     PmuConfig cfg;
     cfg.tdp = watts(15.0);
     Pmu pmu(cfg, platform.predictor());
-    ProbeSpec spec;
-    SignalProbe probe(spec, watts(15.0));
-    SimResult r = sim.run(trace, platform.flexWatts(), pmu, &probe);
+    PhaseRecord record;
+    SimResult r = sim.run(trace, platform.flexWatts(), pmu, &record);
 
-    Waveform w = probe.take();
-    uint64_t switches = 0;
-    for (const WaveformEvent &e : w.events)
-        if (e.kind == "mode_switch")
-            ++switches;
-    EXPECT_GT(switches, 0u);
-    EXPECT_EQ(switches, r.modeSwitches);
-    ASSERT_EQ(w.rows.size(), trace.phases().size());
-    // Frame powers are phase-energy averages; their weighted sum
+    EXPECT_GT(record.switches.size(), 0u);
+    EXPECT_EQ(record.switches.size(), r.modeSwitches);
+    ASSERT_EQ(record.phases(), trace.phases().size());
+    // Phase powers are phase-energy averages; their weighted sum
     // must reproduce the run's total supply energy.
     double joulesSum = 0.0;
-    for (const WaveformRow &row : w.rows)
-        joulesSum += row.values[0] * inSeconds(row.duration);
+    for (size_t p = 0; p < record.phases(); ++p)
+        joulesSum += record.supplyW[p] * inSeconds(record.duration[p]);
     EXPECT_NEAR(joulesSum, inJoules(r.supplyEnergy), 1e-6);
 }
 
@@ -314,11 +260,11 @@ TEST(WaveformIoTest, CsvWriteReadFixpoint)
     PmuConfig cfg;
     cfg.tdp = watts(15.0);
     Pmu pmu(cfg, platform.predictor());
-    ProbeSpec spec;
-    SignalProbe probe(spec, watts(15.0));
-    sim.run(trace, platform.flexWatts(), pmu, &probe);
+    PhaseRecord record;
+    sim.run(trace, platform.flexWatts(), pmu, &record);
 
-    Waveform w = probe.take();
+    Waveform w = captureWaveform(ProbeSpec(), record);
+    ASSERT_FALSE(w.events.empty());
     std::string first = writeWaveformCsv(w);
     std::istringstream in(first);
     Waveform back = readWaveformCsv(in, "fixpoint");
@@ -344,6 +290,23 @@ TEST(WaveformIoTest, ReaderRejectsMalformedInput)
         std::istringstream in(
             "record,phase,t_s,duration_s,bogus_signal,detail\n");
         EXPECT_THROW(readWaveformCsv(in, "bad"), ConfigError);
+    }
+}
+
+TEST(WaveformIoTest, ReaderRejectsBudgetClipRows)
+{
+    // mode_switch is the one event kind: any other, such as
+    // budget_clip, fails at its line.
+    std::istringstream in("record,phase,t_s,duration_s,etee,detail\n"
+                          "sample,0,0,0.01,0.5,\n"
+                          "budget_clip,0,0.01,,,0.25\n");
+    try {
+        readWaveformCsv(in, "old.csv");
+        FAIL() << "budget_clip row accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_EQ(e.message(),
+                  "old.csv:3: unknown record kind \"budget_clip\" "
+                  "(expected one of sample, mode_switch)");
     }
 }
 
@@ -464,26 +427,6 @@ TEST(CampaignProbeTest, WaveformsDeterministicAcrossThreadCounts)
             writeWaveformCsv(*one.cells[i].waveform),
             writeWaveformCsv(*four.cells[i].waveform));
     }
-}
-
-TEST(PowerBudgetTest, ClampedTracksThrottleFloor)
-{
-    PowerBudgetManager budget(watts(10.0));
-    EXPECT_FALSE(budget.clamped());
-    // Far-over-budget load drives the multiplier to its floor.
-    for (int i = 0; i < 100; ++i)
-        budget.observe(watts(80.0), milliseconds(10.0));
-    EXPECT_TRUE(budget.clamped());
-    EXPECT_DOUBLE_EQ(budget.recommendedMultiplier(),
-                     PowerBudgetManager::minMultiplier);
-
-    // Sitting at the Turbo ceiling is headroom, not a clip.
-    PowerBudgetManager idle(watts(10.0));
-    for (int i = 0; i < 100; ++i)
-        idle.observe(watts(0.5), milliseconds(10.0));
-    EXPECT_FALSE(idle.clamped());
-    EXPECT_DOUBLE_EQ(idle.recommendedMultiplier(),
-                     idle.maxMultiplier());
 }
 
 } // namespace
