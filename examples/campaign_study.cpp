@@ -4,16 +4,16 @@
  *
  * Runs the standard nine-trace corpus across the three platform
  * presets and all five PDN architectures under realistic PMU control
- * (9 x 3 x 5 = 135 cells), prints per-PDN summary statistics, then
- * demonstrates the CSV round-trip: export, re-import, verify the
- * re-imported result is bit-identical to the in-memory one.
+ * (9 x 3 x 5 = 135 cells), prints per-PDN summary statistics and the
+ * per-platform FlexWatts-vs-IVR energy saving, and optionally exports
+ * the cells as campaign CSV (the same bytes pdnspot_campaign writes
+ * for examples/specs/paper_campaign.json).
  *
  * Usage: campaign_study [csv_path]   (default: no CSV file written)
  */
 
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "campaign/campaign_engine.hh"
 #include "common/logging.hh"
@@ -73,16 +73,7 @@ main(int argc, char **argv)
     }
     perPlatform.print(std::cout);
 
-    // CSV round-trip: export, re-import, compare bit-exactly.
-    std::stringstream csv;
-    result.writeCsv(csv);
-    CampaignResult reread = CampaignResult::readCsv(csv);
-    std::cout << "\nCSV round-trip: "
-              << (reread == result ? "re-imported result is "
-                                     "bit-identical"
-                                   : "MISMATCH after re-import")
-              << " (" << result.cells.size() << " rows)\n";
-
+    std::cout << "\n";
     if (argc > 1) {
         std::ofstream out(argv[1]);
         if (!out)
@@ -90,5 +81,5 @@ main(int argc, char **argv)
         result.writeCsv(out);
         std::cout << "Wrote " << argv[1] << "\n";
     }
-    return reread == result ? 0 : 1;
+    return 0;
 }

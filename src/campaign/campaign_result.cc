@@ -1,9 +1,6 @@
 #include "campaign/campaign_result.hh"
 
-#include <charconv>
-#include <istream>
 #include <ostream>
-#include <system_error>
 
 #include "common/csv.hh"
 #include "common/logging.hh"
@@ -18,8 +15,6 @@ const char *const csvHeader =
     "trace,platform,pdn,mode,duration_s,supply_energy_j,"
     "nominal_energy_j,ivr_mode_s,ldo_mode_s,mode_switches,"
     "switch_time_s,switch_energy_j";
-
-constexpr size_t csvColumns = 12;
 
 /** One cell as one CSV row; shared by writeCsv and CampaignCsvSink
  * so batch and streaming exports are byte-identical. */
@@ -145,51 +140,6 @@ CampaignResult::writeCsv(std::ostream &os) const
     for (const CampaignCellResult &c : cells)
         appendCsvRow(buf, c);
     os << buf;
-}
-
-CampaignResult
-CampaignResult::readCsv(std::istream &is)
-{
-    std::string line;
-    if (!std::getline(is, line) || line != csvHeader)
-        fatal("CampaignResult::readCsv: missing or unrecognized "
-              "header row");
-
-    CampaignResult r;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        std::vector<std::string> f = splitCsvLine(line);
-        if (f.size() != csvColumns)
-            fatal(strprintf("CampaignResult::readCsv: expected %zu "
-                            "columns, got %zu",
-                            csvColumns, f.size()));
-
-        CampaignCellResult c;
-        c.trace = f[0];
-        c.platform = f[1];
-        c.pdn = parseName<PdnKind>(f[2]);
-        c.mode = parseName<SimMode>(f[3]);
-        c.sim.duration = seconds(csvToDouble(f[4]));
-        c.sim.supplyEnergy = joules(csvToDouble(f[5]));
-        c.sim.nominalEnergy = joules(csvToDouble(f[6]));
-        c.sim.modeResidency[static_cast<size_t>(
-            HybridMode::IvrMode)] = seconds(csvToDouble(f[7]));
-        c.sim.modeResidency[static_cast<size_t>(
-            HybridMode::LdoMode)] = seconds(csvToDouble(f[8]));
-        uint64_t switches = 0;
-        auto [ptr, ec] = std::from_chars(
-            f[9].data(), f[9].data() + f[9].size(), switches);
-        if (ec != std::errc() || ptr != f[9].data() + f[9].size())
-            fatal("CampaignResult::readCsv: mode_switches must be a "
-                  "non-negative integer");
-        c.sim.modeSwitches = switches;
-        c.sim.switchOverheadTime = seconds(csvToDouble(f[10]));
-        c.sim.switchOverheadEnergy = joules(csvToDouble(f[11]));
-
-        r.cells.push_back(std::move(c));
-    }
-    return r;
 }
 
 } // namespace pdnspot

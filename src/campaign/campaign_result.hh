@@ -2,7 +2,7 @@
  * @file
  * Results of one batch-simulation campaign: per-cell SimResults keyed
  * by (trace, platform, pdn), per-PDN summary statistics, and a CSV
- * export that round-trips bit-exactly through readCsv.
+ * export whose numbers use the shortest round-trip form.
  *
  * Besides the in-memory CampaignResult, this header defines the
  * streaming consumption path: a CampaignSink receives cells in
@@ -43,10 +43,10 @@ struct CampaignCellResult
      * The captured waveform when a probe (CampaignSpec::probes)
      * matched this cell; null otherwise. Rides the streaming
      * delivery in canonical cell order, and is deliberately outside
-     * the CSV surface: writeCsv ignores it and readCsv leaves it
-     * null, so campaign CSVs are byte-identical probe-on vs
-     * probe-off. operator== compares the pointer (identity), which
-     * keeps the unprobed determinism contracts (null == null) exact.
+     * the CSV surface: writeCsv ignores it, so campaign CSVs are
+     * byte-identical probe-on vs probe-off. operator== compares the
+     * pointer (identity), which keeps the unprobed determinism
+     * contracts (null == null) exact.
      */
     std::shared_ptr<const Waveform> waveform;
 
@@ -94,8 +94,7 @@ class CampaignSink
 /**
  * Sink that streams cells to an ostream in CSV form. The header row
  * is written on construction; the accumulated output is byte-
- * identical to CampaignResult::writeCsv over the same cells, so the
- * streamed file re-imports through CampaignResult::readCsv.
+ * identical to CampaignResult::writeCsv over the same cells.
  *
  * Sharded runs (CampaignEngine::run over a cell range) suppress the
  * header on every shard but the first, so concatenating the shard
@@ -175,13 +174,10 @@ struct CampaignResult
      * trace,platform,pdn,mode,duration_s,supply_energy_j,
      * nominal_energy_j,ivr_mode_s,ldo_mode_s,mode_switches,
      * switch_time_s,switch_energy_j
-     * Numbers use shortest-round-trip formatting, so readCsv
-     * reconstructs the exact in-memory result.
+     * Numbers use shortest-round-trip formatting (csvExactDouble),
+     * so each parses back to the exact in-memory value.
      */
     void writeCsv(std::ostream &os) const;
-
-    /** Inverse of writeCsv; fatal() on malformed input. */
-    static CampaignResult readCsv(std::istream &is);
 
     bool operator==(const CampaignResult &) const = default;
 };

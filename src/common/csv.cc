@@ -24,21 +24,6 @@ splitCsvLine(const std::string &line)
     }
 }
 
-double
-csvToDouble(const std::string &field)
-{
-    // std::from_chars is locale-independent by specification, unlike
-    // strtod/istream extraction which honor the global locale.
-    double v = 0.0;
-    const char *begin = field.data();
-    const char *end = begin + field.size();
-    auto [ptr, ec] = std::from_chars(begin, end, v);
-    if (ec != std::errc() || ptr != end)
-        fatal(strprintf("csvToDouble: malformed number \"%s\"",
-                        field.c_str()));
-    return v;
-}
-
 std::string
 csvExactDouble(double v)
 {

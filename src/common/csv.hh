@@ -1,7 +1,7 @@
 /**
  * @file
- * Minimal CSV tokenizing and locale-independent number round-tripping,
- * shared by the sweep and campaign importers/exporters.
+ * Minimal CSV tokenizing and locale-independent number formatting,
+ * shared by the trace reader and the CSV writers.
  *
  * Our CSV dialect is deliberately tiny: comma-separated fields, no
  * quoting, no escapes (writers reject field values containing commas
@@ -22,15 +22,9 @@ namespace pdnspot
 std::vector<std::string> splitCsvLine(const std::string &line);
 
 /**
- * Parse a classic-locale floating-point field. The whole field must
- * be consumed; fatal() (ConfigError) on malformed input.
- */
-double csvToDouble(const std::string &field);
-
-/**
  * Format a double with the shortest representation that parses back
- * to exactly the same value (std::to_chars round-trip guarantee), so
- * CSV exports can be re-imported bit-identically.
+ * to exactly the same value (std::to_chars round-trip guarantee:
+ * std::from_chars of the result gives back v bit for bit).
  */
 std::string csvExactDouble(double v);
 

@@ -562,9 +562,10 @@ FleetEngine::run(const FleetSpec &spec,
     int64_t bucketNs = spec.bucketNs(), horizonNs = spec.horizonNs();
     double horizonS = clockSeconds(horizonNs);
     HashNoise noise(spec.seed);
-    std::vector<int64_t> offsets(nSessions);
-    std::vector<uint32_t> deathBucket(nSessions);
-    std::vector<double> lifeS(nSessions);
+    // Left uninitialised: the per-session pass writes every entry.
+    auto offsets = std::make_unique_for_overwrite<int64_t[]>(nSessions);
+    auto deathBucket = std::make_unique_for_overwrite<uint32_t[]>(nSessions);
+    auto lifeS = std::make_unique_for_overwrite<double[]>(nSessions);
     // Per bucket up to the last death: where its dying sessions start
     // in byDeath, and what they are owed.
     std::vector<uint32_t> deathStart(1, 0), byDeath;
@@ -572,8 +573,10 @@ FleetEngine::run(const FleetSpec &spec,
     std::vector<uint64_t> deathSwitches;
     std::vector<LiveCohort> cohorts(profiles.size());
     {
-        std::vector<double> owedJ(nSessions);
-        std::vector<uint64_t> owedSwitches(nSessions);
+        // Written and read only for dying sessions.
+        auto owedJ = std::make_unique_for_overwrite<double[]>(nSessions);
+        auto owedSwitches =
+            std::make_unique_for_overwrite<uint64_t[]>(nSessions);
         _runner.forEachChunked(nSessions, sessionChunk, [&](size_t begin,
                                                             size_t end) {
             // The chunk walks cohort by cohort, from the one holding
@@ -634,7 +637,8 @@ FleetEngine::run(const FleetSpec &spec,
 
         // The dying sessions of each bucket in global index order (a
         // counting sort on the death bucket), and what they are owed.
-        for (uint32_t b : deathBucket) {
+        for (size_t g = 0; g < nSessions; ++g) {
+            uint32_t b = deathBucket[g];
             if (b == survives)
                 continue;
             if (b + 1 >= deathStart.size())
@@ -656,14 +660,14 @@ FleetEngine::run(const FleetSpec &spec,
                 deathSwitches[b] += owedSwitches[g];
             }
         }
-        std::vector<double>().swap(owedJ);
-        std::vector<uint64_t>().swap(owedSwitches);
+        owedJ.reset();
+        owedSwitches.reset();
         // Every cohort's offsets sort at once, pass by pass, in one
         // flat loop over each cohort's shares.
         std::vector<std::pair<size_t, size_t>> shares; // cohort, share
         for (size_t c = 0; c < profiles.size(); ++c) {
             cohorts[c] = LiveCohort(
-                profiles[c], offsets.data() + cohortStart[c],
+                profiles[c], offsets.get() + cohortStart[c],
                 static_cast<uint32_t>(spec.cohorts[c].count),
                 _runner.threadCount());
             for (size_t w = 0; w < cohorts[c].shares(); ++w)

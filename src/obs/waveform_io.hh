@@ -1,7 +1,8 @@
 /**
  * @file
- * Waveform serialization: columnar CSV with an exact read-back
- * fixpoint, and Chrome/Perfetto counter tracks.
+ * Waveform serialization: columnar CSV and Chrome/Perfetto counter
+ * tracks. Both are output formats; nothing in the library reads them
+ * back.
  *
  * The CSV layout is one file per probed cell (the cell identity
  * lives in the file name, Waveform::cellName):
@@ -13,8 +14,8 @@
  * "sample" rows carry one value per signal column and an empty
  * detail; event rows ("mode_switch") carry empty signal/duration
  * fields and the switch's target mode as the detail. All samples precede
- * all events. Numbers use csvExactDouble, so write -> read -> write
- * is byte-identical (the trace_io contract).
+ * all events. Numbers use csvExactDouble (shortest round-trip form),
+ * and tests/golden/probe_waveform.csv pins the bytes.
  *
  * Counter tracks reuse the trace-event JSON the span recorder
  * already emits: one "C" event per sample per signal plus an instant
@@ -29,7 +30,6 @@
 #ifndef PDNSPOT_OBS_WAVEFORM_IO_HH
 #define PDNSPOT_OBS_WAVEFORM_IO_HH
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -48,14 +48,6 @@ inline constexpr uint64_t probeCounterPidBase = 1000000;
 
 /** Serialize one waveform as columnar CSV (see the file comment). */
 std::string writeWaveformCsv(const Waveform &waveform);
-
-/**
- * Parse writeWaveformCsv output. `sourceName` positions error
- * messages ("file.csv:3: ..."). Cell identity is not stored in the
- * CSV; the returned waveform's trace/platform/pdn/mode are empty.
- */
-Waveform readWaveformCsv(std::istream &is,
-                         const std::string &sourceName);
 
 /**
  * The waveform as Chrome trace events: a process_name "M" metadata

@@ -9,7 +9,6 @@ Platform::Platform(PlatformConfig config)
     : _config(config),
       _opm(),
       _perf(_opm),
-      _solver(_opm),
       _costs(_opm)
 {
     auto flexwatts = std::make_unique<FlexWattsPdn>(config.pdnParams);

@@ -23,7 +23,6 @@
 #include "flexwatts/mode_predictor.hh"
 #include "flexwatts/pdn_factory.hh"
 #include "pdn/pdn_model.hh"
-#include "perf/budget_solver.hh"
 #include "perf/perf_model.hh"
 #include "power/operating_point.hh"
 
@@ -96,7 +95,6 @@ class Platform
     const ModePredictor &predictor() const { return *_predictor; }
 
     const PerfModel &perfModel() const { return _perf; }
-    const BudgetSolver &budgetSolver() const { return _solver; }
     const BoardCostCalculator &costs() const { return _costs; }
 
     const PlatformConfig &config() const { return _config; }
@@ -109,7 +107,6 @@ class Platform
     std::unique_ptr<EteeTable> _eteeTable;
     std::unique_ptr<ModePredictor> _predictor;
     PerfModel _perf;
-    BudgetSolver _solver;
     BoardCostCalculator _costs;
 };
 

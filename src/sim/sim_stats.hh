@@ -59,7 +59,7 @@ struct SimResult
 
     /**
      * Exact (bit-level) comparison, used by the campaign determinism
-     * and CSV round-trip guarantees.
+     * guarantees.
      */
     bool operator==(const SimResult &) const = default;
 };

@@ -358,12 +358,6 @@ ResultArchive::readReport(const std::string &id) const
 }
 
 std::string
-ResultArchive::readReportText(const std::string &id) const
-{
-    return readFileBytes(reportPath(id));
-}
-
-std::string
 ResultArchive::readCsv(const ArchiveEntry &entry) const
 {
     if (entry.csvHash.empty())

@@ -142,9 +142,6 @@ class ResultArchive
     /** The stored report document for `id`; fatal() when absent. */
     JsonValue readReport(const std::string &id) const;
 
-    /** Raw report bytes for `id`; fatal() when absent. */
-    std::string readReportText(const std::string &id) const;
-
     /**
      * The CSV payload for `entry`; fatal() when the run carries
      * none or the payload file is missing.

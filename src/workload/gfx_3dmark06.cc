@@ -33,13 +33,4 @@ gfx3dmark06()
     return suite;
 }
 
-double
-gfx3dmark06MeanScalability()
-{
-    double sum = 0.0;
-    for (const Workload &w : gfx3dmark06())
-        sum += w.scalability;
-    return sum / static_cast<double>(gfx3dmark06().size());
-}
-
 } // namespace pdnspot

@@ -22,9 +22,6 @@ namespace pdnspot
 /** The 3DMark06 graphics sub-tests used for Fig. 8b. */
 const std::vector<Workload> &gfx3dmark06();
 
-/** Mean performance-scalability across the graphics sub-tests. */
-double gfx3dmark06MeanScalability();
-
 } // namespace pdnspot
 
 #endif // PDNSPOT_WORKLOAD_GFX_3DMARK06_HH

@@ -3,10 +3,17 @@
  * Unit tests for logging, noise, and the table/CSV emitters.
  */
 
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <system_error>
 
 #include <gtest/gtest.h>
 
+#include "common/csv.hh"
 #include "common/logging.hh"
 #include "common/noise.hh"
 #include "common/table.hh"
@@ -133,6 +140,52 @@ TEST(CsvWriter, PlainRows)
     std::ostringstream os;
     w.write(os);
     EXPECT_EQ(os.str(), "x\n1\n2\n");
+}
+
+/** std::from_chars(csvExactDouble(v)) must consume the whole text
+ * and give back v's exact bits. */
+void
+expectParsesBackBitForBit(double v)
+{
+    std::string text = csvExactDouble(v);
+    double back = 0.0;
+    auto [ptr, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), back);
+    ASSERT_EQ(ec, std::errc()) << text;
+    ASSERT_EQ(ptr, text.data() + text.size()) << text;
+    EXPECT_EQ(std::bit_cast<uint64_t>(back), std::bit_cast<uint64_t>(v))
+        << text;
+}
+
+TEST(CsvWriter, ExactDoubleParsesBackBitForBit)
+{
+    using limits = std::numeric_limits<double>;
+    constexpr uint64_t expMask = 0x7ffULL << 52;
+    constexpr uint64_t fracMask = (1ULL << 52) - 1;
+    // Seeded bit patterns: every exponent and both signs, NaN and
+    // infinity (all-ones exponent) left out.
+    size_t tested = 0;
+    for (uint64_t k = 0; tested < 20000; ++k) {
+        uint64_t bits = HashNoise::mix(k);
+        if ((bits & expMask) == expMask)
+            continue;
+        expectParsesBackBitForBit(std::bit_cast<double>(bits));
+        ++tested;
+    }
+    // Subnormals: a zero exponent and a seeded fraction, both signs.
+    for (uint64_t k = 0; k < 2000; ++k) {
+        uint64_t bits = HashNoise::mix(k + (1ULL << 40)) & ~expMask;
+        if ((bits & fracMask) == 0)
+            continue;
+        ASSERT_EQ(std::fpclassify(std::bit_cast<double>(bits)),
+                  FP_SUBNORMAL);
+        expectParsesBackBitForBit(std::bit_cast<double>(bits));
+    }
+    for (double v : {limits::denorm_min(), -limits::denorm_min(),
+                     limits::min() - limits::denorm_min(), 0.0, -0.0,
+                     limits::max(), -limits::max(), limits::min(), 0.1,
+                     1.0 / 3.0})
+        expectParsesBackBitForBit(v);
 }
 
 } // anonymous namespace

@@ -4,7 +4,8 @@
  * obs/waveform_io.hh) and the kernels' phase records it reads:
  * trigger-window admission and ring eviction, decimation, the
  * kernel-vs-reference and recorded-vs-unrecorded identity contracts,
- * campaign probe binding, and the waveform CSV fixpoint.
+ * campaign probe binding, and waveform cell names and counter
+ * tracks.
  */
 
 #include <sstream>
@@ -248,66 +249,6 @@ TEST_F(ProbeSimTest, PmuRunRecordsEveryModeSwitch)
     for (size_t p = 0; p < record.phases(); ++p)
         joulesSum += record.supplyW[p] * inSeconds(record.duration[p]);
     EXPECT_NEAR(joulesSum, inJoules(r.supplyEnergy), 1e-6);
-}
-
-TEST(WaveformIoTest, CsvWriteReadFixpoint)
-{
-    Platform platform;
-    IntervalSimulator sim(platform.operatingPoints(), watts(15.0));
-    TraceGenerator gen(5);
-    PhaseTrace trace = gen.burstyCompute(5, milliseconds(40.0),
-                                         milliseconds(60.0));
-    PmuConfig cfg;
-    cfg.tdp = watts(15.0);
-    Pmu pmu(cfg, platform.predictor());
-    PhaseRecord record;
-    sim.run(trace, platform.flexWatts(), pmu, &record);
-
-    Waveform w = captureWaveform(ProbeSpec(), record);
-    ASSERT_FALSE(w.events.empty());
-    std::string first = writeWaveformCsv(w);
-    std::istringstream in(first);
-    Waveform back = readWaveformCsv(in, "fixpoint");
-    EXPECT_EQ(back.signals, w.signals);
-    EXPECT_EQ(back.rows, w.rows);
-    EXPECT_EQ(back.events, w.events);
-    EXPECT_EQ(writeWaveformCsv(back), first);
-}
-
-TEST(WaveformIoTest, ReaderRejectsMalformedInput)
-{
-    {
-        std::istringstream in("nope\n");
-        EXPECT_THROW(readWaveformCsv(in, "bad"), ConfigError);
-    }
-    {
-        std::istringstream in(
-            "record,phase,t_s,duration_s,etee,detail\n"
-            "sample,0,0,0.01\n");
-        EXPECT_THROW(readWaveformCsv(in, "bad"), ConfigError);
-    }
-    {
-        std::istringstream in(
-            "record,phase,t_s,duration_s,bogus_signal,detail\n");
-        EXPECT_THROW(readWaveformCsv(in, "bad"), ConfigError);
-    }
-}
-
-TEST(WaveformIoTest, ReaderRejectsBudgetClipRows)
-{
-    // mode_switch is the one event kind: any other, such as
-    // budget_clip, fails at its line.
-    std::istringstream in("record,phase,t_s,duration_s,etee,detail\n"
-                          "sample,0,0,0.01,0.5,\n"
-                          "budget_clip,0,0.01,,,0.25\n");
-    try {
-        readWaveformCsv(in, "old.csv");
-        FAIL() << "budget_clip row accepted";
-    } catch (const ConfigError &e) {
-        EXPECT_EQ(e.message(),
-                  "old.csv:3: unknown record kind \"budget_clip\" "
-                  "(expected one of sample, mode_switch)");
-    }
 }
 
 TEST(WaveformIoTest, CellNameSanitizesSpecials)

@@ -134,7 +134,7 @@ TEST_F(StoreTest, IngestAndReadBack)
     EXPECT_EQ(e.summaries[1].modeSwitches, 5u);
 
     EXPECT_EQ(archive.readCsv(e), "header\nrow\n");
-    EXPECT_EQ(archive.readReportText(id), report);
+    EXPECT_EQ(readFileBytes(archive.reportPath(id)), report);
     EXPECT_EQ(archive.readReport(id)
                   .find("schema")
                   ->asString(),
