@@ -47,9 +47,9 @@ done
 # The paper campaign's 8-thread report + span trace land in the
 # build dir for CI to upload. The observability checks (CSV
 # unchanged with --report/--trace-events/--progress at 1 and 8
-# threads, balanced spans, thread-invariant report counters) run in
-# the ctest passes above (determinism.paper_campaign.observers and
-# .report_counters).
+# threads, complete-event spans, thread-invariant report counters)
+# run in the ctest passes above (determinism.paper_campaign.observers
+# and .report_counters).
 PDNSPOT_THREADS=8 "$build_dir"/tools/pdnspot_campaign \
     examples/specs/paper_campaign.json -o /dev/null \
     --report "$build_dir/paper_report.json" \

@@ -11,10 +11,10 @@ LaunchSpec::validate() const
 {
     if (shards < 1)
         fatal("launch shards must be at least 1");
-    if (!(timeoutS >= 0.0))
-        fatal(strprintf("launch timeout must be non-negative, got "
+    if (!launchTimeoutInRange(timeoutS))
+        fatal(strprintf("launch timeout must be in [0, %g] s, got "
                         "%g s",
-                        timeoutS));
+                        maxLaunchTimeoutS, timeoutS));
     if (!(backoffMs >= 0.0))
         fatal(strprintf("launch backoff must be non-negative, got "
                         "%g ms",
@@ -42,10 +42,10 @@ launchSpecFromJson(const JsonValue &root)
             jobs->asInteger("\"jobs\"", 0, 100000L));
     if (const JsonValue *timeout = launch->find("timeout_s")) {
         double s = timeout->asNumber();
-        if (!(s >= 0.0))
-            timeout->fail(strprintf("\"timeout_s\" must be "
-                                    "non-negative, got %g",
-                                    s));
+        if (!launchTimeoutInRange(s))
+            timeout->fail(strprintf("\"timeout_s\" must be in "
+                                    "[0, %g], got %g",
+                                    maxLaunchTimeoutS, s));
         spec.timeoutS = s;
     }
     if (const JsonValue *retries = launch->find("retries"))

@@ -8,7 +8,8 @@
  *   "launch": {
  *     "shards": 8,        // shard count (pdnspot_campaign --shard)
  *     "jobs": 4,          // concurrent shard processes (0 = auto)
- *     "timeout_s": 300,   // per-attempt wall clock (0 = none)
+ *     "timeout_s": 300,   // per-attempt wall clock (0 = none,
+ *                         // at most maxLaunchTimeoutS)
  *     "retries": 2,       // retries per shard after the 1st attempt
  *     "backoff_ms": 200,  // retry backoff base (0 = immediate)
  *     "seed": 7           // seeds the deterministic backoff jitter
@@ -30,6 +31,24 @@
 
 namespace pdnspot
 {
+
+/**
+ * The longest per-attempt timeout, in seconds (~32 years). A
+ * steady_clock deadline holds at most ~9.2e9 s, so a longer timeout
+ * would overflow into a deadline in the past.
+ */
+constexpr double maxLaunchTimeoutS = 1e9;
+
+/**
+ * Whether `seconds` is a valid per-attempt timeout, in
+ * [0, maxLaunchTimeoutS] (0 = none); false for NaN. The spec binder
+ * and pdnspot_launch --timeout both reject anything else.
+ */
+inline bool
+launchTimeoutInRange(double seconds)
+{
+    return seconds >= 0.0 && seconds <= maxLaunchTimeoutS;
+}
 
 /** Launcher parameters (spec defaults; CLI flags override). */
 struct LaunchSpec

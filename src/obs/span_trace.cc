@@ -1,5 +1,6 @@
 #include "obs/span_trace.hh"
 
+#include <algorithm>
 #include <atomic>
 
 #include "common/logging.hh"
@@ -10,38 +11,13 @@ namespace pdnspot
 namespace
 {
 
-/**
- * Installation state: the span epoch increments on every
- * install/uninstall so a thread's cached log pointer detects
- * staleness with one comparison and never aliases a recorder
- * reallocated at the same address.
- */
 std::atomic<SpanRecorder *> g_installed{nullptr};
-std::atomic<uint64_t> g_spanEpoch{0};
-
-struct ThreadSlot
-{
-    SpanRecorder *recorder = nullptr;
-    uint64_t epoch = 0;
-    void *log = nullptr;
-};
-
-ThreadSlot &
-threadSlot()
-{
-    thread_local ThreadSlot slot;
-    return slot;
-}
 
 } // namespace
 
-SpanRecorder::SpanRecorder(size_t eventsPerThread)
-    : _origin(std::chrono::steady_clock::now()),
-      _eventsPerThread(eventsPerThread)
-{
-    if (eventsPerThread < 2)
-        panic("SpanRecorder: eventsPerThread must be >= 2");
-}
+SpanRecorder::SpanRecorder(size_t capacity)
+    : _origin(Clock::now()), _capacity(capacity)
+{}
 
 SpanRecorder::~SpanRecorder()
 {
@@ -55,81 +31,40 @@ SpanRecorder::current()
     return g_installed.load(std::memory_order_relaxed);
 }
 
-SpanRecorder::ThreadLog &
-SpanRecorder::threadLog()
-{
-    ThreadSlot &slot = threadSlot();
-    uint64_t epoch = g_spanEpoch.load(std::memory_order_acquire);
-    if (slot.recorder != this || slot.epoch != epoch) {
-        std::lock_guard<std::mutex> lock(_mutex);
-        auto log = std::make_unique<ThreadLog>();
-        log->tid = static_cast<int>(_logs.size()) + 1;
-        log->events.reserve(_eventsPerThread);
-        slot.log = log.get();
-        slot.recorder = this;
-        slot.epoch = epoch;
-        _logs.push_back(std::move(log));
-    }
-    return *static_cast<ThreadLog *>(slot.log);
-}
-
-double
-SpanRecorder::nowMicros() const
-{
-    std::chrono::duration<double, std::micro> since =
-        std::chrono::steady_clock::now() - _origin;
-    return since.count();
-}
-
 void
-SpanRecorder::begin(const char *name, const char *category)
+SpanRecorder::record(const char *name, const char *category,
+                     Clock::time_point start)
 {
-    ThreadLog &log = threadLog();
-    // Admitting a begin reserves the slot for its end (`open` counts
-    // outstanding reservations), so ends always fit and the stream
-    // stays balanced; a full buffer drops the whole span instead.
-    if (log.events.size() + log.open + 2 > _eventsPerThread) {
-        ++log.dropDepth;
-        ++log.dropped;
+    using Micros = std::chrono::duration<double, std::micro>;
+    Clock::time_point end = Clock::now();
+    double ts = Micros(start - _origin).count();
+    double dur = Micros(end - start).count();
+    std::thread::id self = std::this_thread::get_id();
+
+    std::lock_guard<std::mutex> lock(_mutex);
+    if (_spans.size() >= _capacity) {
+        ++_dropped;
         return;
     }
-    log.events.push_back(Event{name, category, nowMicros(), 'B'});
-    ++log.open;
-}
-
-void
-SpanRecorder::end()
-{
-    ThreadLog &log = threadLog();
-    if (log.dropDepth > 0) {
-        --log.dropDepth;
-        return;
-    }
-    if (log.open == 0)
-        return; // unmatched end (begin predates this installation)
-    log.events.push_back(
-        Event{nullptr, nullptr, nowMicros(), 'E'});
-    --log.open;
+    auto it = std::find(_threads.begin(), _threads.end(), self);
+    if (it == _threads.end())
+        it = _threads.insert(it, self);
+    int tid = static_cast<int>(it - _threads.begin()) + 1;
+    _spans.push_back(Span{name, category, ts, dur, tid});
 }
 
 size_t
-SpanRecorder::eventCount() const
+SpanRecorder::spanCount() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    size_t n = 0;
-    for (const auto &log : _logs)
-        n += log->events.size();
-    return n;
+    return _spans.size();
 }
 
 uint64_t
 SpanRecorder::droppedSpans() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    uint64_t n = 0;
-    for (const auto &log : _logs)
-        n += log->dropped;
-    return n;
+    return _dropped;
 }
 
 JsonValue
@@ -191,44 +126,20 @@ SpanRecorder::traceEventsJson(const TraceEventExport &options) const
         events.push_back(
             traceProcessNameEvent(pid, std::move(label)));
     }
-    for (const auto &log : _logs) {
-        // A span still open at serialization time (its scope is
-        // live) would unbalance the stream; skip exactly those
-        // begins. Ends always close the innermost open begin, so the
-        // unmatched ones are whatever is left on the stack.
-        std::vector<size_t> stack;
-        std::vector<bool> skip(log->events.size(), false);
-        for (size_t i = 0; i < log->events.size(); ++i) {
-            if (log->events[i].phase == 'B')
-                stack.push_back(i);
-            else
-                stack.pop_back();
-        }
-        for (size_t i : stack)
-            skip[i] = true;
-        for (size_t i = 0; i < log->events.size(); ++i) {
-            if (skip[i])
-                continue;
-            const Event &e = log->events[i];
-            std::vector<JsonValue::Member> fields;
-            if (e.phase == 'B') {
-                fields.emplace_back(
-                    "name", JsonValue::makeString(e.name));
-                fields.emplace_back(
-                    "cat", JsonValue::makeString(e.category));
-            }
-            fields.emplace_back(
-                "ph", JsonValue::makeString(
-                          std::string(1, e.phase)));
-            fields.emplace_back(
-                "ts", JsonValue::makeNumber(e.tsMicros));
-            fields.emplace_back("pid", JsonValue::makeNumber(pid));
-            fields.emplace_back(
-                "tid", JsonValue::makeNumber(
-                           static_cast<double>(log->tid)));
-            events.push_back(
-                JsonValue::makeObject(std::move(fields)));
-        }
+    for (const Span &span : _spans) {
+        std::vector<JsonValue::Member> fields;
+        fields.emplace_back("name", JsonValue::makeString(span.name));
+        fields.emplace_back("cat",
+                            JsonValue::makeString(span.category));
+        fields.emplace_back("ph", JsonValue::makeString("X"));
+        fields.emplace_back("ts", JsonValue::makeNumber(span.tsMicros));
+        fields.emplace_back("dur",
+                            JsonValue::makeNumber(span.durMicros));
+        fields.emplace_back("pid", JsonValue::makeNumber(pid));
+        fields.emplace_back(
+            "tid",
+            JsonValue::makeNumber(static_cast<double>(span.tid)));
+        events.push_back(JsonValue::makeObject(std::move(fields)));
     }
 
     for (const JsonValue &extra : options.extraEvents)
@@ -240,13 +151,11 @@ SpanInstallation::SpanInstallation(SpanRecorder &recorder)
     : _previous(g_installed.load(std::memory_order_relaxed))
 {
     g_installed.store(&recorder, std::memory_order_relaxed);
-    g_spanEpoch.fetch_add(1, std::memory_order_acq_rel);
 }
 
 SpanInstallation::~SpanInstallation()
 {
     g_installed.store(_previous, std::memory_order_relaxed);
-    g_spanEpoch.fetch_add(1, std::memory_order_acq_rel);
 }
 
 } // namespace pdnspot

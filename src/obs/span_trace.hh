@@ -1,25 +1,26 @@
 /**
  * @file
- * SpanRecorder: per-thread begin/end span recording with Chrome
- * trace-event JSON export.
+ * SpanRecorder: complete-span recording with Chrome trace-event JSON
+ * export.
  *
  * Instrumented subsystems mark regions with SpanScope (platform
- * builds, trace resolution, chunk claims, cell evaluation);
- * each thread appends to its own preallocated bounded buffer, so the
- * hot path is two branch-guarded stores and never takes a lock. The
- * recorder serializes everything to the Chrome/Perfetto trace-event
- * format ({"traceEvents": [{"ph": "B"/"E", ...}]}) via src/config/
- * json — open the file in https://ui.perfetto.dev or
+ * builds, trace resolution, chunk claims, cell evaluation). A scope
+ * reads the clock when it opens and hands the whole span to the
+ * recorder when it closes, which appends it to one mutex-guarded
+ * list: a span still open at export is simply absent. A run records a
+ * few hundred spans at sites that already take the metrics
+ * registry's mutex, so one lock per span is not worth avoiding. The
+ * export is the Chrome/Perfetto trace-event format, one complete
+ * event per span ({"traceEvents": [{"ph": "X", ...}]}) via
+ * src/config/json — open the file in https://ui.perfetto.dev or
  * chrome://tracing.
  *
- * Buffers are bounded, not growable: accepting a begin reserves the
- * slot for its matching end, so a full buffer drops whole spans
- * (counted in droppedSpans()) and the emitted stream always has
- * balanced B/E pairs with monotonic per-thread timestamps.
+ * The list is bounded by the constructor's capacity: a full recorder
+ * drops whole spans and counts them in droppedSpans().
  *
  * Like MetricsRegistry, installation is process-wide and RAII
- * (SpanInstallation); spanBegin/spanEnd reduce to one relaxed atomic
- * load and a branch while no recorder is installed.
+ * (SpanInstallation); SpanScope reduces to one relaxed atomic load
+ * and a branch while no recorder is installed.
  */
 
 #ifndef PDNSPOT_OBS_SPAN_TRACE_HH
@@ -28,8 +29,8 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "config/json.hh"
@@ -79,7 +80,7 @@ JsonValue traceCounterEvent(std::string name, double tsMicros,
 JsonValue traceEventDocument(std::vector<JsonValue> events);
 
 /**
- * Collects spans from every thread that touches it while installed.
+ * Collects the spans every thread closes while it is installed.
  * Serialize (traceEventsJson) only after the producing threads have
  * quiesced — typically after the campaign run's ParallelRunner
  * drain.
@@ -87,11 +88,10 @@ JsonValue traceEventDocument(std::vector<JsonValue> events);
 class SpanRecorder
 {
   public:
-    /** Per-thread event capacity; ~24 bytes per event. */
-    static constexpr size_t defaultEventsPerThread = 1 << 16;
+    /** Span capacity across all threads; ~40 bytes per span. */
+    static constexpr size_t defaultCapacity = 1 << 18;
 
-    explicit SpanRecorder(
-        size_t eventsPerThread = defaultEventsPerThread);
+    explicit SpanRecorder(size_t capacity = defaultCapacity);
     ~SpanRecorder();
 
     SpanRecorder(const SpanRecorder &) = delete;
@@ -103,61 +103,54 @@ class SpanRecorder
      */
     static SpanRecorder *current();
 
-    /**
-     * Open a span on the calling thread. `name` and `category` must
-     * be string literals (or otherwise outlive the recorder); they
-     * are stored by pointer, not copied.
-     */
-    void begin(const char *name, const char *category);
+    /** Spans recorded so far, across all threads. */
+    size_t spanCount() const;
 
-    /** Close the calling thread's innermost open span. */
-    void end();
-
-    /** Events recorded so far, across all threads. */
-    size_t eventCount() const;
-
-    /** Spans dropped because a thread's buffer filled up. */
+    /** Spans dropped because the recorder was full. */
     uint64_t droppedSpans() const;
 
     /**
      * The recorded spans as a Chrome trace-event document
-     * (traceEventDocument): {"name", "cat", "ph", "ts", "pid", "tid"}
-     * per event. Spans carry pid = options.shardIndex, a
+     * (traceEventDocument): one complete event {"name", "cat",
+     * "ph": "X", "ts", "dur", "pid", "tid"} per span, in the order
+     * the spans closed. Spans carry pid = options.shardIndex, a
      * process_name metadata event labels the timeline
      * (shard-suffixed when shardCount > 1), and options.extraEvents
-     * ride along at the end. Timestamps are microseconds from the
-     * recorder's construction; tids are dense per-thread ids in
-     * first-use order.
+     * ride along at the end. Timestamps and durations are
+     * microseconds, timestamps from the recorder's construction;
+     * tids are dense per-thread ids (from 1) in the order of each
+     * thread's first recorded span.
      */
     JsonValue traceEventsJson(const TraceEventExport &options) const;
 
   private:
     friend class SpanScope;
-    struct Event
+    using Clock = std::chrono::steady_clock;
+
+    struct Span
     {
         const char *name;
         const char *category;
         double tsMicros;
-        char phase; ///< 'B' or 'E'
+        double durMicros;
+        int tid;
     };
 
-    struct ThreadLog
-    {
-        int tid = 0;           ///< dense id, first-use order
-        size_t open = 0;       ///< accepted begins awaiting end
-        uint64_t dropDepth = 0; ///< open *dropped* begins
-        uint64_t dropped = 0;  ///< spans lost to a full buffer
-        std::vector<Event> events;
-    };
+    /**
+     * Record the calling thread's span that opened at `start` and
+     * closes now. `name` and `category` are stored by pointer, so
+     * they must outlive the recorder (string literals do).
+     */
+    void record(const char *name, const char *category,
+                Clock::time_point start);
 
-    ThreadLog &threadLog();
-    double nowMicros() const;
-
-    std::chrono::steady_clock::time_point _origin;
-    size_t _eventsPerThread;
+    Clock::time_point _origin;
+    size_t _capacity;
 
     mutable std::mutex _mutex;
-    std::vector<std::unique_ptr<ThreadLog>> _logs;
+    std::vector<Span> _spans;
+    std::vector<std::thread::id> _threads; ///< tid - 1 -> thread
+    uint64_t _dropped = 0;
 };
 
 /**
@@ -179,24 +172,27 @@ class SpanInstallation
 };
 
 /**
- * Scope guard for one span. The recorder is resolved once at
- * construction, so a scope that straddles an (un)installation stays
- * internally balanced.
+ * Scope guard for one span: reads the clock at construction and
+ * records the whole span at destruction. The recorder is resolved
+ * once at construction, so a scope that straddles an
+ * (un)installation records into the recorder it opened on, which
+ * must outlive it.
  */
 class SpanScope
 {
   public:
     SpanScope(const char *name, const char *category)
-        : _recorder(SpanRecorder::current())
+        : _recorder(SpanRecorder::current()), _name(name),
+          _category(category)
     {
         if (_recorder)
-            _recorder->begin(name, category);
+            _start = SpanRecorder::Clock::now();
     }
 
     ~SpanScope()
     {
         if (_recorder)
-            _recorder->end();
+            _recorder->record(_name, _category, _start);
     }
 
     SpanScope(const SpanScope &) = delete;
@@ -204,6 +200,9 @@ class SpanScope
 
   private:
     SpanRecorder *_recorder;
+    const char *_name;
+    const char *_category;
+    SpanRecorder::Clock::time_point _start;
 };
 
 } // namespace pdnspot

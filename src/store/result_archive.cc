@@ -258,6 +258,17 @@ ResultArchive::writeAtomically(const std::string &path,
                         ec.message().c_str()));
 }
 
+std::string
+ResultArchive::storedCsvHash(const std::string &id) const
+{
+    if (!fs::exists(refPath(id)))
+        return "";
+    std::string hash = readFileBytes(refPath(id));
+    while (!hash.empty() && (hash.back() == '\n' || hash.back() == '\r'))
+        hash.pop_back();
+    return hash;
+}
+
 void
 ResultArchive::appendIndexLine(const ArchiveEntry &entry) const
 {
@@ -287,9 +298,16 @@ ResultArchive::ingest(const std::string &reportText,
     // the first ingest wins (a differing payload on a re-ingest
     // would mean the caller re-ran a provenance-identical study and
     // got different bytes — the report, not the archive, is the
-    // identity).
-    if (fs::exists(reportPath(id)))
+    // identity). A crash between the report's rename and the index
+    // append leaves a stored run unlisted; the re-ingest restores its
+    // line from the stored ref.
+    if (fs::exists(reportPath(id))) {
+        if (!findRun(id)) {
+            entry.csvHash = storedCsvHash(id);
+            appendIndexLine(entry);
+        }
         return id;
+    }
 
     if (!csvBytes.empty()) {
         entry.csvHash = fnv1a64Hex(csvBytes);
@@ -391,17 +409,9 @@ ResultArchive::rebuildIndex()
     std::string lines;
     for (const std::string &id : ids) {
         std::string text = readFileBytes(reportPath(id));
-        std::string csvHash;
-        if (fs::exists(refPath(id))) {
-            csvHash = readFileBytes(refPath(id));
-            while (!csvHash.empty() &&
-                   (csvHash.back() == '\n' ||
-                    csvHash.back() == '\r'))
-                csvHash.pop_back();
-        }
         JsonValue report = parseJson(text, reportPath(id));
         lines += writeJsonCompact(entryToJson(
-            entryFromReport(report, id, csvHash)));
+            entryFromReport(report, id, storedCsvHash(id))));
         lines += '\n';
     }
     writeAtomically(indexPath(), lines);

@@ -30,7 +30,8 @@
  * Crash safety: payloads, refs and report documents are written to
  * tmp/ and renamed into place (payload, then ref, then report — an
  * interrupted ingest leaves at worst an orphaned payload/ref, never
- * a report without its payload); the index line is appended last.
+ * a report without its payload); the index line is appended last,
+ * and re-ingesting the same report restores it if a crash lost it.
  * Readers skip torn or malformed index lines, and rebuildIndex()
  * regenerates the whole index from runs/, so the index is a cache
  * of the store, never the source of truth.
@@ -121,9 +122,12 @@ class ResultArchive
      * Ingest one run: the raw pdnspot-report-1 bytes plus an
      * optional CSV payload ("" = none). Returns the run id.
      * Idempotent on report bytes — re-ingesting an archived run
-     * changes nothing (including its payload association). fatal()
-     * when `reportText` is not a pdnspot-report-1 document or a
-     * write fails.
+     * changes nothing (including its payload association), except
+     * that a stored run missing from the index (a crash between the
+     * report's rename and the index append) gets its index line
+     * back, built from the stored report and .csv.ref. fatal() when
+     * `reportText` is not a pdnspot-report-1 document or a write
+     * fails.
      */
     std::string ingest(const std::string &reportText,
                        const std::string &csvBytes);
@@ -179,6 +183,9 @@ class ResultArchive
 
   private:
     std::string refPath(const std::string &id) const;
+
+    /** The payload hash in `id`'s .csv.ref; "" when it has none. */
+    std::string storedCsvHash(const std::string &id) const;
 
     /** Write bytes to tmp/ and rename onto `path` (atomic). */
     void writeAtomically(const std::string &path,

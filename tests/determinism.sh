@@ -19,7 +19,8 @@
 #   observers       --report/--trace-events/--progress at 1 and 8
 #                   threads leave the CSV unchanged; each report
 #                   carries the pdnspot-report-1 schema and each
-#                   span trace is balanced
+#                   span trace holds complete (X) spans and no B/E
+#                   events
 #   report_counters the thread-invariant report counters
 #                   (campaign.cells, campaign.phases,
 #                   campaign.platform_builds, trace.resolves and the
@@ -38,8 +39,8 @@
 #                   threads leave the CSV unchanged; each report
 #                   names the fleet.session_buckets,
 #                   fleet.ns_per_session_bucket and fleet.setup_ms
-#                   metrics, and each span trace is balanced and
-#                   names pdnspot_fleet
+#                   metrics, and each span trace holds complete
+#                   (X) spans, no B/E events, and names pdnspot_fleet
 #
 # The pdnspot_launch variant (the tool under test is the launcher;
 # the row passes the campaign and query binaries after the variant):
@@ -152,11 +153,10 @@ case "$variant" in
                 "lacks the pdnspot-report-1 schema" >&2
             exit 1
         }
-        begins=$(grep -c '"ph": "B"' "$trace" || true)
-        ends=$(grep -c '"ph": "E"' "$trace" || true)
-        if [ "$begins" -eq 0 ] || [ "$begins" -ne "$ends" ]; then
+        spans=$(grep -c '"ph": "X"' "$trace" || true)
+        if [ "$spans" -eq 0 ] || grep -qE '"ph": "[BE]"' "$trace"; then
             echo "determinism: $variant: $threads-thread span trace" \
-                "has $begins begins and $ends ends" >&2
+                "has $spans complete (X) spans, or B/E events" >&2
             exit 1
         fi
     done
@@ -220,13 +220,12 @@ print("%d sessions in %d cohorts"
                 exit 1
             }
         done
-        begins=$(grep -c '"ph": "B"' "$trace" || true)
-        ends=$(grep -c '"ph": "E"' "$trace" || true)
-        if [ "$begins" -eq 0 ] || [ "$begins" -ne "$ends" ] ||
+        spans=$(grep -c '"ph": "X"' "$trace" || true)
+        if [ "$spans" -eq 0 ] || grep -qE '"ph": "[BE]"' "$trace" ||
             ! grep -q '"pdnspot_fleet"' "$trace"; then
             echo "determinism: $variant: $threads-thread span trace" \
-                "has $begins begins and $ends ends, or does not name" \
-                "pdnspot_fleet" >&2
+                "has $spans complete (X) spans, or B/E events, or" \
+                "does not name pdnspot_fleet" >&2
             exit 1
         fi
     done

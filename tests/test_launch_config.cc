@@ -73,6 +73,21 @@ TEST(LaunchConfig, RejectsOutOfRangeValues)
                  ConfigError);
     EXPECT_THROW(fromText("{\"launch\": {\"timeout_s\": -1}}"),
                  ConfigError);
+    // Past ~9.2e9 s a steady_clock deadline overflows into the past.
+    try {
+        fromText("{\"launch\": {\"timeout_s\": 1e10}}");
+        FAIL() << "timeout past the deadline range accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "launch_test:1:26: \"timeout_s\" must be in "
+                      "[0, 1e+09], got 1e+10"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_THROW(fromText("{\"launch\": {\"timeout_s\": 1e300}}"),
+                 ConfigError);
+    EXPECT_EQ(fromText("{\"launch\": {\"timeout_s\": 1e9}}").timeoutS,
+              maxLaunchTimeoutS);
     EXPECT_THROW(fromText("{\"launch\": {\"backoff_ms\": -0.5}}"),
                  ConfigError);
     EXPECT_THROW(fromText("{\"launch\": {\"retries\": -1}}"),

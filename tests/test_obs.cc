@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the observability layer (src/obs): the metrics registry
- * under concurrent writers, the span recorder's B/E
- * balance guarantees under nesting/drops/open spans, the swappable
- * log sink, and the run-report document (provenance hash and the
- * golden-file canonicalization).
+ * under concurrent writers, the span recorder's complete events
+ * under nesting, concurrent threads, open spans and drops, the
+ * swappable log sink, and the run-report document (provenance hash
+ * and the golden-file canonicalization).
  */
 
 #include <algorithm>
@@ -309,25 +309,37 @@ exportSpans(const SpanRecorder &recorder)
     return parse(writeJson(recorder.traceEventsJson({})));
 }
 
-/** B/E phase counts of a trace-event document. */
-std::pair<size_t, size_t>
-phaseCounts(const JsonValue &doc)
+/** The span ("X") events of a trace-event document. */
+std::vector<JsonValue>
+spanEvents(const JsonValue &doc)
 {
-    size_t begins = 0, ends = 0;
-    const JsonValue *events = doc.find("traceEvents");
-    if (!events)
-        return {0, 0};
-    for (const JsonValue &e : events->items()) {
-        const std::string &ph = e.find("ph")->asString();
-        if (ph == "B")
-            ++begins;
-        else if (ph == "E")
-            ++ends;
+    std::vector<JsonValue> spans;
+    for (const JsonValue &e : doc.find("traceEvents")->items()) {
+        EXPECT_TRUE(e.find("ph")->asString() == "X" ||
+                    e.find("ph")->asString() == "M")
+            << e.find("ph")->asString();
+        if (e.find("ph")->asString() == "X")
+            spans.push_back(e);
     }
-    return {begins, ends};
+    return spans;
 }
 
-TEST(SpanRecorderTest, RecordsBalancedNestedSpans)
+/**
+ * Whether span `inner` lies within span `outer` in time, up to the
+ * rounding of ts + dur in microseconds (two clock reads may return
+ * the same instant).
+ */
+bool
+within(const JsonValue &inner, const JsonValue &outer)
+{
+    double ts = inner.find("ts")->asNumber();
+    double outerTs = outer.find("ts")->asNumber();
+    return ts >= outerTs &&
+           ts + inner.find("dur")->asNumber() <=
+               outerTs + outer.find("dur")->asNumber() + 1e-6;
+}
+
+TEST(SpanRecorderTest, RecordsNestedSpansInnerFirst)
 {
     SpanRecorder recorder;
     {
@@ -337,26 +349,20 @@ TEST(SpanRecorderTest, RecordsBalancedNestedSpans)
             SpanScope inner("inner", "test");
         }
     }
-    EXPECT_EQ(recorder.eventCount(), 4u);
+    EXPECT_EQ(recorder.spanCount(), 2u);
     EXPECT_EQ(recorder.droppedSpans(), 0u);
 
-    JsonValue doc = exportSpans(recorder);
-    auto [begins, ends] = phaseCounts(doc);
-    EXPECT_EQ(begins, 2u);
-    EXPECT_EQ(ends, 2u);
-
-    // Inner closes before outer; per-thread timestamps are
-    // monotonic.
-    const std::vector<JsonValue> &events =
-        doc.find("traceEvents")->items();
-    ASSERT_EQ(events.size(), 4u);
-    EXPECT_EQ(events[0].find("name")->asString(), "outer");
-    EXPECT_EQ(events[1].find("name")->asString(), "inner");
-    double ts = -1.0;
-    for (const JsonValue &e : events) {
-        EXPECT_GE(e.find("ts")->asNumber(), ts);
-        ts = e.find("ts")->asNumber();
-    }
+    // The inner span closes first, so it is recorded first, and it
+    // lies within the outer one.
+    std::vector<JsonValue> spans = spanEvents(exportSpans(recorder));
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(spans[0].find("name")->asString(), "inner");
+    EXPECT_EQ(spans[1].find("name")->asString(), "outer");
+    EXPECT_EQ(spans[0].find("cat")->asString(), "test");
+    EXPECT_GE(spans[0].find("dur")->asNumber(), 0.0);
+    EXPECT_TRUE(within(spans[0], spans[1]));
+    EXPECT_EQ(spans[0].find("tid")->asNumber(),
+              spans[1].find("tid")->asNumber());
 }
 
 TEST(SpanRecorderTest, StampedExportLabelsTheShard)
@@ -376,17 +382,18 @@ TEST(SpanRecorderTest, StampedExportLabelsTheShard)
     EXPECT_EQ(doc.find("displayTimeUnit")->asString(), "ms");
     const std::vector<JsonValue> &events =
         doc.find("traceEvents")->items();
-    ASSERT_EQ(events.size(), 4u);
-    // process_name first, then the B/E pair on the shard's pid, then
-    // the extra events untouched.
+    ASSERT_EQ(events.size(), 3u);
+    // process_name first, then the span on the shard's pid, then the
+    // extra events untouched.
     EXPECT_EQ(events[0].find("ph")->asString(), "M");
     EXPECT_EQ(events[0].find("args")->find("name")->asString(),
               "tool shard 2/3");
-    for (size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(events[1].find("ph")->asString(), "X");
+    for (size_t i = 0; i < 2; ++i)
         EXPECT_EQ(events[i].find("pid")->asNumber(), 2.0) << i;
-    EXPECT_EQ(events[3].find("ph")->asString(), "C");
-    EXPECT_EQ(events[3].find("pid")->asNumber(), 77.0);
-    EXPECT_EQ(events[3].find("args")->find("value")->asNumber(), 1.5);
+    EXPECT_EQ(events[2].find("ph")->asString(), "C");
+    EXPECT_EQ(events[2].find("pid")->asNumber(), 77.0);
+    EXPECT_EQ(events[2].find("args")->find("value")->asNumber(), 1.5);
 }
 
 TEST(SpanRecorderTest, ScopesAreNoOpsWhileUninstalled)
@@ -395,70 +402,37 @@ TEST(SpanRecorderTest, ScopesAreNoOpsWhileUninstalled)
     {
         SpanScope scope("ignored", "test");
     }
-    EXPECT_EQ(recorder.eventCount(), 0u);
+    EXPECT_EQ(recorder.spanCount(), 0u);
 }
 
 TEST(SpanRecorderTest, OpenSpansAreSkippedButNestedOnesKept)
 {
     SpanRecorder recorder;
+    SpanInstallation install(recorder);
+    SpanScope open("left-open", "test");
     {
-        SpanInstallation install(recorder);
-        recorder.begin("left-open", "test");
-        {
-            SpanScope closed("closed", "test");
-        }
-        // "left-open" never ends: serialization must skip its B
-        // while keeping the closed child pair balanced.
+        SpanScope closed("closed", "test");
     }
-    JsonValue doc = exportSpans(recorder);
-    auto [begins, ends] = phaseCounts(doc);
-    EXPECT_EQ(begins, 1u);
-    EXPECT_EQ(ends, 1u);
-    EXPECT_EQ(doc.find("traceEvents")
-                  ->items()[0]
-                  .find("name")
-                  ->asString(),
-              "closed");
+    // "left-open" is still live at export: only its closed child is
+    // in the document.
+    std::vector<JsonValue> spans = spanEvents(exportSpans(recorder));
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].find("name")->asString(), "closed");
 }
 
 TEST(SpanRecorderTest, FullBufferDropsWholeSpans)
 {
-    // Capacity 4: two whole spans fit, the rest drop — admission
-    // reserves the end slot, so output stays balanced.
-    SpanRecorder recorder(4);
+    // Capacity 2: the first two spans fit, the other eight drop.
+    SpanRecorder recorder(2);
     {
         SpanInstallation install(recorder);
         for (int i = 0; i < 10; ++i) {
             SpanScope scope("span", "test");
         }
     }
-    EXPECT_EQ(recorder.eventCount(), 4u);
+    EXPECT_EQ(recorder.spanCount(), 2u);
     EXPECT_EQ(recorder.droppedSpans(), 8u);
-    auto [begins, ends] =
-        phaseCounts(exportSpans(recorder));
-    EXPECT_EQ(begins, 2u);
-    EXPECT_EQ(ends, 2u);
-}
-
-TEST(SpanRecorderTest, DroppedNestedBeginsSwallowTheirEnds)
-{
-    // Capacity 4 admits A and B; C drops. C's end must not close B.
-    SpanRecorder recorder(4);
-    {
-        SpanInstallation install(recorder);
-        recorder.begin("a", "test");
-        recorder.begin("b", "test");
-        recorder.begin("c", "test"); // dropped: 2 + 2 + 2 > 4
-        recorder.end();              // closes dropped c
-        recorder.end();              // closes b
-        recorder.end();              // closes a
-    }
-    EXPECT_EQ(recorder.eventCount(), 4u);
-    EXPECT_EQ(recorder.droppedSpans(), 1u);
-    auto [begins, ends] =
-        phaseCounts(exportSpans(recorder));
-    EXPECT_EQ(begins, 2u);
-    EXPECT_EQ(ends, 2u);
+    EXPECT_EQ(spanEvents(exportSpans(recorder)).size(), 2u);
 }
 
 TEST(SpanRecorderTest, ThreadsGetDenseTids)
@@ -472,16 +446,64 @@ TEST(SpanRecorderTest, ThreadsGetDenseTids)
         worker.join();
         SpanScope scope("main-span", "test");
     }
-    JsonValue doc = exportSpans(recorder);
-    const std::vector<JsonValue> &events =
-        doc.find("traceEvents")->items();
-    ASSERT_EQ(events.size(), 4u);
-    std::vector<double> tids;
-    for (const JsonValue &e : events)
-        tids.push_back(e.find("tid")->asNumber());
-    EXPECT_NE(tids[0], tids[2]);
-    for (double tid : tids)
-        EXPECT_GE(tid, 1.0);
+    std::vector<JsonValue> spans = spanEvents(exportSpans(recorder));
+    ASSERT_EQ(spans.size(), 2u);
+    // Tids follow each thread's first recorded span.
+    EXPECT_EQ(spans[0].find("name")->asString(), "worker-span");
+    EXPECT_EQ(spans[0].find("tid")->asNumber(), 1.0);
+    EXPECT_EQ(spans[1].find("tid")->asNumber(), 2.0);
+}
+
+TEST(SpanRecorderTest, ConcurrentThreadsRecordEveryNestedSpan)
+{
+    // Eight workers record at once while the main thread holds an
+    // open span, then the main thread records one more.
+    constexpr int threads = 8;
+    constexpr int scopes = 500;
+    SpanRecorder recorder;
+    {
+        SpanInstallation install(recorder);
+        std::vector<std::thread> workers;
+        for (int t = 0; t < threads; ++t)
+            workers.emplace_back([] {
+                for (int i = 0; i < scopes; ++i) {
+                    SpanScope outer("outer", "test");
+                    SpanScope inner("inner", "test");
+                }
+            });
+        for (std::thread &w : workers)
+            w.join();
+        SpanScope last("last", "test");
+    }
+    EXPECT_EQ(recorder.droppedSpans(), 0u);
+    std::vector<JsonValue> spans = spanEvents(exportSpans(recorder));
+    ASSERT_EQ(spans.size(), size_t(threads * scopes * 2 + 1));
+    EXPECT_EQ(recorder.spanCount(), spans.size());
+
+    // Per tid, each inner is recorded just before its outer and lies
+    // within it; tids are dense in 1..threads + 1.
+    std::vector<std::vector<const JsonValue *>> byTid(threads + 2);
+    for (const JsonValue &span : spans) {
+        EXPECT_GE(span.find("dur")->asNumber(), 0.0);
+        double tid = span.find("tid")->asNumber();
+        ASSERT_GE(tid, 1.0);
+        ASSERT_LE(tid, threads + 1.0);
+        byTid[static_cast<size_t>(tid)].push_back(&span);
+    }
+    for (int tid = 1; tid <= threads + 1; ++tid) {
+        const std::vector<const JsonValue *> &mine = byTid[tid];
+        size_t want = spans.back().find("tid")->asNumber() == tid
+                          ? 1u
+                          : size_t(scopes * 2);
+        ASSERT_EQ(mine.size(), want) << tid;
+        if (want == 1)
+            continue;
+        for (size_t i = 0; i < mine.size(); i += 2) {
+            EXPECT_EQ(mine[i]->find("name")->asString(), "inner");
+            EXPECT_EQ(mine[i + 1]->find("name")->asString(), "outer");
+            EXPECT_TRUE(within(*mine[i], *mine[i + 1])) << tid;
+        }
+    }
 }
 
 // ---------------------------------------------------------------

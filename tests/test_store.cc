@@ -190,6 +190,28 @@ TEST_F(StoreTest, IngestIsIdempotent)
     EXPECT_EQ(archive.readCsv(entries[0]), "csv-a\n");
 }
 
+TEST_F(StoreTest, ReingestRestoresALostIndexLine)
+{
+    ResultArchive archive(root());
+    std::string report = reportText(1, 1);
+    std::string id = archive.ingest(report, "csv-a\n");
+    // A crash between the report's rename and the index append
+    // leaves the run stored but unlisted.
+    std::ofstream(archive.indexPath(), std::ios::trunc);
+    ASSERT_TRUE(archive.entries().empty());
+
+    EXPECT_EQ(archive.ingest(report, "csv-b\n"), id);
+    std::vector<ArchiveEntry> entries = archive.entries();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].id, id);
+    EXPECT_EQ(archive.readCsv(entries[0]), "csv-a\n");
+    // Once listed, a further re-ingest appends nothing.
+    archive.ingest(report, "");
+    EXPECT_EQ(readFileBytes(archive.indexPath()),
+              writeJsonCompact(ResultArchive::entryToJson(entries[0])) +
+                  "\n");
+}
+
 TEST_F(StoreTest, IdenticalPayloadsStoredOnce)
 {
     ResultArchive archive(root());

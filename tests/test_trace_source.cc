@@ -57,7 +57,7 @@ TEST(TraceSpecTest, LibraryReferenceIsOneResolve)
         TraceSpec::library("web-browsing-trace", 42).resolve();
     }
     EXPECT_EQ(registry.counterValue(Metric::TraceResolves), 1u);
-    EXPECT_EQ(recorder.eventCount(), 2u); // one trace.resolve B/E
+    EXPECT_EQ(recorder.spanCount(), 1u); // one trace.resolve
 }
 
 TEST(TraceSpecTest, GeneratorResolvesToTheGeneratorOutput)

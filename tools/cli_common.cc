@@ -229,8 +229,8 @@ RunObservers::finish(TraceEventExport stamp,
             << writeJson(_spans->traceEventsJson(stamp));
         _traceEvents->finish();
         inform(strprintf(
-            "wrote %zu trace events to %s (%llu spans dropped)",
-            _spans->eventCount(), _traceEvents->path().c_str(),
+            "wrote %zu spans to %s (%llu dropped)",
+            _spans->spanCount(), _traceEvents->path().c_str(),
             static_cast<unsigned long long>(_spans->droppedSpans())));
     }
     if (_report) {

@@ -26,7 +26,7 @@
  *                    time, the full metric snapshot, per-PDN
  *                    summaries
  *   --trace-events <path>
- *                    record begin/end spans and write them as
+ *                    record complete spans and write them as
  *                    Chrome/Perfetto trace-event JSON (open in
  *                    https://ui.perfetto.dev or chrome://tracing).
  *                    The timeline is stamped with the shard identity

@@ -20,7 +20,7 @@
  *                    JSON run report (obs/run_report.hh) with a
  *                    "fleet" aggregate block
  *   --trace-events <path>
- *                    record begin/end spans plus Perfetto counter
+ *                    record complete spans plus Perfetto counter
  *                    tracks of the fleet aggregates (sessions alive,
  *                    supply power, mode switches per bucket) and
  *                    write Chrome/Perfetto trace-event JSON

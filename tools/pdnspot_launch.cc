@@ -18,9 +18,9 @@
  *                     "launch.shards", else 4)
  *   --jobs <j>        concurrent shard processes (default:
  *                     "launch.jobs", else min(n, hardware))
- *   --timeout <s>     per-attempt wall-clock limit; a shard past it
- *                     is killed and retried (default:
- *                     "launch.timeout_s", 0 = none)
+ *   --timeout <s>     per-attempt wall-clock limit, at most 1e9 s;
+ *                     a shard past it is killed and retried
+ *                     (default: "launch.timeout_s", 0 = none)
  *   --retries <r>     retries per shard after the first attempt
  *                     (default: "launch.retries", else 2)
  *   --backoff-ms <ms> retry backoff base; attempt a waits
@@ -144,8 +144,11 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--timeout") {
             std::string v = args.value();
             std::optional<double> s = cli::parseDouble(v);
-            if (!s || !(*s >= 0.0))
-                args.badValue(v, "a non-negative number of seconds");
+            if (!s || !launchTimeoutInRange(*s))
+                args.badValue(v, strprintf("a non-negative number of "
+                                           "seconds up to %g",
+                                           maxLaunchTimeoutS)
+                                     .c_str());
             opts.timeoutS = *s;
         } else if (arg == "--retries") {
             opts.retries =
